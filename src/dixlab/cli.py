@@ -6,7 +6,7 @@ harness emits one row per (model, method) pair as CSV or JSON with
 byte-identical output (timings go to stderr only).
 
 Exit codes: 0 all rows Converged, 2 some row was not, 3 the invariant
-battery failed, 4 config or input error.
+battery failed, 4 config or input error, 5 numerical certificate failed.
 """
 
 import argparse
@@ -543,8 +543,6 @@ def build_parser():
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="numba thread cap (serial kernels ignore it)")
     parser.add_argument("--list-models", action="store_true",
                         help="print the model kinds and exit")
     parser.add_argument("--check", action="store_true",
@@ -565,13 +563,6 @@ def main(argv=None):
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
-    if args.threads is not None and args.threads > 0:
-        try:
-            import numba
-
-            numba.set_num_threads(args.threads)
-        except ImportError:
-            pass
     if args.list_models:
         _list_models()
         return 0
@@ -594,6 +585,10 @@ def main(argv=None):
     except (ValueError, models.BudgetError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
+    except models.CertificateError as exc:
+        print("error: numerical certificate failed: %s" % exc,
+              file=sys.stderr)
+        return 5
     text = emit_report(rows, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -23,8 +23,6 @@ from .sequences import (
     SingularSequence,
     as_sequence,
     log_average,
-    tail_power_sum,
-    tail_heat_sum,
     tauberian_classify,
 )
 
@@ -144,9 +142,7 @@ class SequenceModel:
 
     def zeta(self, s):
         s = float(s)
-        total = kernels.power_sum(self.x.values, s)
-        if self.x.tail is not None:
-            total += tail_power_sum(self.x.tail, s, self.x.length + 1)
+        total = self.x.power_sum(s)
         if math.isinf(total) or math.isnan(total):
             raise ValueError("zeta evaluation divergent at s=%g" % s)
         return total
@@ -222,10 +218,6 @@ class OscillatorModel:
             lambda u: math.exp(u - expo(u)), u0, u_hi + 2.0, limit=200
         )
         return (head + tail) / t
-
-
-def torus_model(dimension, cutoff_radius, power=None):
-    return models.LatticeModel(dimension, cutoff_radius, power)
 
 
 def _model_name(model):
@@ -311,7 +303,8 @@ def dixmier_estimate(source, max_checkpoint=None, extrapolate=True,
 def _zeta_evaluator(source):
     """Resolve source to (evaluator s -> Tr(T^s), truncation_guard).
 
-    For a bare head with no tail model the guard estimates the worst
+    For a bare head with no tail model the guard(s, head) judges the
+    head sum the evaluator returned at s against the worst
     m_(1,inf)-compatible continuation mu_n = mu_L L / n; if that could
     shift the sum by more than 1%, the schedule point is untrustworthy
     and the whole estimate is refused."""
@@ -322,25 +315,16 @@ def _zeta_evaluator(source):
     elif hasattr(source, "zeta"):
         return source.zeta, None
     x = as_sequence(source)
-    if x.tail is not None:
-        model = SequenceModel(x)
-        return model.zeta, None
-    head_vals = x.values
+    if x.tail is not None or x.length == 0 or x.values[-1] == 0.0:
+        return x.power_sum, None
 
-    def evaluator(s):
-        return kernels.power_sum(head_vals, s)
-
-    if x.length == 0 or x.values[-1] == 0.0:
-        return evaluator, None
-
-    def guard(s):
-        head = kernels.power_sum(head_vals, s)
+    def guard(s, head):
         L = x.length
         mu_edge = float(x.values[-1])
         worst = mu_edge**s * L / (s - 1.0)
         return worst <= 0.01 * head
 
-    return evaluator, guard
+    return x.power_sum, guard
 
 
 def zeta_residue_estimate(source, k_schedule=(25, 50, 100, 200)):
@@ -361,7 +345,7 @@ def zeta_residue_estimate(source, k_schedule=(25, 50, 100, 200)):
         if math.isinf(z) or math.isnan(z):
             raise ValueError("zeta evaluation divergent at s=%g" % s)
         vals[i] = z / float(k)
-        if guard is not None and not guard(s):
+        if guard is not None and not guard(s, z):
             guarded = False
     if not guarded:
         return TraceEstimate(
@@ -384,11 +368,7 @@ def heat_trace(source, t, alpha_exp=1.0):
         raise ValueError("t and alpha must be positive")
     if hasattr(source, "heat"):
         return float(source.heat(t, alpha))
-    x = _spectrum_of(source)
-    total = kernels.heat_sum(x.values, t, alpha)
-    if x.tail is not None:
-        total += tail_heat_sum(x.tail, t, alpha, x.length + 1)
-    return total / t
+    return _spectrum_of(source).heat_sum(t, alpha) / t
 
 
 def _log_cesaro_values(g_nodes, nodes, ts):

@@ -1,148 +1,47 @@
-"""Hot numerical loops with numba and pure-numpy twins.
+"""Hot numerical kernels: sums, power and heat sums, prefix log
+averages, submajorization and lattice sweeps.
 
-Every public function here dispatches to a numba-compiled loop when
-:data:`dixlab._accel.HAVE_NUMBA` is true and to a vectorized numpy
-fallback otherwise.  Both paths use compensated (Neumaier) or extended
-precision accumulation; horizons reach 1e7 terms and plain float64
-cumsums lose too many digits there.
-
-The ``_nb``/``_np`` twins are importable directly so the benchmark can
-time both on one machine.
+Each public function is one vectorized numpy routine.  Sums accumulate
+in extended precision (``np.longdouble``); horizons reach 1e7 terms and
+plain float64 cumsums lose too many digits there.
 """
 
-import numpy as np
+import math
 
-from ._accel import HAVE_NUMBA, njit
+import numpy as np
 
 # ---------------------------------------------------------------- sums
 
 
-@njit(cache=True)
-def _comp_sum_nb(values):
-    total = 0.0
-    comp = 0.0
-    for i in range(values.shape[0]):
-        x = values[i]
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp
-
-
-def _comp_sum_np(values):
+def comp_sum(values):
+    """Sum of a float64 vector, accumulated in extended precision."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
     if values.size == 0:
         return 0.0
     return float(np.sum(values, dtype=np.longdouble))
 
 
-def comp_sum(values):
-    """Compensated sum of a float64 vector."""
+def power_sum(values, s):
+    """sum(v ** s), powered and summed in extended precision; v must be
+    nonnegative."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _comp_sum_nb(values)
-    return _comp_sum_np(values)
-
-
-@njit(cache=True)
-def _power_sum_nb(values, s):
-    total = 0.0
-    comp = 0.0
-    for i in range(values.shape[0]):
-        x = values[i] ** s
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp
-
-
-def _power_sum_np(values, s):
     if values.size == 0:
         return 0.0
-    return float(np.sum(values.astype(np.longdouble) ** s))
-
-
-def power_sum(values, s):
-    """sum(v ** s) with compensation; v must be nonnegative."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _power_sum_nb(values, float(s))
-    return _power_sum_np(values, float(s))
-
-
-@njit(cache=True)
-def _heat_sum_nb(values, t, alpha):
-    # terms decrease along a nonincreasing v; stop once negligible
-    total = 0.0
-    comp = 0.0
-    for i in range(values.shape[0]):
-        v = values[i]
-        if v <= 0.0:
-            break
-        x = np.exp(-((t * v) ** (-alpha)))
-        tt = total + x
-        if abs(total) >= abs(x):
-            comp += (total - tt) + x
-        else:
-            comp += (x - tt) + total
-        total = tt
-        if x < 1e-18 * total:
-            break
-    return total + comp
-
-
-def _heat_sum_np(values, t, alpha):
-    v = values[values > 0.0]
-    if v.size == 0:
-        return 0.0
-    terms = np.exp(-((t * v) ** (-alpha)))
-    return float(np.sum(terms, dtype=np.longdouble))
+    return float(np.sum(values.astype(np.longdouble) ** float(s)))
 
 
 def heat_sum(values, t, alpha):
-    """sum(exp(-(t*v)**(-alpha))) over positive entries of a
-    nonincreasing v.  Terms below 1e-18 of the running total truncate."""
+    """sum(exp(-(t*v)**(-alpha))) over the positive entries of v; every
+    term is kept and the sum accumulates in extended precision."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _heat_sum_nb(values, float(t), float(alpha))
-    return _heat_sum_np(values, float(t), float(alpha))
+    v = values[values > 0.0]
+    if v.size == 0:
+        return 0.0
+    terms = np.exp(-((float(t) * v) ** (-float(alpha))))
+    return float(np.sum(terms, dtype=np.longdouble))
 
 
 # ------------------------------------------------- logarithmic averages
-
-
-@njit(cache=True)
-def _prefix_log_average_nb(values, ks):
-    out = np.empty(ks.shape[0], dtype=np.float64)
-    total = 0.0
-    comp = 0.0
-    j = 0
-    for i in range(values.shape[0]):
-        x = values[i]
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-        while j < ks.shape[0] and ks[j] == i + 1:
-            out[j] = (total + comp) / np.log(1.0 + ks[j])
-            j += 1
-        if j == ks.shape[0]:
-            break
-    return out
-
-
-def _prefix_log_average_np(values, ks):
-    sums = np.cumsum(values.astype(np.longdouble))
-    return (sums[ks - 1] / np.log(1.0 + ks.astype(np.longdouble))).astype(
-        np.float64
-    )
 
 
 def prefix_log_average(values, ks):
@@ -152,38 +51,10 @@ def prefix_log_average(values, ks):
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     ks = np.ascontiguousarray(ks, dtype=np.int64)
-    if HAVE_NUMBA:
-        return _prefix_log_average_nb(values, ks)
-    return _prefix_log_average_np(values, ks)
-
-
-@njit(cache=True)
-def _max_log_average_nb(values):
-    total = 0.0
-    comp = 0.0
-    best = -np.inf
-    best_k = 0
-    for i in range(values.shape[0]):
-        x = values[i]
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-        a = (total + comp) / np.log(2.0 + i)
-        if a > best:
-            best = a
-            best_k = i + 1
-    return best, best_k
-
-
-def _max_log_average_np(values):
     sums = np.cumsum(values.astype(np.longdouble))
-    ks = np.arange(1, values.shape[0] + 1, dtype=np.longdouble)
-    alpha = sums / np.log1p(ks)
-    i = int(np.argmax(alpha))
-    return float(alpha[i]), i + 1
+    return (sums[ks - 1] / np.log(1.0 + ks.astype(np.longdouble))).astype(
+        np.float64
+    )
 
 
 def max_log_average(values):
@@ -191,45 +62,21 @@ def max_log_average(values):
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("empty sequence has no log average")
-    if HAVE_NUMBA:
-        return _max_log_average_nb(values)
-    return _max_log_average_np(values)
+    sums = np.cumsum(values.astype(np.longdouble))
+    ks = np.arange(1, values.shape[0] + 1, dtype=np.longdouble)
+    alpha = sums / np.log1p(ks)
+    i = int(np.argmax(alpha))
+    return float(alpha[i]), i + 1
 
 
 # ------------------------------------------------------ submajorization
 
 
-@njit(cache=True)
-def _prefix_dominates_nb(x, y):
-    # Neumaier-corrected partial sums; comparison at zero tolerance
-    sx = 0.0
-    cx = 0.0
-    sy = 0.0
-    cy = 0.0
-    n = max(x.shape[0], y.shape[0])
-    for i in range(n):
-        if i < x.shape[0]:
-            v = x[i]
-            t = sx + v
-            if abs(sx) >= abs(v):
-                cx += (sx - t) + v
-            else:
-                cx += (v - t) + sx
-            sx = t
-        if i < y.shape[0]:
-            v = y[i]
-            t = sy + v
-            if abs(sy) >= abs(v):
-                cy += (sy - t) + v
-            else:
-                cy += (v - t) + sy
-            sy = t
-        if (sx - sy) + (cx - cy) < 0.0:
-            return False
-    return True
-
-
-def _prefix_dominates_np(x, y):
+def prefix_dominates(x, y):
+    """True iff every partial sum of y is <= the matching partial sum
+    of x (shorter input zero-padded)."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
     n = max(x.shape[0], y.shape[0])
     px = np.zeros(n, dtype=np.longdouble)
     py = np.zeros(n, dtype=np.longdouble)
@@ -238,120 +85,7 @@ def _prefix_dominates_np(x, y):
     return bool(np.all(np.cumsum(py) <= np.cumsum(px)))
 
 
-def prefix_dominates(x, y):
-    """True iff every partial sum of y is <= the matching partial sum
-    of x (shorter input zero-padded)."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if HAVE_NUMBA:
-        return bool(_prefix_dominates_nb(x, y))
-    return _prefix_dominates_np(x, y)
-
-
 # ------------------------------------------------------- lattice sweeps
-
-
-@njit(cache=True)
-def _lattice_w_nb(n, radius):
-    r2 = radius * radius
-    if n == 1:
-        count = 2 * radius + 1
-    elif n == 2:
-        count = 0
-        for m1 in range(-radius, radius + 1):
-            rem = r2 - m1 * m1
-            h = int(np.floor(np.sqrt(float(rem))))
-            while (h + 1) * (h + 1) <= rem:
-                h += 1
-            while h * h > rem:
-                h -= 1
-            count += 2 * h + 1
-    else:
-        count = 0
-        for m1 in range(-radius, radius + 1):
-            rem1 = r2 - m1 * m1
-            h1 = int(np.floor(np.sqrt(float(rem1))))
-            while (h1 + 1) * (h1 + 1) <= rem1:
-                h1 += 1
-            while h1 * h1 > rem1:
-                h1 -= 1
-            for m2 in range(-h1, h1 + 1):
-                rem2 = rem1 - m2 * m2
-                h2 = int(np.floor(np.sqrt(float(rem2))))
-                while (h2 + 1) * (h2 + 1) <= rem2:
-                    h2 += 1
-                while h2 * h2 > rem2:
-                    h2 -= 1
-                count += 2 * h2 + 1
-    out = np.empty(count, dtype=np.float64)
-    pos = 0
-    if n == 1:
-        for m1 in range(-radius, radius + 1):
-            out[pos] = 1.0 + m1 * m1
-            pos += 1
-    elif n == 2:
-        for m1 in range(-radius, radius + 1):
-            rem = r2 - m1 * m1
-            h = int(np.floor(np.sqrt(float(rem))))
-            while (h + 1) * (h + 1) <= rem:
-                h += 1
-            while h * h > rem:
-                h -= 1
-            base = 1.0 + m1 * m1
-            for m2 in range(-h, h + 1):
-                out[pos] = base + m2 * m2
-                pos += 1
-    else:
-        for m1 in range(-radius, radius + 1):
-            rem1 = r2 - m1 * m1
-            h1 = int(np.floor(np.sqrt(float(rem1))))
-            while (h1 + 1) * (h1 + 1) <= rem1:
-                h1 += 1
-            while h1 * h1 > rem1:
-                h1 -= 1
-            for m2 in range(-h1, h1 + 1):
-                rem2 = rem1 - m2 * m2
-                h2 = int(np.floor(np.sqrt(float(rem2))))
-                while (h2 + 1) * (h2 + 1) <= rem2:
-                    h2 += 1
-                while h2 * h2 > rem2:
-                    h2 -= 1
-                base = 1.0 + m1 * m1 + m2 * m2
-                for m3 in range(-h2, h2 + 1):
-                    out[pos] = base + m3 * m3
-                    pos += 1
-    return out
-
-
-def _int_sqrt(rem):
-    h = int(np.floor(np.sqrt(float(rem))))
-    while (h + 1) * (h + 1) <= rem:
-        h += 1
-    while h * h > rem:
-        h -= 1
-    return h
-
-
-def _lattice_w_np(n, radius):
-    r2 = radius * radius
-    if n == 1:
-        m = np.arange(-radius, radius + 1, dtype=np.float64)
-        return 1.0 + m * m
-    rows = []
-    if n == 2:
-        for m1 in range(-radius, radius + 1):
-            h = _int_sqrt(r2 - m1 * m1)
-            m2 = np.arange(-h, h + 1, dtype=np.float64)
-            rows.append(1.0 + m1 * m1 + m2 * m2)
-    else:
-        for m1 in range(-radius, radius + 1):
-            rem1 = r2 - m1 * m1
-            h1 = _int_sqrt(rem1)
-            for m2 in range(-h1, h1 + 1):
-                h2 = _int_sqrt(rem1 - m2 * m2)
-                m3 = np.arange(-h2, h2 + 1, dtype=np.float64)
-                rows.append(1.0 + m1 * m1 + m2 * m2 + m3 * m3)
-    return np.concatenate(rows)
 
 
 def lattice_w(n, radius):
@@ -364,6 +98,22 @@ def lattice_w(n, radius):
     radius = int(radius)
     if radius < 1:
         raise ValueError("cutoff radius must be >= 1")
-    if HAVE_NUMBA:
-        return _lattice_w_nb(n, radius)
-    return _lattice_w_np(n, radius)
+    r2 = radius * radius
+    if n == 1:
+        m = np.arange(-radius, radius + 1, dtype=np.float64)
+        return 1.0 + m * m
+    rows = []
+    if n == 2:
+        for m1 in range(-radius, radius + 1):
+            h = math.isqrt(r2 - m1 * m1)
+            m2 = np.arange(-h, h + 1, dtype=np.float64)
+            rows.append(1.0 + m1 * m1 + m2 * m2)
+    else:
+        for m1 in range(-radius, radius + 1):
+            rem1 = r2 - m1 * m1
+            h1 = math.isqrt(rem1)
+            for m2 in range(-h1, h1 + 1):
+                h2 = math.isqrt(rem1 - m2 * m2)
+                m3 = np.arange(-h2, h2 + 1, dtype=np.float64)
+                rows.append(1.0 + m1 * m1 + m2 * m2 + m3 * m3)
+    return np.concatenate(rows)

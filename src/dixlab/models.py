@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from . import kernels
-from .sequences import PowerLogTail, SingularSequence, tail_heat_sum
+from .sequences import PowerLogTail, SingularSequence
 
 UNIT_BALL_VOL = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 SPHERE_VOL = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -38,6 +38,10 @@ class BudgetError(RuntimeError):
             "%s needs about %.0f MB but the budget is %.0f MB "
             "(raise DIXLAB_BUDGET_MB)" % (what, need_mb, budget_mb)
         )
+
+
+class CertificateError(RuntimeError):
+    """Raised when a numerical result fails its own accuracy check."""
 
 
 def memory_budget_mb():
@@ -161,17 +165,6 @@ def lattice_zeta(n, s, cutoff_radius, power=None):
     return LatticeZeta(head + tail, head, tail)
 
 
-def lattice_heat(n, t, alpha, cutoff_radius, power=None):
-    """(1/t) * sum_m exp(-(t*mu_m)^{-alpha}) with the Weyl tail model
-    carrying the sum past the cutoff."""
-    _check_dim(n)
-    p = float(power) if power is not None else n / 2.0
-    spec = torus_spectrum(n, cutoff_radius, p)
-    head = kernels.heat_sum(spec.values, t, alpha)
-    tail = tail_heat_sum(spec.tail, t, alpha, spec.length + 1)
-    return (head + tail) / t
-
-
 @dataclass(frozen=True)
 class LatticeModel:
     """(1+Delta)^{-operator_power} on the n-torus, truncated at a
@@ -210,10 +203,7 @@ class LatticeModel:
         ).value
 
     def heat(self, t, alpha=1.0):
-        spec = self.spectrum()
-        head = kernels.heat_sum(spec.values, t, alpha)
-        tail = tail_heat_sum(spec.tail, t, alpha, spec.length + 1)
-        return (head + tail) / t
+        return self.spectrum().heat_sum(t, alpha) / t
 
 
 # ------------------------------------------------ basis order / multipliers
@@ -396,18 +386,21 @@ def _as_matrix(a):
 
 def singular_values(a):
     """Singular values, nonincreasing, with a residual certificate:
-    every pair must satisfy ||(A*A)v - s^2 v|| <= 1e-8 * ||A||^2."""
+    every pair must satisfy ||(A*A)v - s^2 v|| <= 1e-8 * ||A||^2, or
+    CertificateError is raised."""
     A = _as_matrix(a)
     try:
         _, s, vh = linalg.svd(A, full_matrices=False)
     except linalg.LinAlgError as exc:
-        raise RuntimeError("singular value solver failed: %s" % exc) from exc
+        raise CertificateError(
+            "singular value solver failed: %s" % exc
+        ) from exc
     v = vh.conj().T
     resid = A.conj().T @ (A @ v) - v * (s * s)
     worst = float(np.max(np.linalg.norm(resid, axis=0))) if s.size else 0.0
     scale = float(s[0] * s[0]) if s.size and s[0] > 0 else 1.0
     if worst > 1e-8 * scale:
-        raise RuntimeError(
+        raise CertificateError(
             "singular value residual %.3e exceeds 1e-8 * ||A||^2 = %.3e"
             % (worst, 1e-8 * scale)
         )

@@ -165,6 +165,22 @@ class SingularSequence:
     def head_sum(self):
         return kernels.comp_sum(self.values)
 
+    def power_sum(self, s):
+        """sum over n of mu_n**s: the head kernel sum, continued by the
+        tail model from n = length + 1 when one is attached."""
+        total = kernels.power_sum(self.values, s)
+        if self.tail is not None:
+            total += tail_power_sum(self.tail, s, self.length + 1)
+        return total
+
+    def heat_sum(self, t, alpha):
+        """sum over n of exp(-(t mu_n)^-alpha), head plus tail model as
+        in power_sum; zero entries contribute nothing."""
+        total = kernels.heat_sum(self.values, t, alpha)
+        if self.tail is not None:
+            total += tail_heat_sum(self.tail, t, alpha, self.length + 1)
+        return total
+
     def scaled(self, c):
         """c * x: values and tail coefficient both scale."""
         if not (c > 0.0):
@@ -321,9 +337,7 @@ def zeta_norm_z1(x, k_schedule=None, power_sum_fn=None):
         if power_sum_fn is not None:
             total = float(power_sum_fn(s))
         else:
-            total = kernels.power_sum(x.values, s)
-            if x.tail is not None and x.length >= 1:
-                total += tail_power_sum(x.tail, s, x.length + 1)
+            total = x.power_sum(s)
         if math.isinf(total):
             return math.inf
         best = max(best, total ** (k / (k + 1.0)) / k)

@@ -1,8 +1,6 @@
-import numpy as np
 import pytest
 
 import dixlab
-from dixlab import kernels
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -28,20 +26,6 @@ def verdict(request):
         )
 
     return record
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile every jitted kernel once so timed tests measure math,
-    not JIT latency."""
-    v = np.array([3.0, 2.0, 1.0])
-    kernels.comp_sum(v)
-    kernels.power_sum(v, 1.5)
-    kernels.heat_sum(v, 10.0, 1.0)
-    kernels.prefix_log_average(v, np.array([1, 2], dtype=np.int64))
-    kernels.max_log_average(v)
-    kernels.prefix_dominates(v, v)
-    kernels.lattice_w(2, 3)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dixlab import cli
+from dixlab import cli, models
 
 
 def _cfg(**overrides):
@@ -196,6 +196,30 @@ class TestMainExitCodes:
         assert rows[0]["method"] == "dixmier_alpha"
         assert rows[0]["status"] == "Converged"
 
+    def test_failed_certificate_exits_five(self, tmp_path, capsys,
+                                           monkeypatch):
+        def uncertified(op):
+            raise models.CertificateError("residual 1e-3 exceeds bound")
+
+        monkeypatch.setattr(models, "singular_values", uncertified)
+        cfg = _cfg(experiments=[{
+            "label": "cosine",
+            "model": {
+                "kind": "matrix", "dimension": 1, "halfwidth": 8,
+                "coefficients": {"0": 2.0, "1": 0.5, "-1": 0.5},
+            },
+            "methods": ["dixmier"],
+        }])
+        code = cli.main(["--config", self._write(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.strip().splitlines() == [
+            "error: numerical certificate failed: "
+            "residual 1e-3 exceeds bound"
+        ]
+
     def test_sequence_file_kind(self, tmp_path, capsys):
         data = 1.0 / np.arange(1.0, 4097.0)
         seq_path = tmp_path / "seq.txt"
@@ -219,11 +243,12 @@ class TestDeterminism:
         for i in range(2):
             out = tmp_path / ("r%d.csv" % i)
             r = subprocess.run(
-                [sys.executable, "-m", "dixlab.cli", "--config", str(cfg),
+                [sys.executable, "-m", "dixlab", "--config", str(cfg),
                  "--out", str(out)],
                 capture_output=True, text=True,
             )
             assert r.returncode == 0, r.stderr
+            assert "RuntimeWarning" not in r.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert b"\r" not in outs[0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dixlab as dx
-from dixlab import estimators
+from dixlab import estimators, kernels
 
 import oracles
 
@@ -103,6 +103,19 @@ class TestZetaResidueEstimate:
         assert e.status == "Undetermined"
         assert math.isnan(e.value)
         assert "tail" in e.notes
+
+    def test_bare_head_sums_once_per_schedule_point(self, monkeypatch):
+        calls = []
+        power_sum = kernels.power_sum
+
+        def counting(values, s):
+            calls.append(s)
+            return power_sum(values, s)
+
+        monkeypatch.setattr(kernels, "power_sum", counting)
+        x = dx.SingularSequence(1.0 / np.arange(1.0, 2049.0))
+        dx.zeta_residue_estimate(x, k_schedule=(25, 50, 100, 200))
+        assert len(calls) == 4
 
     def test_finite_support_vanishing_residue(self):
         x = dx.SingularSequence(np.array([2.0, 1.0, 0.5, 0.0, 0.0]))

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -37,36 +34,6 @@ class TestCompensatedSums:
         for s in (0.5, 1.0, 1.25, 3.0):
             want = math.fsum((float(x) ** s for x in v))
             assert kernels.power_sum(v, s) == pytest.approx(want, rel=1e-13)
-
-    def test_fallback_twins_agree(self):
-        v = _sorted_desc(_rng(3).random(20_000) + 1e-9)
-        ks = 2 ** np.arange(1, 14, dtype=np.int64)
-        assert kernels._comp_sum_np(v) == pytest.approx(
-            kernels._comp_sum_nb(v), rel=1e-14
-        )
-        assert kernels._power_sum_np(v, 1.1) == pytest.approx(
-            kernels._power_sum_nb(v, 1.1), rel=1e-14
-        )
-        assert kernels._heat_sum_np(v, 100.0, 1.0) == pytest.approx(
-            kernels._heat_sum_nb(v, 100.0, 1.0), rel=1e-12
-        )
-        np.testing.assert_allclose(
-            kernels._prefix_log_average_np(v, ks),
-            kernels._prefix_log_average_nb(v, ks),
-            rtol=1e-14,
-        )
-        assert kernels._max_log_average_np(v) == pytest.approx(
-            kernels._max_log_average_nb(v), rel=1e-14
-        )
-
-    def test_env_flag_switches_to_numpy_path(self):
-        env = dict(os.environ, DIXLAB_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from dixlab._accel import HAVE_NUMBA; print(HAVE_NUMBA)"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.strip() == "False"
 
 
 class TestHeatSum:
