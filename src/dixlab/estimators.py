@@ -541,9 +541,7 @@ def product_zeta_sequence(a, model, k_schedule=(25, 50, 100, 200)):
         if not a.real_flag:
             raise ValueError("product trace needs a real symbol")
         c = float(a.fhat0.real)
-        vals = np.array(
-            [c * models.lattice_zeta(n, 1 + 1 / k, R, p).value / k for k in ks]
-        )
+        vals = np.array([c * model.zeta(1 + 1 / k) / k for k in ks])
         note = "diagonal formula: fhat(0) * lattice zeta"
     elif isinstance(a, SublatticeProjection):
         if a.dimension != n:
@@ -590,9 +588,7 @@ class HolderReport:
 
 
 def _seq_power(x, p):
-    tail = x.tail
-    if tail is not None:
-        tail = PowerLogTail(tail.coeff**p, tail.power * p, tail.log_power * p)
+    tail = x.tail.powered(p) if x.tail is not None else None
     return SingularSequence(x.values**p, tail)
 
 
@@ -618,11 +614,14 @@ def holder_check(t_model, v_model, p):
         raise ValueError("need at least two eigenvalues")
     xh, yh = _truncate(x, L), _truncate(y, L)
     prod_tail = None
-    if xh.tail is not None and yh.tail is not None:
+    # tails that index the head differently have no power-log product
+    if (xh.tail is not None and yh.tail is not None
+            and xh.tail.offset == yh.tail.offset):
         prod_tail = PowerLogTail(
             xh.tail.coeff * yh.tail.coeff,
             xh.tail.power + yh.tail.power,
             xh.tail.log_power + yh.tail.log_power,
+            xh.tail.offset,
         )
     prod = SingularSequence(xh.values * yh.values, prod_tail)
     xp = _seq_power(xh, p)

@@ -1,9 +1,13 @@
 """Hot numerical kernels: sums, power and heat sums, prefix log
 averages, submajorization and lattice sweeps.
 
-Each public function is one vectorized numpy routine.  Sums accumulate
-in extended precision (``np.longdouble``); horizons reach 1e7 terms and
-plain float64 cumsums lose too many digits there.
+Each public function is one vectorized numpy routine, and every sum
+follows one precision rule: terms are evaluated in float64 and
+accumulated in extended precision (``np.longdouble``).  Horizons reach
+1e7 terms, where a float64 accumulator loses too many digits; a float64
+term is already within about one ulp, and evaluating the terms in
+``longdouble`` costs some 40x more time for digits a float64 result
+cannot keep.
 """
 
 import math
@@ -22,12 +26,12 @@ def comp_sum(values):
 
 
 def power_sum(values, s):
-    """sum(v ** s), powered and summed in extended precision; v must be
-    nonnegative."""
+    """sum(v ** s), each power taken in float64 and the sum accumulated
+    in extended precision; v must be nonnegative."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.size == 0:
         return 0.0
-    return float(np.sum(values.astype(np.longdouble) ** float(s)))
+    return float(np.sum(values ** float(s), dtype=np.longdouble))
 
 
 def heat_sum(values, t, alpha):
@@ -51,7 +55,7 @@ def prefix_log_average(values, ks):
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     ks = np.ascontiguousarray(ks, dtype=np.int64)
-    sums = np.cumsum(values.astype(np.longdouble))
+    sums = np.cumsum(values, dtype=np.longdouble)
     return (sums[ks - 1] / np.log(1.0 + ks.astype(np.longdouble))).astype(
         np.float64
     )
@@ -62,8 +66,8 @@ def max_log_average(values):
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("empty sequence has no log average")
-    sums = np.cumsum(values.astype(np.longdouble))
-    ks = np.arange(1, values.shape[0] + 1, dtype=np.longdouble)
+    sums = np.cumsum(values, dtype=np.longdouble)
+    ks = np.arange(1, values.shape[0] + 1, dtype=np.float64)
     alpha = sums / np.log1p(ks)
     i = int(np.argmax(alpha))
     return float(alpha[i]), i + 1

@@ -101,6 +101,16 @@ def _spectrum_tail(n, power):
     return PowerLogTail(UNIT_BALL_VOL[n] ** a, a, 0.0)
 
 
+def _lattice_w(n, radius):
+    """kernels.lattice_w behind the radius check and the memory budget."""
+    radius = int(radius)
+    if radius < 1:
+        raise ValueError("cutoff radius must be >= 1")
+    est = UNIT_BALL_VOL[n] * (radius + 1.0) ** n
+    _check_budget("lattice enumeration (radius %d)" % radius, est * 8 * 4)
+    return kernels.lattice_w(n, radius)
+
+
 def torus_spectrum(n, cutoff_radius, power=None):
     """Eigenvalues (1+|m|^2)^{-power} over |m| <= cutoff, nonincreasing,
     with the Weyl-law tail model attached."""
@@ -108,15 +118,9 @@ def torus_spectrum(n, cutoff_radius, power=None):
     p = float(power) if power is not None else n / 2.0
     if not p > 0.0:
         raise ValueError("operator power must be positive")
-    radius = int(cutoff_radius)
-    if radius < 1:
-        raise ValueError("cutoff radius must be >= 1")
-    est = UNIT_BALL_VOL[n] * (radius + 1.0) ** n
-    _check_budget("lattice enumeration (radius %d)" % radius, est * 8 * 4)
-    w = kernels.lattice_w(n, radius)
+    w = _lattice_w(n, cutoff_radius)
     w.sort()
-    vals = w ** (-p)
-    return SingularSequence(vals, _spectrum_tail(n, p))
+    return SingularSequence(w ** (-p), _spectrum_tail(n, p))
 
 
 class LatticeZeta(NamedTuple):
@@ -139,6 +143,18 @@ def _zeta_tail(n, q, radius):
     return 2.0 * math.pi * val
 
 
+def _zeta_exponent(n, p, s):
+    """q = p*s, the exponent of (1+|m|^2) in Tr(T^s); the lattice sum
+    diverges for q <= n/2, which raises, naming s."""
+    s = float(s)
+    q = p * s
+    if q <= n / 2.0:
+        raise ValueError(
+            "zeta sum diverges at s=%g (needs s > %g)" % (s, n / (2.0 * p))
+        )
+    return q
+
+
 def lattice_zeta(n, s, cutoff_radius, power=None):
     """Tr(T^s) = sum (1+|m|^2)^{-ps} with a radial-integral tail.
 
@@ -148,20 +164,9 @@ def lattice_zeta(n, s, cutoff_radius, power=None):
     """
     _check_dim(n)
     p = float(power) if power is not None else n / 2.0
-    s = float(s)
-    q = p * s
-    if q <= n / 2.0:
-        raise ValueError(
-            "zeta sum diverges at s=%g (needs s > %g)" % (s, n / (2.0 * p))
-        )
-    radius = int(cutoff_radius)
-    if radius < 1:
-        raise ValueError("cutoff radius must be >= 1")
-    est = UNIT_BALL_VOL[n] * (radius + 1.0) ** n
-    _check_budget("lattice enumeration (radius %d)" % radius, est * 8 * 4)
-    w = kernels.lattice_w(n, radius)
-    head = kernels.power_sum(w, -q)
-    tail = _zeta_tail(n, q, radius)
+    q = _zeta_exponent(n, p, s)
+    head = kernels.power_sum(_lattice_w(n, cutoff_radius), -q)
+    tail = _zeta_tail(n, q, int(cutoff_radius))
     return LatticeZeta(head + tail, head, tail)
 
 
@@ -198,9 +203,13 @@ class LatticeModel:
         return cached
 
     def zeta(self, s):
-        return lattice_zeta(
-            self.dimension, s, self.cutoff_radius, self.operator_power
-        ).value
+        """lattice_zeta read off the cached spectrum: its values to the
+        power s plus the same radial-integral tail, so the lattice is
+        enumerated once per model."""
+        n, p = self.dimension, self.operator_power
+        q = _zeta_exponent(n, p, s)
+        head = kernels.power_sum(self.spectrum().values, s)
+        return head + _zeta_tail(n, q, self.cutoff_radius)
 
     def heat(self, t, alpha=1.0):
         return self.spectrum().heat_sum(t, alpha) / t

@@ -11,7 +11,7 @@ averages the first k values.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate
@@ -24,23 +24,35 @@ from . import kernels
 
 @dataclass(frozen=True)
 class PowerLogTail:
-    """mu_n = coeff * (log n)^log_power * n^(-power) for n past the head."""
+    """coeff * (log n)^log_power * n^(-power) for the sequence past its
+    head, where sequence index k sits at n = k + offset (a head sampled
+    from n = 2 has offset 1).  value(n) evaluates the formula at n."""
 
     coeff: float
     power: float
     log_power: float = 0.0
+    offset: int = 0
 
     def __post_init__(self):
         if not (self.coeff > 0.0):
             raise ValueError("tail coeff must be positive")
         if not (self.power > 0.0):
             raise ValueError("tail power must be positive")
+        if self.offset != int(self.offset) or self.offset < 0:
+            raise ValueError("tail offset must be a nonnegative integer")
+        object.__setattr__(self, "offset", int(self.offset))
 
     def value(self, n):
         n = np.asarray(n, dtype=np.float64)
         if np.any(n < 2):
             raise ValueError("tail model is evaluated for n >= 2 only")
         return self.coeff * np.log(n) ** self.log_power * n ** (-self.power)
+
+    def powered(self, s):
+        """The tail of mu**s: the same family with every exponent times s."""
+        return PowerLogTail(
+            self.coeff**s, self.power * s, self.log_power * s, self.offset
+        )
 
 
 def _tail_integral(coeff, a, b, x0, x1):
@@ -75,8 +87,11 @@ def _tail_d1(coeff, a, b, x):
 
 
 def tail_sum(tail, lo, hi=None):
-    """Euler-Maclaurin sum of tail values over integers lo..hi (hi=None
-    means infinity).  lo >= 2 required."""
+    """Euler-Maclaurin sum of the tail over sequence indices lo..hi
+    (hi=None means infinity), i.e. of tail.value(n) for n from
+    lo + offset to hi + offset; that n must start at 2 or above."""
+    lo += tail.offset
+    hi = None if hi is None else hi + tail.offset
     if lo < 2:
         raise ValueError("tail sums start at n >= 2")
     c, a, b = tail.coeff, tail.power, tail.log_power
@@ -93,18 +108,18 @@ def tail_sum(tail, lo, hi=None):
 
 
 def tail_power_sum(tail, s, lo):
-    """Euler-Maclaurin sum of tail.value(n)**s over n >= lo."""
-    c, a, b = tail.coeff, tail.power, tail.log_power
-    powered = PowerLogTail(c**s, a * s, b * s)
-    return tail_sum(powered, lo)
+    """Euler-Maclaurin sum of the tail's s-th powers over sequence
+    indices >= lo."""
+    return tail_sum(tail.powered(s), lo)
 
 
 def tail_heat_sum(tail, t, alpha, lo):
-    """Sum over n >= lo of exp(-(t * tail(n))^-alpha)."""
+    """Sum over sequence indices >= lo of exp(-(t * mu)^-alpha), mu the
+    tail value there."""
     c, a, b = tail.coeff, tail.power, tail.log_power
     q = (t * c) ** (-alpha)
     beta = a * alpha
-    u0 = math.log(lo)
+    u0 = math.log(lo + tail.offset)
     if b == 0.0:
         z0 = q * math.exp(beta * u0)
         g = gammaincc(1.0 / beta, z0) * math.exp(gammaln(1.0 / beta))
@@ -125,6 +140,12 @@ def tail_heat_sum(tail, t, alpha, lo):
 
 
 # -------------------------------------------------------------- sequences
+
+# Largest |log(tail / head)| accepted where a tail model meets its head,
+# both read at the head's last index.  The worst shipped model at its
+# smallest size is the 3-torus at cutoff radius 1, whose Weyl tail
+# reads 0.526 there; harmonic and power-log heads read 0.
+_JUNCTION_TOL = 0.55
 
 
 @dataclass(frozen=True)
@@ -150,12 +171,16 @@ class SingularSequence:
         if self.tail is not None:
             if v.size == 0:
                 raise ValueError("tail model requires a nonempty head")
-            edge = v[-1]
-            t_next = float(self.tail.value(max(v.size + 1, 2)))
-            if abs(t_next - edge) > edge:
+            # index L sits at n = L + offset; a lone head entry at n = 1
+            # has no model value to compare ((log 1)^b is degenerate)
+            n = v.size + self.tail.offset
+            edge = float(v[-1])
+            model = float(self.tail.value(n)) if n >= 2 else edge
+            if not (edge > 0.0 and model > 0.0
+                    and abs(math.log(model / edge)) <= _JUNCTION_TOL):
                 raise ValueError(
-                    "tail junction insane: tail(%d)=%g vs last value %g"
-                    % (v.size + 1, t_next, edge)
+                    "tail junction insane: tail model at index %d gives %g "
+                    "vs last value %g" % (v.size, model, edge)
                 )
 
     @property
@@ -187,7 +212,7 @@ class SingularSequence:
             raise ValueError("scale factor must be positive")
         t = self.tail
         if t is not None:
-            t = PowerLogTail(t.coeff * c, t.power, t.log_power)
+            t = replace(t, coeff=t.coeff * c)
         return SingularSequence(self.values * c, t)
 
 
@@ -603,13 +628,14 @@ def oscillator_sequence(horizon):
 
 
 def power_log_sequence(coeff, power, log_power, horizon):
-    """mu_n = coeff (log n)^log_power n^-power sampled from n=2, sorted
-    nonincreasingly (the raw formula is not monotone near its start for
-    log_power > 0), with the tail model attached."""
+    """mu_n = coeff (log n)^log_power n^-power sampled at n = 2..horizon,
+    sorted nonincreasingly (the raw formula is not monotone near its
+    start for log_power > 0), with the tail model attached.  Head entry
+    k holds n = k + 1, so the tail carries offset 1."""
     H = int(horizon)
     if H < 16:
         raise ValueError("horizon must be >= 16")
-    tail = PowerLogTail(coeff, power, log_power)
+    tail = PowerLogTail(coeff, power, log_power, offset=1)
     n = np.arange(2, H + 1, dtype=np.float64)
     v = np.sort(np.asarray(tail.value(n)))[::-1].copy()
     return SingularSequence(v, tail)

@@ -32,6 +32,13 @@ def mp_zeta(s):
     return float(mpmath.zeta(s))
 
 
+def mp_power_sum(values, s):
+    """sum(v ** s) for float64 inputs at 40 significant digits."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf(float(s))
+        return mpmath.fsum(mpmath.mpf(float(v)) ** s for v in values)
+
+
 def harm_zeta_em(s, L):
     """sum_{n<=L} n^-s + Euler-Maclaurin tail, coeff-1 harmonic data."""
     head = math.fsum(float(n) ** (-s) for n in range(1, L + 1))

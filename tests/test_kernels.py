@@ -36,6 +36,16 @@ class TestCompensatedSums:
             assert kernels.power_sum(v, s) == pytest.approx(want, rel=1e-13)
 
 
+    def test_power_sum_float64_terms_near_the_zeta_pole(self):
+        # 1e5 terms over six decades at s = 1 + 1/200: float64 terms
+        # summed in extended precision stay within two float64 ulps
+        v = 10.0 ** -_rng(3).uniform(0.0, 6.0, 100_000)
+        s = 1.0 + 1.0 / 200.0
+        want = oracles.mp_power_sum(v, s)
+        got = kernels.power_sum(v, s)
+        assert abs((got - want) / want) <= 4e-16
+
+
 class TestHeatSum:
     def test_matches_brute_force(self):
         v = _sorted_desc(_rng(4).random(5_000) + 1e-6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dixlab as dx
-from dixlab import models
+from dixlab import kernels, models
 
 import oracles
 
@@ -50,6 +50,27 @@ class TestLatticeZeta:
         small = models.lattice_zeta(2, q, 60, power=1.0).value
         big = models.lattice_zeta(2, q, 600, power=1.0).value
         assert small == pytest.approx(big, rel=1e-4)
+
+    def test_model_zeta_matches_lattice_zeta(self):
+        m = dx.LatticeModel(2, 100)
+        for s in (1.005, 1.04, 1.5):
+            want = models.lattice_zeta(2, s, 100).value
+            assert m.zeta(s) == pytest.approx(want, rel=1e-14)
+
+    def test_one_lattice_enumeration_per_model(self, monkeypatch):
+        calls = []
+        enumerate_points = kernels.lattice_w
+
+        def counting(n, radius):
+            calls.append((n, radius))
+            return enumerate_points(n, radius)
+
+        monkeypatch.setattr(kernels, "lattice_w", counting)
+        m = dx.LatticeModel(2, 100)
+        dx.dixmier_estimate(m)
+        dx.zeta_residue_estimate(m)
+        dx.heat_estimate(m)
+        assert calls == [(2, 100)]
 
     def test_subcritical_exponent_rejected(self):
         with pytest.raises(ValueError):

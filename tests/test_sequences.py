@@ -24,12 +24,24 @@ class TestSingularSequence:
             dx.SingularSequence(np.array([1.0, -0.5]))
 
     def test_tail_junction_guard(self):
-        # tail value at L+1 must sit within one head step of mu_L
+        # the tail model at the head's last index must match mu_L
         good = dx.PowerLogTail(1.0, 1.0, 0.0)
         dx.SingularSequence(1.0 / np.arange(1.0, 100.0), good)
         bad = dx.PowerLogTail(50.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             dx.SingularSequence(1.0 / np.arange(1.0, 100.0), bad)
+
+    def test_tail_off_by_two_at_junction_raises(self):
+        head = 1.0 / np.arange(1.0, 100.0)
+        for coeff in (2.0, 0.5):
+            with pytest.raises(ValueError, match="junction"):
+                dx.SingularSequence(head, dx.PowerLogTail(coeff, 1.0, 0.0))
+
+    def test_shipped_models_pass_the_junction_at_smallest_size(self):
+        for n in (1, 2, 3):
+            assert dx.torus_spectrum(n, 1).tail is not None
+        assert dx.harmonic_sequence(1).tail is not None
+        assert dx.power_log_sequence(1.0, 1.0, 1.0, 16).tail is not None
 
     def test_scaled(self):
         x = dx.harmonic_sequence(64)
@@ -71,6 +83,36 @@ class TestTailCalculus:
             math.exp(-((t / n) ** (-alpha))) for n in range(50, 200_000)
         )
         got = tail_heat_sum(tail, t, alpha, 50)
+        assert got == pytest.approx(want, rel=1e-6)
+
+    def test_power_log_continuation_matches_brute_force(self):
+        # the head holds n = 2..16, so alpha_20 sums 1/n over n = 2..21
+        x = dx.power_log_sequence(1.0, 1.0, 0.0, 16)
+        want = math.fsum(1.0 / n for n in range(2, 22)) / math.log(21.0)
+        got = dx.log_average(x, np.array([20])).alphas[0]
+        assert got == pytest.approx(want, abs=1e-7)
+        # the first omitted Euler-Maclaurin term, f'''(17)/720, is 2.4e-8
+        assert x.power_sum(2.0) == pytest.approx(
+            oracles.mp_zeta(2.0) - 1.0, abs=5e-8
+        )
+
+    @given(
+        st.floats(0.5, 3.0),
+        st.floats(0.6, 2.0),
+        st.floats(-1.0, 1.0),
+        st.integers(16, 64),
+        st.integers(1, 200),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_power_log_continuation_property(self, c, a, b, H, extra):
+        # head plus tail closure against the brute-force sum over
+        # n = 2..k+1, within the Euler-Maclaurin error
+        x = dx.power_log_sequence(c, a, b, H)
+        k = x.length + extra
+        want = math.fsum(
+            c * math.log(n) ** b * n ** (-a) for n in range(2, k + 2)
+        ) / math.log(1.0 + k)
+        got = dx.log_average(x, np.array([k])).alphas[0]
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_log_tail_against_quadrature(self):
