@@ -59,7 +59,6 @@ from .models import (
     expectation_sequence,
     hermitian_decompose,
     lattice_count,
-    lattice_zeta,
     multiplication_matrix,
     nc_element,
     nc_identity,

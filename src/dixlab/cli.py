@@ -29,8 +29,6 @@ ROW_FIELDS = (
     "oscillation", "extrapolated", "notes",
 )
 
-_METHODS = ("dixmier", "zeta", "heat_raw", "heat_cesaro")
-
 _KINDS = {
     "harmonic": {"horizon": int, "coeff": float},
     "oscillator": {"horizon": int},
@@ -192,9 +190,9 @@ def _parse_experiment(entry, idx, problems):
                             % (path, key, kind))
     methods = entry.get("methods", ["dixmier"])
     if (not isinstance(methods, list) or not methods
-            or any(m not in _METHODS for m in methods)):
+            or any(m not in estimators.METHODS for m in methods)):
         problems.append("%s.methods: expected a nonempty array drawn from %s"
-                        % (path, ", ".join(_METHODS)))
+                        % (path, ", ".join(estimators.METHODS)))
         return None
     label = entry.get("label", kind)
     if not isinstance(label, str) or not label:
@@ -215,8 +213,8 @@ def _parse_experiment(entry, idx, problems):
         kind=kind,
         params=tuple(sorted(params.items())),
         methods=tuple(methods),
-        zeta_schedule=zs or (25.0, 50.0, 100.0, 200.0),
-        heat_schedule=hs or (1e2, 1e3, 1e4),
+        zeta_schedule=zs or estimators.ZETA_SCHEDULE,
+        heat_schedule=hs or estimators.HEAT_SCHEDULE,
     )
 
 
@@ -338,18 +336,6 @@ def _param_string(spec):
     return ";".join(parts)
 
 
-def _run_method(method, model, spec, cap):
-    if method == "dixmier":
-        return estimators.dixmier_estimate(
-            estimators._spectrum_of(model), max_checkpoint=cap
-        )
-    if method == "zeta":
-        return estimators.zeta_residue_estimate(model, spec.zeta_schedule)
-    if method == "heat_raw":
-        return estimators.heat_estimate(model, spec.heat_schedule, 1.0, "raw")
-    return estimators.heat_estimate(model, spec.heat_schedule, 1.0, "cesaro")
-
-
 def run_experiment(config):
     """Rows in config order; returns (rows, philox_generator)."""
     rng = np.random.Generator(np.random.Philox(config.seed))
@@ -359,7 +345,9 @@ def run_experiment(config):
         param = _param_string(spec)
         for method in spec.methods:
             t0 = time.perf_counter()
-            est = _run_method(method, model, spec, cap)
+            est = estimators.METHODS[method](
+                model, spec.zeta_schedule, spec.heat_schedule, cap
+            )
             dt = time.perf_counter() - t0
             print("# %s/%s: %.2fs" % (spec.label, method, dt),
                   file=sys.stderr)

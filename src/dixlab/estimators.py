@@ -21,6 +21,8 @@ from .sequences import (
     ClassificationPolicy,
     PowerLogTail,
     SingularSequence,
+    _fit_line,
+    _heat_quad,
     as_sequence,
     log_average,
     tauberian_classify,
@@ -31,6 +33,10 @@ _POLICY = ClassificationPolicy()
 CONVERGED = "Converged"
 OSCILLATING = "Oscillating"
 UNDETERMINED = "Undetermined"
+
+# default schedules: zeta at s = 1 + 1/k, heat at times t
+ZETA_SCHEDULE = (25, 50, 100, 200)
+HEAT_SCHEDULE = (1e2, 1e3, 1e4)
 
 
 def dyadic_schedule(limit, start=1):
@@ -68,14 +74,6 @@ class TraceEstimate:
             raise ValueError("Converged estimate with oscillation above policy")
 
 
-def _fit_against(zs, vals):
-    """Least squares vals ~ a + b*z; returns a, b, residuals."""
-    design = np.column_stack([np.ones_like(zs), zs])
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    resid = vals - design @ coef
-    return float(coef[0]), float(coef[1]), resid
-
-
 def _series_estimate(method, ks, vals, zs, extrapolate, notes=""):
     """Shared schedule -> TraceEstimate reduction for zeta/heat series.
 
@@ -86,7 +84,7 @@ def _series_estimate(method, ks, vals, zs, extrapolate, notes=""):
     ks = np.asarray(ks, dtype=np.float64)
     raw = (ks, vals)
     if vals.size < 3:
-        a, b, resid = _fit_against(zs, vals)
+        a, b, resid = _fit_line(zs, vals)
         band = float(resid.max() - resid.min()) if vals.size > 1 else 0.0
         return TraceEstimate(
             method, float(vals[-1]), raw, False, band,
@@ -94,10 +92,10 @@ def _series_estimate(method, ks, vals, zs, extrapolate, notes=""):
             error_estimate=band + abs(float(vals[-1]) - a),
             notes=(notes + "; schedule too short to extrapolate").strip("; "),
         )
-    a, b, resid = _fit_against(zs, vals)
+    a, b, resid = _fit_line(zs, vals)
     band = float(resid.max() - resid.min())
     half = vals.size // 2
-    a_half, _, _ = _fit_against(zs[half:], vals[half:])
+    a_half, _, _ = _fit_line(zs[half:], vals[half:])
     err = 2.0 * float(np.max(np.abs(resid))) + abs(a - a_half)
     if band <= _POLICY.eps_conv:
         value = a if extrapolate else float(vals[-1])
@@ -209,15 +207,7 @@ class OscillatorModel:
             mu = (2.0 + math.sin(math.log(u))) * math.exp(-u)
             return (t * mu) ** (-alpha)
 
-        if expo(u0) > 745.0:
-            return head / t
-        u_hi = u0
-        while expo(u_hi) < 745.0 and u_hi < u0 + 2000.0:
-            u_hi += 1.0
-        tail, _ = integrate.quad(
-            lambda u: math.exp(u - expo(u)), u0, u_hi + 2.0, limit=200
-        )
-        return (head + tail) / t
+        return (head + _heat_quad(expo, u0)) / t
 
 
 def _model_name(model):
@@ -258,21 +248,14 @@ def dixmier_estimate(source, max_checkpoint=None, extrapolate=True,
     raw = (ks, alphas)
     notes = "tail model attached" if x.tail is not None else "head only"
     if verdict.status == "Tauberian":
-        if verdict.oscillation_amplitude > pol.eps_conv:
-            return TraceEstimate(
-                "dixmier_alpha", math.nan, raw, False,
-                verdict.oscillation_amplitude, UNDETERMINED,
-                notes=notes + "; converged trend but residual band above "
-                "the reporting threshold",
-            )
         if extrapolate:
             value = float(verdict.limit_estimate)
         else:
             value = float(alphas[-1])
         m = pol.fit_checkpoints
         zs = 1.0 / np.log1p(ks[-m:].astype(np.float64))
-        a6, _, resid = _fit_against(zs, alphas[-m:])
-        a3, _, _ = _fit_against(zs[-3:], alphas[-m:][-3:])
+        a6, _, resid = _fit_line(zs, alphas[-m:])
+        a3, _, _ = _fit_line(zs[-3:], alphas[-m:][-3:])
         err = 2.0 * float(np.max(np.abs(resid))) + abs(a6 - a3)
         value = max(value, 0.0) if value > -1e-12 else value
         return TraceEstimate(
@@ -327,7 +310,7 @@ def _zeta_evaluator(source):
     return x.power_sum, guard
 
 
-def zeta_residue_estimate(source, k_schedule=(25, 50, 100, 200)):
+def zeta_residue_estimate(source, k_schedule=ZETA_SCHEDULE):
     """(1/k) * Tr(T^{1+1/k}) over the schedule, extrapolated linearly
     in 1/k.  source: an evaluator s -> zeta(s), a model exposing one, or
     a sequence (tail-aware when the tail model is present)."""
@@ -396,7 +379,7 @@ def _cesaro_grid(ts, ratio):
     return nodes[nodes <= T * (1 + 1e-12)]
 
 
-def heat_estimate(source, t_schedule=(1e2, 1e3, 1e4), alpha_exp=1.0,
+def heat_estimate(source, t_schedule=HEAT_SCHEDULE, alpha_exp=1.0,
                   smoothing="raw", rtol=1e-3):
     """Normalized heat functional g(t)/Gamma(1/alpha+1) over the
     schedule.  raw extrapolates linearly in 1/t; cesaro applies the
@@ -451,10 +434,26 @@ class MeasurabilityReport:
     notes: str = field(default="", compare=False)
 
 
+# method name -> estimate(model, zeta_schedule, heat_schedule,
+# dixmier_max); the CLI and measurability_report both run this table
+METHODS = {
+    "dixmier": lambda model, zs, hs, cap: dixmier_estimate(
+        model, max_checkpoint=cap
+    ),
+    "zeta": lambda model, zs, hs, cap: zeta_residue_estimate(model, zs),
+    "heat_raw": lambda model, zs, hs, cap: heat_estimate(
+        model, hs, 1.0, "raw"
+    ),
+    "heat_cesaro": lambda model, zs, hs, cap: heat_estimate(
+        model, hs, 1.0, "cesaro"
+    ),
+}
+
+
 def measurability_report(model, methods=("dixmier", "zeta", "heat_raw"),
                          agreement_tol=1e-2, dixmier_max=None,
-                         zeta_schedule=(25, 50, 100, 200),
-                         heat_schedule=(1e2, 1e3, 1e4)):
+                         zeta_schedule=ZETA_SCHEDULE,
+                         heat_schedule=HEAT_SCHEDULE):
     """Run the requested estimators and compare.
 
     Measurable requires every method Converged with pairwise spread
@@ -464,21 +463,13 @@ def measurability_report(model, methods=("dixmier", "zeta", "heat_raw"),
     NotMeasurable.  Anything else stays Undetermined."""
     if len(methods) < 2:
         raise ValueError("need at least two methods to compare")
-    runners = {
-        "dixmier": lambda: dixmier_estimate(
-            _spectrum_of(model), max_checkpoint=dixmier_max
-        ),
-        "zeta": lambda: zeta_residue_estimate(model, zeta_schedule),
-        "heat_raw": lambda: heat_estimate(model, heat_schedule, 1.0, "raw"),
-        "heat_cesaro": lambda: heat_estimate(
-            model, heat_schedule, 1.0, "cesaro"
-        ),
-    }
     estimates = {}
     for m in methods:
-        if m not in runners:
+        if m not in METHODS:
             raise ValueError("unknown method %r" % m)
-        estimates[m] = runners[m]()
+        estimates[m] = METHODS[m](
+            model, zeta_schedule, heat_schedule, dixmier_max
+        )
     values = [e.value for e in estimates.values() if e.status == CONVERGED]
     if len(values) >= 2:
         disc = float(max(values) - min(values))
@@ -522,7 +513,7 @@ class SublatticeProjection:
         object.__setattr__(self, "stride", int(self.stride))
 
 
-def product_zeta_sequence(a, model, k_schedule=(25, 50, 100, 200)):
+def product_zeta_sequence(a, model, k_schedule=ZETA_SCHEDULE):
     """(1/k) Tr(A T^{1+1/k}) for diagonal-compatible A against a lattice
     model, with the linear-in-1/k extrapolated residue.
 
@@ -552,7 +543,7 @@ def product_zeta_sequence(a, model, k_schedule=(25, 50, 100, 200)):
                 "cutoff radius must be a multiple of the stride for an "
                 "exact head/tail junction"
             )
-        w = kernels.lattice_w(n, R // stride)
+        w = models._lattice_w(n, R // stride)
         w_sub = stride * stride * (w - 1.0) + 1.0
         vals = np.empty(ks.size)
         for i, k in enumerate(ks):
@@ -712,7 +703,7 @@ class TorusEigenvalues:
         return np.exp(-t) * _theta3(t) ** 2
 
     def zeta_q(self, s):
-        return models.lattice_zeta(2, s, self.cutoff, power=1.0).value
+        return models.LatticeModel(2, self.cutoff, 1.0).zeta(s)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Hot numerical kernels: sums, power and heat sums, prefix log
-averages, submajorization and lattice sweeps.
+averages, submajorization, and the exact lattice shell table with the
+ordered lattice sweep built on it.
 
 Each public function is one vectorized numpy routine, and every sum
 follows one precision rule: terms are evaluated in float64 and
@@ -9,8 +10,6 @@ term is already within about one ulp, and evaluating the terms in
 ``longdouble`` costs some 40x more time for digits a float64 result
 cannot keep.
 """
-
-import math
 
 import numpy as np
 
@@ -92,10 +91,18 @@ def prefix_dominates(x, y):
 # ------------------------------------------------------- lattice sweeps
 
 
-def lattice_w(n, radius):
-    """Unsorted 1 + |m|^2 over integer lattice points with |m| <= radius.
+def shell_counts(n, radius):
+    """The nonzero shells of Z^n within radius, exact: increasing
+    k = |m|^2 <= radius^2 and r_n(k) = #{m in Z^n : |m|^2 = k} > 0, as
+    two int64 arrays.
 
-    n in {1, 2, 3}; ties and ordering are left to the caller.
+    Starts from the point mass at 0 and, once per dimension, adds a copy
+    of the shells shifted by each m^2 <= radius^2 (weight 1 for m = 0, 2
+    for m > 0).  Copies holding at most a quarter as many entries as a
+    dense 0..radius^2 table are merged by sorting, others are added into
+    that table, so the 1-torus keeps radius + 1 shells and no pass holds
+    more than a few words per lattice point or per table entry, whichever
+    is fewer.  n in {1, 2, 3}.
     """
     if n not in (1, 2, 3):
         raise ValueError("lattice dimension must be 1, 2 or 3")
@@ -103,21 +110,33 @@ def lattice_w(n, radius):
     if radius < 1:
         raise ValueError("cutoff radius must be >= 1")
     r2 = radius * radius
-    if n == 1:
-        m = np.arange(-radius, radius + 1, dtype=np.float64)
-        return 1.0 + m * m
-    rows = []
-    if n == 2:
-        for m1 in range(-radius, radius + 1):
-            h = math.isqrt(r2 - m1 * m1)
-            m2 = np.arange(-h, h + 1, dtype=np.float64)
-            rows.append(1.0 + m1 * m1 + m2 * m2)
-    else:
-        for m1 in range(-radius, radius + 1):
-            rem1 = r2 - m1 * m1
-            h1 = math.isqrt(rem1)
-            for m2 in range(-h1, h1 + 1):
-                h2 = math.isqrt(rem1 - m2 * m2)
-                m3 = np.arange(-h2, h2 + 1, dtype=np.float64)
-                rows.append(1.0 + m1 * m1 + m2 * m2 + m3 * m3)
-    return np.concatenate(rows)
+    squares = np.arange(radius + 1, dtype=np.int64) ** 2
+    weights = np.where(squares > 0, 2, 1)
+    keys = np.zeros(1, dtype=np.int64)
+    counts = np.ones(1, dtype=np.int64)
+    for _ in range(n):
+        # the copy shifted by m^2 takes the js[m] shells with k + m^2 <= r2
+        js = np.searchsorted(keys, r2 - squares, side="right")
+        total = int(js.sum())
+        if 4 * total <= r2:
+            m = np.repeat(np.arange(radius + 1), js)
+            i = np.arange(total) - np.repeat(np.cumsum(js) - js, js)
+            k = keys[i] + squares[m]
+            order = np.argsort(k, kind="stable")
+            k, c = k[order], (counts[i] * weights[m])[order]
+            first = np.flatnonzero(np.diff(k, prepend=-1))
+            keys, counts = k[first], np.add.reduceat(c, first)
+        else:
+            table = np.zeros(r2 + 1, dtype=np.int64)
+            for j, sq, w in zip(js, squares, weights):
+                table[keys[:j] + sq] += w * counts[:j]
+            keys = np.flatnonzero(table)
+            counts = table[keys]
+    return keys, counts
+
+
+def lattice_w(n, radius):
+    """1 + |m|^2 over integer lattice points with |m| <= radius, in
+    nondecreasing order: each shell value repeated r_n(k) times."""
+    keys, counts = shell_counts(n, radius)
+    return np.repeat(1.0 + keys, counts)

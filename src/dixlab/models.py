@@ -13,7 +13,6 @@ import cmath
 import math
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, linalg
@@ -72,26 +71,30 @@ def _check_dim(n):
 # ------------------------------------------------------- lattice spectra
 
 
-def lattice_count(n, radius):
-    """#{m in Z^n : |m| <= radius}, exact integer arithmetic."""
+def _check_lattice_budget(n, radius, expand):
+    """Charge the memory budget for kernels.shell_counts(n, radius) and,
+    when expand, for the float64 value of every lattice point.
+
+    The shell table holds at most min(point count, radius^2 + 1)
+    entries, six int64 words each with the temporaries of its merges;
+    the expanded values take four words per point with theirs.
+    """
     _check_dim(n)
     radius = int(radius)
-    if radius < 1:
-        raise ValueError("cutoff radius must be >= 1")
-    r2 = radius * radius
-    if n == 1:
-        return 2 * radius + 1
-    if n == 2:
-        return sum(
-            2 * math.isqrt(r2 - m1 * m1) + 1 for m1 in range(-radius, radius + 1)
-        )
-    total = 0
-    for m1 in range(-radius, radius + 1):
-        rem1 = r2 - m1 * m1
-        h1 = math.isqrt(rem1)
-        for m2 in range(-h1, h1 + 1):
-            total += 2 * math.isqrt(rem1 - m2 * m2) + 1
-    return total
+    points = UNIT_BALL_VOL[n] * (radius + 1.0) ** n
+    words = 6.0 * min(points, radius * radius + 1.0)
+    what = "lattice shell table"
+    if expand:
+        words += 4.0 * points
+        what = "lattice enumeration"
+    _check_budget("%s (radius %d)" % (what, radius), 8.0 * words)
+
+
+def lattice_count(n, radius):
+    """#{m in Z^n : |m| <= radius}, exact integer arithmetic: the sum of
+    the shell counts."""
+    _check_lattice_budget(n, radius, expand=False)
+    return int(kernels.shell_counts(n, radius)[1].sum())
 
 
 def _spectrum_tail(n, power):
@@ -102,12 +105,8 @@ def _spectrum_tail(n, power):
 
 
 def _lattice_w(n, radius):
-    """kernels.lattice_w behind the radius check and the memory budget."""
-    radius = int(radius)
-    if radius < 1:
-        raise ValueError("cutoff radius must be >= 1")
-    est = UNIT_BALL_VOL[n] * (radius + 1.0) ** n
-    _check_budget("lattice enumeration (radius %d)" % radius, est * 8 * 4)
+    """kernels.lattice_w behind the memory budget."""
+    _check_lattice_budget(n, radius, expand=True)
     return kernels.lattice_w(n, radius)
 
 
@@ -119,14 +118,7 @@ def torus_spectrum(n, cutoff_radius, power=None):
     if not p > 0.0:
         raise ValueError("operator power must be positive")
     w = _lattice_w(n, cutoff_radius)
-    w.sort()
     return SingularSequence(w ** (-p), _spectrum_tail(n, p))
-
-
-class LatticeZeta(NamedTuple):
-    value: float
-    head: float
-    tail_magnitude: float
 
 
 def _zeta_tail(n, q, radius):
@@ -153,21 +145,6 @@ def _zeta_exponent(n, p, s):
             "zeta sum diverges at s=%g (needs s > %g)" % (s, n / (2.0 * p))
         )
     return q
-
-
-def lattice_zeta(n, s, cutoff_radius, power=None):
-    """Tr(T^s) = sum (1+|m|^2)^{-ps} with a radial-integral tail.
-
-    Head: exact lattice sum over |m| <= cutoff.  Tail: the continuum
-    integral over |x| > cutoff (the n=2 case closes in elementary form).
-    Diverges for s <= n/(2p); that raises, naming s.
-    """
-    _check_dim(n)
-    p = float(power) if power is not None else n / 2.0
-    q = _zeta_exponent(n, p, s)
-    head = kernels.power_sum(_lattice_w(n, cutoff_radius), -q)
-    tail = _zeta_tail(n, q, int(cutoff_radius))
-    return LatticeZeta(head + tail, head, tail)
 
 
 @dataclass(frozen=True)
@@ -203,9 +180,10 @@ class LatticeModel:
         return cached
 
     def zeta(self, s):
-        """lattice_zeta read off the cached spectrum: its values to the
-        power s plus the same radial-integral tail, so the lattice is
-        enumerated once per model."""
+        """Tr(T^s) = sum (1+|m|^2)^{-ps}: the cached spectrum to the
+        power s plus the continuum integral over |x| > cutoff (the n=2
+        case closes in elementary form).  Diverges for s <= n/(2p);
+        that raises, naming s."""
         n, p = self.dimension, self.operator_power
         q = _zeta_exponent(n, p, s)
         head = kernels.power_sum(self.spectrum().values, s)

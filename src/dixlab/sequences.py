@@ -113,30 +113,45 @@ def tail_power_sum(tail, s, lo):
     return tail_sum(tail.powered(s), lo)
 
 
-def tail_heat_sum(tail, t, alpha, lo):
-    """Sum over sequence indices >= lo of exp(-(t * mu)^-alpha), mu the
-    tail value there."""
-    c, a, b = tail.coeff, tail.power, tail.log_power
-    q = (t * c) ** (-alpha)
-    beta = a * alpha
-    u0 = math.log(lo + tail.offset)
-    if b == 0.0:
-        z0 = q * math.exp(beta * u0)
-        g = gammaincc(1.0 / beta, z0) * math.exp(gammaln(1.0 / beta))
-        body = g * q ** (-1.0 / beta) / beta
-        boundary = 0.5 * math.exp(-z0)
-        return body + boundary
-    # exponent q * u^(-b*alpha) * e^(beta u); find where it kills the term
-    def expo(u):
-        return q * u ** (-b * alpha) * math.exp(beta * u)
-
+def _heat_quad(expo, u0):
+    """Integral over u >= u0 of exp(u - expo(u)): a heat tail in
+    u = log n, where expo(u) = (t * mu)^-alpha grows without bound.
+    The quadrature stops two units past where expo passes 745 (exp
+    underflows there); a tail already past it at u0 adds nothing."""
+    if expo(u0) > 745.0:
+        return 0.0
     u_hi = u0
     while expo(u_hi) < 745.0 and u_hi < u0 + 2000.0:
         u_hi += 1.0
-    body, _ = integrate.quad(
+    val, _ = integrate.quad(
         lambda u: math.exp(u - expo(u)), u0, u_hi + 2.0, limit=200
     )
-    return body + 0.5 * math.exp(-expo(u0))
+    return val
+
+
+def tail_heat_sum(tail, t, alpha, lo):
+    """Euler-Maclaurin sum over sequence indices >= lo of
+    f = exp(-(t * mu)^-alpha), mu the tail value there: the integral
+    plus f/2 - f'/12 at the first index."""
+    c, a, b = tail.coeff, tail.power, tail.log_power
+    q = (t * c) ** (-alpha)
+    beta = a * alpha
+    n0 = lo + tail.offset
+    u0 = math.log(n0)
+
+    def expo(u):  # (t * mu)^-alpha at n = e^u
+        return q * u ** (-b * alpha) * math.exp(beta * u)
+
+    z0 = expo(u0)
+    if b == 0.0:
+        g = gammaincc(1.0 / beta, z0) * math.exp(gammaln(1.0 / beta))
+        body = g * q ** (-1.0 / beta) / beta
+    else:
+        body = _heat_quad(expo, u0)
+    f0 = math.exp(-z0)
+    # f' = f * alpha * (t mu)^-alpha * mu'/mu
+    d1 = f0 * alpha * z0 * _tail_d1(c, a, b, n0) / tail.value(n0)
+    return body + 0.5 * f0 - d1 / 12.0
 
 
 # -------------------------------------------------------------- sequences
@@ -545,12 +560,11 @@ class TauberianVerdict:
     diagnostics: dict = field(default_factory=dict, repr=False)
 
 
-def _fit_log_limit(ks, alphas):
-    """Least squares a + b/log(1+k); returns (a, b, residuals)."""
-    z = 1.0 / np.log1p(ks.astype(np.float64))
-    design = np.column_stack([np.ones_like(z), z])
-    coef, *_ = np.linalg.lstsq(design, alphas, rcond=None)
-    resid = alphas - design @ coef
+def _fit_line(zs, vals):
+    """Least squares vals ~ a + b*z; returns a, b, residuals."""
+    design = np.column_stack([np.ones_like(zs), zs])
+    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
+    resid = vals - design @ coef
     return float(coef[0]), float(coef[1]), resid
 
 
@@ -579,9 +593,11 @@ def tauberian_classify(x, policy=None):
     J = int(math.floor(math.log2(H)))
     ks = 2 ** np.arange(1, J + 1, dtype=np.int64)
     alphas = log_average(x, ks).alphas
+    # the a + b/log(1+k) trend is a line in z = 1/log(1+k)
+    zs = 1.0 / np.log1p(ks.astype(np.float64))
     i0 = (2 * J) // 3
-    tail_ks, tail_al = ks[i0:], alphas[i0:]
-    a_fit, b_fit, resid = _fit_log_limit(tail_ks, tail_al)
+    tail_al = alphas[i0:]
+    a_fit, b_fit, resid = _fit_line(zs[i0:], tail_al)
     resid_tv = float(np.sum(np.abs(np.diff(resid))))
     band_third = float(tail_al.max() - tail_al.min())
     keep = ks >= pol.burn_in
@@ -596,7 +612,7 @@ def tauberian_classify(x, policy=None):
     }
     if resid_tv < pol.eps_conv:
         m = pol.fit_checkpoints
-        a_lim, _, fit_resid = _fit_log_limit(ks[-m:], alphas[-m:])
+        a_lim, _, fit_resid = _fit_line(zs[-m:], alphas[-m:])
         diag["fit_band"] = float(fit_resid.max() - fit_resid.min())
         return TauberianVerdict("Tauberian", a_lim, resid_tv, diag)
     if band_third > pol.eps_osc:

@@ -268,6 +268,12 @@ class TestProductZeta:
         e = dx.product_zeta_sequence(f, torus_2000)
         assert e.value == pytest.approx(2.0 * math.pi, rel=1e-4)
 
+    def test_sublattice_enumeration_respects_budget(self, monkeypatch):
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "1")
+        m = dx.LatticeModel(2, 2000)
+        with pytest.raises(dx.BudgetError):
+            dx.product_zeta_sequence(dx.SublatticeProjection(2, 2), m)
+
     def test_stride_must_divide_cutoff(self):
         m = dx.LatticeModel(2, 101)
         with pytest.raises(ValueError, match="multiple"):

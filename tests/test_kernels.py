@@ -102,6 +102,23 @@ class TestPrefixDominates:
         assert kernels.prefix_dominates(x, y) == want
 
 
+class TestShellCounts:
+    @given(st.sampled_from((1, 2, 3)), st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_enumeration(self, n, radius):
+        norms = [sum(c * c for c in p)
+                 for p in oracles.brute_lattice_points(n, radius)]
+        want_keys, want_counts = np.unique(norms, return_counts=True)
+        keys, counts = kernels.shell_counts(n, radius)
+        np.testing.assert_array_equal(keys, want_keys)
+        np.testing.assert_array_equal(counts, want_counts)
+
+    @pytest.mark.parametrize("n,radius", [(0, 3), (4, 3), (2, 0), (3, -1)])
+    def test_rejects_bad_dimension_and_radius(self, n, radius):
+        with pytest.raises(ValueError):
+            kernels.shell_counts(n, radius)
+
+
 class TestLatticeW:
     @pytest.mark.parametrize("n,radius", [(1, 7), (2, 11), (3, 6)])
     def test_matches_brute_enumeration(self, n, radius):

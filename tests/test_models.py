@@ -19,6 +19,24 @@ class TestLatticeCounting:
         want = len(oracles.brute_lattice_points(n, radius))
         assert models.lattice_count(n, radius) == want
 
+    def test_count_table_respects_budget(self, monkeypatch):
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "1")
+        with pytest.raises(models.BudgetError):
+            models.lattice_count(2, 1000)
+
+    def test_one_dimensional_large_radius_within_default_budget(
+        self, monkeypatch
+    ):
+        # the 1-torus has radius + 1 shells, not a radius^2 table
+        monkeypatch.delenv("DIXLAB_BUDGET_MB", raising=False)
+        assert models.lattice_count(1, 10**6) == 2 * 10**6 + 1
+        spec = dx.LatticeModel(1, 10**5).spectrum()
+        assert spec.values.size == 2 * 10**5 + 1
+        np.testing.assert_allclose(
+            spec.values[:5], [1.0, 2**-0.5, 2**-0.5, 5**-0.5, 5**-0.5],
+            rtol=1e-15,
+        )
+
     def test_torus_spectrum_head_matches_brute(self):
         pts = oracles.brute_lattice_points(2, 20)
         want = sorted(
@@ -42,20 +60,14 @@ class TestLatticeZeta:
         direct = 1.0 + 2.0 * math.fsum(
             (1.0 + m * m) ** (-q) for m in range(1, 2_000_000)
         )
-        got = models.lattice_zeta(1, q, 4000, power=1.0)
-        assert got.value == pytest.approx(direct, rel=1e-6)
+        got = dx.LatticeModel(1, 4000, 1.0).zeta(q)
+        assert got == pytest.approx(direct, rel=1e-6)
 
     def test_two_dimensional_tail_improves_truncation(self):
         q = 1.5
-        small = models.lattice_zeta(2, q, 60, power=1.0).value
-        big = models.lattice_zeta(2, q, 600, power=1.0).value
+        small = dx.LatticeModel(2, 60, 1.0).zeta(q)
+        big = dx.LatticeModel(2, 600, 1.0).zeta(q)
         assert small == pytest.approx(big, rel=1e-4)
-
-    def test_model_zeta_matches_lattice_zeta(self):
-        m = dx.LatticeModel(2, 100)
-        for s in (1.005, 1.04, 1.5):
-            want = models.lattice_zeta(2, s, 100).value
-            assert m.zeta(s) == pytest.approx(want, rel=1e-14)
 
     def test_one_lattice_enumeration_per_model(self, monkeypatch):
         calls = []
@@ -73,8 +85,8 @@ class TestLatticeZeta:
         assert calls == [(2, 100)]
 
     def test_subcritical_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            models.lattice_zeta(2, 0.9, 50, power=1.0)
+        with pytest.raises(ValueError, match="s=0.9"):
+            dx.LatticeModel(2, 50, 1.0).zeta(0.9)
 
     def test_heat_tail_model_matches_larger_cutoff(self):
         t = 1e4

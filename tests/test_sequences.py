@@ -85,6 +85,27 @@ class TestTailCalculus:
         got = tail_heat_sum(tail, t, alpha, 50)
         assert got == pytest.approx(want, rel=1e-6)
 
+    def test_heat_sum_continuation_matches_brute_force(self):
+        # sum over n >= 1 of exp(-n/10) is 1/(e^0.1 - 1); a tail closure
+        # without the -f'/12 Euler-Maclaurin term is off by 1.5e-3
+        got = dx.harmonic_sequence(16).heat_sum(10.0, 1.0)
+        assert got == pytest.approx(1.0 / math.expm1(0.1), abs=1e-6)
+
+    @pytest.mark.parametrize("c,a,b,t", [
+        (1.0, 1.0, 1.0, 10.0),
+        (1.0, 1.0, -1.0, 10.0),
+        (2.0, 1.5, 0.5, 50.0),
+    ])
+    def test_power_log_heat_continuation_matches_brute_force(self, c, a, b,
+                                                              t):
+        # the quadrature branch of the heat tail closure (log_power != 0)
+        x = dx.power_log_sequence(c, a, b, 16)
+        want = math.fsum(
+            math.exp(-1.0 / (t * c * math.log(n) ** b * n ** (-a)))
+            for n in range(2, 200_000)
+        )
+        assert x.heat_sum(t, 1.0) == pytest.approx(want, abs=1e-6)
+
     def test_power_log_continuation_matches_brute_force(self):
         # the head holds n = 2..16, so alpha_20 sums 1/n over n = 2..21
         x = dx.power_log_sequence(1.0, 1.0, 0.0, 16)
