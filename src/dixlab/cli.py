@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,7 +286,9 @@ def parse_config(source):
 # ------------------------------------------------------------ model build
 
 
-def _build_model(spec):
+def _build_model(spec, where="model"):
+    """(model, max_checkpoint) for spec; where is the JSON path of its
+    model object, used in input errors."""
     params = spec.param_dict()
     kind = spec.kind
     if kind == "harmonic":
@@ -316,12 +319,35 @@ def _build_model(spec):
         cap = params.get("max_checkpoint", op.size // 4)
         return estimators.SequenceModel(seq, name="matrix"), cap
     if kind == "sequence_file":
-        try:
-            vals = np.loadtxt(params["path"], dtype=np.float64, ndmin=1)
-        except OSError as exc:
-            raise ConfigError(["sequence_file: %s" % exc]) from exc
-        return estimators.SequenceModel(sequences.as_sequence(vals)), None
+        seq = _read_sequence_file(params["path"], where + ".path")
+        return estimators.SequenceModel(seq), None
     raise AssertionError(kind)
+
+
+def _read_sequence_file(path, where):
+    """Finite, nonnegative, nonincreasing values in one column or one
+    row; any other file is a ConfigError naming where (its JSON path)
+    and the file."""
+    def bad(why):
+        return ConfigError(["%s: %s: %s" % (where, path, why)])
+
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns and loads as an empty array
+            warnings.simplefilter("ignore", UserWarning)
+            vals = np.loadtxt(path, dtype=np.float64, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise bad(exc) from None
+    if vals.ndim != 1:
+        raise bad("expected one column or one row of values")
+    if vals.size == 0:
+        raise bad("no values")
+    if not np.all(np.isfinite(vals)):
+        raise bad("values must be finite")
+    try:
+        return sequences.as_sequence(vals)
+    except ValueError as exc:
+        raise bad(exc) from None
 
 
 def _param_string(spec):
@@ -340,8 +366,8 @@ def run_experiment(config):
     """Rows in config order; returns (rows, philox_generator)."""
     rng = np.random.Generator(np.random.Philox(config.seed))
     rows = []
-    for spec in config.experiments:
-        model, cap = _build_model(spec)
+    for idx, spec in enumerate(config.experiments):
+        model, cap = _build_model(spec, "experiments[%d].model" % idx)
         param = _param_string(spec)
         for method in spec.methods:
             t0 = time.perf_counter()

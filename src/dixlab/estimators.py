@@ -252,11 +252,14 @@ def dixmier_estimate(source, max_checkpoint=None, extrapolate=True,
             value = float(verdict.limit_estimate)
         else:
             value = float(alphas[-1])
+        # tauberian_classify fitted the limit on the last m checkpoints;
+        # the error adds its residuals and its gap to a 3-point fit
         m = pol.fit_checkpoints
-        zs = 1.0 / np.log1p(ks[-m:].astype(np.float64))
-        a6, _, resid = _fit_line(zs, alphas[-m:])
-        a3, _, _ = _fit_line(zs[-3:], alphas[-m:][-3:])
-        err = 2.0 * float(np.max(np.abs(resid))) + abs(a6 - a3)
+        resid = diag["fit_residuals"]
+        zs = 1.0 / np.log1p(ks[-m:][-3:].astype(np.float64))
+        a3, _, _ = _fit_line(zs, alphas[-m:][-3:])
+        err = (2.0 * float(np.max(np.abs(resid)))
+               + abs(verdict.limit_estimate - a3))
         value = max(value, 0.0) if value > -1e-12 else value
         return TraceEstimate(
             "dixmier_alpha", value, raw, extrapolate,

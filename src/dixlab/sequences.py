@@ -613,6 +613,7 @@ def tauberian_classify(x, policy=None):
     if resid_tv < pol.eps_conv:
         m = pol.fit_checkpoints
         a_lim, _, fit_resid = _fit_line(zs[-m:], alphas[-m:])
+        diag["fit_residuals"] = fit_resid
         diag["fit_band"] = float(fit_resid.max() - fit_resid.min())
         return TauberianVerdict("Tauberian", a_lim, resid_tv, diag)
     if band_third > pol.eps_osc:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,37 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert code == 0
         assert "fromfile" in out
+
+    @pytest.mark.parametrize("name,text", [
+        ("empty", ""),
+        ("nan", "1.0\nnan\n0.5\n"),
+        ("inf", "inf\n1.0\n"),
+        ("increasing", "0.5\n1.0\n"),
+        ("negative", "1.0\n-0.5\n"),
+        ("non-numeric", "1.0\nabc\n"),
+        ("two-column", "1.0 0.5\n0.5 0.25\n"),
+        ("missing", None),
+    ])
+    def test_bad_sequence_file_exits_four(self, tmp_path, capsys, name,
+                                          text):
+        seq_path = tmp_path / ("%s.txt" % name)
+        if text is not None:
+            seq_path.write_text(text, encoding="utf-8")
+        cfg = _cfg(experiments=[
+            {"label": "fine", "model": {"kind": "harmonic",
+                                        "horizon": 1024}},
+            {"label": "fromfile",
+             "model": {"kind": "sequence_file", "path": str(seq_path)}},
+        ])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["--config", self._write(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "experiments[1].model.path: %s" % seq_path in captured.err
+        assert [str(w.message) for w in caught] == []
 
 
 class TestDeterminism:

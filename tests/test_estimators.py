@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dixlab as dx
-from dixlab import estimators, kernels
+from dixlab import estimators, kernels, sequences
 
 import oracles
 
@@ -38,6 +38,27 @@ class TestDixmierEstimate:
         ks, alphas = e.raw_series
         assert not e.extrapolated
         assert e.value == alphas[-1]
+
+    def test_limit_fit_is_reused(self, harmonic_1e6, monkeypatch):
+        sizes = []
+        fit = sequences._fit_line
+
+        def counted(zs, vals):
+            sizes.append(len(zs))
+            return fit(zs, vals)
+
+        monkeypatch.setattr(sequences, "_fit_line", counted)
+        monkeypatch.setattr(estimators, "_fit_line", counted)
+        e = dx.dixmier_estimate(harmonic_1e6.spectrum())
+        assert sizes == [7, 6, 3]
+        # the error estimate is the one refitting the last 6 would give
+        ks, alphas = e.raw_series
+        zs = 1.0 / np.log1p(ks[-6:].astype(np.float64))
+        a6, _, resid = fit(zs, alphas[-6:])
+        a3, _, _ = fit(zs[-3:], alphas[-3:])
+        assert e.value == max(a6, 0.0)
+        assert e.error_estimate == (2.0 * float(np.max(np.abs(resid)))
+                                    + abs(a6 - a3))
 
     def test_oscillator_band(self, oscillator_1e7):
         e = dx.dixmier_estimate(oscillator_1e7.spectrum())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,76 @@ class TestHeatSum:
         want = oracles.brute_heat(v[:2], 10.0, 1.0)
         assert kernels.heat_sum(v, 10.0, 1.0) == pytest.approx(want, rel=1e-14)
 
+    @staticmethod
+    def _full(values, t, alpha):
+        # every positive entry evaluated, subnormal and zero terms included
+        v = values[values > 0.0]
+        with np.errstate(all="ignore"):
+            terms = np.exp(-((t * v) ** -alpha))
+        return float(np.sum(terms, dtype=np.longdouble)), terms
+
+    @staticmethod
+    def _across_band(t, alpha):
+        # exponents (t*v)^-alpha from 1e-2 to 1e3, dense over 700..760:
+        # normal, subnormal (708..745) and zero (past 745) terms
+        xs = np.concatenate([np.geomspace(1e-2, 700.0, 2000),
+                             np.linspace(700.0, 760.0, 3001),
+                             np.geomspace(760.0, 1e3, 50)])
+        return xs ** (-1.0 / alpha) / t
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("t", [1e-2, 1.0, 1e4])
+    def test_underflow_band_matches_full_evaluation(self, t, alpha):
+        v = self._across_band(t, alpha)
+        want, terms = self._full(v, t, alpha)
+        assert np.any((terms > 0.0) & (terms < np.finfo(np.float64).tiny))
+        assert np.any(terms == 0.0)
+        assert kernels.heat_sum(v, t, alpha) == pytest.approx(want, rel=1e-15)
+        assert kernels.heat_sum(v, t, alpha) == pytest.approx(
+            oracles.brute_heat(v, t, alpha), rel=1e-14
+        )
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_t_sweeps_the_band_across_a_harmonic_head(self, alpha):
+        # the subnormal band (708 < (t/n)^-alpha < 745) slides over the head
+        v = 1.0 / np.arange(1.0, 20_001.0)
+        for n_band in (1.0, 30.0, 1000.0, 15_000.0, 40_000.0):
+            t = n_band * 726.0 ** (-1.0 / alpha)
+            want, _ = self._full(v, t, alpha)
+            assert kernels.heat_sum(v, t, alpha) == pytest.approx(
+                want, rel=1e-15
+            )
+
+    def test_tiny_sum_keeps_subnormal_terms(self):
+        assert kernels.heat_sum([1.0], 1.0 / 720.0, 1.0) == math.exp(-720.0)
+        v = np.array([1.0, 0.99, 0.5])
+        want, terms = self._full(v, 1.0 / 715.0, 1.0)
+        assert 0.0 < want < np.finfo(np.float64).tiny
+        assert kernels.heat_sum(v, 1.0 / 715.0, 1.0) == want
+        assert kernels.heat_sum([1.0], 1.0 / 760.0, 1.0) == 0.0
+
+    def test_unsorted_input(self):
+        v = self._across_band(3.0, 1.0)
+        shuffled = v[_rng(7).permutation(v.size)]
+        want, _ = self._full(v, 3.0, 1.0)
+        assert kernels.heat_sum(shuffled, 3.0, 1.0) == pytest.approx(
+            want, rel=1e-15
+        )
+
+    def test_zero_entries_raise_no_warning(self):
+        v = np.array([1.0, 0.0, 0.5, 0.0, 1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels.heat_sum(v, 10.0, 1.0)
+        assert got == pytest.approx(oracles.brute_heat(v[:3], 10.0, 1.0),
+                                    rel=1e-14)
+
+    @pytest.mark.parametrize("t,alpha", [(0.0, 1.0), (-1.0, 1.0),
+                                         (1.0, 0.0), (1.0, -2.0)])
+    def test_rejects_nonpositive_t_and_alpha(self, t, alpha):
+        with pytest.raises(ValueError):
+            kernels.heat_sum([1.0], t, alpha)
+
 
 class TestLogAverages:
     def test_prefix_matches_brute(self):
@@ -75,6 +146,36 @@ class TestLogAverages:
         assert sup == pytest.approx(oracles.brute_norm_1_inf(v), rel=1e-13)
         assert sup == pytest.approx(
             oracles.brute_alpha(v, int(arg)), rel=1e-13
+        )
+
+    def test_prefix_at_chunk_edges_equals_one_cumsum(self):
+        c = kernels._CHUNK
+        v = _sorted_desc(_rng(8).random(3 * c + 17))
+        ks = np.array([1, c - 1, c, c + 1, 2 * c, 2 * c + 1, v.size],
+                      dtype=np.int64)
+        sums = np.cumsum(v, dtype=np.longdouble)
+        want = (sums[ks - 1] / np.log(1.0 + ks.astype(np.longdouble)))
+        np.testing.assert_array_equal(kernels.prefix_log_average(v, ks),
+                                      want.astype(np.float64))
+        # a prefix that stops short of the data reads the same sums
+        np.testing.assert_array_equal(
+            kernels.prefix_log_average(v, ks[:4]),
+            want[:4].astype(np.float64),
+        )
+
+    def test_max_equals_one_cumsum_across_chunks(self):
+        c = kernels._CHUNK
+        v = np.concatenate([np.full(c + 5, 1e-9), np.full(c, 1.0)])
+        alpha = (np.cumsum(v, dtype=np.longdouble)
+                 / np.log1p(np.arange(1, v.size + 1, dtype=np.float64)))
+        i = int(np.argmax(alpha))
+        assert i + 1 > c
+        assert kernels.max_log_average(v) == (float(alpha[i]), i + 1)
+
+    def test_max_tie_goes_to_first_index(self):
+        # every alpha_k is 0: the first k wins, not one in a later chunk
+        assert kernels.max_log_average(np.zeros(2 * kernels._CHUNK + 3)) == (
+            0.0, 1
         )
 
     @given(st.integers(min_value=1, max_value=400))
