@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators, kernels, maps, models, sequences
+from . import estimators, maps, models, sequences
 
 SCHEMA_VERSION = 1
 
@@ -30,31 +30,6 @@ ROW_FIELDS = (
     "oscillation", "extrapolated", "notes",
 )
 
-_KINDS = {
-    "harmonic": {"horizon": int, "coeff": float},
-    "oscillator": {"horizon": int},
-    "power_log": {"coeff": float, "power": float, "log_power": float,
-                  "horizon": int},
-    "torus": {"dimension": int, "cutoff_radius": int,
-              "operator_power": float},
-    "nc_torus": {"cutoff_radius": int, "theta": float,
-                 "operator_power": float},
-    "matrix": {"dimension": int, "halfwidth": int, "coefficients": dict,
-               "operator_power": float, "real": bool,
-               "max_checkpoint": int},
-    "sequence_file": {"path": str},
-}
-
-_REQUIRED = {
-    "harmonic": (),
-    "oscillator": (),
-    "power_log": ("coeff", "power", "log_power"),
-    "torus": ("dimension", "cutoff_radius"),
-    "nc_torus": ("cutoff_radius",),
-    "matrix": ("dimension", "halfwidth", "coefficients"),
-    "sequence_file": ("path",),
-}
-
 
 class ConfigError(ValueError):
     """All schema violations, each tagged with its JSON path."""
@@ -62,6 +37,70 @@ class ConfigError(ValueError):
     def __init__(self, problems):
         self.problems = tuple(problems)
         super().__init__("\n".join(self.problems))
+
+
+def _nc_torus_model(cutoff_radius, theta=0.0, operator_power=None):
+    # (1+Delta_theta)^-p has the flat 2-torus spectrum for every theta
+    return models.LatticeModel(2, cutoff_radius, operator_power)
+
+
+def _matrix_model(dimension, halfwidth, coefficients, operator_power=None,
+                  real=True, max_checkpoint=None):
+    """Singular values of the truncated multiplier, the dixmier scan
+    capped at max_checkpoint (default: a quarter of the matrix size)."""
+    f = models.FourierMultiplier(dict(coefficients), real_flag=real)
+    op = models.multiplication_matrix(f, dimension, halfwidth,
+                                      operator_power)
+    if max_checkpoint is None:
+        max_checkpoint = op.size // 4
+    return estimators.SequenceModel(models.singular_values(op),
+                                    name="matrix",
+                                    max_checkpoint=max_checkpoint)
+
+
+def _sequence_file_model(path):
+    """Finite, nonnegative, nonincreasing values in one column or one
+    row; any other file is a ConfigError naming the path field and the
+    file."""
+    def bad(why):
+        return ConfigError(["path: %s: %s" % (path, why)])
+
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns and loads as an empty array
+            warnings.simplefilter("ignore", UserWarning)
+            vals = np.loadtxt(path, dtype=np.float64, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise bad(exc) from None
+    if vals.ndim != 1:
+        raise bad("expected one column or one row of values")
+    if vals.size == 0:
+        raise bad("no values")
+    try:
+        return estimators.SequenceModel(sequences.as_sequence(vals))
+    except ValueError as exc:
+        raise bad(exc) from None
+
+
+# kind -> ({field: (type, required)}, builder); the builder is called
+# with the parsed fields as keywords, so defaults live in the builders
+_KINDS = {
+    "harmonic": ({"horizon": (int, False), "coeff": (float, False)},
+                 estimators.harmonic_model),
+    "oscillator": ({"horizon": (int, False)}, estimators.OscillatorModel),
+    "power_log": ({"coeff": (float, True), "power": (float, True),
+                   "log_power": (float, True), "horizon": (int, False)},
+                  estimators.power_log_model),
+    "torus": ({"dimension": (int, True), "cutoff_radius": (int, True),
+               "operator_power": (float, False)}, models.LatticeModel),
+    "nc_torus": ({"cutoff_radius": (int, True), "theta": (float, False),
+                  "operator_power": (float, False)}, _nc_torus_model),
+    "matrix": ({"dimension": (int, True), "halfwidth": (int, True),
+                "coefficients": (dict, True), "operator_power": (float, False),
+                "real": (bool, False), "max_checkpoint": (int, False)},
+               _matrix_model),
+    "sequence_file": ({"path": (str, True)}, _sequence_file_model),
+}
 
 
 @dataclass(frozen=True)
@@ -142,8 +181,10 @@ def _parse_schedule(raw, path, problems, kind):
         return None
     out = []
     for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-            problems.append("%s[%d]: expected a positive number" % (path, i))
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not 0 < v < math.inf):
+            problems.append("%s[%d]: expected a positive finite number"
+                            % (path, i))
             return None
         out.append(float(v))
     if any(b <= a for a, b in zip(out, out[1:])):
@@ -174,21 +215,26 @@ def _parse_experiment(entry, idx, problems):
             % (path, ", ".join(sorted(_KINDS)))
         )
         return None
-    schema = _KINDS[kind]
+    fields = _KINDS[kind][0]
     params = {}
-    for key in sorted(set(model) - set(schema) - {"kind"}):
+    for key in sorted(set(model) - set(fields) - {"kind"}):
         problems.append("%s.model.%s: unknown key for kind %s"
                         % (path, key, kind))
-    for key, target in schema.items():
+    for key, (target, required) in fields.items():
         if key in model:
             got = _coerce(model[key], target, "%s.model.%s" % (path, key),
                           problems)
             if got is not None:
                 params[key] = got
-    for key in _REQUIRED[kind]:
-        if key not in model:
+        elif required:
             problems.append("%s.model.%s: required for kind %s"
                             % (path, key, kind))
+    if params.get("max_checkpoint", 1) < 1:
+        problems.append("%s.model.max_checkpoint: expected an integer >= 1"
+                        % path)
+    if not 0.0 <= params.get("theta", 0.0) < 1.0:
+        problems.append("%s.model.theta: expected a number in [0, 1)"
+                        % path)
     methods = entry.get("methods", ["dixmier"])
     if (not isinstance(methods, list) or not methods
             or any(m not in estimators.METHODS for m in methods)):
@@ -287,67 +333,12 @@ def parse_config(source):
 
 
 def _build_model(spec, where="model"):
-    """(model, max_checkpoint) for spec; where is the JSON path of its
-    model object, used in input errors."""
-    params = spec.param_dict()
-    kind = spec.kind
-    if kind == "harmonic":
-        return estimators.harmonic_model(
-            params.get("horizon", 10**6), params.get("coeff", 1.0)
-        ), None
-    if kind == "oscillator":
-        return estimators.OscillatorModel(params.get("horizon", 10**7)), None
-    if kind == "power_log":
-        return estimators.power_log_model(
-            params["coeff"], params["power"], params["log_power"],
-            params.get("horizon", 10**6),
-        ), None
-    if kind in ("torus", "nc_torus"):
-        n = 2 if kind == "nc_torus" else params["dimension"]
-        return models.LatticeModel(
-            n, params["cutoff_radius"], params.get("operator_power")
-        ), None
-    if kind == "matrix":
-        f = models.FourierMultiplier(
-            dict(params["coefficients"]), real_flag=params.get("real", True)
-        )
-        op = models.multiplication_matrix(
-            f, params["dimension"], params["halfwidth"],
-            params.get("operator_power"),
-        )
-        seq = models.singular_values(op)
-        cap = params.get("max_checkpoint", op.size // 4)
-        return estimators.SequenceModel(seq, name="matrix"), cap
-    if kind == "sequence_file":
-        seq = _read_sequence_file(params["path"], where + ".path")
-        return estimators.SequenceModel(seq), None
-    raise AssertionError(kind)
-
-
-def _read_sequence_file(path, where):
-    """Finite, nonnegative, nonincreasing values in one column or one
-    row; any other file is a ConfigError naming where (its JSON path)
-    and the file."""
-    def bad(why):
-        return ConfigError(["%s: %s: %s" % (where, path, why)])
-
+    """The model of spec, from its kind's builder; where is the JSON path
+    of its model object, which prefixes input errors."""
     try:
-        with warnings.catch_warnings():
-            # an empty file warns and loads as an empty array
-            warnings.simplefilter("ignore", UserWarning)
-            vals = np.loadtxt(path, dtype=np.float64, ndmin=1)
-    except (OSError, ValueError) as exc:
-        raise bad(exc) from None
-    if vals.ndim != 1:
-        raise bad("expected one column or one row of values")
-    if vals.size == 0:
-        raise bad("no values")
-    if not np.all(np.isfinite(vals)):
-        raise bad("values must be finite")
-    try:
-        return sequences.as_sequence(vals)
-    except ValueError as exc:
-        raise bad(exc) from None
+        return _KINDS[spec.kind][1](**spec.param_dict())
+    except ConfigError as exc:
+        raise ConfigError([where + "." + p for p in exc.problems]) from None
 
 
 def _param_string(spec):
@@ -367,12 +358,12 @@ def run_experiment(config):
     rng = np.random.Generator(np.random.Philox(config.seed))
     rows = []
     for idx, spec in enumerate(config.experiments):
-        model, cap = _build_model(spec, "experiments[%d].model" % idx)
+        model = _build_model(spec, "experiments[%d].model" % idx)
         param = _param_string(spec)
         for method in spec.methods:
             t0 = time.perf_counter()
             est = estimators.METHODS[method](
-                model, spec.zeta_schedule, spec.heat_schedule, cap
+                model, spec.zeta_schedule, spec.heat_schedule
             )
             dt = time.perf_counter() - t0
             print("# %s/%s: %.2fs" % (spec.label, method, dt),
@@ -565,10 +556,10 @@ def build_parser():
 
 
 def _list_models():
-    for kind in sorted(_KINDS):
-        fields = ", ".join(sorted(_KINDS[kind]))
-        required = ", ".join(_REQUIRED[kind]) or "none"
-        print("%s\n  fields: %s\n  required: %s" % (kind, fields, required))
+    for kind, (fields, _) in sorted(_KINDS.items()):
+        required = ", ".join(k for k, (_, req) in fields.items() if req)
+        print("%s\n  fields: %s\n  required: %s"
+              % (kind, ", ".join(sorted(fields)), required or "none"))
 
 
 def main(argv=None):

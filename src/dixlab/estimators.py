@@ -24,7 +24,10 @@ from .sequences import (
     _fit_line,
     _heat_quad,
     as_sequence,
+    harmonic_sequence,
     log_average,
+    oscillator_sequence,
+    power_log_sequence,
     tauberian_classify,
 )
 
@@ -129,35 +132,23 @@ def _spectrum_of(source):
 
 @dataclass(frozen=True)
 class SequenceModel:
-    """Estimator source wrapping a sequence; zeta/heat use the attached
-    tail model when present and are exact for finite data otherwise."""
+    """Estimator source wrapping a sequence.  max_checkpoint caps the
+    dixmier scan when the caller sets none: the values past it are not
+    trusted (a matrix truncation's, past a fraction of its size)."""
 
     x: SingularSequence
     name: str = "sequence"
+    max_checkpoint: int | None = None
 
     def spectrum(self):
         return self.x
 
-    def zeta(self, s):
-        s = float(s)
-        total = self.x.power_sum(s)
-        if math.isinf(total) or math.isnan(total):
-            raise ValueError("zeta evaluation divergent at s=%g" % s)
-        return total
-
-    def heat(self, t, alpha=1.0):
-        return heat_trace(self.x, t, alpha)
-
 
 def harmonic_model(horizon=10**6, coeff=1.0):
-    from .sequences import harmonic_sequence
-
     return SequenceModel(harmonic_sequence(horizon, coeff), name="harmonic")
 
 
 def power_log_model(coeff, power, log_power, horizon=10**6):
-    from .sequences import power_log_sequence
-
     return SequenceModel(
         power_log_sequence(coeff, power, log_power, horizon),
         name="power_log(%g,%g,%g)" % (coeff, power, log_power),
@@ -178,8 +169,6 @@ class OscillatorModel:
     def spectrum(self):
         cached = getattr(self, "_spec", None)
         if cached is None:
-            from .sequences import oscillator_sequence
-
             cached = oscillator_sequence(self.horizon)
             object.__setattr__(self, "_spec", cached)
         return cached
@@ -224,9 +213,12 @@ def dixmier_estimate(source, max_checkpoint=None, extrapolate=True,
     The checkpoint series is classified first; a value is produced by
     the a + b/log(1+k) fit only on Tauberian data.  max_checkpoint caps
     the scan (used for matrix truncations, where singular values past a
-    fraction of the dimension are unreliable)."""
+    fraction of the dimension are unreliable); with neither it nor a
+    policy given, the source's own max_checkpoint applies, if it has one."""
     if max_checkpoint is not None and policy is not None:
         raise ValueError("pass either max_checkpoint or a full policy")
+    if policy is None and max_checkpoint is None:
+        max_checkpoint = getattr(source, "max_checkpoint", None)
     x = _spectrum_of(source)
     if policy is not None:
         pol = policy
@@ -294,13 +286,11 @@ def _zeta_evaluator(source):
     m_(1,inf)-compatible continuation mu_n = mu_L L / n; if that could
     shift the sum by more than 1%, the schedule point is untrustworthy
     and the whole estimate is refused."""
-    if isinstance(source, SequenceModel):
-        source = source.x  # unwrap so bare heads stay guarded
-    elif callable(source) and not hasattr(source, "zeta"):
-        return source, None
-    elif hasattr(source, "zeta"):
+    if hasattr(source, "zeta"):
         return source.zeta, None
-    x = as_sequence(source)
+    if callable(source):
+        return source, None
+    x = _spectrum_of(source)
     if x.tail is not None or x.length == 0 or x.values[-1] == 0.0:
         return x.power_sum, None
 
@@ -374,21 +364,29 @@ def _log_cesaro_values(g_nodes, nodes, ts):
     return out
 
 
-def _cesaro_grid(ts, ratio):
+def _cesaro_grids(ts):
+    """(fine, coarse) node grids on [1, T]: the powers of sqrt(1.1) and
+    their even powers, each joined with 1 and the schedule points, so
+    every coarse node is also a fine node, bit for bit."""
     T = float(ts[-1])
+    ratio = math.sqrt(1.1)
     n = int(math.ceil(math.log(T) / math.log(ratio)))
-    nodes = ratio ** np.arange(0, n + 1)
-    nodes = np.unique(np.concatenate([nodes, np.asarray(ts, float), [1.0]]))
-    return nodes[nodes <= T * (1 + 1e-12)]
+    powers = ratio ** np.arange(0, n + 1)
+
+    def grid(nodes):
+        nodes = np.unique(np.concatenate([nodes, ts, [1.0]]))
+        return nodes[nodes <= T * (1 + 1e-12)]
+
+    return grid(powers), grid(powers[::2])
 
 
 def heat_estimate(source, t_schedule=HEAT_SCHEDULE, alpha_exp=1.0,
                   smoothing="raw", rtol=1e-3):
     """Normalized heat functional g(t)/Gamma(1/alpha+1) over the
     schedule.  raw extrapolates linearly in 1/t; cesaro applies the
-    log-scale average (1/log T) int_1^T g ds/s on a geometric grid
-    (ratio 1.1 against sqrt(1.1) for the resolution estimate) and never
-    extrapolates."""
+    log-scale average (1/log T) int_1^T g ds/s on a geometric grid of
+    ratio sqrt(1.1), against every other node of it for the resolution
+    estimate, and never extrapolates."""
     ts = np.asarray(t_schedule, dtype=np.float64)
     if ts.ndim != 1 or ts.size == 0 or np.any(ts <= 0):
         raise ValueError("t schedule must be positive")
@@ -403,12 +401,11 @@ def heat_estimate(source, t_schedule=HEAT_SCHEDULE, alpha_exp=1.0,
         return _series_estimate("heat_raw", ts, vals, 1.0 / ts, True)
     if ts[0] <= 1.0:
         raise ValueError("cesaro smoothing needs t > 1")
-    results = []
-    for ratio in (1.1, math.sqrt(1.1)):
-        nodes = _cesaro_grid(ts, ratio)
-        g_nodes = np.array([heat_trace(source, s, alpha) for s in nodes])
-        results.append(_log_cesaro_values(g_nodes, nodes, ts) / norm)
-    coarse, fine = results
+    nodes, coarse_nodes = _cesaro_grids(ts)
+    g_nodes = np.array([heat_trace(source, s, alpha) for s in nodes])
+    g_coarse = g_nodes[np.searchsorted(nodes, coarse_nodes)]
+    fine = _log_cesaro_values(g_nodes, nodes, ts) / norm
+    coarse = _log_cesaro_values(g_coarse, coarse_nodes, ts) / norm
     quad_err = float(np.max(np.abs(fine - coarse)))
     est = _series_estimate(
         "heat_cesaro", ts, fine, 1.0 / ts, False,
@@ -437,25 +434,20 @@ class MeasurabilityReport:
     notes: str = field(default="", compare=False)
 
 
-# method name -> estimate(model, zeta_schedule, heat_schedule,
-# dixmier_max); the CLI and measurability_report both run this table
+# method name -> estimate(model, zeta_schedule, heat_schedule); the CLI
+# and measurability_report both run this table
 METHODS = {
-    "dixmier": lambda model, zs, hs, cap: dixmier_estimate(
-        model, max_checkpoint=cap
-    ),
-    "zeta": lambda model, zs, hs, cap: zeta_residue_estimate(model, zs),
-    "heat_raw": lambda model, zs, hs, cap: heat_estimate(
-        model, hs, 1.0, "raw"
-    ),
-    "heat_cesaro": lambda model, zs, hs, cap: heat_estimate(
+    "dixmier": lambda model, zs, hs: dixmier_estimate(model),
+    "zeta": lambda model, zs, hs: zeta_residue_estimate(model, zs),
+    "heat_raw": lambda model, zs, hs: heat_estimate(model, hs, 1.0, "raw"),
+    "heat_cesaro": lambda model, zs, hs: heat_estimate(
         model, hs, 1.0, "cesaro"
     ),
 }
 
 
 def measurability_report(model, methods=("dixmier", "zeta", "heat_raw"),
-                         agreement_tol=1e-2, dixmier_max=None,
-                         zeta_schedule=ZETA_SCHEDULE,
+                         agreement_tol=1e-2, zeta_schedule=ZETA_SCHEDULE,
                          heat_schedule=HEAT_SCHEDULE):
     """Run the requested estimators and compare.
 
@@ -470,9 +462,7 @@ def measurability_report(model, methods=("dixmier", "zeta", "heat_raw"),
     for m in methods:
         if m not in METHODS:
             raise ValueError("unknown method %r" % m)
-        estimates[m] = METHODS[m](
-            model, zeta_schedule, heat_schedule, dixmier_max
-        )
+        estimates[m] = METHODS[m](model, zeta_schedule, heat_schedule)
     values = [e.value for e in estimates.values() if e.status == CONVERGED]
     if len(values) >= 2:
         disc = float(max(values) - min(values))

@@ -11,56 +11,25 @@ Cantor enumeration of Z^n, which fixes every basis-dependent result.
 
 import cmath
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, linalg
 
 from . import kernels
-from .sequences import PowerLogTail, SingularSequence
+from .sequences import (  # BudgetError: models.BudgetError stays public
+    BudgetError,
+    PowerLogTail,
+    SingularSequence,
+    _check_budget,
+)
 
 UNIT_BALL_VOL = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 SPHERE_VOL = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
-DEFAULT_BUDGET_MB = 2048.0
-
-
-class BudgetError(RuntimeError):
-    """Raised when an enumeration or matrix would exceed the memory cap."""
-
-    def __init__(self, what, need_mb, budget_mb):
-        self.what = what
-        self.need_mb = float(need_mb)
-        self.budget_mb = float(budget_mb)
-        super().__init__(
-            "%s needs about %.0f MB but the budget is %.0f MB "
-            "(raise DIXLAB_BUDGET_MB)" % (what, need_mb, budget_mb)
-        )
-
 
 class CertificateError(RuntimeError):
     """Raised when a numerical result fails its own accuracy check."""
-
-
-def memory_budget_mb():
-    raw = os.environ.get("DIXLAB_BUDGET_MB", "")
-    if not raw:
-        return DEFAULT_BUDGET_MB
-    try:
-        mb = float(raw)
-    except ValueError:
-        raise ValueError("DIXLAB_BUDGET_MB must be a number") from None
-    if mb <= 0:
-        raise ValueError("DIXLAB_BUDGET_MB must be positive")
-    return mb
-
-
-def _check_budget(what, need_bytes):
-    budget = memory_budget_mb()
-    need_mb = need_bytes / 2**20
-    if need_mb > budget:
-        raise BudgetError(what, need_mb, budget)
 
 
 def _check_dim(n):
@@ -167,9 +136,6 @@ class LatticeModel:
         if self.cutoff_radius < 1:
             raise ValueError("cutoff radius must be >= 1")
 
-    def count(self):
-        return lattice_count(self.dimension, self.cutoff_radius)
-
     def spectrum(self):
         cached = getattr(self, "_spectrum", None)
         if cached is None:
@@ -188,9 +154,6 @@ class LatticeModel:
         q = _zeta_exponent(n, p, s)
         head = kernels.power_sum(self.spectrum().values, s)
         return head + _zeta_tail(n, q, self.cutoff_radius)
-
-    def heat(self, t, alpha=1.0):
-        return self.spectrum().heat_sum(t, alpha) / t
 
 
 # ------------------------------------------------ basis order / multipliers

@@ -11,6 +11,7 @@ averages the first k values.
 """
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,6 +19,45 @@ from scipy import integrate
 from scipy.special import gammaincc, gammaln
 
 from . import kernels
+
+# ---------------------------------------------------------- memory budget
+
+DEFAULT_BUDGET_MB = 2048.0
+
+
+class BudgetError(RuntimeError):
+    """Raised when a sequence, enumeration or matrix would exceed the
+    memory cap."""
+
+    def __init__(self, what, need_mb, budget_mb):
+        self.what = what
+        self.need_mb = float(need_mb)
+        self.budget_mb = float(budget_mb)
+        super().__init__(
+            "%s needs about %.0f MB but the budget is %.0f MB "
+            "(raise DIXLAB_BUDGET_MB)" % (what, need_mb, budget_mb)
+        )
+
+
+def memory_budget_mb():
+    raw = os.environ.get("DIXLAB_BUDGET_MB", "")
+    if not raw:
+        return DEFAULT_BUDGET_MB
+    try:
+        mb = float(raw)
+    except ValueError:
+        raise ValueError("DIXLAB_BUDGET_MB must be a number") from None
+    if mb <= 0:
+        raise ValueError("DIXLAB_BUDGET_MB must be positive")
+    return mb
+
+
+def _check_budget(what, need_bytes):
+    budget = memory_budget_mb()
+    need_mb = need_bytes / 2**20
+    if need_mb > budget:
+        raise BudgetError(what, need_mb, budget)
+
 
 # ------------------------------------------------------------ tail model
 
@@ -175,7 +215,7 @@ class SingularSequence:
         if v.ndim != 1:
             raise ValueError("values must be one-dimensional")
         if v.size:
-            if not np.isfinite(v[0]):
+            if not np.all(np.isfinite(v)):
                 raise ValueError("values must be finite")
             if not np.all(v[1:] <= v[:-1]):
                 raise ValueError("values must be nonincreasing")
@@ -624,9 +664,16 @@ def tauberian_classify(x, policy=None):
 # ----------------------------------------------------- model sequences
 
 
+# bytes charged per value by the sequence builders below: the largest
+# of their peak allocations (harmonic 17, oscillator 32, power-log 24)
+_BUILD_BYTES = 32.0
+
+
 def harmonic_sequence(horizon, coeff=1.0):
     """mu_n = coeff / n with the exact matching tail model."""
-    n = np.arange(1, int(horizon) + 1, dtype=np.float64)
+    H = int(horizon)
+    _check_budget("harmonic sequence (horizon %d)" % H, _BUILD_BYTES * H)
+    n = np.arange(1, H + 1, dtype=np.float64)
     return SingularSequence(coeff / n, PowerLogTail(coeff, 1.0))
 
 
@@ -637,6 +684,7 @@ def oscillator_sequence(horizon):
     H = int(horizon)
     if H < 3:
         raise ValueError("oscillator horizon must be >= 3")
+    _check_budget("oscillator sequence (horizon %d)" % H, _BUILD_BYTES * H)
     v = np.empty(H, dtype=np.float64)
     n = np.arange(3, H + 1, dtype=np.float64)
     v[2:] = (2.0 + np.sin(np.log(np.log(n)))) / n
@@ -652,6 +700,7 @@ def power_log_sequence(coeff, power, log_power, horizon):
     H = int(horizon)
     if H < 16:
         raise ValueError("horizon must be >= 16")
+    _check_budget("power-log sequence (horizon %d)" % H, _BUILD_BYTES * H)
     tail = PowerLogTail(coeff, power, log_power, offset=1)
     n = np.arange(2, H + 1, dtype=np.float64)
     v = np.sort(np.asarray(tail.value(n)))[::-1].copy()

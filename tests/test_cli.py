@@ -85,6 +85,33 @@ class TestParseConfig:
         assert coeffs[(0,)] == 2.0 + 0j
         assert coeffs[(1,)] == 0.5 + 0j
 
+    def test_out_of_range_values_reported_with_paths(self):
+        bad = _cfg(experiments=[
+            {"model": {"kind": "nc_torus", "cutoff_radius": 10,
+                       "theta": 5.0}},
+            {"model": {"kind": "matrix", "dimension": 1, "halfwidth": 8,
+                       "coefficients": {"0": 2.0}, "max_checkpoint": -3}},
+        ])
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config(bad)
+        assert err.value.problems == (
+            "experiments[0].model.theta: expected a number in [0, 1)",
+            "experiments[1].model.max_checkpoint: expected an integer >= 1",
+        )
+
+    @pytest.mark.parametrize("key,value", [
+        ("heat_schedule", float("inf")), ("heat_schedule", float("nan")),
+        ("zeta_schedule", float("inf")), ("heat_schedule", 0),
+    ])
+    def test_schedule_entries_must_be_positive_and_finite(self, key, value):
+        bad = _cfg()
+        bad["experiments"][0][key] = [50, value]
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config(bad)
+        assert err.value.problems == (
+            "experiments[0].%s[1]: expected a positive finite number" % key,
+        )
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(cli.ConfigError, match="config"):
             cli.parse_config("/nonexistent/path.json")
@@ -181,6 +208,38 @@ class TestMainExitCodes:
                      "matrix", "sequence_file"):
             assert kind in out
 
+    def test_list_models_text(self, capsys):
+        assert cli.main(["--list-models"]) == 0
+        assert capsys.readouterr().out == (
+            "harmonic\n  fields: coeff, horizon\n  required: none\n"
+            "matrix\n  fields: coefficients, dimension, halfwidth, "
+            "max_checkpoint, operator_power, real\n"
+            "  required: dimension, halfwidth, coefficients\n"
+            "nc_torus\n  fields: cutoff_radius, operator_power, theta\n"
+            "  required: cutoff_radius\n"
+            "oscillator\n  fields: horizon\n  required: none\n"
+            "power_log\n  fields: coeff, horizon, log_power, power\n"
+            "  required: coeff, power, log_power\n"
+            "sequence_file\n  fields: path\n  required: path\n"
+            "torus\n  fields: cutoff_radius, dimension, operator_power\n"
+            "  required: dimension, cutoff_radius\n"
+        )
+
+    @pytest.mark.parametrize("kind,extra", [
+        ("harmonic", {}),
+        ("oscillator", {}),
+        ("power_log", {"coeff": 1.0, "power": 1.0, "log_power": 0.0}),
+    ])
+    def test_huge_horizon_exits_four(self, tmp_path, capsys, kind, extra):
+        model = dict(kind=kind, horizon=10**15, **extra)
+        cfg = _cfg(experiments=[{"model": model}])
+        code = cli.main(["--config", self._write(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and "DIXLAB_BUDGET_MB" in lines[0]
+
     def test_matrix_kind_caps_at_quarter_dimension(self, capsys):
         cfg = _cfg(experiments=[{
             "label": "cosine",
@@ -191,8 +250,8 @@ class TestMainExitCodes:
             "methods": ["dixmier"],
         }])
         spec = cli.parse_config(cfg).experiments[0]
-        model, cap = cli._build_model(spec)
-        assert cap == 601 // 4
+        model = cli._build_model(spec)
+        assert model.max_checkpoint == 601 // 4
         rows, _ = cli.run_experiment(cli.parse_config(cfg))
         assert rows[0]["method"] == "dixmier_alpha"
         assert rows[0]["status"] == "Converged"

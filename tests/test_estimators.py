@@ -125,6 +125,14 @@ class TestZetaResidueEstimate:
         assert math.isnan(e.value)
         assert "tail" in e.notes
 
+    def test_bare_head_model_keeps_the_guard(self):
+        head = dx.SingularSequence(1.0 / np.arange(1.0, 2049.0))
+        model = dx.SequenceModel(head)
+        e = dx.zeta_residue_estimate(model)
+        assert e.status == "Undetermined"
+        assert math.isnan(e.value)
+        assert "head truncation dominates" in e.notes
+
     def test_bare_head_sums_once_per_schedule_point(self, monkeypatch):
         calls = []
         power_sum = kernels.power_sum
@@ -192,6 +200,23 @@ class TestHeatEstimates:
         assert e.status in ("Undetermined", "Converged")
         if e.status == "Undetermined":
             assert math.isnan(e.value)
+
+    def test_cesaro_evaluates_one_grid(self, monkeypatch):
+        calls = []
+        heat_trace = estimators.heat_trace
+
+        def counting(source, t, alpha_exp=1.0):
+            calls.append(t)
+            return heat_trace(source, t, alpha_exp)
+
+        monkeypatch.setattr(estimators, "heat_trace", counting)
+        dx.heat_estimate(dx.harmonic_model(4096), (1e2, 1e3, 1e4),
+                         smoothing="cesaro")
+        assert len(calls) == 197
+        fine, coarse = estimators._cesaro_grids(np.array([1e2, 1e3, 1e4]))
+        assert np.array_equal(fine, calls)
+        assert set(coarse) <= set(fine)
+        assert coarse.size == 100
 
     def test_cesaro_smooths_the_oscillator(self):
         m = dx.OscillatorModel(10**6)
@@ -261,6 +286,20 @@ class TestMeasurability:
                 budget = 2.0 * (ests[i].error_estimate
                                 + ests[j].error_estimate)
                 assert gap <= budget
+
+    def test_model_carries_the_dixmier_cap(self):
+        f = dx.FourierMultiplier({(0,): 2.0, (1,): 0.5, (-1,): 0.5})
+        op = dx.multiplication_matrix(f, 1, 300)
+        model = dx.SequenceModel(dx.singular_values(op),
+                                 max_checkpoint=op.size // 4)
+        rep = dx.measurability_report(model, methods=("dixmier", "zeta"))
+        dix = rep.estimates["dixmier"]
+        assert dix.status == "Converged"
+        assert dix.value == pytest.approx(4.0, rel=0.1)
+        assert int(dix.raw_series[0][-1]) <= op.size // 4
+        # an explicit cap still wins over the model's
+        capped = dx.dixmier_estimate(model, max_checkpoint=64)
+        assert int(capped.raw_series[0][-1]) <= 64
 
     def test_needs_two_methods(self, harmonic_1e6):
         with pytest.raises(ValueError):

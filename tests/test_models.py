@@ -90,8 +90,8 @@ class TestLatticeZeta:
 
     def test_heat_tail_model_matches_larger_cutoff(self):
         t = 1e4
-        small = dx.LatticeModel(2, 120).heat(t)
-        big = dx.LatticeModel(2, 600).heat(t)
+        small = dx.heat_trace(dx.LatticeModel(2, 120), t)
+        big = dx.heat_trace(dx.LatticeModel(2, 600), t)
         head_only = oracles.brute_heat(
             dx.LatticeModel(2, 120).spectrum().values, t, 1.0
         ) / t

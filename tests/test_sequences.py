@@ -23,6 +23,23 @@ class TestSingularSequence:
         with pytest.raises(ValueError):
             dx.SingularSequence(np.array([1.0, -0.5]))
 
+    @pytest.mark.parametrize("values", [
+        [1.0, math.nan, 0.5], [2.0, 1.0, -math.inf], [math.inf, 1.0],
+    ])
+    def test_non_finite_values_named_as_such(self, values):
+        with pytest.raises(ValueError, match="values must be finite"):
+            dx.as_sequence(values)
+
+    def test_sequence_builders_charge_the_budget(self, monkeypatch):
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "1")
+        with pytest.raises(dx.BudgetError, match="harmonic sequence"):
+            dx.harmonic_sequence(10**5)
+        with pytest.raises(dx.BudgetError, match="oscillator sequence"):
+            dx.oscillator_sequence(10**5)
+        with pytest.raises(dx.BudgetError, match="power-log sequence"):
+            dx.power_log_sequence(1.0, 1.0, 0.0, 10**5)
+        assert dx.harmonic_sequence(10**4).length == 10**4
+
     def test_tail_junction_guard(self):
         # the tail model at the head's last index must match mu_L
         good = dx.PowerLogTail(1.0, 1.0, 0.0)
