@@ -235,6 +235,9 @@ def _parse_experiment(entry, idx, problems):
     if not 0.0 <= params.get("theta", 0.0) < 1.0:
         problems.append("%s.model.theta: expected a number in [0, 1)"
                         % path)
+    if not 0.0 < params.get("operator_power", 1.0) < math.inf:
+        problems.append("%s.model.operator_power: expected a positive "
+                        "finite number" % path)
     methods = entry.get("methods", ["dixmier"])
     if (not isinstance(methods, list) or not methods
             or any(m not in estimators.METHODS for m in methods)):
@@ -358,7 +361,11 @@ def run_experiment(config):
     rng = np.random.Generator(np.random.Philox(config.seed))
     rows = []
     for idx, spec in enumerate(config.experiments):
+        t0 = time.perf_counter()
         model = _build_model(spec, "experiments[%d].model" % idx)
+        model.spectrum()  # a model that builds lazily builds here
+        print("# %s/build: %.2fs" % (spec.label, time.perf_counter() - t0),
+              file=sys.stderr)
         param = _param_string(spec)
         for method in spec.methods:
             t0 = time.perf_counter()

@@ -37,6 +37,15 @@ def _check_dim(n):
         raise ValueError("lattice dimension must be 1, 2 or 3")
 
 
+def _operator_power(n, power):
+    """The exponent p of (1+Delta)^{-p}: n/2 when power is None, and
+    positive and finite in any case."""
+    p = n / 2.0 if power is None else float(power)
+    if not 0.0 < p < math.inf:
+        raise ValueError("operator power must be positive and finite")
+    return p
+
+
 # ------------------------------------------------------- lattice spectra
 
 
@@ -83,9 +92,7 @@ def torus_spectrum(n, cutoff_radius, power=None):
     """Eigenvalues (1+|m|^2)^{-power} over |m| <= cutoff, nonincreasing,
     with the Weyl-law tail model attached."""
     _check_dim(n)
-    p = float(power) if power is not None else n / 2.0
-    if not p > 0.0:
-        raise ValueError("operator power must be positive")
+    p = _operator_power(n, power)
     w = _lattice_w(n, cutoff_radius)
     return SingularSequence(w ** (-p), _spectrum_tail(n, p))
 
@@ -127,10 +134,7 @@ class LatticeModel:
 
     def __post_init__(self):
         _check_dim(self.dimension)
-        p = self.operator_power
-        p = self.dimension / 2.0 if p is None else float(p)
-        if not p > 0.0:
-            raise ValueError("operator power must be positive")
+        p = _operator_power(self.dimension, self.operator_power)
         object.__setattr__(self, "operator_power", p)
         object.__setattr__(self, "cutoff_radius", int(self.cutoff_radius))
         if self.cutoff_radius < 1:
@@ -272,13 +276,18 @@ class FourierMultiplier:
 @dataclass(frozen=True)
 class TruncatedOperator:
     """Dense matrix of f(x) * (1+Delta)^{-power} on the cube |m_i| <= M,
-    rows/columns in cube_basis order."""
+    rows/columns in cube_basis order.  coefficients (the fhat(k) with
+    |k_i| <= 2M) and weights ((1+|m|^2)^{-power} of basis_points), when
+    set, let singular_values work from the symbol instead of the
+    entries."""
 
     cube_halfwidth: int
     dimension: int
     entries: np.ndarray
     basis_points: np.ndarray
     provenance: str = field(default="", compare=False)
+    coefficients: dict = field(default=None, compare=False)
+    weights: np.ndarray = field(default=None, compare=False)
 
     @property
     def size(self):
@@ -295,50 +304,201 @@ def multiplication_matrix(f, n, halfwidth, power=None):
     _check_dim(n)
     if f.dim != n:
         raise ValueError("multiplier dimension %d != n=%d" % (f.dim, n))
-    p = float(power) if power is not None else n / 2.0
+    p = _operator_power(n, power)
     M = int(halfwidth)
     if M < 1:
         raise ValueError("cube halfwidth must be >= 1")
-    dim = (2 * M + 1) ** n
-    _check_budget("matrix assembly (%d x %d)" % (dim, dim), dim * dim * 16 * 5)
+    side = 2 * M + 1
+    dim = side**n
+    _check_budget("matrix assembly (%d x %d)" % (dim, dim), dim * dim * 16)
     pts, w = cube_basis(n, M)
     weights = w ** (-p)
-    index = {tuple(pt): i for i, pt in enumerate(pts)}
+    # position in pts of each cube point, keyed by its row-major index
+    where = np.empty(dim, dtype=np.int64)
+    where[np.ravel_multi_index(tuple((pts + M).T), (side,) * n)] = (
+        np.arange(dim)
+    )
     A = np.zeros((dim, dim), dtype=np.complex128)
-    dropped = []
-    rows = np.arange(dim)
+    kept, dropped = {}, []
     for key, c in f.coefficients.items():
         if max(abs(k) for k in key) > 2 * M:
             dropped.append(key)
             continue
+        kept[key] = c
+        # column j holds m_j; its row is m_j + key when that is in the cube
         shifted = pts + np.asarray(key, dtype=np.int64)
-        for j in rows:
-            i = index.get(tuple(shifted[j]))
-            if i is not None:
-                A[i, j] += c * weights[j]
+        j = np.flatnonzero(np.all(np.abs(shifted) <= M, axis=1))
+        i = where[np.ravel_multi_index(tuple((shifted[j] + M).T),
+                                       (side,) * n)]
+        A[i, j] = c * weights[j]
     note = "f support %d terms, power %g" % (len(f.coefficients), p)
     if dropped:
         note += "; ignored coefficients outside the 2M cube: %r" % (dropped,)
-    return TruncatedOperator(M, n, A, pts, provenance=note)
+    return TruncatedOperator(M, n, A, pts, provenance=note,
+                             coefficients=kept, weights=weights)
 
 
-# ------------------------------------------------------ dense linear algebra
+# ------------------------------------------------------ singular values
+
+# Golub-Kahan vectors certified per banded matvec
+_BLOCK = 16
+# a 1-D band path costs about N^2 * kd against N^3 for the dense SVD;
+# timed for deg f = 1..10 on 2 CPUs with one BLAS thread, at N = 90 kd
+# the dense SVD is faster (a tie at deg f = 10), at 110 kd the band is
+_BAND_MIN_SIZE_PER_KD = 100
 
 
-def _as_matrix(a):
+def _as_matrix(a, what, arrays):
+    """a as a square complex matrix, once the budget admits `arrays`
+    N x N complex arrays (a itself among them) for the step `what`."""
     if isinstance(a, TruncatedOperator):
         a = a.entries
     A = np.asarray(a, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square dense matrix")
+    N = A.shape[0]
+    _check_budget("%s (%d x %d)" % (what, N, N), arrays * 16.0 * N * N)
     return A
 
 
+def _golub_kahan_band(op):
+    """Lower band storage (ab[o, c] = H[c + o, c]) of the Hermitian
+    H = [[0, A], [A*, 0]] of a 1-D truncation, interleaved in the natural
+    order m = -M..M: row m of A at 2(m+M), column m at 2(m+M) + 1.
+    A[j + k, j] = fhat(k) w_j, so H has bandwidth 2 deg f + 1 and the
+    eigenvalues +-sigma_i."""
+    M, N = op.cube_halfwidth, op.size
+    weights = np.empty(N)
+    weights[op.basis_points[:, 0] + M] = op.weights  # natural order
+    kd = _band_kd(op)
+    ab = np.zeros((kd + 1, 2 * N), dtype=np.complex128)
+    for (k,), c in op.coefficients.items():
+        if k > 0:  # A[j + k, j] at H[2(j + k), 2j + 1]
+            ab[2 * k - 1, 1:2 * (N - k):2] = c * weights[:N - k]
+        else:  # conj(A[i, i - k]) at H[2(i - k) + 1, 2i]
+            ab[1 - 2 * k, 0:2 * (N + k):2] = c.conjugate() * weights[-k:]
+    return ab
+
+
+def _golub_kahan_matvec(ab, X):
+    """H x for each row x of X, H held in lower band storage ab.  A
+    Golub-Kahan band couples rows to columns only, so only its odd
+    offsets are nonzero."""
+    n = ab.shape[1]
+    Y = np.zeros_like(X)
+    for o in range(1, ab.shape[0], 2):
+        Y[:, o:] += ab[o, :n - o] * X[:, :n - o]
+        Y[:, :n - o] += ab[o, :n - o].conj() * X[:, o:]
+    return Y
+
+
+def _certify_band(ab, sigma):
+    """Raise CertificateError unless every sigma_i has a unit vector x
+    with ||Hx - sigma_i x|| <= 1e-8 * sigma_1, which puts an eigenvalue
+    of H within that distance.  x is one step of inverse iteration from
+    a fixed pseudo-random start (a structured start such as all ones can
+    be orthogonal to a whole symmetry class of eigenvectors).
+
+    The residuals place each value but not the multiset (a value
+    repeated in place of its neighbour passes them), so sum sigma_i^2
+    must also equal ||A||_F^2, the sum of |ab|^2 (the lower band holds
+    each entry of A once), within what values that close allow."""
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    scale = float(sigma[0]) if sigma[0] > 0 else 1.0
+    bound = 1e-8 * scale
+    # general band storage for gbsv: H[i, j] at row 2 kd + i - j
+    gb = np.zeros((3 * kd + 1, n), dtype=np.complex128, order="F")
+    for o in range(kd + 1):
+        gb[2 * kd + o, :n - o] = ab[o, :n - o]
+        gb[2 * kd - o, o:] = ab[o, :n - o].conj()
+    gbsv, = linalg.get_lapack_funcs(("gbsv",), (gb,))
+    rng = np.random.Generator(np.random.Philox(0))
+    start = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[:, None]
+    nudge = 4.0 * np.spacing(scale)
+    for lo in range(0, sigma.size, _BLOCK):
+        block = sigma[lo:lo + _BLOCK]
+        X = np.empty((block.size, n), dtype=np.complex128)
+        for i, s in enumerate(block):
+            # (H - s)^-1 start; an exactly singular shift is retried once
+            for shift in (s, s + nudge):
+                shifted = gb.copy(order="F")
+                shifted[2 * kd] -= shift
+                _, _, x, info = gbsv(kd, kd, shifted, start, overwrite_ab=1)
+                if info == 0:
+                    break
+            else:
+                raise CertificateError(
+                    "inverse iteration at %.17g: shifted band is singular"
+                    % s
+                )
+            X[i] = x[:, 0]
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        resid = np.linalg.norm(
+            _golub_kahan_matvec(ab, X) - block[:, None] * X, axis=1
+        )
+        worst = float(np.max(resid))  # a NaN residual propagates here
+        if not worst <= bound:
+            raise CertificateError(
+                "singular value residual %.3e exceeds 1e-8 * sigma_1 = %.3e"
+                % (worst, bound)
+            )
+    gap = abs(float(np.sum(sigma * sigma)) - float(np.vdot(ab, ab).real))
+    # |s^2 - t^2| <= bound * (2 s + bound) whenever |s - t| <= bound
+    if not gap <= bound * (2.0 * float(np.sum(sigma)) + sigma.size * bound):
+        raise CertificateError(
+            "singular values miss ||A||_F^2 by %.3e: a value is repeated "
+            "or lost" % gap
+        )
+
+
+def _band_singular_values(op):
+    """Singular values of a 1-D truncation from the eigenvalues of its
+    Golub-Kahan band (no squaring of A), each certified by
+    _certify_band."""
+    ab = _golub_kahan_band(op)
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    _check_budget(
+        "banded singular values (%d x %d, bandwidth %d)"
+        % (op.size, op.size, kd),
+        16.0 * n * (2 * (kd + 1) + 2 * (3 * kd + 1) + 4 * _BLOCK),
+    )
+    try:
+        lam = linalg.eig_banded(ab, lower=True, eigvals_only=True)
+    except linalg.LinAlgError as exc:
+        raise CertificateError(
+            "singular value solver failed: %s" % exc
+        ) from exc
+    # eigenvalues ascend and pair up as +-sigma: the top half, reversed
+    sigma = np.maximum(lam[op.size:][::-1], 0.0)
+    _certify_band(ab, sigma)
+    return sigma
+
+
+def _band_kd(op):
+    """Bandwidth 2 deg f + 1 of the Golub-Kahan band of a 1-D
+    truncation, deg f over the coefficients it kept."""
+    return 2 * max((abs(k) for (k,) in op.coefficients), default=0) + 1
+
+
+def _takes_band_path(a):
+    return (isinstance(a, TruncatedOperator) and a.dimension == 1
+            and a.coefficients is not None
+            and a.size >= _BAND_MIN_SIZE_PER_KD * _band_kd(a))
+
+
 def singular_values(a):
-    """Singular values, nonincreasing, with a residual certificate:
-    every pair must satisfy ||(A*A)v - s^2 v|| <= 1e-8 * ||A||^2, or
-    CertificateError is raised."""
-    A = _as_matrix(a)
+    """Singular values, nonincreasing, each certified or CertificateError
+    is raised.
+
+    A 1-D TruncatedOperator whose size is large against its symbol's
+    degree takes the banded Golub-Kahan path (_band_singular_values,
+    residual bound 1e-8 * sigma_1).  Anything else takes a dense SVD:
+    every pair must satisfy ||(A*A)v - s^2 v|| <= 1e-8 * ||A||^2."""
+    if _takes_band_path(a):
+        return SingularSequence(_band_singular_values(a))
+    # the entries and, at the peak, six more: LAPACK's copy of A, U,
+    # V^H and its workspace, then the certificate's products
+    A = _as_matrix(a, "dense SVD", 7)
     try:
         _, s, vh = linalg.svd(A, full_matrices=False)
     except linalg.LinAlgError as exc:
@@ -357,6 +517,9 @@ def singular_values(a):
     return SingularSequence(s)
 
 
+# ------------------------------------------------------ dense linear algebra
+
+
 def _positive_parts(H):
     lam, V = linalg.eigh(H)
     pos = V @ (np.clip(lam, 0.0, None)[:, None] * V.conj().T)
@@ -367,7 +530,8 @@ def _positive_parts(H):
 def hermitian_decompose(a):
     """T = T1 - T2 + i T3 - i T4 with all four parts positive
     semidefinite, T1 T2 = 0 and T3 T4 = 0 (certified)."""
-    A = _as_matrix(a)
+    # the input and, at the peak, eight more (H, K, the parts, eigh's)
+    A = _as_matrix(a, "hermitian decomposition", 9)
     H = 0.5 * (A + A.conj().T)
     K = (A - A.conj().T) / 2j
     t1, t2 = _positive_parts(H)
@@ -395,7 +559,8 @@ def expectation_sequence(a, basis=None):
             raise ValueError("multiplier expectations need a basis length")
         count = int(basis) if np.isscalar(basis) else int(np.shape(basis)[0])
         return np.full(count, a.mean_value(), dtype=np.complex128)
-    A = _as_matrix(a)
+    # with a basis: A, U and the two products U* A and U* A U
+    A = _as_matrix(a, "expectations", 1 if basis is None else 4)
     if basis is None:
         return np.ascontiguousarray(np.diag(A))
     U = np.asarray(basis, dtype=np.complex128)

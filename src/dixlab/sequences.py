@@ -703,5 +703,6 @@ def power_log_sequence(coeff, power, log_power, horizon):
     _check_budget("power-log sequence (horizon %d)" % H, _BUILD_BYTES * H)
     tail = PowerLogTail(coeff, power, log_power, offset=1)
     n = np.arange(2, H + 1, dtype=np.float64)
-    v = np.sort(np.asarray(tail.value(n)))[::-1].copy()
+    with np.errstate(over="ignore"):  # SingularSequence rejects an inf
+        v = np.sort(np.asarray(tail.value(n)))[::-1].copy()
     return SingularSequence(v, tail)

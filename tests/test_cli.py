@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import subprocess
 import sys
 import warnings
@@ -91,12 +93,20 @@ class TestParseConfig:
                        "theta": 5.0}},
             {"model": {"kind": "matrix", "dimension": 1, "halfwidth": 8,
                        "coefficients": {"0": 2.0}, "max_checkpoint": -3}},
+            {"model": {"kind": "matrix", "dimension": 1, "halfwidth": 8,
+                       "coefficients": {"0": 2.0}, "operator_power": -1.0}},
+            {"model": {"kind": "torus", "dimension": 2, "cutoff_radius": 10,
+                       "operator_power": math.inf}},
         ])
         with pytest.raises(cli.ConfigError) as err:
             cli.parse_config(bad)
         assert err.value.problems == (
             "experiments[0].model.theta: expected a number in [0, 1)",
             "experiments[1].model.max_checkpoint: expected an integer >= 1",
+            "experiments[2].model.operator_power: expected a positive "
+            "finite number",
+            "experiments[3].model.operator_power: expected a positive "
+            "finite number",
         )
 
     @pytest.mark.parametrize("key,value", [
@@ -124,6 +134,14 @@ class TestRunAndEmit:
             "dixmier_alpha", "zeta_residue", "heat_raw"
         ]
         assert all(r["model"] == "h" for r in rows)
+
+    def test_model_build_is_timed_on_stderr(self, capsys):
+        cli.run_experiment(cli.parse_config(_cfg()))
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[0] for line in lines] == [
+            "# h/build", "# h/dixmier", "# h/zeta", "# h/heat_raw"
+        ]
+        assert re.fullmatch(r"# h/build: \d+\.\d\ds", lines[0])
 
     def test_csv_layout_and_digits(self):
         rows, _ = cli.run_experiment(cli.parse_config(_cfg()))
@@ -280,6 +298,33 @@ class TestMainExitCodes:
             "residual 1e-3 exceeds bound"
         ]
 
+    def test_band_certificate_failure_exits_five(self, tmp_path, capsys,
+                                                  monkeypatch):
+        eig_banded = models.linalg.eig_banded
+
+        def corrupted(*args, **kwargs):
+            lam = eig_banded(*args, **kwargs)
+            lam[-3] += 1e-6 * lam[-1]
+            return lam
+
+        monkeypatch.setattr(models.linalg, "eig_banded", corrupted)
+        cfg = _cfg(experiments=[{
+            "label": "cosine",
+            "model": {
+                "kind": "matrix", "dimension": 1, "halfwidth": 300,
+                "coefficients": {"0": 2.0, "1": 0.5, "-1": 0.5},
+            },
+            "methods": ["dixmier"],
+        }])
+        code = cli.main(["--config", self._write(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: numerical certificate failed: "
+                                   "singular value residual")
+
     def test_sequence_file_kind(self, tmp_path, capsys):
         data = 1.0 / np.arange(1.0, 4097.0)
         seq_path = tmp_path / "seq.txt"
@@ -344,6 +389,32 @@ class TestDeterminism:
         assert outs[0] == outs[1]
         assert b"\r" not in outs[0]
         outs[0].decode("utf-8")
+
+    @pytest.mark.parametrize("model,problem", [
+        ({"kind": "power_log", "coeff": 1.0, "power": 1.0,
+          "log_power": 500}, "values must be finite"),
+        ({"kind": "torus", "dimension": 2, "cutoff_radius": 50,
+          "operator_power": math.inf}, "experiments[0].model.operator_power"),
+        ({"kind": "matrix", "dimension": 1, "halfwidth": 8,
+          "coefficients": {"0": 2.0, "1": 0.5, "-1": 0.5},
+          "operator_power": -1.0}, "experiments[0].model.operator_power"),
+    ])
+    def test_rejected_numbers_exit_four_without_warnings(self, tmp_path,
+                                                         model, problem):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_cfg(experiments=[{"model": model}])),
+                       encoding="utf-8")
+        r = subprocess.run(
+            [sys.executable, "-m", "dixlab", "--config", str(cfg)],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 4
+        assert r.stdout == ""
+        assert "Warning" not in r.stderr and "Traceback" not in r.stderr
+        lines = r.stderr.splitlines()
+        assert [line for line in lines if line.startswith("error:")] == (
+            lines[:1])
+        assert problem in r.stderr
 
     def test_json_and_csv_agree_across_runs(self, tmp_path):
         cfg = cli.parse_config(_cfg())

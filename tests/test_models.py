@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 import dixlab as dx
 from dixlab import kernels, models
@@ -171,6 +172,133 @@ class TestMultiplicationMatrix:
         f = dx.FourierMultiplier({(0, 0): 1.0})
         with pytest.raises(models.BudgetError):
             models.multiplication_matrix(f, 2, 200)
+
+    @pytest.mark.parametrize("power", [0.0, -1.0, math.inf, math.nan])
+    def test_power_must_be_positive_and_finite(self, power):
+        f = dx.FourierMultiplier({(0,): 2.0, (1,): 0.5, (-1,): 0.5})
+        with pytest.raises(ValueError, match="operator power"):
+            models.multiplication_matrix(f, 1, 8, power)
+        with pytest.raises(ValueError, match="operator power"):
+            dx.LatticeModel(2, 10, power)
+
+
+def _symbol(case, degree):
+    """Degree-d symbols: random phases, the reflection-symmetric phi=0
+    cosine, and complex coefficients with no reality condition."""
+    r = _rng(10 + degree)
+    if case == "phases":
+        coeffs = {(0,): 2.0}
+        for k in range(1, degree + 1):
+            c = 0.5 / k * np.exp(2j * math.pi * r.random())
+            coeffs[(k,)], coeffs[(-k,)] = c, np.conj(c)
+        return dx.FourierMultiplier(coeffs)
+    if case == "symmetric":
+        return dx.FourierMultiplier(
+            {(0,): 2.0, (degree,): 0.5, (-degree,): 0.5}
+        )
+    coeffs = {(k,): complex(r.standard_normal(), r.standard_normal())
+              for k in range(-degree, degree + 1)}
+    return dx.FourierMultiplier(coeffs, real_flag=False)
+
+
+class TestBandSingularValues:
+    @pytest.mark.parametrize("M", [1, 2, 5, 17, 64, 200])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("case,power", [
+        ("phases", None), ("symmetric", None), ("complex", None),
+        ("phases", 0.8), ("complex", 1.7),
+    ])
+    def test_matches_dense_oracle(self, case, power, degree, M):
+        op = models.multiplication_matrix(_symbol(case, degree), 1, M,
+                                          power)
+        got = models._band_singular_values(op)
+        want = linalg.svdvals(op.entries)
+        # both solvers are accurate to a multiple of eps * sigma_1, so
+        # the tiniest values agree to 1e-12 of sigma_1, not of themselves
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * want[0])
+
+    def test_path_follows_size_against_bandwidth(self, monkeypatch):
+        sizes = []
+        band = models._band_singular_values
+
+        def spy(op):
+            sizes.append(op.size)
+            return band(op)
+
+        monkeypatch.setattr(models, "_band_singular_values", spy)
+        narrow = _symbol("phases", 1)  # 401 >= 100 * 3
+        wide = dx.FourierMultiplier(
+            {(k,): 1.0 / (1 + abs(k)) for k in range(-10, 11)}
+        )  # 401 < 100 * 21
+        for op in (models.multiplication_matrix(narrow, 1, 200),
+                   models.multiplication_matrix(wide, 1, 200)):
+            np.testing.assert_allclose(
+                models.singular_values(op).values,
+                linalg.svdvals(op.entries), rtol=1e-12, atol=0.0,
+            )
+        assert sizes == [401]
+
+    def test_two_dimensional_operator_stays_dense(self, monkeypatch):
+        monkeypatch.setattr(models, "_band_singular_values", None)
+        f = dx.FourierMultiplier(
+            {(0, 0): 2.0, (1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.25j,
+             (0, -1): -0.25j}
+        )
+        op = models.multiplication_matrix(f, 2, 6)
+        got = models.singular_values(op).values
+        np.testing.assert_array_equal(
+            got, models.singular_values(op.entries).values
+        )
+        np.testing.assert_allclose(got, linalg.svdvals(op.entries),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("corruption", ["shifted", "nan", "repeated"])
+    def test_corrupted_value_fails_certificate(self, monkeypatch,
+                                               corruption):
+        eig_banded = linalg.eig_banded
+
+        def corrupted(*args, **kwargs):
+            lam = eig_banded(*args, **kwargs)
+            if corruption == "repeated":  # sigma_3 twice, sigma_2 lost
+                lam[-2] = lam[-3]
+            else:
+                lam[-3] = math.nan if corruption == "nan" else (
+                    lam[-3] + 1e-6 * lam[-1])
+            return lam
+
+        monkeypatch.setattr(models.linalg, "eig_banded", corrupted)
+        op = models.multiplication_matrix(_symbol("symmetric", 1), 1, 200)
+        reason = {"shifted": "residual", "nan": "at nan",
+                  "repeated": "repeated or lost"}[corruption]
+        with pytest.raises(models.CertificateError, match=reason):
+            models.singular_values(op)
+
+    def test_exactly_singular_shift_is_retried(self):
+        # H = 0: every shift sigma = 0 is exactly singular until nudged
+        op = models.multiplication_matrix(dx.FourierMultiplier({(0,): 0.0}),
+                                          1, 60)
+        assert np.array_equal(models.singular_values(op).values,
+                              np.zeros(121))
+
+    def test_band_path_charges_the_band_not_a_dense_svd(self, monkeypatch):
+        op = models.multiplication_matrix(_symbol("phases", 1), 1, 300)
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "10")  # entries: 5.5 MB
+        assert models.singular_values(op).values.size == 601
+        with pytest.raises(models.BudgetError, match="dense SVD"):
+            models.singular_values(op.entries)
+
+    def test_dense_svd_charges_the_entries_too(self, monkeypatch):
+        # n = 2, M = 10: N = 441, and 14 MB holds 64 but not 80 bytes per
+        # entry, so only a charge that counts the live entries refuses
+        f = dx.FourierMultiplier({(0, 0): 2.0, (1, 0): 0.5, (-1, 0): 0.5})
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "14")
+        op = models.multiplication_matrix(f, 2, 10)
+        assert 64 * op.size**2 < 14 * 2**20 < 80 * op.size**2
+        with pytest.raises(models.BudgetError, match="dense SVD"):
+            models.singular_values(op)
+        with pytest.raises(models.BudgetError, match="decomposition"):
+            models.hermitian_decompose(op)
 
 
 class TestSingularValuesAndDecomposition:
