@@ -252,6 +252,9 @@ def _parse_experiment(entry, idx, problems):
                          "%s.zeta_schedule" % path, problems, "zeta")
     hs = _parse_schedule(entry.get("heat_schedule"),
                          "%s.heat_schedule" % path, problems, "heat")
+    if "heat_cesaro" in methods and hs and hs[0] <= 1:
+        problems.append("%s.heat_schedule: heat_cesaro needs every entry "
+                        "> 1" % path)
     if kind == "matrix" and "coefficients" in params:
         coeffs, cproblems = _parse_coefficients(
             params["coefficients"], "%s.model.coefficients" % path,
@@ -342,6 +345,8 @@ def _build_model(spec, where="model"):
         return _KINDS[spec.kind][1](**spec.param_dict())
     except ConfigError as exc:
         raise ConfigError([where + "." + p for p in exc.problems]) from None
+    except ValueError as exc:
+        raise ConfigError(["%s: %s" % (where, exc)]) from None
 
 
 def _param_string(spec):

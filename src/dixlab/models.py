@@ -11,7 +11,7 @@ Cantor enumeration of Z^n, which fixes every basis-dependent result.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, linalg
@@ -273,29 +273,55 @@ class FourierMultiplier:
         return complex(np.mean(self.value_on_grid(G)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: identity equality
 class TruncatedOperator:
-    """Dense matrix of f(x) * (1+Delta)^{-power} on the cube |m_i| <= M,
-    rows/columns in cube_basis order.  coefficients (the fhat(k) with
-    |k_i| <= 2M) and weights ((1+|m|^2)^{-power} of basis_points), when
-    set, let singular_values work from the symbol instead of the
-    entries."""
+    """f(x) * (1+Delta)^{-power} on the cube |m_i| <= M, held as its
+    symbol: the coefficients fhat(k) with |k_i| <= 2M and the weights
+    (1+|m|^2)^{-power} of basis_points, in cube_basis order.  entries
+    assembles the dense matrix on first use."""
 
     cube_halfwidth: int
     dimension: int
-    entries: np.ndarray
     basis_points: np.ndarray
-    provenance: str = field(default="", compare=False)
-    coefficients: dict = field(default=None, compare=False)
-    weights: np.ndarray = field(default=None, compare=False)
+    coefficients: dict
+    weights: np.ndarray
+    provenance: str
 
     @property
     def size(self):
-        return int(self.entries.shape[0])
+        return int(self.basis_points.shape[0])
+
+    @property
+    def entries(self):
+        """Dense A[i, j] = fhat(m_i - m_j) * weights[j], built and
+        charged (16 bytes per entry) on first use."""
+        cached = getattr(self, "_entries", None)
+        if cached is not None:
+            return cached
+        n, M, dim = self.dimension, self.cube_halfwidth, self.size
+        side = 2 * M + 1
+        _check_budget("matrix assembly (%d x %d)" % (dim, dim), dim * dim * 16)
+        pts, weights = self.basis_points, self.weights
+        # position in pts of each cube point, keyed by its row-major index
+        where = np.empty(dim, dtype=np.int64)
+        where[np.ravel_multi_index(tuple((pts + M).T), (side,) * n)] = (
+            np.arange(dim)
+        )
+        A = np.zeros((dim, dim), dtype=np.complex128)
+        for key, c in self.coefficients.items():
+            # column j holds m_j; its row is m_j + key when in the cube
+            shifted = pts + np.asarray(key, dtype=np.int64)
+            j = np.flatnonzero(np.all(np.abs(shifted) <= M, axis=1))
+            i = where[np.ravel_multi_index(tuple((shifted[j] + M).T),
+                                           (side,) * n)]
+            A[i, j] = c * weights[j]
+        object.__setattr__(self, "_entries", A)
+        return A
 
 
 def multiplication_matrix(f, n, halfwidth, power=None):
-    """Matrix A[i, j] = fhat(m_i - m_j) * (1+|m_j|^2)^{-power}.
+    """The truncation A[i, j] = fhat(m_i - m_j) * (1+|m_j|^2)^{-power}
+    as its symbol; TruncatedOperator.entries builds the dense matrix.
 
     Coefficients reaching outside the 2M difference cube cannot connect
     any pair of basis points; they are ignored and noted."""
@@ -308,34 +334,18 @@ def multiplication_matrix(f, n, halfwidth, power=None):
     M = int(halfwidth)
     if M < 1:
         raise ValueError("cube halfwidth must be >= 1")
-    side = 2 * M + 1
-    dim = side**n
-    _check_budget("matrix assembly (%d x %d)" % (dim, dim), dim * dim * 16)
+    dim = (2 * M + 1) ** n
+    # cube_basis and the weights peak at 3n + 5 words per point: the
+    # grids, the points and their sorted copy, and five one-word arrays
+    _check_budget("cube basis (%d points)" % dim, 8.0 * (3 * n + 5) * dim)
     pts, w = cube_basis(n, M)
-    weights = w ** (-p)
-    # position in pts of each cube point, keyed by its row-major index
-    where = np.empty(dim, dtype=np.int64)
-    where[np.ravel_multi_index(tuple((pts + M).T), (side,) * n)] = (
-        np.arange(dim)
-    )
-    A = np.zeros((dim, dim), dtype=np.complex128)
-    kept, dropped = {}, []
-    for key, c in f.coefficients.items():
-        if max(abs(k) for k in key) > 2 * M:
-            dropped.append(key)
-            continue
-        kept[key] = c
-        # column j holds m_j; its row is m_j + key when that is in the cube
-        shifted = pts + np.asarray(key, dtype=np.int64)
-        j = np.flatnonzero(np.all(np.abs(shifted) <= M, axis=1))
-        i = where[np.ravel_multi_index(tuple((shifted[j] + M).T),
-                                       (side,) * n)]
-        A[i, j] = c * weights[j]
+    kept = {key: c for key, c in f.coefficients.items()
+            if max(abs(k) for k in key) <= 2 * M}
+    dropped = [key for key in f.coefficients if key not in kept]
     note = "f support %d terms, power %g" % (len(f.coefficients), p)
     if dropped:
         note += "; ignored coefficients outside the 2M cube: %r" % (dropped,)
-    return TruncatedOperator(M, n, A, pts, provenance=note,
-                             coefficients=kept, weights=weights)
+    return TruncatedOperator(M, n, pts, kept, w ** (-p), provenance=note)
 
 
 # ------------------------------------------------------ singular values
@@ -350,15 +360,16 @@ _BAND_MIN_SIZE_PER_KD = 100
 
 def _as_matrix(a, what, arrays):
     """a as a square complex matrix, once the budget admits `arrays`
-    N x N complex arrays (a itself among them) for the step `what`."""
-    if isinstance(a, TruncatedOperator):
-        a = a.entries
-    A = np.asarray(a, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("need a square dense matrix")
-    N = A.shape[0]
+    N x N complex arrays (a itself among them) for the step `what`; a
+    TruncatedOperator is assembled only after that charge."""
+    truncation = isinstance(a, TruncatedOperator)
+    if not truncation:
+        a = np.asarray(a, dtype=np.complex128)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("need a square dense matrix")
+    N = a.size if truncation else a.shape[0]
     _check_budget("%s (%d x %d)" % (what, N, N), arrays * 16.0 * N * N)
-    return A
+    return a.entries if truncation else a
 
 
 def _golub_kahan_band(op):
@@ -482,7 +493,6 @@ def _band_kd(op):
 
 def _takes_band_path(a):
     return (isinstance(a, TruncatedOperator) and a.dimension == 1
-            and a.coefficients is not None
             and a.size >= _BAND_MIN_SIZE_PER_KD * _band_kd(a))
 
 

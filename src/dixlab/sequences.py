@@ -74,10 +74,12 @@ class PowerLogTail:
     offset: int = 0
 
     def __post_init__(self):
-        if not (self.coeff > 0.0):
-            raise ValueError("tail coeff must be positive")
-        if not (self.power > 0.0):
-            raise ValueError("tail power must be positive")
+        if not 0.0 < self.coeff < math.inf:
+            raise ValueError("tail coeff must be positive and finite")
+        if not 0.0 < self.power < math.inf:
+            raise ValueError("tail power must be positive and finite")
+        if not math.isfinite(self.log_power):
+            raise ValueError("tail log_power must be finite")
         if self.offset != int(self.offset) or self.offset < 0:
             raise ValueError("tail offset must be a nonnegative integer")
         object.__setattr__(self, "offset", int(self.offset))

@@ -71,6 +71,17 @@ class TestParseConfig:
         bad["experiments"][0]["zeta_schedule"] = [50, 25]
         with pytest.raises(cli.ConfigError, match="increase"):
             cli.parse_config(bad)
+        bad = _cfg()
+        bad["experiments"][0]["methods"] = ["dixmier", "heat_cesaro"]
+        bad["experiments"][0]["heat_schedule"] = [0.5, 10, 100]
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config(bad)
+        assert err.value.problems == (
+            "experiments[0].heat_schedule: heat_cesaro needs every entry "
+            "> 1",
+        )
+        bad["experiments"][0]["methods"] = ["dixmier", "heat_raw"]
+        cli.parse_config(bad)
 
     def test_matrix_coefficients_parsed(self):
         cfg = _cfg(experiments=[{
@@ -398,6 +409,11 @@ class TestDeterminism:
         ({"kind": "matrix", "dimension": 1, "halfwidth": 8,
           "coefficients": {"0": 2.0, "1": 0.5, "-1": 0.5},
           "operator_power": -1.0}, "experiments[0].model.operator_power"),
+        ({"kind": "harmonic", "coeff": -1},
+         "experiments[0].model: tail coeff must be positive"),
+        ({"kind": "power_log", "coeff": 1.0, "power": math.inf,
+          "log_power": 0.0},
+         "experiments[0].model: tail power must be positive and finite"),
     ])
     def test_rejected_numbers_exit_four_without_warnings(self, tmp_path,
                                                          model, problem):

@@ -166,6 +166,8 @@ class TestMultiplicationMatrix:
         op = models.multiplication_matrix(f, 1, 2)
         assert "ignored" in op.provenance
         assert "(5,)" in op.provenance
+        # array fields: equality is identity, not an ambiguous array test
+        assert op == op and op != models.multiplication_matrix(f, 1, 2)
 
     def test_budget_guard(self, monkeypatch):
         monkeypatch.setenv("DIXLAB_BUDGET_MB", "1")
@@ -299,6 +301,23 @@ class TestBandSingularValues:
             models.singular_values(op)
         with pytest.raises(models.BudgetError, match="decomposition"):
             models.hermitian_decompose(op)
+        # both refused before assembling: the entries (3 MB) are unbuilt
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "2")
+        with pytest.raises(models.BudgetError, match="matrix assembly"):
+            op.entries
+
+    def test_band_path_runs_where_the_entries_do_not_fit(self, monkeypatch):
+        # 2 + cos x at M = 300: N = 601, the entries need 5.5 MB and the
+        # band about 1.7 MB
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "4")
+        op = models.multiplication_matrix(_symbol("symmetric", 1), 1, 300)
+        got = models.singular_values(op).values
+        with pytest.raises(models.BudgetError, match="matrix assembly"):
+            op.entries  # still unassembled
+        monkeypatch.delenv("DIXLAB_BUDGET_MB")
+        want = linalg.svdvals(op.entries)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * want[0])
 
 
 class TestSingularValuesAndDecomposition:
