@@ -255,6 +255,16 @@ def _parse_experiment(entry, idx, problems):
     if "heat_cesaro" in methods and hs and hs[0] <= 1:
         problems.append("%s.heat_schedule: heat_cesaro needs every entry "
                         "> 1" % path)
+    if "zeta" in methods and kind in ("torus", "nc_torus"):
+        # Tr(T^s) = sum (1+|m|^2)^{-ps} diverges for p*s <= n/2, and the
+        # schedule's smallest s is 1 + 1/k_max
+        n = params.get("dimension") if kind == "torus" else 2
+        p = params.get("operator_power", 0.0)
+        s = 1.0 + 1.0 / (zs or estimators.ZETA_SCHEDULE)[-1]
+        if n in (1, 2, 3) and 0.0 < p * s <= n / 2.0:
+            problems.append("%s.model.operator_power: zeta sum diverges at "
+                            "s=%g (needs operator_power > %g)"
+                            % (path, s, n / (2.0 * s)))
     if kind == "matrix" and "coefficients" in params:
         coeffs, cproblems = _parse_coefficients(
             params["coefficients"], "%s.model.coefficients" % path,

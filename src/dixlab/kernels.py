@@ -10,59 +10,94 @@ term is already within about one ulp, and evaluating the terms in
 ``longdouble`` costs some 40x more time for digits a float64 result
 cannot keep.
 
-Heat sums skip the terms below exp(-708), the subnormal doubles and
-zeros: their total cannot reach half an extended-precision ulp of any
-sum above 2^-900, and ``exp`` is some 50x slower on a subnormal result
-than on a normal one (numpy 2.4 on x86-64).  A smaller sum is taken
-again keeping every nonzero term.  Prefix sums run in chunks of ``_CHUNK`` values, each
-chunk's cumsum seeded with the previous total, so they make the same
-additions as one cumsum without holding it.
+Sums stream: each is accumulated over blocks of ``_CHUNK`` = 2^16
+values, every block's reduction seeded with the previous total, so no
+temporary the size of the input is made.  2^16 is a multiple of numpy's
+8192-element reduction buffer, so the additions are exactly those of one
+``np.sum`` over the same terms.  Prefix sums run in the same blocks,
+each block's cumsum seeded with the previous total, so they make the
+same additions as one cumsum without holding it.
+
+Heat sums stop at the extended-precision resolution of their leading
+term exp(-x_lead), x_lead = (t max v)^-alpha: they skip every term
+below exp(-x_cut), x_cut = min(708, x_lead + ln N + 64 ln 2).  The N or
+fewer skipped terms then total under 2^-64 of the sum, below the
+roundoff of the ``longdouble`` accumulator, and none of the kept terms
+is a subnormal double, on which ``exp`` is some 50x slower than on a
+normal one (numpy 2.4 on x86-64).  A sum below 2^-900 is taken again
+keeping every nonzero term.
 """
+
+import math
 
 import numpy as np
 
 # exp(-x) is a normal double for x <= 708 and 0.0 for x >= 750
 _X_NORMAL, _X_ZERO = 708.0, 750.0
 _TINY_HEAT = 2.0 ** -900
+_LN_2_64 = 64.0 * math.log(2.0)
 _CHUNK = 1 << 16
 
 # ---------------------------------------------------------------- sums
 
 
+def _block_sum(values, terms=None):
+    """The extended-precision sum of terms(block) over values in blocks
+    of _CHUNK (of the values themselves when terms is None)."""
+    total = np.longdouble(0.0)
+    for start in range(0, values.size, _CHUNK):
+        block = values[start:start + _CHUNK]
+        total = np.add.reduce(block if terms is None else terms(block),
+                              dtype=np.longdouble, initial=total)
+    return total
+
+
 def comp_sum(values):
     """Sum of a float64 vector, accumulated in extended precision."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.size == 0:
-        return 0.0
-    return float(np.sum(values, dtype=np.longdouble))
+    return float(_block_sum(values))
 
 
 def power_sum(values, s):
     """sum(v ** s), each power taken in float64 and the sum accumulated
     in extended precision; v must be nonnegative."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.size == 0:
-        return 0.0
-    return float(np.sum(values ** float(s), dtype=np.longdouble))
+    s = float(s)
+    return float(_block_sum(values, lambda v: v ** s))
 
 
 def heat_sum(values, t, alpha):
     """sum(exp(-(t*v)**(-alpha))) over the positive entries of v, for
-    t, alpha > 0, accumulated in extended precision.
+    t, alpha > 0, accumulated in extended precision; v in any order.
 
-    Entries whose term is below exp(-708) < 2^-1021 are skipped: with
-    fewer than 2^50 entries they total under 2^-971, less than half an
-    extended-precision ulp of any kept sum of 2^-900 or more.  A kept
-    sum below that is taken again skipping only the terms that are
-    exactly 0.0."""
+    With x_lead = (t * max v)^-alpha the exponent of the leading term,
+    entries whose exponent is x_cut = min(708, x_lead + ln N + 64 ln 2)
+    or more are skipped.  Each skipped term is below 2^-64 / N of the
+    leading term or below exp(-708) < 2^-1021, so with fewer than 2^50
+    entries they total under 2^-64 of any kept sum of 2^-900 or more,
+    and no kept term is subnormal.  A kept sum below 2^-900 is taken
+    again skipping only the terms that are exactly 0.0."""
     t, alpha = float(t), float(alpha)
     if not (t > 0.0 and alpha > 0.0):
         raise ValueError("t and alpha must be positive")
     values = np.ascontiguousarray(values, dtype=np.float64)
-    for x_max in (_X_NORMAL, _X_ZERO):
+    v_max = float(np.fmax.reduce(values, initial=0.0))  # skips NaN
+    if v_max == 0.0:
+        return 0.0
+    try:
+        x_lead = (t * v_max) ** -alpha
+    except (OverflowError, ZeroDivisionError):  # t * v_max tiny or 0.0
+        x_lead = math.inf
+    x_cut = min(_X_NORMAL, x_lead + math.log(values.size) + _LN_2_64)
+    for x_max in (x_cut, _X_ZERO):
         # v > x_max^(-1/alpha) / t  <=>  (t*v)^(-alpha) < x_max
-        v = values[values > x_max ** (-1.0 / alpha) / t]
-        total = np.sum(np.exp(-((t * v) ** -alpha)), dtype=np.longdouble)
+        v_min = x_max ** (-1.0 / alpha) / t
+
+        def terms(block):
+            v = block[block > v_min]
+            return np.exp(-((t * v) ** -alpha))
+
+        total = _block_sum(values, terms)
         if total >= _TINY_HEAT:
             break
     return float(total)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import integrate, linalg, special
 
 from . import kernels
 from .sequences import (  # BudgetError: models.BudgetError stays public
@@ -103,8 +103,11 @@ def _zeta_tail(n, q, radius):
     if n == 2:
         return math.pi * (1.0 + r * r) ** (1.0 - q) / (q - 1.0)
     if n == 1:
-        val, _ = integrate.quad(lambda x: (1.0 + x * x) ** (-q), r, math.inf)
-        return 2.0 * val
+        # u = 1/(1+x^2) turns the integral over x > r into an incomplete
+        # beta function, exact also as q -> 1/2+, where quadrature fails
+        a = q - 0.5
+        u = 1.0 / (1.0 + r * r)
+        return special.beta(a, 0.5) * special.betainc(a, 0.5, u)
     val, _ = integrate.quad(
         lambda w: math.sqrt(w) * (1.0 + w) ** (-q), r * r, math.inf
     )

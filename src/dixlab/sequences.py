@@ -667,8 +667,8 @@ def tauberian_classify(x, policy=None):
 
 
 # bytes charged per value by the sequence builders below: the largest
-# of their peak allocations (harmonic 17, oscillator 32, power-log 24)
-_BUILD_BYTES = 32.0
+# of their peak allocations (harmonic 17, oscillator 9, power-log 24)
+_BUILD_BYTES = 24.0
 
 
 def harmonic_sequence(horizon, coeff=1.0):
@@ -688,8 +688,10 @@ def oscillator_sequence(horizon):
         raise ValueError("oscillator horizon must be >= 3")
     _check_budget("oscillator sequence (horizon %d)" % H, _BUILD_BYTES * H)
     v = np.empty(H, dtype=np.float64)
-    n = np.arange(3, H + 1, dtype=np.float64)
-    v[2:] = (2.0 + np.sin(np.log(np.log(n)))) / n
+    for start in range(2, H, kernels._CHUNK):  # no H-sized temporaries
+        n = np.arange(start + 1, min(start + kernels._CHUNK, H) + 1,
+                      dtype=np.float64)
+        v[start:start + n.size] = (2.0 + np.sin(np.log(np.log(n)))) / n
     v[0] = v[1] = v[2]
     return SingularSequence(v)
 

@@ -90,6 +90,18 @@ def brute_heat(values, t, alpha):
     )
 
 
+def torus1_zeta_tail(q, r):
+    """2 * integral of (1+x^2)^-q over x > r, by mpmath.quad after the
+    substitution x = r y^(-1/a), a = 2q - 1, which leaves the bounded
+    integrand (r^-a / a) (1 + (y^(1/a) / r)^2)^-q on [0, 1]."""
+    with mpmath.workdps(30):
+        q, r = mpmath.mpf(q), mpmath.mpf(r)
+        a = 2 * q - 1
+        val = mpmath.quad(lambda y: (1 + (y ** (1 / a) / r) ** 2) ** -q,
+                          [0, 1])
+        return float(2 * r ** -a / a * val)
+
+
 def gamma_inc_upper(a, x):
     return float(mpmath.gammainc(a, x))
 

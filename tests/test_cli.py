@@ -108,6 +108,17 @@ class TestParseConfig:
                        "coefficients": {"0": 2.0}, "operator_power": -1.0}},
             {"model": {"kind": "torus", "dimension": 2, "cutoff_radius": 10,
                        "operator_power": math.inf}},
+            {"model": {"kind": "torus", "dimension": 2, "cutoff_radius": 10,
+                       "operator_power": 0.5}, "methods": ["dixmier", "zeta"]},
+            {"model": {"kind": "nc_torus", "cutoff_radius": 10,
+                       "operator_power": 0.99},
+             "methods": ["zeta"], "zeta_schedule": [10, 200]},
+            # converges: p*s = 0.999 * 1.005 > 1, and p = n/2 by default
+            {"model": {"kind": "nc_torus", "cutoff_radius": 10,
+                       "operator_power": 0.999},
+             "methods": ["zeta"], "zeta_schedule": [10, 200]},
+            {"model": {"kind": "torus", "dimension": 1, "cutoff_radius": 10},
+             "methods": ["zeta"]},
         ])
         with pytest.raises(cli.ConfigError) as err:
             cli.parse_config(bad)
@@ -118,6 +129,10 @@ class TestParseConfig:
             "finite number",
             "experiments[3].model.operator_power: expected a positive "
             "finite number",
+            "experiments[4].model.operator_power: zeta sum diverges at "
+            "s=1.005 (needs operator_power > 0.995025)",
+            "experiments[5].model.operator_power: zeta sum diverges at "
+            "s=1.005 (needs operator_power > 0.995025)",
         )
 
     @pytest.mark.parametrize("key,value", [
@@ -211,6 +226,23 @@ class TestMainExitCodes:
                          self._write(tmp_path, _cfg(schema_version=3))])
         capsys.readouterr()
         assert code == 4
+
+    def test_zeta_divergence_exits_four_before_any_experiment(self, tmp_path,
+                                                              capsys):
+        cfg = _cfg(experiments=[
+            {"label": "h", "model": {"kind": "harmonic", "horizon": 1000}},
+            {"label": "t", "model": {"kind": "torus", "dimension": 2,
+                                     "cutoff_radius": 50,
+                                     "operator_power": 0.5},
+             "methods": ["dixmier", "zeta"]},
+        ])
+        code = cli.main(["--config", self._write(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "# " not in captured.err
+        assert ("experiments[1].model.operator_power: zeta sum diverges at "
+                "s=1.005 (needs operator_power > 0.995025)") in captured.err
 
     def test_missing_config_exits_four(self, capsys):
         assert cli.main([]) == 4

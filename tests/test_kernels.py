@@ -47,6 +47,43 @@ class TestCompensatedSums:
         assert abs((got - want) / want) <= 4e-16
 
 
+class TestBlockSums:
+    # every kernel sum accumulates in blocks of _CHUNK, a multiple of
+    # numpy's 8192-element reduction buffer, so it adds exactly as one
+    # np.sum over the same terms
+    LENGTHS = [1, kernels._CHUNK - 1, kernels._CHUNK, kernels._CHUNK + 1,
+               3 * kernels._CHUNK + 5]
+
+    @staticmethod
+    def _values(n):
+        return 0.5 + 0.5 * _rng(n).random(n)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_comp_sum_is_one_np_sum(self, n):
+        v = self._values(n) * 10.0 ** _rng(n + 1).uniform(-8, 8, n)
+        want = np.sum(v, dtype=np.longdouble)
+        # also before the rounding to float64, which hides a regrouping
+        got = kernels._block_sum(v)
+        assert got.dtype == np.longdouble and got == want
+        assert kernels.comp_sum(v) == float(want)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_power_sum_is_one_np_sum(self, n):
+        v = self._values(n)
+        s = 1.0 + 1.0 / 200.0
+        assert kernels.power_sum(v, s) == float(
+            np.sum(v ** s, dtype=np.longdouble))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_heat_sum_is_one_np_sum(self, n):
+        # exponents in [1/2, 2]: no term lies below the cut
+        v = self._values(n)
+        for t, alpha in ((1.0, 1.0), (2.0, 0.5), (1.5, 2.0)):
+            terms = np.exp(-((t * v) ** -alpha))
+            assert kernels.heat_sum(v, t, alpha) == float(
+                np.sum(terms, dtype=np.longdouble))
+
+
 class TestHeatSum:
     def test_matches_brute_force(self):
         v = _sorted_desc(_rng(4).random(5_000) + 1e-6)
@@ -101,6 +138,18 @@ class TestHeatSum:
                 want, rel=1e-15
             )
 
+    @pytest.mark.parametrize("t", [1.0, 10.0, 100.0])
+    def test_cut_below_the_leading_term_is_invisible(self, t):
+        # exponents n/t: the cut x_lead + ln N + 64 ln 2 (about 58 + 1/t)
+        # skips most of the terms a 708 cut would keep
+        v = 1.0 / np.arange(1.0, 1e6 + 1.0)
+        want, terms = self._full(v, t, 1.0)
+        x_cut = 1.0 / t + math.log(v.size) + 64.0 * math.log(2.0)
+        kept_at_708 = np.count_nonzero(terms >= math.exp(-708.0))
+        assert kept_at_708 > 2 * np.count_nonzero(terms > math.exp(-x_cut))
+        got = kernels.heat_sum(v, t, 1.0)
+        assert abs(got - want) <= 2.0 ** -63 * want  # equal, in float64
+
     def test_tiny_sum_keeps_subnormal_terms(self):
         assert kernels.heat_sum([1.0], 1.0 / 720.0, 1.0) == math.exp(-720.0)
         v = np.array([1.0, 0.99, 0.5])
@@ -108,6 +157,14 @@ class TestHeatSum:
         assert 0.0 < want < np.finfo(np.float64).tiny
         assert kernels.heat_sum(v, 1.0 / 715.0, 1.0) == want
         assert kernels.heat_sum([1.0], 1.0 / 760.0, 1.0) == 0.0
+
+    def test_leading_exponent_beyond_the_float_range(self):
+        # (t * max v)^-alpha overflows, or t * max v underflows to 0.0
+        assert kernels.heat_sum([1e-300, 0.0], 1e-10, 2.0) == 0.0
+        assert kernels.heat_sum([1e-200], 1e-200, 1.0) == 0.0
+        assert kernels.heat_sum([math.nan, 1.0, 0.5], 10.0, 1.0) == (
+            pytest.approx(oracles.brute_heat([1.0, 0.5], 10.0, 1.0),
+                          rel=1e-15))
 
     def test_unsorted_input(self):
         v = self._across_band(3.0, 1.0)

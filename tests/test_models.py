@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,23 @@ class TestLatticeZeta:
         )
         got = dx.LatticeModel(1, 4000, 1.0).zeta(q)
         assert got == pytest.approx(direct, rel=1e-6)
+
+    @pytest.mark.parametrize("radius", [1, 10, 1e3, 1e4, 1e5])
+    def test_one_dimensional_tail_against_mpmath(self, radius):
+        # q = (1 + 1/k)/2 -> 1/2+ is the zeta schedule at p = 1/2, where
+        # the tail grows like 1/(q - 1/2)
+        for q in [0.5 * (1.0 + 1.0 / k) for k in (1, 4, 16, 64, 256, 1024)]\
+                + [0.75, 1.5, 3.0]:
+            assert models._zeta_tail(1, q, radius) == pytest.approx(
+                oracles.torus1_zeta_tail(q, radius), rel=1e-13)
+
+    def test_one_dimensional_residue_converges_at_large_radius(self):
+        # quad lost the tail here and gave 0.603 Oscillating
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = dx.zeta_residue_estimate(dx.LatticeModel(1, 10**5))
+        assert est.status == "Converged"
+        assert est.value == pytest.approx(2.0, rel=1e-3)
 
     def test_two_dimensional_tail_improves_truncation(self):
         q = 1.5
