@@ -291,12 +291,12 @@ def _zeta_evaluator(source):
     if callable(source):
         return source, None
     x = _spectrum_of(source)
-    if x.tail is not None or x.length == 0 or x.values[-1] == 0.0:
+    if x.tail is not None or x.length == 0 or x.at(x.length) == 0.0:
         return x.power_sum, None
 
     def guard(s, head):
         L = x.length
-        mu_edge = float(x.values[-1])
+        mu_edge = float(x.at(L))
         worst = mu_edge**s * L / (s - 1.0)
         return worst <= 0.01 * head
 
@@ -536,12 +536,14 @@ def product_zeta_sequence(a, model, k_schedule=ZETA_SCHEDULE):
                 "cutoff radius must be a multiple of the stride for an "
                 "exact head/tail junction"
             )
-        w = models._lattice_w(n, R // stride)
-        w_sub = stride * stride * (w - 1.0) + 1.0
+        # the shells k of the coarse lattice are the shells stride^2 k
+        # of the sublattice, with the same counts
+        keys, counts = models._shells(n, R // stride)
+        w_sub = stride * stride * keys + 1.0
         vals = np.empty(ks.size)
         for i, k in enumerate(ks):
             q = p * (1 + 1 / k)
-            head = kernels.power_sum(w_sub, -q)
+            head = kernels.power_sum(w_sub, -q, counts=counts)
             tail = models._zeta_tail(n, q, R) / stride**n
             vals[i] = (head + tail) / k
         note = "sublattice counting with density-scaled tail"
@@ -573,13 +575,21 @@ class HolderReport:
 
 def _seq_power(x, p):
     tail = x.tail.powered(p) if x.tail is not None else None
-    return SingularSequence(x.values**p, tail)
+    return SingularSequence(x.head**p, tail, x.counts)
 
 
 def _truncate(x, L):
+    """The first L values of x, without its tail; runs are cut, not
+    expanded."""
     if x.length == L:
         return x
-    return SingularSequence(x.values[:L])
+    if x.counts is None:
+        return SingularSequence(x.head[:L])
+    ends = np.cumsum(x.counts)
+    r = int(np.searchsorted(ends, L))  # the run that holds index L
+    counts = x.counts[:r + 1].copy()
+    counts[-1] -= ends[r] - L
+    return SingularSequence(x.head[:r + 1], None, counts)
 
 
 def holder_check(t_model, v_model, p):

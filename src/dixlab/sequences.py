@@ -205,15 +205,32 @@ def tail_heat_sum(tail, t, alpha, lo):
 _JUNCTION_TOL = 0.55
 
 
+def _expand_runs(head, counts):
+    """Each head value repeated its count times, behind the budget."""
+    n = int(counts.sum())
+    _check_budget("expanded spectrum (%d values)" % n, 8.0 * n)
+    v = np.repeat(head, counts)
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True)
 class SingularSequence:
-    """Nonincreasing nonnegative head values plus optional tail model."""
+    """Nonincreasing nonnegative head values plus optional tail model.
 
-    values: np.ndarray
+    With counts the head is run-length: strictly decreasing values, the
+    i-th repeated counts[i] >= 1 times (equal neighbours given to the
+    constructor are merged into one run).  counts None is a plain head.
+    length counts every repeat, and values expands the runs on each read
+    (charged to the memory budget, not cached); estimators read head
+    and counts instead."""
+
+    head: np.ndarray
     tail: PowerLogTail | None = None
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        v = np.ascontiguousarray(self.head, dtype=np.float64)
         if v.ndim != 1:
             raise ValueError("values must be one-dimensional")
         if v.size:
@@ -223,34 +240,59 @@ class SingularSequence:
                 raise ValueError("values must be nonincreasing")
             if v[-1] < 0.0:
                 raise ValueError("values must be nonnegative")
+        length = v.size
+        if self.counts is not None:
+            c = np.ascontiguousarray(self.counts, dtype=np.int64)
+            if c.shape != v.shape:
+                raise ValueError("counts must match the head values")
+            if c.size and c.min() < 1:
+                raise ValueError("counts must be >= 1")
+            first = np.flatnonzero(np.diff(v, prepend=np.inf))
+            if first.size < v.size:
+                v, c = v[first], np.add.reduceat(c, first)
+            c.setflags(write=False)
+            object.__setattr__(self, "counts", c)
+            length = int(c.sum())
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "head", v)
+        object.__setattr__(self, "length", length)
         if self.tail is not None:
-            if v.size == 0:
+            if length == 0:
                 raise ValueError("tail model requires a nonempty head")
             # index L sits at n = L + offset; a lone head entry at n = 1
             # has no model value to compare ((log 1)^b is degenerate)
-            n = v.size + self.tail.offset
+            n = length + self.tail.offset
             edge = float(v[-1])
             model = float(self.tail.value(n)) if n >= 2 else edge
             if not (edge > 0.0 and model > 0.0
                     and abs(math.log(model / edge)) <= _JUNCTION_TOL):
                 raise ValueError(
                     "tail junction insane: tail model at index %d gives %g "
-                    "vs last value %g" % (v.size, model, edge)
+                    "vs last value %g" % (length, model, edge)
                 )
 
     @property
-    def length(self):
-        return int(self.values.size)
+    def values(self):
+        """Every value, nonincreasing: the head, or its runs expanded."""
+        if self.counts is None:
+            return self.head
+        return _expand_runs(self.head, self.counts)
+
+    def at(self, k):
+        """The values at 1-based indices k <= length, without expanding
+        runs."""
+        k = np.asarray(k, dtype=np.int64)
+        if self.counts is None:
+            return self.head[k - 1]
+        return self.head[np.searchsorted(np.cumsum(self.counts), k)]
 
     def head_sum(self):
-        return kernels.comp_sum(self.values)
+        return kernels.comp_sum(self.head, counts=self.counts)
 
     def power_sum(self, s):
         """sum over n of mu_n**s: the head kernel sum, continued by the
         tail model from n = length + 1 when one is attached."""
-        total = kernels.power_sum(self.values, s)
+        total = kernels.power_sum(self.head, s, counts=self.counts)
         if self.tail is not None:
             total += tail_power_sum(self.tail, s, self.length + 1)
         return total
@@ -258,7 +300,7 @@ class SingularSequence:
     def heat_sum(self, t, alpha):
         """sum over n of exp(-(t mu_n)^-alpha), head plus tail model as
         in power_sum; zero entries contribute nothing."""
-        total = kernels.heat_sum(self.values, t, alpha)
+        total = kernels.heat_sum(self.head, t, alpha, counts=self.counts)
         if self.tail is not None:
             total += tail_heat_sum(self.tail, t, alpha, self.length + 1)
         return total
@@ -270,7 +312,7 @@ class SingularSequence:
         t = self.tail
         if t is not None:
             t = replace(t, coeff=t.coeff * c)
-        return SingularSequence(self.values * c, t)
+        return SingularSequence(self.head * c, t, self.counts)
 
 
 def as_sequence(x):
@@ -317,7 +359,7 @@ def log_average(x, ks):
     x = as_sequence(x)
     ks = _validate_checkpoints(ks)
     L = x.length
-    head = ks[ks <= L]
+    within = ks[ks <= L]
     beyond = ks[ks > L]
     if beyond.size and x.tail is None:
         raise ValueError(
@@ -325,13 +367,14 @@ def log_average(x, ks):
             % (int(beyond[0]), L)
         )
     alphas = np.empty(ks.size, dtype=np.float64)
-    if head.size:
-        alphas[: head.size] = kernels.prefix_log_average(x.values, head)
+    if within.size:
+        alphas[: within.size] = kernels.prefix_log_average(
+            x.head, within, counts=x.counts)
     if beyond.size:
         s_head = x.head_sum()
         for i, k in enumerate(beyond):
             s = s_head + tail_sum(x.tail, L + 1, int(k))
-            alphas[head.size + i] = s / math.log(1.0 + float(k))
+            alphas[within.size + i] = s / math.log(1.0 + float(k))
     return LogAverageSeries(ks, alphas)
 
 
@@ -358,7 +401,7 @@ def norm_1_inf(x):
     x = as_sequence(x)
     if x.length == 0:
         raise ValueError("empty sequence has no norm")
-    best, _ = kernels.max_log_average(x.values)
+    best, _ = kernels.max_log_average(x.head, counts=x.counts)
     if x.tail is None:
         return float(best)
     lim = _tail_alpha_limsup(x)
@@ -382,7 +425,8 @@ def submajorizes(x, y):
     shorter head zero-padded; compensated sums, zero tolerance)."""
     x = as_sequence(x)
     y = as_sequence(y)
-    return kernels.prefix_dominates(x.values, y.values)
+    return kernels.prefix_dominates(x.head, y.head, x_counts=x.counts,
+                                    y_counts=y.counts)
 
 
 def riesz_seminorm_proxy(x):
@@ -541,7 +585,7 @@ def ideal_membership(x, ps=()):
             window=None,
             fitted_exponents=(x.tail.power, x.tail.log_power),
         )
-    if L >= 1 and x.values[-1] == 0.0:
+    if L >= 1 and x.at(L) == 0.0:
         # finitely supported: inside everything, all witnesses vanish
         for p in ps:
             weak_lp[float(p)] = True
@@ -557,7 +601,7 @@ def ideal_membership(x, ps=()):
     lo = max(16, L // 4)
     idx = np.unique(np.geomspace(lo, L, num=96).astype(np.int64))
     n = idx.astype(np.float64)
-    mu = x.values[idx - 1]
+    mu = x.at(idx)
     design = np.column_stack([np.ones_like(n), np.log(np.log(n)), np.log(n)])
     coef, *_ = np.linalg.lstsq(design, np.log(mu), rcond=None)
     b_hat = float(coef[1])

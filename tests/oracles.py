@@ -90,16 +90,42 @@ def brute_heat(values, t, alpha):
     )
 
 
-def torus1_zeta_tail(q, r):
-    """2 * integral of (1+x^2)^-q over x > r, by mpmath.quad after the
-    substitution x = r y^(-1/a), a = 2q - 1, which leaves the bounded
-    integrand (r^-a / a) (1 + (y^(1/a) / r)^2)^-q on [0, 1]."""
+def torus_zeta_tail(n, q, r):
+    """Integral of (1+|x|^2)^-q over |x| > r in R^n, n in {1, 3}: the
+    sphere area times that of x^(n-1) (1+x^2)^-q over x > r, by
+    mpmath.quad after the substitution x = r y^(-1/a), a = 2q - n, which
+    leaves the bounded integrand (r^-a / a) (1 + (y^(1/a) / r)^2)^-q on
+    [0, 1]."""
+    area = {1: 2, 3: 4 * mpmath.pi}[n]
     with mpmath.workdps(30):
         q, r = mpmath.mpf(q), mpmath.mpf(r)
-        a = 2 * q - 1
+        a = 2 * q - n
         val = mpmath.quad(lambda y: (1 + (y ** (1 / a) / r) ** 2) ** -q,
                           [0, 1])
-        return float(2 * r ** -a / a * val)
+        return float(area * r ** -a / a * val)
+
+
+def torus1_zeta_tail(q, r):
+    """2 * integral of (1+x^2)^-q over x > r (torus_zeta_tail, n = 1)."""
+    return torus_zeta_tail(1, q, r)
+
+
+def exact_dominates(x, y):
+    """True iff every partial sum of y is <= that of x (shorter input
+    zero-padded), in exact integer arithmetic: floats are dyadic
+    rationals, scaled here to one common denominator."""
+    ratios = [float(v).as_integer_ratio() for v in list(x) + list(y)]
+    den = max(d for _, d in ratios)
+    ints = [n * (den // d) for n, d in ratios]
+    sx, sy = ints[:len(x)], ints[len(x):]
+    sx += [0] * (len(sy) - len(sx))
+    sy += [0] * (len(sx) - len(sy))
+    ax = ay = 0
+    for a, b in zip(sx, sy):
+        ax, ay = ax + a, ay + b
+        if ay > ax:
+            return False
+    return True
 
 
 def gamma_inc_upper(a, x):

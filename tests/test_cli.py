@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dixlab import cli, models
+from dixlab import cli, models, sequences
 
 
 def _cfg(**overrides):
@@ -187,6 +187,34 @@ class TestRunAndEmit:
         assert parsed["schema_version"] == 1
         for row in parsed["rows"]:
             assert "%.12g" % row["value"] in csv_text
+
+    def test_torus_runs_never_expand_the_lattice(self, monkeypatch):
+        # the spectra stay shells and counts on every estimator path
+        def refuse(head, counts):
+            raise AssertionError("lattice runs expanded")
+
+        monkeypatch.setattr(sequences, "_expand_runs", refuse)
+        methods = ["dixmier", "zeta", "heat_raw", "heat_cesaro"]
+        config = cli.parse_config(_cfg(experiments=[
+            {"label": "t3", "methods": methods,
+             "model": {"kind": "torus", "dimension": 3, "cutoff_radius": 40},
+             "heat_schedule": [1e4, 1e5, 1e6]},
+            {"label": "nc", "methods": methods,
+             "model": {"kind": "nc_torus", "cutoff_radius": 300,
+                       "theta": 0.25},
+             "heat_schedule": [1e4, 1e5, 1e6]},
+        ]))
+        rows, _ = cli.run_experiment(config)
+        assert [(r["model"], r["method"]) for r in rows] == [
+            (label, m) for label in ("t3", "nc")
+            for m in ("dixmier_alpha", "zeta_residue", "heat_raw",
+                      "heat_cesaro")]
+        converged = {(r["model"], r["method"]): r["value"] for r in rows
+                     if r["status"] == "Converged"}
+        assert converged[("nc", "zeta_residue")] == pytest.approx(
+            math.pi, rel=1e-3)
+        assert converged[("t3", "dixmier_alpha")] == pytest.approx(
+            4.0 * math.pi / 3.0, rel=1e-2)
 
     def test_nan_renders_as_null_in_json(self):
         row = {

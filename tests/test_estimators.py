@@ -137,9 +137,9 @@ class TestZetaResidueEstimate:
         calls = []
         power_sum = kernels.power_sum
 
-        def counting(values, s):
+        def counting(values, s, counts=None):
             calls.append(s)
-            return power_sum(values, s)
+            return power_sum(values, s, counts)
 
         monkeypatch.setattr(kernels, "power_sum", counting)
         x = dx.SingularSequence(1.0 / np.arange(1.0, 2049.0))
@@ -386,6 +386,26 @@ class TestHolder:
         assert rep.status == "Undetermined"
         assert rep.holds is None
         assert rep.pointwise_ok
+
+    def test_lattice_runs_are_cut_and_powered_as_runs(self):
+        x = dx.LatticeModel(2, 200).spectrum()
+        y = dx.LatticeModel(2, 150).spectrum()
+        L = y.length
+        xh = estimators._truncate(x, L)
+        assert xh.counts is not None and xh.length == L and xh.tail is None
+        np.testing.assert_array_equal(xh.values, x.values[:L])
+        xp = estimators._seq_power(xh, 3.0)
+        assert xp.counts is not None
+        np.testing.assert_array_equal(xp.values, xh.values ** 3.0)
+        got = dx.holder_check(x, y, 3.0)
+        want = dx.holder_check(*(dx.SequenceModel(dx.SingularSequence(
+            s.values, s.tail)) for s in (x, y)), 3.0)
+        assert (got.status, got.pointwise_ok, got.holds) == (
+            want.status, want.pointwise_ok, want.holds)
+        # the extrapolated limits sit near 1e-3 and 1e-6, fitted from
+        # alphas near 0.1 that agree to an ulp
+        assert got.lhs == pytest.approx(want.lhs, rel=1e-9)
+        assert got.rhs == pytest.approx(want.rhs, rel=1e-9)
 
     def test_p_must_exceed_one(self):
         x = dx.SequenceModel(dx.harmonic_sequence(2048))

@@ -293,3 +293,126 @@ class TestLatticeW:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             kernels.lattice_w(4, 3)
+
+
+def _runs(seed, n_runs, max_count=5, zeros=0):
+    """Strictly decreasing positive values (then one run of zeros when
+    zeros > 0) with random counts in 1..max_count."""
+    r = _rng(seed)
+    v = np.unique(r.random(n_runs) + 1e-6)[::-1].copy()
+    c = r.integers(1, max_count + 1, v.size)
+    if zeros:
+        v, c = np.append(v, 0.0), np.append(c, zeros)
+    return v, c
+
+
+class TestRunLength:
+    # a run-length input (values, counts) must sum as its expansion
+    # np.repeat(values, counts) does, term for term
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sums_match_the_expansion(self, seed):
+        v, c = _runs(seed, 3 * kernels._CHUNK + 11, zeros=4)
+        w = np.repeat(v, c)
+        assert kernels.comp_sum(v, c) == pytest.approx(kernels.comp_sum(w),
+                                                       rel=1e-15)
+        for s in (0.5, 1.0 + 1.0 / 200.0, 3.0):
+            assert kernels.power_sum(v[:-1], s, c[:-1]) == pytest.approx(
+                kernels.power_sum(w[w > 0], s), rel=1e-15)
+        for t, alpha in ((1.0, 1.0), (1e3, 0.5), (1e-2, 2.0)):
+            assert kernels.heat_sum(v, t, alpha, c) == pytest.approx(
+                kernels.heat_sum(w, t, alpha), rel=1e-15)
+
+    def test_counts_of_one_are_the_plain_sums(self):
+        v, _ = _runs(3, 1000)
+        ones = np.ones(v.size, dtype=np.int64)
+        assert kernels.comp_sum(v, ones) == kernels.comp_sum(v)
+        assert kernels.power_sum(v, 1.5, ones) == kernels.power_sum(v, 1.5)
+        assert kernels.heat_sum(v, 2.0, 1.0, ones) == kernels.heat_sum(
+            v, 2.0, 1.0)
+
+    def test_heat_cut_uses_the_total_count(self):
+        # two runs: exp(-1) once and exp(-x1) 2e6 - 1 times, x1 one unit
+        # past the cut that the number of runs would give (1 + ln 2 + 64
+        # ln 2); the total count puts the cut at 1 + ln(2e6) + 64 ln 2,
+        # which keeps the second run, some 2e-14 of the sum
+        x1 = 1.0 + math.log(2.0) + 64.0 * math.log(2.0) + 1.0
+        v = np.array([1.0, 1.0 / x1])
+        c = np.array([1, 2 * 10**6 - 1])
+        got = kernels.heat_sum(v, 1.0, 1.0, c)
+        want = kernels.heat_sum(np.repeat(v, c), 1.0, 1.0)
+        assert c[1] * math.exp(-x1) > 1e-14 * want
+        assert abs(got - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_prefix_log_average_matches_the_expansion(self, seed):
+        v, c = _runs(seed, 2 * kernels._CHUNK + 7, max_count=9, zeros=3)
+        w = np.repeat(v, c)
+        ends = np.cumsum(c)
+        ks = np.unique(np.concatenate([
+            [1, 2, 3], ends[:5], ends[:5] + 1, ends[-3:], ends[-3:] - 1,
+            _rng(seed).integers(1, w.size + 1, 50)]))
+        np.testing.assert_allclose(kernels.prefix_log_average(v, ks, c),
+                                   kernels.prefix_log_average(w, ks),
+                                   rtol=1e-15, atol=0)
+        # checkpoints that all sit in the first run
+        np.testing.assert_allclose(
+            kernels.prefix_log_average(v[:1], [1, 2], [5]),
+            kernels.prefix_log_average(np.repeat(v[:1], 5), [1, 2]),
+            rtol=1e-15, atol=0)
+
+    @staticmethod
+    def _brute_max(w):
+        # every prefix of the expansion, the first k taking a tie
+        alpha = (np.cumsum(w, dtype=np.longdouble)
+                 / np.log1p(np.arange(1, w.size + 1, dtype=np.float64)))
+        i = int(np.argmax(alpha))
+        return float(alpha[i]), i + 1
+
+    @pytest.mark.parametrize("seed", [6, 7, 8])
+    def test_max_log_average_matches_a_brute_force_scan(self, seed):
+        v, c = _runs(seed, kernels._CHUNK + 300, max_count=40, zeros=7)
+        # a long first run puts the maximum at a run's last index
+        c[0] = 30
+        got = kernels.max_log_average(v, c)
+        want = self._brute_max(np.repeat(v, c))
+        assert got[1] == want[1]
+        assert got[0] == pytest.approx(want[0], rel=1e-15)
+
+    def test_max_log_average_ties_go_to_the_first_index(self):
+        # alpha_1 = 1/log 2 = 2/log 4 = alpha_3 exactly, above alpha_2
+        v, c = np.array([1.0, 0.5]), np.array([1, 2])
+        assert self._brute_max(np.repeat(v, c)) == (1.0 / math.log(2.0), 1)
+        assert kernels.max_log_average(v, c) == (1.0 / math.log(2.0), 1)
+        # all alphas 0, in one run and after a run of zeros
+        assert kernels.max_log_average([0.0], [10**6]) == (0.0, 1)
+        v, c = np.array([1e-300, 0.0]), np.array([3, 10**5])
+        assert kernels.max_log_average(v, c) == self._brute_max(
+            np.repeat(v, c))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_dominates_matches_exact_sums(self, seed):
+        r = _rng(seed)
+        x, cx = _runs(seed, int(r.integers(1, 40)), max_count=6)
+        if seed % 2:
+            # a damped copy of x with its own runs: near ties throughout
+            y = np.unique(x * r.uniform(0.5, 1.02, x.size))[::-1].copy()
+            cy = r.integers(1, 7, y.size)
+        else:
+            y, cy = _runs(seed + 1, int(r.integers(1, 40)), max_count=6)
+        want = oracles.exact_dominates(np.repeat(x, cx), np.repeat(y, cy))
+        assert kernels.prefix_dominates(x, y, cx, cy) == want
+        # one side plain
+        assert kernels.prefix_dominates(np.repeat(x, cx), y, None, cy) == want
+        assert kernels.prefix_dominates(x, y, cx, None) == (
+            oracles.exact_dominates(np.repeat(x, cx), y))
+
+    def test_prefix_dominates_zero_pads_the_shorter_runs(self):
+        x, cx = np.array([1.0]), np.array([3])
+        y, cy = np.array([1.0, 0.25]), np.array([2, 4])
+        assert kernels.prefix_dominates(x, y, cx, cy)  # 3 = 3 at k = 6
+        assert not kernels.prefix_dominates(x, y, cx, [2, 5])  # 3 < 3.25
+        # a shorter run of the same value: 2 < 3 from k = 3 on
+        assert kernels.prefix_dominates(x, y[:1], cx, [2])
+        assert not kernels.prefix_dominates(y[:1], x, [2], cx)

@@ -6,7 +6,7 @@ import pytest
 from scipy import linalg
 
 import dixlab as dx
-from dixlab import kernels, models
+from dixlab import kernels, models, sequences
 
 import oracles
 
@@ -82,6 +82,14 @@ class TestLatticeZeta:
         assert est.status == "Converged"
         assert est.value == pytest.approx(2.0, rel=1e-3)
 
+    @pytest.mark.parametrize("radius", [1, 80, 200, 1000, 1e5])
+    def test_three_dimensional_tail_against_mpmath(self, radius):
+        # q = 3(1 + 1/k)/2 is the zeta schedule at the default p = 3/2;
+        # quadrature over [radius^2, inf) read 35 for 774 at radius 200
+        for q in [1.5 * (1.0 + 1.0 / k) for k in (1, 25, 200, 1024)] + [2.0]:
+            assert models._zeta_tail(3, q, radius) == pytest.approx(
+                oracles.torus_zeta_tail(3, q, radius), rel=1e-13)
+
     def test_two_dimensional_tail_improves_truncation(self):
         q = 1.5
         small = dx.LatticeModel(2, 60, 1.0).zeta(q)
@@ -90,13 +98,13 @@ class TestLatticeZeta:
 
     def test_one_lattice_enumeration_per_model(self, monkeypatch):
         calls = []
-        enumerate_points = kernels.lattice_w
+        enumerate_shells = kernels.shell_counts
 
         def counting(n, radius):
             calls.append((n, radius))
-            return enumerate_points(n, radius)
+            return enumerate_shells(n, radius)
 
-        monkeypatch.setattr(kernels, "lattice_w", counting)
+        monkeypatch.setattr(kernels, "shell_counts", counting)
         m = dx.LatticeModel(2, 100)
         dx.dixmier_estimate(m)
         dx.zeta_residue_estimate(m)
@@ -480,3 +488,155 @@ class TestDominationCheck:
         basis = np.stack([grid, grid**2])
         assert models.domination_check(basis, grid + 1e-9)
         assert not models.domination_check(basis, 0.5 * grid)
+
+
+# ------------------------------------------------- run-length lattice spectra
+
+
+def _expanded(x):
+    """x with its runs expanded into a plain head, the same tail."""
+    return dx.SingularSequence(np.repeat(x.head, x.counts), x.tail)
+
+
+@pytest.fixture(scope="module", params=[(2, 2000), (3, 200)],
+                ids=["2-torus-R2000", "3-torus-R200"])
+def shells_and_points(request):
+    """A torus spectrum as shells and counts, and the same spectrum as
+    one value per lattice point from kernels.lattice_w."""
+    n, radius = request.param
+    x = models.torus_spectrum(n, radius)
+    w = kernels.lattice_w(n, radius)
+    np.power(w, -n / 2.0, out=w)
+    return x, dx.SingularSequence(w, x.tail)
+
+
+class TestRunLengthLatticeGate:
+    # every estimator reads the run-length spectrum as it reads one
+    # value per lattice point, to 1e-12 relative
+
+    RTOL = 1e-12
+
+    def test_same_sequence(self, shells_and_points):
+        x, plain = shells_and_points
+        assert x.counts is not None and plain.counts is None
+        assert x.length == plain.length and x.head.size < plain.length / 10
+        ends = np.cumsum(x.counts)
+        np.testing.assert_array_equal(x.at(ends), plain.head[ends - 1])
+
+    def test_dixmier(self, shells_and_points):
+        x, plain = shells_and_points
+        a, b = dx.dixmier_estimate(x), dx.dixmier_estimate(plain)
+        assert a.status == b.status == "Converged"
+        assert a.value == pytest.approx(b.value, rel=self.RTOL)
+        np.testing.assert_allclose(a.raw_series[1], b.raw_series[1],
+                                   rtol=self.RTOL, atol=0)
+        # the residual band is a difference of alphas near 1
+        assert a.oscillation == pytest.approx(b.oscillation,
+                                              abs=self.RTOL * a.value)
+
+    def test_log_average_inside_and_at_the_ends_of_runs(self,
+                                                        shells_and_points):
+        x, plain = shells_and_points
+        ends = np.cumsum(x.counts)
+        ks = np.unique(np.concatenate([ends[1::997], ends[1::997] - 1,
+                                       [1, 2, 3, x.length]]))
+        np.testing.assert_allclose(dx.log_average(x, ks).alphas,
+                                   dx.log_average(plain, ks).alphas,
+                                   rtol=self.RTOL, atol=0)
+
+    def test_zeta(self, shells_and_points):
+        x, plain = shells_and_points
+        a = dx.zeta_residue_estimate(x)
+        b = dx.zeta_residue_estimate(plain)
+        assert a.status == b.status
+        assert a.value == pytest.approx(b.value, rel=self.RTOL)
+        # the lattice model's exact continuum tail, on the shells
+        n = int(round(-2.0 * math.log(x.head[1]) / math.log(2.0)))
+        radius = 2000 if n == 2 else 200
+        s = 1.0 + 1.0 / 50.0
+        want = (kernels.power_sum(plain.head, s)
+                + models._zeta_tail(n, n / 2.0 * s, radius))
+        assert dx.LatticeModel(n, radius).zeta(s) == pytest.approx(
+            want, rel=self.RTOL)
+
+    @pytest.mark.parametrize("smoothing,schedule", [
+        ("raw", (1e4, 1e5, 1e6)), ("cesaro", (2.0, 4.0)),
+    ])
+    def test_heat(self, shells_and_points, smoothing, schedule):
+        x, plain = shells_and_points
+        a = dx.heat_estimate(x, schedule, 1.0, smoothing)
+        b = dx.heat_estimate(plain, schedule, 1.0, smoothing)
+        assert a.status == b.status
+        np.testing.assert_allclose(a.raw_series[1], b.raw_series[1],
+                                   rtol=self.RTOL, atol=0)
+
+    def test_norm_and_ideal_membership(self, shells_and_points):
+        x, plain = shells_and_points
+        a = dx.ideal_membership(x, ps=(1.0, 2.0))
+        b = dx.ideal_membership(plain, ps=(1.0, 2.0))
+        for field in ("norm_1_inf", "riesz_proxy", "z1_norm"):
+            assert getattr(a, field) == pytest.approx(getattr(b, field),
+                                                      rel=self.RTOL)
+        for field in ("in_m1inf", "in_weak_l1", "witness_weak_l1",
+                      "in_u1inf", "witness_u1inf", "weak_lp", "window",
+                      "fitted_exponents"):
+            assert getattr(a, field) == getattr(b, field)
+
+
+class TestRunLengthLatticePaths:
+    def test_fitted_membership_reads_runs_without_expanding(self,
+                                                            monkeypatch):
+        # no tail: the windowed fit reads values at 96 indices
+        x = models.torus_spectrum(2, 300)
+        bare = dx.SingularSequence(x.head, None, x.counts)
+        want = dx.ideal_membership(_expanded(bare), ps=(1.0,))
+
+        def refuse(head, counts):
+            raise AssertionError("runs expanded")
+
+        monkeypatch.setattr(sequences, "_expand_runs", refuse)
+        got = dx.ideal_membership(bare, ps=(1.0,))
+        assert got.window == want.window
+        np.testing.assert_allclose(got.fitted_exponents,
+                                   want.fitted_exponents, rtol=1e-12)
+        assert got.witness_weak_l1 == pytest.approx(want.witness_weak_l1,
+                                                    rel=1e-12)
+        assert got.norm_1_inf == pytest.approx(want.norm_1_inf, rel=1e-12)
+        # the bare-head zeta guard reads the last value the same way
+        assert (dx.zeta_residue_estimate(bare).status
+                == dx.zeta_residue_estimate(_expanded(bare)).status)
+
+    def test_sublattice_product_zeta_on_shells(self):
+        # the even sublattice of Z^2 as stride-2 shells of the coarse
+        # lattice, against one value per point
+        model = dx.LatticeModel(2, 400)
+        got = dx.product_zeta_sequence(dx.SublatticeProjection(2), model)
+        w = 4.0 * (kernels.lattice_w(2, 200) - 1.0) + 1.0
+        for k, v in zip(*got.raw_series):
+            q = 1.0 + 1.0 / k
+            want = (kernels.power_sum(w, -q)
+                    + models._zeta_tail(2, q, 400) / 4.0) / k
+            assert v == pytest.approx(want, rel=1e-12)
+
+    def test_three_torus_at_radius_1000(self, monkeypatch):
+        # 4.19e9 lattice points on 833,337 shells, under the default
+        # budget: no path held one value per point before
+        monkeypatch.delenv("DIXLAB_BUDGET_MB", raising=False)
+        radius = 1000
+        model = dx.LatticeModel(3, radius)
+        x = model.spectrum()
+        assert x.head.size == 833_337
+        # sum over the columns (a, b) of the 2c + 1 points on each
+        m2 = np.arange(-radius, radius + 1, dtype=np.int64) ** 2
+        rest = radius * radius - (m2[:, None] + m2[None, :])
+        rest = rest[rest >= 0]
+        c = np.sqrt(rest.astype(np.float64)).astype(np.int64)
+        c -= c * c > rest
+        c += (c + 1) * (c + 1) <= rest
+        assert x.length == int(np.sum(2 * c + 1)) == 4_188_781_437
+        target = 4.0 * math.pi / 3.0
+        for est, tol in ((dx.dixmier_estimate(model), 1e-4),
+                         (dx.zeta_residue_estimate(model), 1e-3),
+                         (dx.heat_estimate(model, (1e4, 1e5, 1e6)), 1e-3)):
+            assert est.status == "Converged"
+            assert est.value == pytest.approx(target, rel=tol)

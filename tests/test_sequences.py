@@ -78,6 +78,87 @@ class TestSingularSequence:
         assert np.array_equal(base, shuffled)
 
 
+class TestRunLengthSequence:
+    # head values with counts: each value repeated counts times
+
+    def test_length_runs_and_expansion(self):
+        x = dx.SingularSequence(np.array([3.0, 2.0, 2.0, 1.0]), None,
+                                np.array([1, 2, 3, 4]))
+        # equal neighbours merge into one run
+        np.testing.assert_array_equal(x.head, [3.0, 2.0, 1.0])
+        np.testing.assert_array_equal(x.counts, [1, 5, 4])
+        assert x.length == 10
+        np.testing.assert_array_equal(x.values, [3.0] + [2.0] * 5 + [1.0] * 4)
+        np.testing.assert_array_equal(x.at([1, 2, 6, 7, 10]),
+                                      [3.0, 2.0, 2.0, 1.0, 1.0])
+
+    def test_plain_head_keeps_its_array(self):
+        v = 1.0 / np.arange(1.0, 100.0)
+        x = dx.SingularSequence(v)
+        assert x.counts is None and x.values is x.head and x.length == 99
+        assert x.at(99) == v[-1]
+
+    @pytest.mark.parametrize("head,counts,match", [
+        ([2.0, 1.0], [1], "counts must match"),
+        ([2.0, 1.0], [1, 0], "counts must be >= 1"),
+        ([1.0, 2.0], [1, 1], "nonincreasing"),
+        ([1.0, math.nan], [1, 1], "finite"),
+    ])
+    def test_rejects_bad_runs(self, head, counts, match):
+        with pytest.raises(ValueError, match=match):
+            dx.SingularSequence(np.array(head), None, np.array(counts))
+
+    def test_expansion_is_charged_and_not_cached(self, monkeypatch):
+        x = dx.SingularSequence(np.array([1.0, 0.5]), None,
+                                np.array([1, 10**6]))
+        assert x.values is not x.values
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "1")
+        with pytest.raises(dx.BudgetError, match="expanded spectrum"):
+            x.values
+        # nothing else expands
+        assert x.length == 10**6 + 1
+        assert x.head_sum() == 1.0 + 0.5 * 10**6
+        assert x.power_sum(2.0) == 1.0 + 0.25 * 10**6
+        assert dx.norm_1_inf(x) == pytest.approx(
+            (1.0 + 0.5 * 10**6) / math.log(2.0 + 10**6), rel=1e-15)
+
+    def test_tail_junction_reads_the_last_run_at_the_length(self):
+        tail = dx.PowerLogTail(1.0, 1.0, 0.0)
+        head = np.array([1.0, 0.01])
+        x = dx.SingularSequence(head, tail, np.array([1, 99]))
+        assert x.length == 100  # the tail gives 1/100 at index 100
+        with pytest.raises(ValueError, match="index 10 "):
+            dx.SingularSequence(head, tail, np.array([1, 9]))
+
+    def test_sums_and_averages_match_the_expansion(self):
+        r = _rng(11)
+        head = np.unique(r.random(500) + 1e-3)[::-1].copy()
+        counts = r.integers(1, 30, head.size)
+        tail = dx.PowerLogTail(float(head[-1]) * int(counts.sum()), 1.0)
+        x = dx.SingularSequence(head, tail, counts)
+        y = dx.SingularSequence(x.values, tail)
+        ks = 2 ** np.arange(1, 18, dtype=np.int64)
+        np.testing.assert_allclose(dx.log_average(x, ks).alphas,
+                                   dx.log_average(y, ks).alphas,
+                                   rtol=1e-15, atol=0)
+        assert x.head_sum() == pytest.approx(y.head_sum(), rel=1e-15)
+        for s in (1.01, 2.0):
+            assert x.power_sum(s) == pytest.approx(y.power_sum(s), rel=1e-15)
+        assert x.heat_sum(10.0, 1.0) == pytest.approx(y.heat_sum(10.0, 1.0),
+                                                      rel=1e-15)
+        assert dx.norm_1_inf(x) == pytest.approx(dx.norm_1_inf(y), rel=1e-15)
+        assert dx.submajorizes(x, x)
+        assert dx.submajorizes(x, y.scaled(0.999))
+        assert not dx.submajorizes(x.scaled(0.999), y)
+
+    def test_scaled_keeps_the_runs(self):
+        x = dx.torus_spectrum(2, 30)
+        y = x.scaled(3.0)
+        np.testing.assert_array_equal(y.counts, x.counts)
+        np.testing.assert_array_equal(y.head, 3.0 * x.head)
+        assert y.tail.coeff == pytest.approx(3.0 * x.tail.coeff)
+
+
 class TestTailCalculus:
     def test_tail_sum_matches_direct_sum(self):
         tail = dx.PowerLogTail(1.0, 1.0, 0.0)
