@@ -159,12 +159,16 @@ def power_log_model(coeff, power, log_power, horizon=10**6):
 class OscillatorModel:
     """mu_n = (2 + sin log log n)/n: the standard non-Tauberian input.
 
-    No power-log tail matches it, so zeta sums close with a quadrature
-    of the continuum integrand (2 + sin log u)^s e^{(1-s)u} in u=log x,
-    and heat tails integrate the same substitution."""
+    No power-log tail matches it, so zeta and heat tails integrate the
+    continuum, (2 + sin log u)^s e^{(1-s)u} for zeta in u = log x, from
+    x = horizon + 1/2 (the midpoint rule for the terms past the head)."""
 
     horizon: int = 10**7
     name: str = "oscillator"
+
+    def __post_init__(self):
+        if int(self.horizon) < 3:
+            raise ValueError("oscillator horizon must be >= 3")
 
     def spectrum(self):
         cached = getattr(self, "_spec", None)
@@ -177,9 +181,8 @@ class OscillatorModel:
         s = float(s)
         if s <= 1.0:
             raise ValueError("zeta evaluation divergent at s=%g" % s)
-        x = self.spectrum()
-        head = kernels.power_sum(x.values, s)
-        u0 = math.log(x.length)
+        head = self.spectrum().power_sum(s)
+        u0 = math.log(int(self.horizon) + 0.5)
 
         def g(u):
             return (2.0 + math.sin(math.log(u))) ** s * math.exp((1.0 - s) * u)
@@ -188,15 +191,12 @@ class OscillatorModel:
         return head + tail
 
     def heat(self, t, alpha=1.0):
-        x = self.spectrum()
-        head = kernels.heat_sum(x.values, t, alpha)
-        u0 = math.log(x.length)
-
         def expo(u):
             mu = (2.0 + math.sin(math.log(u))) * math.exp(-u)
             return (t * mu) ** (-alpha)
 
-        return (head + _heat_quad(expo, u0)) / t
+        u0 = math.log(int(self.horizon) + 0.5)
+        return (self.spectrum().heat_sum(t, alpha) + _heat_quad(expo, u0)) / t
 
 
 def _model_name(model):

@@ -26,18 +26,17 @@ with the sum over the expanded values to the roundoff of the
 accumulator, while it evaluates one term per run.  ``counts=None`` is
 the plain input, summed exactly as before: no count array is made.
 
-Heat sums stop at the extended-precision resolution of their leading
-term exp(-x_lead), x_lead = (t max v)^-alpha: they skip every term
-below exp(-x_cut), x_cut = min(708, x_lead + ln N + 64 ln 2), where N is
-the number of terms, the total count of a run-length input.  The N or
-fewer skipped terms then total under 2^-64 of the sum, below the
-roundoff of the ``longdouble`` accumulator, and none of the kept terms
-is a subnormal double, on which ``exp`` is some 50x slower than on a
-normal one (numpy 2.4 on x86-64).  A sum below 2^-900 is taken again
-keeping every nonzero term.
+Heat sums read a finite, nonnegative, nonincreasing head, as a
+``SingularSequence`` stores it.  They sum the prefix of terms that the
+extended-precision accumulator resolves against the leading one, found
+by bisection (``heat_sum`` states the cut), and read nothing past it;
+no kept term is a subnormal double, on which ``exp`` is some 50x slower
+than on a normal one (numpy 2.4 on x86-64).
 """
 
 import math
+from bisect import bisect_left
+from operator import neg
 
 import numpy as np
 
@@ -50,22 +49,14 @@ _CHUNK = 1 << 16
 # ---------------------------------------------------------------- sums
 
 
-def _block_sum(values, terms=None, counts=None, keep=None):
+def _block_sum(values, terms=None, counts=None):
     """The extended-precision sum of terms(v) over values in blocks of
     _CHUNK (of the values themselves when terms is None), each term
-    times its count when counts is given.  keep(block), when given,
-    selects the entries of each block that are summed at all."""
+    times its count when counts is given."""
     total = np.longdouble(0.0)
     for start in range(0, values.size, _CHUNK):
         block = values[start:start + _CHUNK]
         c = None if counts is None else counts[start:start + _CHUNK]
-        if keep is not None:
-            mask = keep(block)
-            block = block[mask]
-            c = None if c is None else c[mask]
-            # a mask held while the terms are made shifts the allocator
-            # enough to lift the sequences workload's peak RSS 0.5 MB
-            del mask
         if terms is not None:
             block = terms(block)
         if c is not None:
@@ -92,34 +83,35 @@ def comp_sum(values, counts=None):
 
 
 def power_sum(values, s, counts=None):
-    """sum(c * v ** s), each power taken in float64 and the sum
-    accumulated in extended precision; v must be nonnegative, and c is
-    the count of v (1 when counts is None)."""
+    """sum(c * v ** s), each power taken in float64 (+inf past its
+    range) and the sum accumulated in extended precision; v must be
+    nonnegative, and c is the count of v (1 when counts is None)."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     s = float(s)
-    return float(_block_sum(values, lambda v: v ** s,
-                            _as_counts(counts, values)))
+    with np.errstate(over="ignore"):
+        return float(_block_sum(values, lambda v: v ** s,
+                                _as_counts(counts, values)))
 
 
 def heat_sum(values, t, alpha, counts=None):
     """sum(c * exp(-(t*v)**(-alpha))) over the positive entries of v,
-    for t, alpha > 0, accumulated in extended precision; v in any order,
-    c its count (1 when counts is None).
+    for t, alpha > 0, accumulated in extended precision; v finite,
+    nonnegative and nonincreasing, c its count (1 when counts is None).
 
-    With x_lead = (t * max v)^-alpha the exponent of the leading term,
+    With x_lead = (t * v[0])^-alpha the exponent of the leading term,
     entries whose exponent is x_cut = min(708, x_lead + ln N + 64 ln 2)
     or more are skipped, N the number of terms (the total count).  Each
     skipped term is below 2^-64 / N of the leading term or below
     exp(-708) < 2^-1021, so with fewer than 2^50 terms they total under
     2^-64 of any kept sum of 2^-900 or more, and no kept term is
     subnormal.  A kept sum below 2^-900 is taken again skipping only the
-    terms that are exactly 0.0."""
+    terms that are exactly 0.0.  The kept terms are a prefix of v."""
     t, alpha = float(t), float(alpha)
     if not (t > 0.0 and alpha > 0.0):
         raise ValueError("t and alpha must be positive")
     values = np.ascontiguousarray(values, dtype=np.float64)
     counts = _as_counts(counts, values)
-    v_max = float(np.fmax.reduce(values, initial=0.0))  # skips NaN
+    v_max = float(values[0]) if values.size else 0.0
     if v_max == 0.0:
         return 0.0
     try:
@@ -129,10 +121,10 @@ def heat_sum(values, t, alpha, counts=None):
     n_terms = values.size if counts is None else int(counts.sum())
     x_cut = min(_X_NORMAL, x_lead + math.log(n_terms) + _LN_2_64)
     for x_max in (x_cut, _X_ZERO):
-        # v > x_max^(-1/alpha) / t  <=>  (t*v)^(-alpha) < x_max
-        v_min = x_max ** (-1.0 / alpha) / t
-        total = _block_sum(values, lambda v: np.exp(-((t * v) ** -alpha)),
-                           counts, lambda block: block > v_min)
+        # the first k have v > x_max^(-1/alpha) / t: (t*v)^(-alpha) < x_max
+        k = bisect_left(values, -x_max ** (-1.0 / alpha) / t, key=neg)
+        total = _block_sum(values[:k], lambda v: np.exp(-((t * v) ** -alpha)),
+                           None if counts is None else counts[:k])
         if total >= _TINY_HEAT:
             break
     return float(total)

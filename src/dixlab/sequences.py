@@ -151,8 +151,15 @@ def tail_sum(tail, lo, hi=None):
 
 def tail_power_sum(tail, s, lo):
     """Euler-Maclaurin sum of the tail's s-th powers over sequence
-    indices >= lo."""
-    return tail_sum(tail.powered(s), lo)
+    indices >= lo, +inf past the float range.  Where coeff**s overflows
+    the sum, linear in it, is taken with 2^-m coeff**s and scaled by 2^m."""
+    try:
+        return tail_sum(tail.powered(s), lo)
+    except OverflowError:
+        m = math.ceil(s * math.log2(tail.coeff))
+    scaled = replace(tail, coeff=2.0 ** (math.log2(tail.coeff) - m / s))
+    total = tail_sum(scaled.powered(s), lo)
+    return math.ldexp(total, m) if total < 2.0 ** (1024 - m) else math.inf
 
 
 def _heat_quad(expo, u0):

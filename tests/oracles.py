@@ -55,9 +55,10 @@ def osc_values(horizon):
 
 
 def osc_zeta_quad(s, vals):
-    """Head power sum plus the continuum tail of the oscillator model."""
+    """Head power sum plus the continuum tail of the oscillator model,
+    integrated from len(vals) + 1/2 (the midpoint rule for n > len)."""
     head = float(np.sum(vals ** s))
-    u0 = math.log(len(vals))
+    u0 = math.log(len(vals) + 0.5)
 
     def g(u):
         return (2.0 + math.sin(math.log(u))) ** s * math.exp((1.0 - s) * u)
@@ -88,6 +89,39 @@ def brute_heat(values, t, alpha):
     return math.fsum(
         math.exp(-((t * float(v)) ** (-alpha))) for v in values if v > 0
     )
+
+
+def masked_heat_sum(values, t, alpha, counts=None):
+    """The cut heat sum of values in any order, NaN skipped: the leading
+    exponent from a scan of every value, then each 2^16 block masked to
+    the entries above the cut.  On a nonincreasing head these are the
+    float operations of kernels.heat_sum, which sums the kept prefix."""
+    chunk = 1 << 16
+    t, alpha = float(t), float(alpha)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    v_max = float(np.fmax.reduce(values, initial=0.0))
+    if v_max == 0.0:
+        return 0.0
+    try:
+        x_lead = (t * v_max) ** -alpha
+    except (OverflowError, ZeroDivisionError):
+        x_lead = math.inf
+    n_terms = values.size if counts is None else int(np.sum(counts))
+    x_cut = min(708.0, x_lead + math.log(n_terms) + 64.0 * math.log(2.0))
+    for x_max in (x_cut, 750.0):
+        v_min = x_max ** (-1.0 / alpha) / t
+        total = np.longdouble(0.0)
+        for start in range(0, values.size, chunk):
+            block = values[start:start + chunk]
+            keep = block > v_min
+            terms = np.exp(-((t * block[keep]) ** -alpha))
+            if counts is not None:
+                terms = np.multiply(terms, counts[start:start + chunk][keep],
+                                    dtype=np.longdouble)
+            total = np.add.reduce(terms, dtype=np.longdouble, initial=total)
+        if total >= 2.0 ** -900:
+            break
+    return float(total)
 
 
 def torus_zeta_tail(n, q, r):

@@ -272,6 +272,51 @@ class TestMainExitCodes:
         assert ("experiments[1].model.operator_power: zeta sum diverges at "
                 "s=1.005 (needs operator_power > 0.995025)") in captured.err
 
+    def test_short_oscillator_horizon_names_its_path(self, tmp_path,
+                                                     capsys):
+        cfg = _cfg(experiments=[
+            {"model": {"kind": "oscillator", "horizon": 2}}])
+        code = cli.main(["--config", self._write(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert ("experiments[0].model: oscillator horizon must be >= 3"
+                in captured.err)
+
+    @staticmethod
+    def _power_log(power):
+        # coeff**s passes the float range at the schedule's s = 1.04
+        return _cfg(experiments=[{
+            "label": "pl",
+            "model": {"kind": "power_log", "coeff": 1e300, "power": power,
+                      "log_power": 0.0, "horizon": 100},
+            "methods": ["zeta"],
+        }])
+
+    def test_power_log_tail_past_the_float_range_still_sums(self, tmp_path,
+                                                           capsys):
+        # n^-50 brings every sum back into range: about 2e296 at s = 1.04
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["--config",
+                             self._write(tmp_path, self._power_log(50.0))])
+        captured = capsys.readouterr()
+        assert code == 2
+        value = captured.out.splitlines()[1].split(",")[3]
+        assert 1e294 < float(value) < math.inf
+
+    def test_overflowing_power_sum_exits_four(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["--config",
+                             self._write(tmp_path, self._power_log(1.5))])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if not line.startswith("# ")]
+        assert errors == ["error: zeta evaluation divergent at s=1.04"]
+
     def test_missing_config_exits_four(self, capsys):
         assert cli.main([]) == 4
         capsys.readouterr()

@@ -254,6 +254,15 @@ class TestOscillatorModel:
         with pytest.raises(ValueError):
             dx.OscillatorModel(10**4).zeta(1.0)
 
+    def test_tail_starts_past_the_head(self):
+        # the head holds n <= H, so the tail integral starts at H + 1/2;
+        # from H it counted about half of the term at H twice, 3.9e-4 of
+        # zeta(1.5) and 1.2e-3 of heat(100) at H = 100
+        short, long = dx.OscillatorModel(100), dx.OscillatorModel(10**6)
+        assert short.zeta(1.5) == pytest.approx(long.zeta(1.5), abs=1e-5)
+        assert short.heat(100.0) == pytest.approx(long.heat(100.0),
+                                                  abs=1e-5)
+
     def test_z1_frozen_value(self):
         m = dx.OscillatorModel(10**6)
         ks = 2 ** np.arange(3, 15, dtype=np.int64)

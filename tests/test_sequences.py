@@ -174,6 +174,16 @@ class TestTailCalculus:
         )
         assert tail_power_sum(tail, s, 100) == pytest.approx(want, rel=1e-9)
 
+    def test_tail_power_sum_past_the_float_range(self):
+        # 1e300**1.04 overflows, the sum does not; it is linear in coeff.
+        # The scale exponent s log2(coeff) ~ 1037 holds about 2e-13 of
+        # roundoff, which 2^x turns into the same relative error
+        big = tail_power_sum(dx.PowerLogTail(1e300, 50.0), 1.04, 100)
+        small = tail_power_sum(dx.PowerLogTail(1e100, 50.0), 1.04, 100)
+        assert big == pytest.approx(small * 10.0 ** 208, rel=1e-12)
+        huge = dx.PowerLogTail(1e300, 1.0)
+        assert tail_power_sum(huge, 1.5, 2) == math.inf
+
     def test_tail_heat_sum_matches_brute(self):
         tail = dx.PowerLogTail(1.0, 1.0, 0.0)
         t, alpha = 500.0, 1.0
