@@ -8,7 +8,6 @@ CLI harness.
 """
 
 from .sequences import (
-    ClassificationPolicy,
     IdealMembershipReport,
     LogAverageSeries,
     PowerLogTail,

@@ -144,33 +144,24 @@ def example_config():
     }
 
 
+# field type -> (the JSON types it accepts, what the message names)
+_FIELD_TYPES = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    bool: (bool, "true/false"),
+    str: (str, "a string"),
+    dict: (dict, "an object"),
+}
+
+
 def _coerce(value, target, path, problems):
-    if target is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append("%s: expected a number" % path)
-            return None
-        return float(value)
-    if target is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            problems.append("%s: expected an integer" % path)
-            return None
-        return int(value)
-    if target is bool:
-        if not isinstance(value, bool):
-            problems.append("%s: expected true/false" % path)
-            return None
-        return value
-    if target is str:
-        if not isinstance(value, str):
-            problems.append("%s: expected a string" % path)
-            return None
-        return value
-    if target is dict:
-        if not isinstance(value, dict):
-            problems.append("%s: expected an object" % path)
-            return None
-        return value
-    raise AssertionError(target)
+    accepted, name = _FIELD_TYPES[target]
+    # a JSON true/false is a Python int, but no number
+    if not isinstance(value, accepted) or (isinstance(value, bool)
+                                           and target is not bool):
+        problems.append("%s: expected %s" % (path, name))
+        return None
+    return target(value)
 
 
 def _parse_schedule(raw, path, problems, kind):
@@ -409,39 +400,34 @@ def _fmt(x):
     return "%.12g" % x
 
 
+def _cells(row):
+    """The report cells of a row, in ROW_FIELDS order."""
+    return [row["method"], row["model"], row["param"], _fmt(row["value"]),
+            row["status"], _fmt(row["oscillation"]),
+            "true" if row["extrapolated"] else "false", row["notes"]]
+
+
 def emit_report(rows, fmt="csv"):
     """Render rows deterministically; returns the exact output text."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(ROW_FIELDS)
-        for row in rows:
-            writer.writerow([
-                row["method"], row["model"], row["param"],
-                _fmt(row["value"]), row["status"], _fmt(row["oscillation"]),
-                "true" if row["extrapolated"] else "false", row["notes"],
-            ])
+        writer.writerows(_cells(row) for row in rows)
         return buf.getvalue()
     if fmt == "json":
-        # hand-rolled so numeric text matches the CSV digit for digit
+        # hand-rolled so numeric text matches the CSV digit for digit:
+        # numbers (nan as null) and booleans bare, the rest quoted
         items = []
         for row in rows:
-            value = _fmt(row["value"])
-            osc = _fmt(row["oscillation"])
-            items.append(
-                "    {\"method\": %s, \"model\": %s, \"param\": %s, "
-                "\"value\": %s, \"status\": %s, \"oscillation\": %s, "
-                "\"extrapolated\": %s, \"notes\": %s}"
-                % (
-                    json.dumps(row["method"]), json.dumps(row["model"]),
-                    json.dumps(row["param"]),
-                    "null" if value == "nan" else value,
-                    json.dumps(row["status"]),
-                    "null" if osc == "nan" else osc,
-                    "true" if row["extrapolated"] else "false",
-                    json.dumps(row["notes"]),
-                )
-            )
+            pairs = []
+            for name, cell in zip(ROW_FIELDS, _cells(row)):
+                if name in ("value", "oscillation", "extrapolated"):
+                    cell = "null" if cell == "nan" else cell
+                else:
+                    cell = json.dumps(cell)
+                pairs.append("\"%s\": %s" % (name, cell))
+            items.append("    {%s}" % ", ".join(pairs))
         return (
             "{\n  \"schema_version\": %d,\n  \"rows\": [\n%s\n  ]\n}\n"
             % (SCHEMA_VERSION, ",\n".join(items))

@@ -18,7 +18,9 @@ from scipy import integrate, special
 
 from . import kernels, models
 from .sequences import (
-    ClassificationPolicy,
+    BURN_IN,
+    EPS_CONV,
+    EPS_OSC,
     PowerLogTail,
     SingularSequence,
     _fit_line,
@@ -31,8 +33,6 @@ from .sequences import (
     tauberian_classify,
 )
 
-_POLICY = ClassificationPolicy()
-
 CONVERGED = "Converged"
 OSCILLATING = "Oscillating"
 UNDETERMINED = "Undetermined"
@@ -40,6 +40,12 @@ UNDETERMINED = "Undetermined"
 # default schedules: zeta at s = 1 + 1/k, heat at times t
 ZETA_SCHEDULE = (25, 50, 100, 200)
 HEAT_SCHEDULE = (1e2, 1e3, 1e4)
+# a Cesaro heat estimate whose values move by more than CESARO_RTOL
+# (relative to max(1, |value|)) when the grid is halved is Undetermined;
+# converged estimates agree when their spread is within AGREEMENT_TOL,
+# also relative to max(1, |value|)
+CESARO_RTOL = 1e-3
+AGREEMENT_TOL = 1e-2
 
 
 def dyadic_schedule(limit, start=1):
@@ -73,7 +79,7 @@ class TraceEstimate:
     def __post_init__(self):
         if self.status not in (CONVERGED, OSCILLATING, UNDETERMINED):
             raise ValueError("unknown status %r" % self.status)
-        if self.status == CONVERGED and not self.oscillation <= _POLICY.eps_conv:
+        if self.status == CONVERGED and not self.oscillation <= EPS_CONV:
             raise ValueError("Converged estimate with oscillation above policy")
 
 
@@ -91,7 +97,7 @@ def _series_estimate(method, ks, vals, zs, extrapolate, notes=""):
         band = float(resid.max() - resid.min()) if vals.size > 1 else 0.0
         return TraceEstimate(
             method, float(vals[-1]), raw, False, band,
-            UNDETERMINED if band > _POLICY.eps_conv else CONVERGED,
+            UNDETERMINED if band > EPS_CONV else CONVERGED,
             error_estimate=band + abs(float(vals[-1]) - a),
             notes=(notes + "; schedule too short to extrapolate").strip("; "),
         )
@@ -100,7 +106,7 @@ def _series_estimate(method, ks, vals, zs, extrapolate, notes=""):
     half = vals.size // 2
     a_half, _, _ = _fit_line(zs[half:], vals[half:])
     err = 2.0 * float(np.max(np.abs(resid))) + abs(a - a_half)
-    if band <= _POLICY.eps_conv:
+    if band <= EPS_CONV:
         value = a if extrapolate else float(vals[-1])
         value = max(value, 0.0) if value > -1e-12 else value
         return TraceEstimate(
@@ -108,7 +114,7 @@ def _series_estimate(method, ks, vals, zs, extrapolate, notes=""):
             error_estimate=err, notes=notes,
         )
     lo, hi = float(vals.min()), float(vals.max())
-    if band > _POLICY.eps_osc:
+    if band > EPS_OSC:
         return TraceEstimate(
             method, 0.5 * (lo + hi), raw, False, hi - lo, OSCILLATING,
             error_estimate=err, notes=notes,
@@ -206,50 +212,31 @@ def _model_name(model):
 # ------------------------------------------------------ dixmier estimate
 
 
-def dixmier_estimate(source, max_checkpoint=None, extrapolate=True,
-                     policy=None):
+def dixmier_estimate(source, max_checkpoint=None, extrapolate=True):
     """Log-average estimate over dyadic checkpoints.
 
     The checkpoint series is classified first; a value is produced by
     the a + b/log(1+k) fit only on Tauberian data.  max_checkpoint caps
-    the scan (used for matrix truncations, where singular values past a
-    fraction of the dimension are unreliable); with neither it nor a
-    policy given, the source's own max_checkpoint applies, if it has one."""
-    if max_checkpoint is not None and policy is not None:
-        raise ValueError("pass either max_checkpoint or a full policy")
-    if policy is None and max_checkpoint is None:
+    the scan and relaxes its horizon gate as in tauberian_classify (used
+    for matrix truncations, where singular values past a fraction of the
+    dimension are unreliable); when it is None the source's own
+    max_checkpoint applies, if it has one."""
+    if max_checkpoint is None:
         max_checkpoint = getattr(source, "max_checkpoint", None)
     x = _spectrum_of(source)
-    if policy is not None:
-        pol = policy
-    elif max_checkpoint is None:
-        pol = ClassificationPolicy()
-    else:
-        # an explicit cap is an informed override of the default gate
-        # (matrix truncations certify nothing past a fraction of the
-        # dimension, yet must still be extrapolated)
-        base = ClassificationPolicy()
-        pol = ClassificationPolicy(
-            horizon=int(max_checkpoint),
-            min_horizon=min(base.min_horizon, max(64, int(max_checkpoint))),
-        )
-    verdict = tauberian_classify(x, pol)
+    verdict = tauberian_classify(x, max_checkpoint)
     diag = verdict.diagnostics
     ks = diag.get("checkpoints", np.empty(0, dtype=np.int64))
     alphas = diag.get("alphas", np.empty(0))
     raw = (ks, alphas)
     notes = "tail model attached" if x.tail is not None else "head only"
     if verdict.status == "Tauberian":
-        if extrapolate:
-            value = float(verdict.limit_estimate)
-        else:
-            value = float(alphas[-1])
-        # tauberian_classify fitted the limit on the last m checkpoints;
-        # the error adds its residuals and its gap to a 3-point fit
-        m = pol.fit_checkpoints
+        value = float(verdict.limit_estimate if extrapolate else alphas[-1])
+        # tauberian_classify fitted the limit on its last FIT_CHECKPOINTS
+        # checkpoints; the error adds their residuals and a 3-point fit's gap
         resid = diag["fit_residuals"]
-        zs = 1.0 / np.log1p(ks[-m:][-3:].astype(np.float64))
-        a3, _, _ = _fit_line(zs, alphas[-m:][-3:])
+        zs = 1.0 / np.log1p(ks[-3:].astype(np.float64))
+        a3, _, _ = _fit_line(zs, alphas[-3:])
         err = (2.0 * float(np.max(np.abs(resid)))
                + abs(verdict.limit_estimate - a3))
         value = max(value, 0.0) if value > -1e-12 else value
@@ -259,7 +246,7 @@ def dixmier_estimate(source, max_checkpoint=None, extrapolate=True,
             error_estimate=err, notes=notes,
         )
     if verdict.status == "NonTauberian":
-        keep = ks >= pol.burn_in
+        keep = ks >= BURN_IN
         lo = float(alphas[keep].min())
         hi = float(alphas[keep].max())
         return TraceEstimate(
@@ -319,7 +306,8 @@ def zeta_residue_estimate(source, k_schedule=ZETA_SCHEDULE):
         s = 1.0 + 1.0 / float(k)
         z = float(evaluator(s))
         if math.isinf(z) or math.isnan(z):
-            raise ValueError("zeta evaluation divergent at s=%g" % s)
+            raise ValueError("zeta evaluation divergent or past the float64 "
+                             "range at s=%g" % s)
         vals[i] = z / float(k)
         if guard is not None and not guard(s, z):
             guarded = False
@@ -381,12 +369,12 @@ def _cesaro_grids(ts):
 
 
 def heat_estimate(source, t_schedule=HEAT_SCHEDULE, alpha_exp=1.0,
-                  smoothing="raw", rtol=1e-3):
+                  smoothing="raw"):
     """Normalized heat functional g(t)/Gamma(1/alpha+1) over the
     schedule.  raw extrapolates linearly in 1/t; cesaro applies the
     log-scale average (1/log T) int_1^T g ds/s on a geometric grid of
     ratio sqrt(1.1), against every other node of it for the resolution
-    estimate, and never extrapolates."""
+    estimate (Undetermined past CESARO_RTOL), and never extrapolates."""
     ts = np.asarray(t_schedule, dtype=np.float64)
     if ts.ndim != 1 or ts.size == 0 or np.any(ts <= 0):
         raise ValueError("t schedule must be positive")
@@ -411,7 +399,7 @@ def heat_estimate(source, t_schedule=HEAT_SCHEDULE, alpha_exp=1.0,
         "heat_cesaro", ts, fine, 1.0 / ts, False,
         notes="log-average smoothing; no extrapolation",
     )
-    if quad_err > rtol * max(1.0, float(np.max(np.abs(fine)))):
+    if quad_err > CESARO_RTOL * max(1.0, float(np.max(np.abs(fine)))):
         return TraceEstimate(
             "heat_cesaro", math.nan, (ts, fine), False, est.oscillation,
             UNDETERMINED, error_estimate=quad_err,
@@ -447,12 +435,12 @@ METHODS = {
 
 
 def measurability_report(model, methods=("dixmier", "zeta", "heat_raw"),
-                         agreement_tol=1e-2, zeta_schedule=ZETA_SCHEDULE,
+                         zeta_schedule=ZETA_SCHEDULE,
                          heat_schedule=HEAT_SCHEDULE):
     """Run the requested estimators and compare.
 
     Measurable requires every method Converged with pairwise spread
-    within tolerance (scaled by the common magnitude).  A method that
+    within AGREEMENT_TOL (scaled by the common magnitude).  A method that
     oscillates beyond the policy band, or converged methods that
     genuinely disagree, both witness distinct limiting values, hence
     NotMeasurable.  Anything else stays Undetermined."""
@@ -471,13 +459,13 @@ def measurability_report(model, methods=("dixmier", "zeta", "heat_raw"),
     scale = max(1.0, max((abs(v) for v in values), default=1.0))
     notes = ""
     if any(
-        e.status == OSCILLATING and e.oscillation > _POLICY.eps_osc
+        e.status == OSCILLATING and e.oscillation > EPS_OSC
         for e in estimates.values()
     ):
         verdict = "NotMeasurable"
         notes = "an estimator oscillates beyond the policy band"
     elif all(e.status == CONVERGED for e in estimates.values()):
-        if disc <= agreement_tol * scale:
+        if disc <= AGREEMENT_TOL * scale:
             verdict = "Measurable"
         else:
             verdict = "NotMeasurable"
@@ -486,7 +474,7 @@ def measurability_report(model, methods=("dixmier", "zeta", "heat_raw"),
         verdict = "Undetermined"
         notes = "some estimator returned no value"
     return MeasurabilityReport(
-        estimates, disc, verdict, agreement_tol, _model_name(model), notes
+        estimates, disc, verdict, AGREEMENT_TOL, _model_name(model), notes
     )
 
 
@@ -617,7 +605,16 @@ def holder_check(t_model, v_model, p):
             xh.tail.log_power + yh.tail.log_power,
             xh.tail.offset,
         )
-    prod = SingularSequence(xh.values * yh.values, prod_tail)
+    if xh.counts is None and yh.counts is None:
+        prod = SingularSequence(xh.head * yh.head, prod_tail)
+    else:
+        # both factors are constant between the run ends of either, and
+        # a plain one ends a run at every index
+        e = (np.union1d(np.cumsum(xh.counts), np.cumsum(yh.counts))
+             if xh.counts is not None and yh.counts is not None
+             else np.arange(1, L + 1))
+        prod = SingularSequence(xh.at(e) * yh.at(e), prod_tail,
+                                np.diff(e, prepend=0))
     xp = _seq_power(xh, p)
     yq = _seq_power(yh, q)
     ks = dyadic_schedule(L)

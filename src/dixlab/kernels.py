@@ -222,18 +222,27 @@ def max_log_average(values, counts=None):
 # ------------------------------------------------------ submajorization
 
 
-def _prefix_at(values, counts, ks):
-    """Extended-precision sums of the first k entries of the expanded
-    runs at 1-based indices ks; past the last run the total."""
-    whole = np.zeros(values.size + 1, dtype=np.longdouble)  # of r runs
-    np.cumsum(np.multiply(values, counts, dtype=np.longdouble),
-              out=whole[1:])
+def _prefix_at(values, counts, ks, dtype=np.longdouble):
+    """Sums of the first k entries of the expanded runs at 1-based
+    indices ks, past the last run the total: in extended precision, or
+    exactly on Python ints with dtype object (values then ints too)."""
+    whole = np.zeros(values.size + 1, dtype=dtype)  # of r runs
+    whole[1:] = np.cumsum(values.astype(dtype) * counts.astype(dtype))
     inside = ks <= int(counts.sum())
     r, before = _run_of(counts, ks[inside])
-    out = np.full(ks.size, whole[-1], dtype=np.longdouble)
-    out[inside] = whole[r] + (ks[inside] - before) * values[r].astype(
-        np.longdouble)
+    out = np.full(ks.size, whole[-1], dtype=dtype)
+    out[inside] = whole[r] + (ks[inside] - before).astype(dtype) * values[
+        r].astype(dtype)
     return out
+
+
+def _as_ints(values, e0):
+    """values as Python ints in units of 2^e0, e0 at most the weight of
+    the last mantissa bit of every nonzero value: v = m 2^e with m a
+    53-bit integer is m << (e - e0) units."""
+    mant, expo = np.frexp(values)
+    return (np.ldexp(mant, 53).astype(np.int64).astype(object)
+            << np.maximum(expo - 53 - e0, 0).astype(object))
 
 
 def prefix_dominates(x, y, x_counts=None, y_counts=None):
@@ -242,7 +251,10 @@ def prefix_dominates(x, y, x_counts=None, y_counts=None):
 
     With counts either input is run-length; both prefix sums are then
     linear between the run ends of x and of y, so they are compared at
-    the union of those ends only."""
+    the union of those ends only, and exactly: the extended-precision
+    sums decide every end whose gap exceeds their error bound, and the
+    ends within it are decided again on exact integer sums.  Two plain
+    inputs are compared on one extended-precision cumsum each."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     if x_counts is None and y_counts is None:
@@ -257,8 +269,23 @@ def prefix_dominates(x, y, x_counts=None, y_counts=None):
     y_counts = (np.ones(y.size, dtype=np.int64) if y_counts is None
                 else _as_counts(y_counts, y))
     ks = np.union1d(np.cumsum(x_counts), np.cumsum(y_counts))
-    return bool(np.all(_prefix_at(y, y_counts, ks)
-                       <= _prefix_at(x, x_counts, ks)))
+    px = _prefix_at(x, x_counts, ks)
+    py = _prefix_at(y, y_counts, ks)
+    # each sum adds at most n + 1 rounded nonnegative products (n the
+    # runs of its input) in n + 1 rounded additions: it is within about
+    # (2n + 2) u of its value, u = eps / 2 the unit roundoff
+    eps = np.finfo(np.longdouble).eps
+    bound = eps * ((x.size + 2) * px + (y.size + 2) * py)
+    if np.any(py - px > bound):
+        return False
+    close = px - py <= bound
+    if not close.any():
+        return True
+    nonzero = np.concatenate([x[x > 0.0], y[y > 0.0]])
+    e0 = int(np.frexp(nonzero)[1].min(initial=0)) - 53
+    ks = ks[close]
+    return bool(np.all(_prefix_at(_as_ints(y, e0), y_counts, ks, object)
+                       <= _prefix_at(_as_ints(x, e0), x_counts, ks, object)))
 
 
 # ------------------------------------------------------- lattice sweeps

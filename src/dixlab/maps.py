@@ -195,20 +195,15 @@ def log_cesaro_window(f, t0, t1):
     A = _piece_prefix(f)
     starts = b
     ends = np.concatenate([b[1:], [f.horizon]])
-    if f.kind == "step":
-        v_start = v
-        v_end = v
-    else:
-        v_start = v
-        v_end = np.concatenate([v[1:], [v[-1]]])
+    v_end = v if f.kind == "step" else np.concatenate([v[1:], [v[-1]]])
     width = ends - starts
-    slope = np.where(width > 0, (v_end - v_start) / np.where(width > 0, width, 1.0), 0.0)
+    slope = np.where(width > 0, (v_end - v) / np.where(width > 0, width, 1.0), 0.0)
     lo = np.maximum(starts, t0)
     hi = np.minimum(ends, t1)
     m = hi > lo
     if not np.any(m):
         return 0.0
-    sa, va, sl, Ai = starts[m], v_start[m], slope[m], A[m]
+    sa, va, sl, Ai = starts[m], v[m], slope[m], A[m]
     lo, hi = lo[m], hi[m]
     c2 = 0.5 * sl
     c1 = va - sl * sa
@@ -262,18 +257,18 @@ def cesaro_discrete(a):
 # ------------------------------------------------------ embedding maps
 
 
+def _embed(kind, a):
+    """a on knots at the integers, horizon len(a), the last value held
+    past it."""
+    return PiecewiseFunction(
+        kind, np.arange(a.size, dtype=np.float64), a, 0.0, float(a.size),
+        float(a[-1]), note="tail holds the last value",
+    )
+
+
 def floor_embed(a):
     """Step embedding p: value a_k on [k, k+1), horizon len(a)."""
-    a = _as_bounded(a)
-    return PiecewiseFunction(
-        "step",
-        np.arange(a.size, dtype=np.float64),
-        a,
-        0.0,
-        float(a.size),
-        float(a[-1]),
-        note="tail holds the last value",
-    )
+    return _embed("step", _as_bounded(a))
 
 
 def linear_embed(a):
@@ -282,15 +277,7 @@ def linear_embed(a):
     a = _as_bounded(a)
     if a.size < 2:
         raise ValueError("linear embedding needs at least two entries")
-    return PiecewiseFunction(
-        "linear",
-        np.arange(a.size, dtype=np.float64),
-        a,
-        0.0,
-        float(a.size),
-        float(a[-1]),
-        note="tail holds the last value",
-    )
+    return _embed("linear", a)
 
 
 def restrict(f):

@@ -482,14 +482,12 @@ def tilde_mu(t1, t2, t3, t4):
     input."""
     seqs = [as_sequence(t) for t in (t1, t2, t3, t4)]
     n = max(s.length for s in seqs)
+    # the complex output and one input's values, expanded or not
+    _check_budget("tilde_mu (%d values)" % n, 24.0 * n)
     out = np.zeros(n, dtype=np.complex128)
-    parts = []
-    for s in seqs:
-        v = np.zeros(n, dtype=np.float64)
-        v[: s.length] = s.values
-        parts.append(v)
-    out += parts[0] - parts[1]
-    out += 1j * (parts[2] - parts[3])
+    for part, (a, b) in ((out.real, seqs[:2]), (out.imag, seqs[2:])):
+        part[: a.length] = a.values
+        part[: b.length] -= b.values
     return out
 
 
@@ -615,9 +613,8 @@ def ideal_membership(x, ps=()):
     a_hat = float(-coef[2])
     in_m, in_l1w, in_u = _fitted_membership(a_hat, b_hat)
     w_l1 = float(np.max(n * mu)) if in_l1w else math.inf
-    w_u = float(np.max(n * mu / np.log(n))) if in_u else math.inf
-    if in_u is None:
-        w_u = float(np.max(n * mu / np.log(n)))
+    # an unresolved u1inf verdict still reports its window supremum
+    w_u = float(np.max(n * mu / np.log(n))) if in_u is not False else math.inf
     for p in ps:
         weak_lp[float(p)] = _fitted_weak_lp(a_hat, b_hat, float(p))
     return IdealMembershipReport(
@@ -629,20 +626,17 @@ def ideal_membership(x, ps=()):
 # ------------------------------------------------------- classification
 
 
-@dataclass(frozen=True)
-class ClassificationPolicy:
-    """Dyadic checkpoint policy for Tauberian classification.
-
-    Thresholds are absolute (the printed defaults assume sequences at
-    natural scale ~1); horizon caps the scan, burn_in drops the early
-    transient from reported oscillation bands."""
-
-    eps_conv: float = 1e-2
-    eps_osc: float = 5e-2
-    min_horizon: int = 1024
-    burn_in: int = 16
-    fit_checkpoints: int = 6
-    horizon: int | None = None
+# Status thresholds, absolute (they assume sequences at natural scale
+# ~1).  A series converges when its detrended variation is below
+# EPS_CONV and oscillates when its band exceeds EPS_OSC; a horizon below
+# MIN_HORIZON is not classified, checkpoints below BURN_IN stay out of
+# reported oscillation bands, and a Tauberian limit is fitted on the
+# last FIT_CHECKPOINTS checkpoints.
+EPS_CONV = 1e-2
+EPS_OSC = 5e-2
+MIN_HORIZON = 1024
+BURN_IN = 16
+FIT_CHECKPOINTS = 6
 
 
 @dataclass(frozen=True)
@@ -661,8 +655,13 @@ def _fit_line(zs, vals):
     return float(coef[0]), float(coef[1]), resid
 
 
-def tauberian_classify(x, policy=None):
+def tauberian_classify(x, max_checkpoint=None):
     """Classify alpha_k behaviour on dyadic checkpoints.
+
+    max_checkpoint caps the scan; it is an informed override of the
+    MIN_HORIZON gate, which it relaxes to min(MIN_HORIZON,
+    max(64, max_checkpoint)) (a matrix truncation certifies nothing past
+    a fraction of its dimension, yet must still be extrapolated).
 
     Convergence is judged on the total variation of residuals after
     removing the a + b/log(1+k) trend over the last third of
@@ -671,17 +670,19 @@ def tauberian_classify(x, policy=None):
     The reported amplitude is the detrended variation itself for
     Tauberian verdicts (the quantity the decision was made on; fit
     misfit is a diagnostics entry, not oscillation) and the raw band
-    over checkpoints past burn_in otherwise; for oscillating data the
+    over checkpoints past BURN_IN otherwise; for oscillating data the
     trailing window sees less than a full log-log period, so the wide
     band is the honest lower bound."""
     x = as_sequence(x)
-    pol = policy or ClassificationPolicy()
-    H = x.length if pol.horizon is None else min(x.length, int(pol.horizon))
-    if H < pol.min_horizon:
+    H, min_horizon = x.length, MIN_HORIZON
+    if max_checkpoint is not None:
+        cap = int(max_checkpoint)
+        H, min_horizon = min(H, cap), min(MIN_HORIZON, max(64, cap))
+    if H < min_horizon:
         return TauberianVerdict(
             "Undetermined", None, 0.0,
             {"note": "horizon %d below policy minimum %d"
-             % (H, pol.min_horizon)},
+             % (H, min_horizon)},
         )
     J = int(math.floor(math.log2(H)))
     ks = 2 ** np.arange(1, J + 1, dtype=np.int64)
@@ -693,7 +694,7 @@ def tauberian_classify(x, policy=None):
     a_fit, b_fit, resid = _fit_line(zs[i0:], tail_al)
     resid_tv = float(np.sum(np.abs(np.diff(resid))))
     band_third = float(tail_al.max() - tail_al.min())
-    keep = ks >= pol.burn_in
+    keep = ks >= BURN_IN
     band_wide = float(alphas[keep].max() - alphas[keep].min()) if keep.any() else 0.0
     diag = {
         "checkpoints": ks,
@@ -703,13 +704,13 @@ def tauberian_classify(x, policy=None):
         "band_past_burn_in": band_wide,
         "fit": (a_fit, b_fit),
     }
-    if resid_tv < pol.eps_conv:
-        m = pol.fit_checkpoints
+    if resid_tv < EPS_CONV:
+        m = FIT_CHECKPOINTS
         a_lim, _, fit_resid = _fit_line(zs[-m:], alphas[-m:])
         diag["fit_residuals"] = fit_resid
         diag["fit_band"] = float(fit_resid.max() - fit_resid.min())
         return TauberianVerdict("Tauberian", a_lim, resid_tv, diag)
-    if band_third > pol.eps_osc:
+    if band_third > EPS_OSC:
         return TauberianVerdict("NonTauberian", None, band_wide, diag)
     return TauberianVerdict("Undetermined", None, band_wide, diag)
 

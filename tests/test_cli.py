@@ -315,7 +315,8 @@ class TestMainExitCodes:
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines()
                   if not line.startswith("# ")]
-        assert errors == ["error: zeta evaluation divergent at s=1.04"]
+        assert errors == ["error: zeta evaluation divergent or past the "
+                          "float64 range at s=1.04"]
 
     def test_missing_config_exits_four(self, capsys):
         assert cli.main([]) == 4

@@ -73,18 +73,14 @@ class TestDixmierEstimate:
         assert math.isnan(e.value)
 
     def test_explicit_cap_overrides_gate(self):
-        e = dx.dixmier_estimate(dx.harmonic_sequence(4096),
-                                max_checkpoint=512)
+        x = dx.harmonic_sequence(4096)
+        e = dx.dixmier_estimate(x, max_checkpoint=512)
         assert e.status == "Converged"
         ks, _ = e.raw_series
         assert ks[-1] <= 512
-
-    def test_cap_and_policy_are_exclusive(self):
-        with pytest.raises(ValueError):
-            dx.dixmier_estimate(
-                dx.harmonic_sequence(2048), max_checkpoint=700,
-                policy=dx.ClassificationPolicy(),
-            )
+        v = dx.tauberian_classify(x, max_checkpoint=512)
+        assert v.status == "Tauberian"
+        assert v.diagnostics["checkpoints"][-1] == ks[-1]
 
     def test_scaling_homogeneity(self):
         base = dx.harmonic_sequence(10**5)
@@ -415,6 +411,35 @@ class TestHolder:
         # alphas near 0.1 that agree to an ulp
         assert got.lhs == pytest.approx(want.lhs, rel=1e-9)
         assert got.rhs == pytest.approx(want.rhs, rel=1e-9)
+
+    def test_product_of_runs_is_built_on_the_run_ends(self, monkeypatch):
+        x = dx.LatticeModel(2, 200).spectrum()
+        y = dx.LatticeModel(2, 150).spectrum()
+        plain = dx.SingularSequence(y.values[:5000])
+        pairs = ((x, y), (x, plain), (plain, x))
+        dixmier = estimators.dixmier_estimate
+        seen = []
+
+        def spy(source, *args):
+            seen.append(source)
+            return dixmier(source, *args)
+
+        def refuse(head, counts):
+            raise AssertionError("runs expanded")
+
+        monkeypatch.setattr(estimators, "dixmier_estimate", spy)
+        monkeypatch.setattr(sequences, "_expand_runs", refuse)
+        prods = []
+        for a, b in pairs:
+            seen.clear()
+            dx.holder_check(a, b, 3.0)
+            prods.append(seen[0])  # holder_check estimates xy first
+        monkeypatch.undo()
+        for (a, b), prod in zip(pairs, prods):
+            L = min(a.length, b.length)
+            assert prod.counts is not None
+            np.testing.assert_array_equal(prod.values,
+                                          a.values[:L] * b.values[:L])
 
     def test_p_must_exceed_one(self):
         x = dx.SequenceModel(dx.harmonic_sequence(2048))

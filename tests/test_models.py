@@ -6,7 +6,7 @@ import pytest
 from scipy import linalg
 
 import dixlab as dx
-from dixlab import kernels, models, sequences
+from dixlab import estimators, kernels, models, sequences
 
 import oracles
 
@@ -640,3 +640,25 @@ class TestRunLengthLatticePaths:
                          (dx.heat_estimate(model, (1e4, 1e5, 1e6)), 1e-3)):
             assert est.status == "Converged"
             assert est.value == pytest.approx(target, rel=tol)
+
+    def test_no_reader_expands_the_runs(self, monkeypatch):
+        # 1.13e8 values on 75,004 runs: 863 MB expanded, over the budget
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "200")
+        model = dx.LatticeModel(3, 300)
+        x = model.spectrum()
+        assert x.head.size == 75_004 and x.length > 10**8
+        with pytest.raises(dx.BudgetError):
+            x.values
+        for method in ("dixmier", "zeta", "heat_raw", "heat_cesaro"):
+            estimators.METHODS[method](model, estimators.ZETA_SCHEDULE,
+                                       estimators.HEAT_SCHEDULE)
+        dx.norm_1_inf(x)
+        dx.riesz_seminorm_proxy(x)
+        dx.zeta_norm_z1(x)
+        dx.ideal_membership(x, ps=(1.0, 2.0))
+        assert dx.submajorizes(x, x)
+        dx.holder_check(model, model, 2.0)
+        dx.measurability_report(model)
+        # tilde_mu returns one value per index by contract
+        with pytest.raises(dx.BudgetError):
+            dx.tilde_mu(x, x, x, x)

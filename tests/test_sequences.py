@@ -341,6 +341,47 @@ class TestSubmajorization:
         damp = dx.SingularSequence(x.values * r.uniform(0.1, 1.0))
         assert dx.submajorizes(x, damp)
 
+    def test_run_length_pairs_match_the_integer_oracle(self):
+        # values whose sums round, so that prefix sums of the two inputs
+        # tie or sit an ulp apart
+        pool = np.array([2.0, 0.7, 1.0 / 3.0, 0.3, 1.0 / 7.0, 0.1, 1e-300,
+                         0.0])
+        r = _rng(11)
+        for _ in range(200):
+            head = np.sort(r.choice(pool, r.integers(1, pool.size + 1),
+                                    replace=False))[::-1]
+            x = dx.SingularSequence(head, None, r.integers(1, 6, head.size))
+            v = x.values.copy()
+            mode = r.integers(3)
+            if mode == 1:  # one value an ulp up or down
+                i = r.integers(v.size)
+                v[i] = np.nextafter(v[i], 3.0 if r.random() < 0.5 else 0.0)
+                v = np.sort(v)[::-1]
+            elif mode == 2:
+                v = v[: r.integers(v.size + 1)]
+            if r.random() < 0.5:
+                y = dx.SingularSequence(v)
+            else:  # runs of one, merged where values tie
+                y = dx.SingularSequence(v, None, np.ones(v.size, np.int64))
+            for a, b in ((x, y), (y, x)):
+                want = oracles.exact_dominates(a.values, b.values)
+                assert dx.submajorizes(a, b) == want
+
+    def test_equal_run_length_pairs_in_both_directions(self):
+        r = _rng(5)
+        head = np.unique(r.random(300) + 1e-3)[::-1].copy()
+        x = dx.SingularSequence(head, None, r.integers(1, 40, head.size))
+        # the same sequence plain, and split into other runs
+        for y in (dx.SingularSequence(x.values),
+                  dx.SingularSequence(x.values, None,
+                                      np.ones(x.length, dtype=np.int64))):
+            assert dx.submajorizes(x, y)
+            assert dx.submajorizes(y, x)
+        lattice = dx.LatticeModel(2, 200).spectrum()
+        expanded = dx.SingularSequence(lattice.values)
+        assert dx.submajorizes(lattice, expanded)
+        assert dx.submajorizes(expanded, lattice)
+
     def test_subadditivity_of_rearranged_sums(self):
         r = _rng(7)
         x = r.random(512)
@@ -361,6 +402,19 @@ class TestTildeMu:
         got = dx.tilde_mu(t1, t2, t3, t4)
         want = np.array([3 - 2 + 0.5j, 1 + 0.5j, 0.5j])
         np.testing.assert_allclose(got, want, rtol=0, atol=0)
+
+    def test_runs_read_as_their_values(self):
+        x = dx.torus_spectrum(2, 30)
+        y = dx.torus_spectrum(3, 8)
+        got = dx.tilde_mu(x, y, y, x)
+        want = dx.tilde_mu(*(s.values for s in (x, y, y, x)))
+        np.testing.assert_array_equal(got, want)
+
+    def test_charges_its_footprint_before_allocating(self, monkeypatch):
+        x = dx.LatticeModel(2, 400).spectrum()  # 502,625 values on runs
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "10")
+        with pytest.raises(dx.BudgetError):
+            dx.tilde_mu(x, x, x, x)
 
 
 class TestZ1AndRiesz:
