@@ -15,6 +15,7 @@ from .sequences import (
     TauberianVerdict,
     as_sequence,
     decreasing_rearrangement,
+    dyadic_schedule,
     harmonic_sequence,
     ideal_membership,
     log_average,
@@ -81,7 +82,6 @@ from .estimators import (
     TorusEigenvalues,
     TraceEstimate,
     dixmier_estimate,
-    dyadic_schedule,
     harmonic_model,
     heat_estimate,
     heat_trace,

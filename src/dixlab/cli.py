@@ -549,12 +549,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError([message])
 
 
+def _seed(text):
+    """--seed: a nonnegative integer, like the config's seed field."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            "expected a nonnegative integer, got %r" % text)
+    return int(text)
+
+
 def build_parser():
     parser = _Parser(prog="dixlab", description=__doc__)
     parser.add_argument("--config", help="JSON experiment description")
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_seed, default=None,
                         help="override the config seed")
     parser.add_argument("--list-models", action="store_true",
                         help="print the model kinds and exit")
@@ -604,8 +612,12 @@ def main(argv=None):
         return 5
     text = emit_report(rows, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("error: --out: %s" % exc, file=sys.stderr)
+            return 4
     else:
         sys.stdout.write(text)
     if all(row["status"] == estimators.CONVERGED for row in rows):

@@ -26,6 +26,7 @@ from .sequences import (
     _fit_line,
     _heat_quad,
     as_sequence,
+    dyadic_schedule,
     harmonic_sequence,
     log_average,
     oscillator_sequence,
@@ -46,15 +47,6 @@ HEAT_SCHEDULE = (1e2, 1e3, 1e4)
 # also relative to max(1, |value|)
 CESARO_RTOL = 1e-3
 AGREEMENT_TOL = 1e-2
-
-
-def dyadic_schedule(limit, start=1):
-    """Checkpoints 2^start .. 2^J with 2^J <= limit."""
-    limit = int(limit)
-    if limit < 2**start:
-        raise ValueError("limit %d below first checkpoint" % limit)
-    J = int(math.floor(math.log2(limit)))
-    return 2 ** np.arange(start, J + 1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -92,17 +84,15 @@ def _series_estimate(method, ks, vals, zs, extrapolate, notes=""):
     vals = np.asarray(vals, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.float64)
     raw = (ks, vals)
+    a, b, resid = _fit_line(zs, vals)
+    band = float(resid.max() - resid.min())
     if vals.size < 3:
-        a, b, resid = _fit_line(zs, vals)
-        band = float(resid.max() - resid.min()) if vals.size > 1 else 0.0
         return TraceEstimate(
             method, float(vals[-1]), raw, False, band,
             UNDETERMINED if band > EPS_CONV else CONVERGED,
             error_estimate=band + abs(float(vals[-1]) - a),
             notes=(notes + "; schedule too short to extrapolate").strip("; "),
         )
-    a, b, resid = _fit_line(zs, vals)
-    band = float(resid.max() - resid.min())
     half = vals.size // 2
     a_half, _, _ = _fit_line(zs[half:], vals[half:])
     err = 2.0 * float(np.max(np.abs(resid))) + abs(a - a_half)
@@ -203,10 +193,6 @@ class OscillatorModel:
 
         u0 = math.log(int(self.horizon) + 0.5)
         return (self.spectrum().heat_sum(t, alpha) + _heat_quad(expo, u0)) / t
-
-
-def _model_name(model):
-    return getattr(model, "name", type(model).__name__)
 
 
 # ------------------------------------------------------ dixmier estimate
@@ -474,7 +460,8 @@ def measurability_report(model, methods=("dixmier", "zeta", "heat_raw"),
         verdict = "Undetermined"
         notes = "some estimator returned no value"
     return MeasurabilityReport(
-        estimates, disc, verdict, AGREEMENT_TOL, _model_name(model), notes
+        estimates, disc, verdict, AGREEMENT_TOL,
+        getattr(model, "name", type(model).__name__), notes,
     )
 
 
@@ -571,12 +558,8 @@ def _truncate(x, L):
     expanded."""
     if x.length == L:
         return x
-    if x.counts is None:
-        return SingularSequence(x.head[:L])
-    ends = np.cumsum(x.counts)
-    r = int(np.searchsorted(ends, L))  # the run that holds index L
-    counts = x.counts[:r + 1].copy()
-    counts[-1] -= ends[r] - L
+    r, before = kernels._run_of(x.counts, L)  # the run that holds index L
+    counts = None if x.counts is None else np.append(x.counts[:r], L - before)
     return SingularSequence(x.head[:r + 1], None, counts)
 
 
@@ -610,9 +593,8 @@ def holder_check(t_model, v_model, p):
     else:
         # both factors are constant between the run ends of either, and
         # a plain one ends a run at every index
-        e = (np.union1d(np.cumsum(xh.counts), np.cumsum(yh.counts))
-             if xh.counts is not None and yh.counts is not None
-             else np.arange(1, L + 1))
+        e = np.union1d(kernels._run_ends(xh.counts, L),
+                       kernels._run_ends(yh.counts, L))
         prod = SingularSequence(xh.at(e) * yh.at(e), prod_tail,
                                 np.diff(e, prepend=0))
     xp = _seq_power(xh, p)

@@ -26,6 +26,10 @@ with the sum over the expanded values to the roundoff of the
 accumulator, while it evaluates one term per run.  ``counts=None`` is
 the plain input, summed exactly as before: no count array is made.
 
+Submajorization reads a plain input as a run of one at every index, so
+every pair takes its one exact path; ``sequences.submajorizes`` charges
+that path's footprint to the memory budget before it calls the kernel.
+
 Heat sums read a finite, nonnegative, nonincreasing head, as a
 ``SingularSequence`` stores it.  They sum the prefix of terms that the
 extended-precision accumulator resolves against the leading one, found
@@ -45,6 +49,7 @@ _X_NORMAL, _X_ZERO = 708.0, 750.0
 _TINY_HEAT = 2.0 ** -900
 _LN_2_64 = 64.0 * math.log(2.0)
 _CHUNK = 1 << 16
+_EPS_LONG = np.finfo(np.longdouble).eps
 
 # ---------------------------------------------------------------- sums
 
@@ -149,9 +154,18 @@ def _running_sums(values, stop, counts=None):
         buf[0] = run[-1]
 
 
+def _run_ends(counts, size):
+    """The 1-based index that ends each run: every index of a plain
+    input (counts None) of size values."""
+    return np.arange(1, size + 1) if counts is None else np.cumsum(counts)
+
+
 def _run_of(counts, ks):
     """(r, before): the 0-based run that holds each 1-based index k of
-    the expanded sequence, and the number of entries before that run."""
+    the expanded sequence, and the number of entries before that run; a
+    plain input (counts None) is a run of one at every index."""
+    if counts is None:
+        return ks - 1, ks - 1
     ends = np.cumsum(counts)
     r = np.searchsorted(ends, ks)
     return r, ends[r] - counts[r]
@@ -168,11 +182,8 @@ def prefix_log_average(values, ks, counts=None):
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     ks = np.ascontiguousarray(ks, dtype=np.int64)
-    if counts is None:
-        r = before = ks - 1
-    else:
-        counts = _as_counts(counts, values)
-        r, before = _run_of(counts, ks)
+    counts = _as_counts(counts, values)
+    r, before = _run_of(counts, ks)
     sums = np.zeros(ks.size, dtype=np.longdouble)
     for start, run in _running_sums(values, int(r[-1]) if ks.size else 0,
                                     counts):
@@ -222,18 +233,25 @@ def max_log_average(values, counts=None):
 # ------------------------------------------------------ submajorization
 
 
-def _prefix_at(values, counts, ks, dtype=np.longdouble):
-    """Sums of the first k entries of the expanded runs at 1-based
-    indices ks, past the last run the total: in extended precision, or
-    exactly on Python ints with dtype object (values then ints too)."""
-    whole = np.zeros(values.size + 1, dtype=dtype)  # of r runs
-    whole[1:] = np.cumsum(values.astype(dtype) * counts.astype(dtype))
-    inside = ks <= int(counts.sum())
-    r, before = _run_of(counts, ks[inside])
-    out = np.full(ks.size, whole[-1], dtype=dtype)
-    out[inside] = whole[r] + (ks[inside] - before).astype(dtype) * values[
-        r].astype(dtype)
-    return out
+def _prefix_at(values, counts, ks, e0=None):
+    """Sums of the first k entries of the expanded runs at increasing
+    1-based indices ks, past the last run the total, read from the runs
+    up to the one that holds the last k: in extended precision, or with
+    e0 exactly, on Python ints in units of 2^e0 (see _as_ints)."""
+    n = values.size if counts is None else int(counts.sum())
+    if ks[-1] > n:
+        ks = np.minimum(ks, n)
+    stop = int(_run_of(counts, ks[-1])[0]) + 1
+    terms = (values[:stop].astype(np.longdouble) if e0 is None
+             else _as_ints(values[:stop], e0))
+    whole = np.zeros(stop + 1, dtype=terms.dtype)  # of r runs
+    np.add.accumulate(terms if counts is None else terms * counts[:stop],
+                      out=whole[1:])
+    if counts is None:  # every index ends a run of one
+        return whole[ks]
+    r, before = _run_of(counts, ks)
+    # past the end of a run the sum grows by its value per index
+    return whole[r] + terms[r] * (ks - before)
 
 
 def _as_ints(values, e0):
@@ -247,45 +265,44 @@ def _as_ints(values, e0):
 
 def prefix_dominates(x, y, x_counts=None, y_counts=None):
     """True iff every partial sum of y is <= the matching partial sum
-    of x (shorter input zero-padded).
+    of x (nonnegative values, shorter input zero-padded), decided
+    exactly.
 
-    With counts either input is run-length; both prefix sums are then
-    linear between the run ends of x and of y, so they are compared at
-    the union of those ends only, and exactly: the extended-precision
-    sums decide every end whose gap exceeds their error bound, and the
-    ends within it are decided again on exact integer sums.  Two plain
-    inputs are compared on one extended-precision cumsum each."""
+    Either input may be run-length (counts given) or plain, a run of
+    one at every index.  Both prefix sums are linear between the run
+    ends of x and of y, so they are compared at the union of those ends
+    only: the extended-precision sums decide every end whose gap exceeds
+    their error bound, and the ends within it are decided again on
+    exact integer sums of the values up to the last of them.  One path
+    serves every pair; sequences.submajorizes charges its footprint to
+    the memory budget before it calls this kernel."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
+    x_counts, y_counts = _as_counts(x_counts, x), _as_counts(y_counts, y)
+    if not (x.size and y.size):  # an empty input sums to 0 everywhere
+        return not y.any()
     if x_counts is None and y_counts is None:
-        n = max(x.shape[0], y.shape[0])
-        px = np.zeros(n, dtype=np.longdouble)
-        py = np.zeros(n, dtype=np.longdouble)
-        px[: x.shape[0]] = x
-        py[: y.shape[0]] = y
-        return bool(np.all(np.cumsum(py) <= np.cumsum(px)))
-    x_counts = (np.ones(x.size, dtype=np.int64) if x_counts is None
-                else _as_counts(x_counts, x))
-    y_counts = (np.ones(y.size, dtype=np.int64) if y_counts is None
-                else _as_counts(y_counts, y))
-    ks = np.union1d(np.cumsum(x_counts), np.cumsum(y_counts))
+        ks = np.arange(1, max(x.size, y.size) + 1)
+    else:
+        ks = np.union1d(_run_ends(x_counts, x.size),
+                        _run_ends(y_counts, y.size))
     px = _prefix_at(x, x_counts, ks)
     py = _prefix_at(y, y_counts, ks)
     # each sum adds at most n + 1 rounded nonnegative products (n the
     # runs of its input) in n + 1 rounded additions: it is within about
-    # (2n + 2) u of its value, u = eps / 2 the unit roundoff
-    eps = np.finfo(np.longdouble).eps
-    bound = eps * ((x.size + 2) * px + (y.size + 2) * py)
-    if np.any(py - px > bound):
+    # (2n + 2) u of its value, u = eps / 2 the unit roundoff; prefix
+    # sums never decrease, so the bound at the totals holds at every end
+    bound = _EPS_LONG * ((x.size + 2) * px[-1] + (y.size + 2) * py[-1])
+    gap = px - py
+    if (gap < -bound).any():
         return False
-    close = px - py <= bound
-    if not close.any():
+    ks = ks[gap <= bound]
+    if not ks.size:
         return True
     nonzero = np.concatenate([x[x > 0.0], y[y > 0.0]])
     e0 = int(np.frexp(nonzero)[1].min(initial=0)) - 53
-    ks = ks[close]
-    return bool(np.all(_prefix_at(_as_ints(y, e0), y_counts, ks, object)
-                       <= _prefix_at(_as_ints(x, e0), x_counts, ks, object)))
+    return bool((_prefix_at(y, y_counts, ks, e0)
+                 <= _prefix_at(x, x_counts, ks, e0)).all())
 
 
 # ------------------------------------------------------- lattice sweeps

@@ -115,16 +115,10 @@ def _pieces(f, t0, t1):
     for a, b in zip(grid[:-1], grid[1:]):
         if a >= f.horizon:
             yield a, b, f.tail_value, f.tail_value
-        elif f.kind == "step":
-            va = float(_raw_values(f, np.float64(a)))
-            yield a, b, va, va
-        else:
-            yield (
-                a,
-                b,
-                float(_raw_values(f, np.float64(a))),
-                float(_raw_values(f, np.float64(b))),
-            )
+            continue
+        va = float(_raw_values(f, np.float64(a)))
+        vb = va if f.kind == "step" else float(_raw_values(f, np.float64(b)))
+        yield a, b, va, vb
 
 
 def integral(f, t0, t1):
@@ -367,12 +361,6 @@ def _geometric_fill(lo, hi):
     return lo * RESAMPLE_RATIO ** np.arange(1, max(n, 1))
 
 
-def _inside(f, ts):
-    """Clamp ts into [domain_start, horizon) for safe evaluation."""
-    edge = np.nextafter(f.horizon, f.domain_start)
-    return np.minimum(np.maximum(ts, f.domain_start), edge)
-
-
 def power_cont(f, a):
     """P_a(f)(t) = f(t^a), a > 0.
 
@@ -395,7 +383,9 @@ def power_cont(f, a):
     knots = knots[(knots >= f.domain_start) & (knots < new_h)]
     if knots.size == 0 or knots[0] != f.domain_start:
         knots = np.concatenate([[f.domain_start], knots])
-    vals = evaluate(f, _inside(f, knots**a))
+    # clamped into [domain_start, horizon) for evaluation
+    edge = np.nextafter(f.horizon, f.domain_start)
+    vals = evaluate(f, np.minimum(np.maximum(knots**a, f.domain_start), edge))
     return PiecewiseFunction(
         "linear", knots, vals, f.domain_start, new_h, f.tail_value,
         note="geometric resample of a power substitution",

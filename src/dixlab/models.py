@@ -37,6 +37,14 @@ def _check_dim(n):
         raise ValueError("lattice dimension must be 1, 2 or 3")
 
 
+def _check_multiplier(f, n):
+    if not isinstance(f, FourierMultiplier):
+        raise TypeError("first argument must be a FourierMultiplier")
+    _check_dim(n)
+    if f.dim != n:
+        raise ValueError("multiplier dimension %d != n=%d" % (f.dim, n))
+
+
 def _operator_power(n, power):
     """The exponent p of (1+Delta)^{-p}: n/2 when power is None, and
     positive and finite in any case."""
@@ -319,11 +327,7 @@ def multiplication_matrix(f, n, halfwidth, power=None):
 
     Coefficients reaching outside the 2M difference cube cannot connect
     any pair of basis points; they are ignored and noted."""
-    if not isinstance(f, FourierMultiplier):
-        raise TypeError("first argument must be a FourierMultiplier")
-    _check_dim(n)
-    if f.dim != n:
-        raise ValueError("multiplier dimension %d != n=%d" % (f.dim, n))
+    _check_multiplier(f, n)
     p = _operator_power(n, power)
     M = int(halfwidth)
     if M < 1:
@@ -619,20 +623,14 @@ def _phase(theta, k):
     return cmath.exp(2j * math.pi * theta * k)
 
 
-def _same_theta(a, b):
-    if a.theta != b.theta:
-        raise ValueError(
-            "theta mismatch: %r vs %r" % (a.theta, b.theta)
-        )
-
-
 def nc_product(a, b):
     """(ab)_{r,s} = sum_{m,n} a_{r-m,n} lambda^{mn} b_{m,s-n}.
 
     Under this printed convention vu = lambda * uv; the glossary's
     "uv = lambda vu" corresponds to theta -> -theta and does not affect
     any tau_0 identity."""
-    _same_theta(a, b)
+    if a.theta != b.theta:
+        raise ValueError("theta mismatch: %r vs %r" % (a.theta, b.theta))
     out = {}
     for (p, q), va in a.coefficients.items():
         for (m, w), vb in b.coefficients.items():
@@ -666,11 +664,7 @@ def nc_torus_spectrum(cutoff_radius, power=None):
 def connes_rhs(f, n):
     """Vol(S^{n-1}) * fhat(0) / n: the residue-side constant of the
     trace theorem for the multiplier f on the n-torus."""
-    if not isinstance(f, FourierMultiplier):
-        raise TypeError("first argument must be a FourierMultiplier")
-    _check_dim(n)
-    if f.dim != n:
-        raise ValueError("multiplier dimension %d != n=%d" % (f.dim, n))
+    _check_multiplier(f, n)
     val = f.fhat0 * SPHERE_VOL[n] / n
     if f.real_flag:
         return float(val.real)

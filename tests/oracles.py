@@ -149,7 +149,7 @@ def exact_dominates(x, y):
     zero-padded), in exact integer arithmetic: floats are dyadic
     rationals, scaled here to one common denominator."""
     ratios = [float(v).as_integer_ratio() for v in list(x) + list(y)]
-    den = max(d for _, d in ratios)
+    den = max((d for _, d in ratios), default=1)
     ints = [n * (den // d) for n, d in ratios]
     sx, sy = ints[:len(x)], ints[len(x):]
     sx += [0] * (len(sy) - len(sx))

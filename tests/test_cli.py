@@ -322,6 +322,35 @@ class TestMainExitCodes:
         assert cli.main([]) == 4
         capsys.readouterr()
 
+    def test_negative_seed_with_check_exits_four(self, capsys):
+        assert cli.main(["--check", "--seed", "-1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: argument --seed: expected a "
+                                "nonnegative integer, got '-1'\n")
+
+    def test_negative_seed_override_exits_four(self, tmp_path, capsys):
+        code = cli.main(["--config", self._write(tmp_path, _cfg()),
+                         "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: argument --seed: expected a nonnegative integer, "
+            "got '-1'"]
+
+    def test_unwritable_out_exits_four(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.csv"
+        code = cli.main(["--config", self._write(tmp_path, _cfg()),
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if not line.startswith("# ")]
+        assert errors == ["error: --out: [Errno 2] No such file or "
+                          "directory: %r" % str(out)]
+
     def test_check_passes(self, capsys):
         code = cli.main(["--check"])
         out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -278,12 +279,52 @@ class TestPrefixDominates:
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_matches_cumsum(self, seed):
+    def test_plain_pairs_match_the_integer_oracle(self, seed):
         r = _rng(seed)
         x = _sorted_desc(r.random(64))
         y = _sorted_desc(r.random(64))
-        want = bool(np.all(np.cumsum(x) >= np.cumsum(y) - 1e-12))
+        want = oracles.exact_dominates(x, y)
         assert kernels.prefix_dominates(x, y) == want
+
+    @staticmethod
+    def _assert_exact(x, y):
+        """Both directions, each input plain, as runs of one, and as the
+        runs its tied values make."""
+        def forms(v):
+            first = np.flatnonzero(np.diff(v, prepend=np.inf))
+            yield v, None
+            yield v, np.ones(v.size, dtype=np.int64)
+            yield v[first], np.diff(np.append(first, v.size))
+        for a, b in ((x, y), (y, x)):
+            want = oracles.exact_dominates(a, b)
+            for (va, ca), (vb, cb) in itertools.product(forms(a), forms(b)):
+                assert kernels.prefix_dominates(va, vb, ca, cb) == want, (
+                    a, b, ca, cb)
+
+    def test_tied_prefix_sums_decided_exactly(self):
+        # y's second partial sum, 0.5 + 2^-66, exceeds x's, 0.5 + 2^-67
+        x = np.array([0.5, 2.0**-67, 2.0**-67, 2.0**-68])
+        y = np.array([0.5, 2.0**-66, 2.0**-68])
+        assert not kernels.prefix_dominates(x, y)
+        self._assert_exact(x, y)
+
+    def test_dyadic_split_pairs(self):
+        # one value split into halves: prefix sums tie or differ by less
+        # than an extended-precision ulp of the total
+        r = _rng(3)
+        for _ in range(300):
+            m = int(r.integers(1, 8))
+            x = _sorted_desc(r.random(m) * 2.0 ** r.integers(-80, 2, m))
+            i = int(r.integers(m))
+            y = _sorted_desc(np.append(np.delete(x, i), [x[i] / 2] * 2))
+            self._assert_exact(x, y)
+
+    def test_empty_and_zero_padded_inputs(self):
+        x = _sorted_desc([3.0, 1.0, 1.0, 0.25])
+        for y in (np.empty(0), np.zeros(2), x[:2], np.nextafter(x[:3], 4.0),
+                  _sorted_desc([3.0, 1.0, 1.25])):
+            self._assert_exact(x, y)
+        self._assert_exact(np.empty(0), np.empty(0))
 
 
 class TestShellCounts:

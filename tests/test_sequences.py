@@ -324,13 +324,11 @@ class TestSubmajorization:
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)
-    def test_matches_fsum_brute(self, seed):
+    def test_plain_pairs_match_the_integer_oracle(self, seed):
         r = _rng(seed)
         x = dx.decreasing_rearrangement(r.random(128))
         y = dx.decreasing_rearrangement(r.random(128))
-        lhs = np.cumsum(x.values)
-        rhs = np.cumsum(y.values)
-        want = bool(np.all(lhs >= rhs))
+        want = oracles.exact_dominates(x.values, y.values)
         assert dx.submajorizes(x, y) == want
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -381,6 +379,13 @@ class TestSubmajorization:
         expanded = dx.SingularSequence(lattice.values)
         assert dx.submajorizes(lattice, expanded)
         assert dx.submajorizes(expanded, lattice)
+
+    def test_charges_its_footprint_before_the_kernel(self, monkeypatch):
+        x = dx.harmonic_sequence(10**6)
+        y = x.scaled(0.5)
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "100")
+        with pytest.raises(dx.BudgetError, match="submajorization"):
+            dx.submajorizes(x, y)
 
     def test_subadditivity_of_rearranged_sums(self):
         r = _rng(7)
