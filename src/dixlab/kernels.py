@@ -16,7 +16,9 @@ temporary the size of the input is made.  2^16 is a multiple of numpy's
 8192-element reduction buffer, so the additions are exactly those of one
 ``np.sum`` over the same terms.  Prefix sums run in the same blocks,
 each block's cumsum seeded with the previous total, so they make the
-same additions as one cumsum without holding it.
+same additions as one cumsum without holding it; one routine reads
+them at given indices, in extended precision or exactly on Python
+ints, for log averages and both passes of submajorization.
 
 Every sum and prefix sum also takes a run-length input: values v_i
 with int64 ``counts`` c_i stand for each v_i repeated c_i times.  The
@@ -28,7 +30,7 @@ the plain input, summed exactly as before: no count array is made.
 
 Submajorization reads a plain input as a run of one at every index, so
 every pair takes its one exact path; ``sequences.submajorizes`` charges
-that path's footprint to the memory budget before it calls the kernel.
+the sums it holds at the compared indices to the memory budget first.
 
 Heat sums read a finite, nonnegative, nonincreasing head, as a
 ``SingularSequence`` stores it.  They sum the prefix of terms that the
@@ -138,20 +140,33 @@ def heat_sum(values, t, alpha, counts=None):
 # ------------------------------------------------- logarithmic averages
 
 
-def _running_sums(values, stop, counts=None):
+def _running_sums(values, stop, counts=None, e0=None):
     """Yield (start, run) over values[:stop] in chunks of _CHUNK: run[i]
-    is the extended-precision sum of the first start + i values (each
-    times its count, if given), added one at a time as np.cumsum adds
-    them.  run is one reused buffer, valid until the next chunk."""
-    buf = np.zeros(min(_CHUNK, stop) + 1, dtype=np.longdouble)
+    is the sum of the first start + i values (each times its count, if
+    given), added one at a time as np.cumsum adds them: in extended
+    precision, or with e0 exactly, on Python ints in units of 2^e0 (see
+    _as_ints).  run is one reused buffer, valid until the next chunk."""
+    buf = np.zeros(min(_CHUNK, stop) + 1,
+                   dtype=np.longdouble if e0 is None else object)
     for start in range(0, stop, _CHUNK):
         run = buf[: min(_CHUNK, stop - start) + 1]
-        run[1:] = values[start:start + run.size - 1]
+        block = values[start:start + run.size - 1]
+        run[1:] = block if e0 is None else _as_ints(block, e0)
         if counts is not None:
             run[1:] *= counts[start:start + run.size - 1]
-        np.cumsum(run, out=run)
+        np.add.accumulate(run, out=run)
         yield start, run
         buf[0] = run[-1]
+
+
+def _as_ints(values, e0):
+    """values as Python ints in units of 2^e0, e0 at most the weight of
+    the last mantissa bit of every nonzero value: v = m 2^e with m a
+    53-bit integer is m << (e - e0) units."""
+    mant, expo = np.frexp(values)
+    ints = np.ldexp(mant, 53).astype(np.int64).astype(object)
+    ints <<= np.maximum(expo - 53 - e0, 0).astype(object)
+    return ints
 
 
 def _run_ends(counts, size):
@@ -171,25 +186,41 @@ def _run_of(counts, ks):
     return r, ends[r] - counts[r]
 
 
+def _prefix_sums(values, ks, counts=None, e0=None):
+    """Sums of the first k expanded values at increasing 1-based ks
+    (past the end the total), as _running_sums gives them chunk by
+    chunk: the running sum at k, or at the run r holding k plus
+    (k - C_{r-1}) v_r for a run-length input, C the cumulative counts."""
+    n = values.size if counts is None else int(counts.sum())
+    if ks.size and ks[-1] > n:
+        ks = np.minimum(ks, n)
+    at, before = (ks, None) if counts is None else _run_of(counts, ks)
+    stop = int(at[-1]) if at.size else 0
+    sums = np.zeros(ks.size, dtype=np.longdouble if e0 is None else object)
+    lo = 0
+    for start, run in _running_sums(values, stop, counts, e0):
+        end = start + run.size - 1
+        hi = at.size if at[-1] <= end else np.searchsorted(at, end, "right")
+        run.take(at[lo:hi] - start if start else at[lo:hi], out=sums[lo:hi])
+        lo = hi
+    if counts is not None:
+        v = values[at]
+        step = v.astype(np.longdouble) if e0 is None else _as_ints(v, e0)
+        step *= ks - before
+        sums += step
+    return sums
+
+
 def prefix_log_average(values, ks, counts=None):
     """alpha_k = (sum of first k values) / log(1+k) at checkpoints ks.
 
     ks must be strictly increasing 1-based indices, each <= len(values),
-    or <= counts.sum() for a run-length input.  The sum up to k is that
-    of the whole runs before the run r holding k, plus (k - C_{r-1}) v_r,
-    C the cumulative counts; a plain value is a run of one, for which
-    this is the addition np.cumsum makes.
+    or <= counts.sum() for a run-length input; the sums are those of
+    _prefix_sums, which make the additions np.cumsum makes.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     ks = np.ascontiguousarray(ks, dtype=np.int64)
-    counts = _as_counts(counts, values)
-    r, before = _run_of(counts, ks)
-    sums = np.zeros(ks.size, dtype=np.longdouble)
-    for start, run in _running_sums(values, int(r[-1]) if ks.size else 0,
-                                    counts):
-        here = (r >= start) & (r < start + run.size)
-        sums[here] = run[r[here] - start]
-    sums += (ks - before) * values[r].astype(np.longdouble)
+    sums = _prefix_sums(values, ks, _as_counts(counts, values))
     return (sums / np.log(1.0 + ks.astype(np.longdouble))).astype(np.float64)
 
 
@@ -233,49 +264,19 @@ def max_log_average(values, counts=None):
 # ------------------------------------------------------ submajorization
 
 
-def _prefix_at(values, counts, ks, e0=None):
-    """Sums of the first k entries of the expanded runs at increasing
-    1-based indices ks, past the last run the total, read from the runs
-    up to the one that holds the last k: in extended precision, or with
-    e0 exactly, on Python ints in units of 2^e0 (see _as_ints)."""
-    n = values.size if counts is None else int(counts.sum())
-    if ks[-1] > n:
-        ks = np.minimum(ks, n)
-    stop = int(_run_of(counts, ks[-1])[0]) + 1
-    terms = (values[:stop].astype(np.longdouble) if e0 is None
-             else _as_ints(values[:stop], e0))
-    whole = np.zeros(stop + 1, dtype=terms.dtype)  # of r runs
-    np.add.accumulate(terms if counts is None else terms * counts[:stop],
-                      out=whole[1:])
-    if counts is None:  # every index ends a run of one
-        return whole[ks]
-    r, before = _run_of(counts, ks)
-    # past the end of a run the sum grows by its value per index
-    return whole[r] + terms[r] * (ks - before)
-
-
-def _as_ints(values, e0):
-    """values as Python ints in units of 2^e0, e0 at most the weight of
-    the last mantissa bit of every nonzero value: v = m 2^e with m a
-    53-bit integer is m << (e - e0) units."""
-    mant, expo = np.frexp(values)
-    return (np.ldexp(mant, 53).astype(np.int64).astype(object)
-            << np.maximum(expo - 53 - e0, 0).astype(object))
-
-
 def prefix_dominates(x, y, x_counts=None, y_counts=None):
     """True iff every partial sum of y is <= the matching partial sum
-    of x (nonnegative values, shorter input zero-padded), decided
-    exactly.
+    of x (nonnegative nonincreasing values, shorter input zero-padded),
+    decided exactly.
 
     Either input may be run-length (counts given) or plain, a run of
     one at every index.  Both prefix sums are linear between the run
     ends of x and of y, so they are compared at the union of those ends
-    only: the extended-precision sums decide every end whose gap exceeds
-    their error bound, and the ends within it are decided again on
-    exact integer sums of the values up to the last of them.  One path
-    serves every pair; sequences.submajorizes charges its footprint to
-    the memory budget before it calls this kernel."""
+    only, both passes streamed by _prefix_sums: the extended-precision
+    sums decide every end whose gap exceeds their error bound, and the
+    ends within it are decided again on exact integer sums.  One path
+    serves every pair; sequences.submajorizes charges the sums it holds
+    to the memory budget before it calls this kernel."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     x_counts, y_counts = _as_counts(x_counts, x), _as_counts(y_counts, y)
@@ -286,23 +287,31 @@ def prefix_dominates(x, y, x_counts=None, y_counts=None):
     else:
         ks = np.union1d(_run_ends(x_counts, x.size),
                         _run_ends(y_counts, y.size))
-    px = _prefix_at(x, x_counts, ks)
-    py = _prefix_at(y, y_counts, ks)
+    px = _prefix_sums(x, ks, x_counts)
+    py = _prefix_sums(y, ks, y_counts)
     # each sum adds at most n + 1 rounded nonnegative products (n the
     # runs of its input) in n + 1 rounded additions: it is within about
     # (2n + 2) u of its value, u = eps / 2 the unit roundoff; prefix
     # sums never decrease, so the bound at the totals holds at every end
     bound = _EPS_LONG * ((x.size + 2) * px[-1] + (y.size + 2) * py[-1])
-    gap = px - py
+    gap = np.subtract(px, py, out=px)
+    del px, py  # the exact pass holds only the sums at the ends it decides
     if (gap < -bound).any():
         return False
     ks = ks[gap <= bound]
+    del gap
     if not ks.size:
         return True
-    nonzero = np.concatenate([x[x > 0.0], y[y > 0.0]])
-    e0 = int(np.frexp(nonzero)[1].min(initial=0)) - 53
-    return bool((_prefix_at(y, y_counts, ks, e0)
-                 <= _prefix_at(x, x_counts, ks, e0)).all())
+    e0 = _exact_unit(x, y)
+    return bool((_prefix_sums(y, ks, y_counts, e0)
+                 <= _prefix_sums(x, ks, x_counts, e0)).all())
+
+
+def _exact_unit(*heads):
+    """e0 for _as_ints over nonempty nonincreasing heads, at most -53:
+    the last mantissa bit of the last positive value of any head."""
+    last = [v[bisect_left(v, 0.0, key=neg) - 1] for v in heads]  # or 0.0
+    return min(0, *(math.frexp(v)[1] for v in last)) - 53
 
 
 # ------------------------------------------------------- lattice sweeps
@@ -313,13 +322,11 @@ def shell_counts(n, radius):
     k = |m|^2 <= radius^2 and r_n(k) = #{m in Z^n : |m|^2 = k} > 0, as
     two int64 arrays.
 
-    Starts from the point mass at 0 and, once per dimension, adds a copy
-    of the shells shifted by each m^2 <= radius^2 (weight 1 for m = 0, 2
-    for m > 0).  Copies holding at most a quarter as many entries as a
-    dense 0..radius^2 table are merged by sorting, others are added into
-    that table, so the 1-torus keeps radius + 1 shells and no pass holds
-    more than a few words per lattice point or per table entry, whichever
-    is fewer.  n in {1, 2, 3}.
+    Starts from the 1-D shells m^2 <= radius^2 (weight 1 for m = 0, 2
+    for m > 0) and, once per further dimension, adds a copy of the
+    shells shifted by each m^2 into a dense 0..radius^2 table, so no
+    pass holds more than a few words per table entry or, on the
+    1-torus, per shell.  n in {1, 2, 3}.
     """
     if n not in (1, 2, 3):
         raise ValueError("lattice dimension must be 1, 2 or 3")
@@ -329,26 +336,15 @@ def shell_counts(n, radius):
     r2 = radius * radius
     squares = np.arange(radius + 1, dtype=np.int64) ** 2
     weights = np.where(squares > 0, 2, 1)
-    keys = np.zeros(1, dtype=np.int64)
-    counts = np.ones(1, dtype=np.int64)
-    for _ in range(n):
+    keys, counts = squares, weights
+    for _ in range(n - 1):
         # the copy shifted by m^2 takes the js[m] shells with k + m^2 <= r2
         js = np.searchsorted(keys, r2 - squares, side="right")
-        total = int(js.sum())
-        if 4 * total <= r2:
-            m = np.repeat(np.arange(radius + 1), js)
-            i = np.arange(total) - np.repeat(np.cumsum(js) - js, js)
-            k = keys[i] + squares[m]
-            order = np.argsort(k, kind="stable")
-            k, c = k[order], (counts[i] * weights[m])[order]
-            first = np.flatnonzero(np.diff(k, prepend=-1))
-            keys, counts = k[first], np.add.reduceat(c, first)
-        else:
-            table = np.zeros(r2 + 1, dtype=np.int64)
-            for j, sq, w in zip(js, squares, weights):
-                table[keys[:j] + sq] += w * counts[:j]
-            keys = np.flatnonzero(table)
-            counts = table[keys]
+        table = np.zeros(r2 + 1, dtype=np.int64)
+        for j, sq, w in zip(js, squares, weights):
+            table[keys[:j] + sq] += w * counts[:j]
+        keys = np.flatnonzero(table)
+        counts = table[keys]
     return keys, counts
 
 

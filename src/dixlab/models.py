@@ -61,7 +61,7 @@ def _shells(n, radius):
     """kernels.shell_counts(n, radius) behind the memory budget.
 
     The shell table holds at most min(point count, radius^2 + 1)
-    entries, six int64 words each with the temporaries of its merges.
+    entries, six int64 words each with the temporaries of a dense pass.
     """
     _check_dim(n)
     radius = int(radius)

@@ -1,6 +1,14 @@
+import os
+
 import pytest
 
 import dixlab
+
+# tests that run `python -m dixlab` in a subprocess import the package
+# this run imports, also when only pytest's pythonpath setting finds it
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(dixlab.__file__)),
+                  os.environ.get("PYTHONPATH")]))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -514,6 +514,8 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert "experiments[1].model.path: %s" % seq_path in captured.err
+        # every model is built before the harmonic one runs a method
+        assert "# fine/" not in captured.err
         assert [str(w.message) for w in caught] == []
 
 

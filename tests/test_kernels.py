@@ -327,6 +327,89 @@ class TestPrefixDominates:
         self._assert_exact(np.empty(0), np.empty(0))
 
 
+class TestStreamedPrefixSums:
+    # both passes of prefix_dominates read _prefix_sums chunk by chunk;
+    # the sums must be those of one full cumsum wherever the ks fall
+
+    @staticmethod
+    def _ks(n):
+        c = kernels._CHUNK
+        edges = [e + d for e in (c, 2 * c) for d in (-1, 0, 1)]
+        return np.array([1] + [k for k in edges if k < n] + [n - 1, n, n + 5],
+                        dtype=np.int64)
+
+    def test_plain_sums_equal_one_cumsum(self):
+        v = _sorted_desc(_rng(12).random(2 * kernels._CHUNK + 9))
+        ks = self._ks(v.size)
+        want = np.cumsum(v, dtype=np.longdouble)[np.minimum(ks, v.size) - 1]
+        got = kernels._prefix_sums(v, ks)
+        assert got.dtype == np.longdouble
+        assert (got == want).all()
+
+    def test_run_length_sums_equal_one_cumsum(self):
+        v, c = _runs(13, 2 * kernels._CHUNK + 9, max_count=4, zeros=3)
+        ends = np.cumsum(c)
+        ks = np.unique(np.concatenate([self._ks(int(ends[-1])),
+                                       ends[kernels._CHUNK - 1:][:3]]))
+        whole = np.concatenate(
+            [[0], np.cumsum(v.astype(np.longdouble) * c)])
+        r = np.searchsorted(ends, np.minimum(ks, ends[-1]))
+        want = (whole[r] + v[r].astype(np.longdouble)
+                * (np.minimum(ks, ends[-1]) - (ends[r] - c[r])))
+        assert (kernels._prefix_sums(v, ks, c) == want).all()
+
+    def test_exact_sums_count_units_of_two_to_e0(self):
+        v, c = _runs(14, kernels._CHUNK + 40, max_count=3, zeros=2)
+        v[-2] = 2.0 ** -1060  # a subnormal value
+        w = np.repeat(v, c)
+        e0 = kernels._exact_unit(v)
+        units = [n << (-e0 - d.bit_length() + 1)
+                 for n, d in map(float.as_integer_ratio, w.tolist())]
+        want = list(itertools.accumulate(units))
+        ks = self._ks(w.size)
+        got = kernels._prefix_sums(v, ks, c, e0)
+        assert got.tolist() == [want[min(k, w.size) - 1] for k in ks]
+        got = kernels._prefix_sums(w, ks, None, e0)
+        assert got.tolist() == [want[min(k, w.size) - 1] for k in ks]
+
+    @staticmethod
+    def _tiny_tail(r, n_big, n_tiny):
+        # past n_big the values are some 2^-70 of the head: prefix sums
+        # that differ there sit far inside the extended-precision bound,
+        # so the exact pass decides every end, across chunk edges
+        big = np.sort(r.uniform(0.5, 1.0, n_big))[::-1]
+        tiny = np.sort(r.uniform(0.5, 1.0, n_tiny))[::-1] * 2.0 ** -70
+        return np.concatenate([big, tiny])
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_plain_dyadic_split_at_a_chunk_edge(self, shift):
+        c = kernels._CHUNK
+        i = c + shift  # the split value, the first tiny one
+        x = self._tiny_tail(_rng(15 + shift), i, c + 7)
+        y = _sorted_desc(np.concatenate([np.delete(x, i), [x[i] / 2] * 2]))
+        assert x.size > 2 * c
+        for a, b in ((x, y), (y, x)):
+            assert kernels.prefix_dominates(a, b) == (
+                oracles.exact_dominates(a, b))
+
+    def test_run_length_dyadic_split_at_a_chunk_edge(self):
+        c = kernels._CHUNK
+        r = _rng(18)
+        i = c  # the first run of the second chunk
+        v = self._tiny_tail(r, i, c + 7)
+        cv = r.integers(1, 3, v.size)
+        w = np.repeat(v, cv)
+        j = int(cv[:i].sum())  # one entry of the first tiny run, split
+        z = _sorted_desc(np.concatenate([np.delete(w, j), [w[j] / 2] * 2]))
+        first = np.flatnonzero(np.diff(z, prepend=np.inf))
+        y, cy = z[first], np.diff(np.append(first, z.size))
+        assert v.size > c and y.size > c
+        for (a, ca), (b, cb) in (((v, cv), (y, cy)), ((y, cy), (v, cv))):
+            want = oracles.exact_dominates(np.repeat(a, ca),
+                                           np.repeat(b, cb))
+            assert kernels.prefix_dominates(a, b, ca, cb) == want
+
+
 class TestShellCounts:
     @given(st.sampled_from((1, 2, 3)), st.integers(1, 9))
     @settings(max_examples=40, deadline=None)

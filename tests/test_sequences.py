@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dixlab as dx
+from dixlab import kernels, sequences
 from dixlab.sequences import tail_sum, tail_power_sum, tail_heat_sum
 
 import oracles
@@ -386,6 +388,38 @@ class TestSubmajorization:
         monkeypatch.setenv("DIXLAB_BUDGET_MB", "100")
         with pytest.raises(dx.BudgetError, match="submajorization"):
             dx.submajorizes(x, y)
+
+    def test_charge_admits_a_pair_that_fits(self, monkeypatch):
+        # a fixed 256 B per run charged this pair 488 MB
+        h = dx.harmonic_sequence(10**6)
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "300")
+        assert dx.submajorizes(h, h.scaled(0.5))
+
+    @pytest.mark.parametrize("name", ["harmonic", "oscillator", "lattice",
+                                      "wide"])
+    def test_charge_covers_what_the_kernel_holds(self, monkeypatch, name):
+        n = 70_000  # past one chunk of the prefix-sum stream
+        x = {
+            "harmonic": lambda: dx.harmonic_sequence(n),
+            "oscillator": lambda: dx.oscillator_sequence(n),
+            "lattice": lambda: dx.LatticeModel(3, 60).spectrum(),
+            # about 1000 binary orders: wide exact integer sums
+            "wide": lambda: dx.SingularSequence(
+                2.0 ** -np.linspace(0.0, 1000.0, n)),
+        }[name]()
+        charged = []
+        monkeypatch.setattr(sequences, "_check_budget",
+                            lambda what, need: charged.append(need))
+        # self pairs take the exact pass at every end, scaled ones never
+        for y in (x, x.scaled(0.5)):
+            assert dx.submajorizes(x, y)
+            tracemalloc.start()
+            try:
+                kernels.prefix_dominates(x.head, y.head, x.counts, y.counts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert charged.pop() >= peak
 
     def test_subadditivity_of_rearranged_sums(self):
         r = _rng(7)
