@@ -23,6 +23,7 @@ from .sequences import (
     EPS_OSC,
     PowerLogTail,
     SingularSequence,
+    _charge_build,
     _fit_line,
     _heat_quad,
     as_sequence,
@@ -31,6 +32,7 @@ from .sequences import (
     log_average,
     oscillator_sequence,
     power_log_sequence,
+    tail_heat_sum,
     tauberian_classify,
 )
 
@@ -41,11 +43,8 @@ UNDETERMINED = "Undetermined"
 # default schedules: zeta at s = 1 + 1/k, heat at times t
 ZETA_SCHEDULE = (25, 50, 100, 200)
 HEAT_SCHEDULE = (1e2, 1e3, 1e4)
-# a Cesaro heat estimate whose values move by more than CESARO_RTOL
-# (relative to max(1, |value|)) when the grid is halved is Undetermined;
 # converged estimates agree when their spread is within AGREEMENT_TOL,
-# also relative to max(1, |value|)
-CESARO_RTOL = 1e-3
+# relative to max(1, |value|)
 AGREEMENT_TOL = 1e-2
 
 
@@ -115,6 +114,15 @@ def _series_estimate(method, ks, vals, zs, extrapolate, notes=""):
     )
 
 
+def _finite(value, kind, at):
+    """value, unless the kind sum at `at` (such as "s=1.04") diverges or
+    passes the float64 range: then ValueError."""
+    if not math.isfinite(value):
+        raise ValueError("%s evaluation divergent or past the float64 "
+                         "range at %s" % (kind, at))
+    return value
+
+
 # ------------------------------------------------------- source handling
 
 
@@ -165,6 +173,8 @@ class OscillatorModel:
     def __post_init__(self):
         if int(self.horizon) < 3:
             raise ValueError("oscillator horizon must be >= 3")
+        # charged here, before any experiment runs: the spectrum is lazy
+        _charge_build("oscillator", int(self.horizon))
 
     def spectrum(self):
         cached = getattr(self, "_spec", None)
@@ -186,13 +196,12 @@ class OscillatorModel:
         tail, _ = integrate.quad(g, u0, math.inf, limit=400)
         return head + tail
 
-    def heat(self, t, alpha=1.0):
-        def expo(u):
-            mu = (2.0 + math.sin(math.log(u))) * math.exp(-u)
-            return (t * mu) ** (-alpha)
+    def heat_tail(self, t, alpha=1.0):
+        """The heat sum past the head, in u = log x from horizon + 1/2."""
+        def log_expo(u):  # log (t * mu)^-alpha, mu at x = e^u
+            return -alpha * (math.log(t * (2.0 + math.sin(math.log(u)))) - u)
 
-        u0 = math.log(int(self.horizon) + 0.5)
-        return (self.spectrum().heat_sum(t, alpha) + _heat_quad(expo, u0)) / t
+        return _heat_quad(log_expo, math.log(int(self.horizon) + 0.5))
 
 
 # ------------------------------------------------------ dixmier estimate
@@ -290,10 +299,7 @@ def zeta_residue_estimate(source, k_schedule=ZETA_SCHEDULE):
     guarded = True
     for i, k in enumerate(ks):
         s = 1.0 + 1.0 / float(k)
-        z = float(evaluator(s))
-        if math.isinf(z) or math.isnan(z):
-            raise ValueError("zeta evaluation divergent or past the float64 "
-                             "range at s=%g" % s)
+        z = _finite(float(evaluator(s)), "zeta", "s=%g" % s)
         vals[i] = z / float(k)
         if guard is not None and not guard(s, z):
             guarded = False
@@ -309,58 +315,36 @@ def zeta_residue_estimate(source, k_schedule=ZETA_SCHEDULE):
 # -------------------------------------------------------- heat estimates
 
 
+def _heat_closure(source):
+    """(x, tail): the spectrum of source and its raw heat sum past the
+    head, tail(t, alpha): the model's where it closes its own tail, else
+    the tail model's from n = length + 1, else 0.0."""
+    x = _spectrum_of(source)
+    if hasattr(source, "heat_tail"):
+        return x, source.heat_tail
+    if x.tail is None:
+        return x, lambda t, alpha: 0.0
+    return x, lambda t, alpha: tail_heat_sum(x.tail, t, alpha, x.length + 1)
+
+
 def heat_trace(source, t, alpha_exp=1.0):
-    """g(t) = (1/t) * sum_n exp(-(t mu_n)^{-alpha}), tail-corrected when
-    the source carries a tail model; zero eigenvalues contribute zero."""
-    t = float(t)
-    alpha = float(alpha_exp)
-    if t <= 0.0 or alpha <= 0.0:
-        raise ValueError("t and alpha must be positive")
-    if hasattr(source, "heat"):
-        return float(source.heat(t, alpha))
-    return _spectrum_of(source).heat_sum(t, alpha) / t
-
-
-def _log_cesaro_values(g_nodes, nodes, ts):
-    """(1/log T) int_1^T g ds/s for the piecewise-linear model of g on
-    the node grid, exactly per piece, at each scheduled T (a node)."""
-    parts = np.empty(nodes.size - 1)
-    for i in range(nodes.size - 1):
-        s0, s1 = nodes[i], nodes[i + 1]
-        g0, g1 = g_nodes[i], g_nodes[i + 1]
-        slope = (g1 - g0) / (s1 - s0)
-        parts[i] = (g0 - slope * s0) * math.log(s1 / s0) + slope * (s1 - s0)
-    acc = np.concatenate([[0.0], np.cumsum(parts)])
-    out = np.empty(len(ts))
-    for j, T in enumerate(ts):
-        i = int(np.searchsorted(nodes, T))
-        out[j] = acc[i] / math.log(T)
-    return out
-
-
-def _cesaro_grids(ts):
-    """(fine, coarse) node grids on [1, T]: the powers of sqrt(1.1) and
-    their even powers, each joined with 1 and the schedule points, so
-    every coarse node is also a fine node, bit for bit."""
-    T = float(ts[-1])
-    ratio = math.sqrt(1.1)
-    n = int(math.ceil(math.log(T) / math.log(ratio)))
-    powers = ratio ** np.arange(0, n + 1)
-
-    def grid(nodes):
-        nodes = np.unique(np.concatenate([nodes, ts, [1.0]]))
-        return nodes[nodes <= T * (1 + 1e-12)]
-
-    return grid(powers), grid(powers[::2])
+    """g(t) = (1/t) * sum_n exp(-(t mu_n)^{-alpha}): the head kernel sum
+    plus the tail closure of _heat_closure; zero eigenvalues contribute
+    zero.  A sum past the float range raises ValueError."""
+    t, alpha = float(t), float(alpha_exp)
+    x, tail = _heat_closure(source)
+    total = kernels.heat_sum(x.head, t, alpha, x.counts) + tail(t, alpha)
+    return _finite(total, "heat", "t=%g" % t) / t
 
 
 def heat_estimate(source, t_schedule=HEAT_SCHEDULE, alpha_exp=1.0,
                   smoothing="raw"):
     """Normalized heat functional g(t)/Gamma(1/alpha+1) over the
-    schedule.  raw extrapolates linearly in 1/t; cesaro applies the
-    log-scale average (1/log T) int_1^T g ds/s on a geometric grid of
-    ratio sqrt(1.1), against every other node of it for the resolution
-    estimate (Undetermined past CESARO_RTOL), and never extrapolates."""
+    schedule.  raw extrapolates linearly in 1/t; cesaro takes the exact
+    log-scale mean (1/log T) int_1^T g ds/s and never extrapolates: it
+    is [S(T) - S(1)] / log T over the head (kernels.heat_gamma_sum), and
+    the tail R adds int_1^T R(s) ds/s^2 = int_{1/T}^1 R(1/w) dw, one
+    quad per scheduled T."""
     ts = np.asarray(t_schedule, dtype=np.float64)
     if ts.ndim != 1 or ts.size == 0 or np.any(ts <= 0):
         raise ValueError("t schedule must be positive")
@@ -375,24 +359,22 @@ def heat_estimate(source, t_schedule=HEAT_SCHEDULE, alpha_exp=1.0,
         return _series_estimate("heat_raw", ts, vals, 1.0 / ts, True)
     if ts[0] <= 1.0:
         raise ValueError("cesaro smoothing needs t > 1")
-    nodes, coarse_nodes = _cesaro_grids(ts)
-    g_nodes = np.array([heat_trace(source, s, alpha) for s in nodes])
-    g_coarse = g_nodes[np.searchsorted(nodes, coarse_nodes)]
-    fine = _log_cesaro_values(g_nodes, nodes, ts) / norm
-    coarse = _log_cesaro_values(g_coarse, coarse_nodes, ts) / norm
-    quad_err = float(np.max(np.abs(fine - coarse)))
-    est = _series_estimate(
-        "heat_cesaro", ts, fine, 1.0 / ts, False,
+    x, tail = _heat_closure(source)
+    s1 = kernels.heat_gamma_sum(x.head, 1.0, alpha, x.counts)
+    vals, lo, tail_int = np.empty(ts.size), 1.0, 0.0
+    for i, T in enumerate(ts):
+        # R grows with t: finite on [1, T] when R(T) is
+        _finite(tail(T, alpha), "heat", "t=%g" % T)
+        tail_int += integrate.quad(lambda w: tail(1.0 / w, alpha),
+                                   1.0 / T, lo)[0]
+        lo = 1.0 / T
+        head = kernels.heat_gamma_sum(x.head, T, alpha, x.counts) - s1
+        total = _finite(head + tail_int / norm, "heat", "t=%g" % T)
+        vals[i] = total / math.log(T)
+    return _series_estimate(
+        "heat_cesaro", ts, vals, 1.0 / ts, False,
         notes="log-average smoothing; no extrapolation",
     )
-    if quad_err > CESARO_RTOL * max(1.0, float(np.max(np.abs(fine)))):
-        return TraceEstimate(
-            "heat_cesaro", math.nan, (ts, fine), False, est.oscillation,
-            UNDETERMINED, error_estimate=quad_err,
-            notes="quadrature resolution insufficient (refinement moved "
-            "the value by %.2e)" % quad_err,
-        )
-    return est
 
 
 # -------------------------------------------------- measurability report

@@ -32,12 +32,13 @@ Submajorization reads a plain input as a run of one at every index, so
 every pair takes its one exact path; ``sequences.submajorizes`` charges
 the sums it holds at the compared indices to the memory budget first.
 
-Heat sums read a finite, nonnegative, nonincreasing head, as a
-``SingularSequence`` stores it.  They sum the prefix of terms that the
+Heat sums, and the incomplete-gamma sums S(t) on which their log-scale
+means close, read a finite, nonnegative, nonincreasing head, as a
+``SingularSequence`` stores it.  Both sum the prefix of terms that the
 extended-precision accumulator resolves against the leading one, found
-by bisection (``heat_sum`` states the cut), and read nothing past it;
-no kept term is a subnormal double, on which ``exp`` is some 50x slower
-than on a normal one (numpy 2.4 on x86-64).
+by one bisection (``heat_sum`` states the cut), and read nothing past
+it; no kept heat term is a subnormal double, on which ``exp`` is some
+50x slower than on a normal one (numpy 2.4 on x86-64).
 """
 
 import math
@@ -45,6 +46,7 @@ from bisect import bisect_left
 from operator import neg
 
 import numpy as np
+from scipy.special import gammaincc
 
 # exp(-x) is a normal double for x <= 708 and 0.0 for x >= 750
 _X_NORMAL, _X_ZERO = 708.0, 750.0
@@ -113,6 +115,28 @@ def heat_sum(values, t, alpha, counts=None):
     2^-64 of any kept sum of 2^-900 or more, and no kept term is
     subnormal.  A kept sum below 2^-900 is taken again skipping only the
     terms that are exactly 0.0.  The kept terms are a prefix of v."""
+    return _kept_sum(values, t, alpha, counts,
+                     lambda v, x: np.exp(-x), 1.0)
+
+
+def heat_gamma_sum(values, t, alpha, counts=None):
+    """S(t) = sum(c * v * Q(1/alpha, (t*v)**(-alpha))), Q the regularized
+    upper incomplete gamma function, on which log-scale heat means close:
+    d/dt [v Gamma(1/alpha + 1) Q(1/alpha, (t v)^-alpha)] = e^-(t v)^-alpha
+    / t^2.  A term is h(x) / t, h(x) = x^(-1/alpha) Q(1/alpha, x) at x =
+    (t v)^-alpha; v cancels Q's factor x^(1/alpha - 1), growing for alpha
+    < 1, so h(x) <= e^(x_lead - x) h(x_lead) and, past 708, h(x) <= e^-x
+    at every alpha: heat_sum's cut and bounds hold for the terms times t.
+    """
+    return _kept_sum(values, t, alpha, counts,
+                     lambda v, x: v * gammaincc(1.0 / alpha, x), t)
+
+
+def _kept_sum(values, t, alpha, counts, term, scale):
+    """The extended-precision sum of c * term(v, x), x = (t v)^-alpha,
+    over the prefix of v kept by heat_sum's cut, for terms below e^-x /
+    scale past x = 708: retaken over every x < 750 when it times scale
+    is under 2^-900.  A t * v past the float range reads as x = 0."""
     t, alpha = float(t), float(alpha)
     if not (t > 0.0 and alpha > 0.0):
         raise ValueError("t and alpha must be positive")
@@ -130,9 +154,11 @@ def heat_sum(values, t, alpha, counts=None):
     for x_max in (x_cut, _X_ZERO):
         # the first k have v > x_max^(-1/alpha) / t: (t*v)^(-alpha) < x_max
         k = bisect_left(values, -x_max ** (-1.0 / alpha) / t, key=neg)
-        total = _block_sum(values[:k], lambda v: np.exp(-((t * v) ** -alpha)),
-                           None if counts is None else counts[:k])
-        if total >= _TINY_HEAT:
+        with np.errstate(over="ignore", divide="ignore"):
+            total = _block_sum(
+                values[:k], lambda v: term(v, (t * v) ** -alpha),
+                None if counts is None else counts[:k])
+        if total * scale >= _TINY_HEAT:
             break
     return float(total)
 

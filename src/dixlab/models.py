@@ -57,17 +57,20 @@ def _operator_power(n, power):
 # ------------------------------------------------------- lattice spectra
 
 
-def _shells(n, radius):
-    """kernels.shell_counts(n, radius) behind the memory budget.
-
-    The shell table holds at most min(point count, radius^2 + 1)
-    entries, six int64 words each with the temporaries of a dense pass.
-    """
+def _charge_shells(n, radius):
+    """Charge the budget for the shell table of kernels.shell_counts(n,
+    radius): at most min(point count, radius^2 + 1) entries, six int64
+    words each with the temporaries of a dense pass."""
     _check_dim(n)
     radius = int(radius)
     points = UNIT_BALL_VOL[n] * (radius + 1.0) ** n
     words = 6.0 * min(points, radius * radius + 1.0)
     _check_budget("lattice shell table (radius %d)" % radius, 8.0 * words)
+
+
+def _shells(n, radius):
+    """kernels.shell_counts(n, radius) behind the memory budget."""
+    _charge_shells(n, radius)
     return kernels.shell_counts(n, radius)
 
 
@@ -81,6 +84,9 @@ def _spectrum_tail(n, power):
     # Weyl counting N(lambda) ~ omega_n * lambda^{n/(2p)} inverts to
     # mu_k ~ (omega_n / k)^{2p/n}
     a = 2.0 * power / n
+    if a * math.log(UNIT_BALL_VOL[n]) > 709.0:
+        raise ValueError("operator power %g puts the Weyl tail past the "
+                         "float range" % power)
     return PowerLogTail(UNIT_BALL_VOL[n] ** a, a, 0.0)
 
 
@@ -140,6 +146,9 @@ class LatticeModel:
         object.__setattr__(self, "cutoff_radius", int(self.cutoff_radius))
         if self.cutoff_radius < 1:
             raise ValueError("cutoff radius must be >= 1")
+        # checked here, before any experiment runs: the spectrum is lazy
+        _spectrum_tail(self.dimension, p)
+        _charge_shells(self.dimension, self.cutoff_radius)
 
     def spectrum(self):
         cached = getattr(self, "_spectrum", None)

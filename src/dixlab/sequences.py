@@ -162,44 +162,61 @@ def tail_power_sum(tail, s, lo):
     return math.ldexp(total, m) if total < 2.0 ** (1024 - m) else math.inf
 
 
-def _heat_quad(expo, u0):
-    """Integral over u >= u0 of exp(u - expo(u)): a heat tail in
-    u = log n, where expo(u) = (t * mu)^-alpha grows without bound.
-    The quadrature stops two units past where expo passes 745 (exp
-    underflows there); a tail already past it at u0 adds nothing."""
-    if expo(u0) > 745.0:
+def _heat_quad(log_expo, u0):
+    """Integral over u >= u0 of exp(u - expo(u)), a heat tail in u =
+    log n with log_expo(u) = log (t mu)^-alpha.  It stops two units past
+    where expo passes 745 (exp underflows there); it is 0 past that at
+    u0 and +inf short of it at u0 + 2000 (over e^1255 terms above
+    e^-745).  Its integrand is scaled by e^-m, m = max(0, peak - 700)
+    for its peak at the unit steps; a peak past 711 is +inf, as the unit
+    below it alone integrates to over 0.63 e^711."""
+    log_745 = math.log(745.0)
+    if log_expo(u0) > log_745:
         return 0.0
-    u_hi = u0
-    while expo(u_hi) < 745.0 and u_hi < u0 + 2000.0:
+    u_hi, peak = u0, -math.inf
+    while log_expo(u_hi) < log_745:
+        if u_hi >= u0 + 2000.0:
+            return math.inf
+        peak = max(peak, u_hi - math.exp(log_expo(u_hi)))
         u_hi += 1.0
-    val, _ = integrate.quad(
-        lambda u: math.exp(u - expo(u)), u0, u_hi + 2.0, limit=200
+    m = max(0.0, peak - 700.0)
+    val, _ = integrate.quad(  # expo past e^700 leaves the integrand 0.0
+        lambda u: math.exp(u - m - math.exp(min(log_expo(u), 700.0))),
+        u0, u_hi + 2.0, limit=200,
     )
-    return val
+    return val * math.exp(m) if m < 11.0 else math.inf
 
 
 def tail_heat_sum(tail, t, alpha, lo):
     """Euler-Maclaurin sum over sequence indices >= lo of
     f = exp(-(t * mu)^-alpha), mu the tail value there: the integral
-    plus f/2 - f'/12 at the first index."""
+    plus f/2 - f'/12 at the first index; +inf past the float range.
+    Where a factor of the closed form leaves the float range, the
+    integral is the quadrature in logs."""
+    t, alpha = float(t), float(alpha)  # Python floats raise on overflow
     c, a, b = tail.coeff, tail.power, tail.log_power
-    q = (t * c) ** (-alpha)
+    log_q = -alpha * (math.log(t) + math.log(c))  # q = (t c)^-alpha
     beta = a * alpha
     n0 = lo + tail.offset
     u0 = math.log(n0)
 
-    def expo(u):  # (t * mu)^-alpha at n = e^u
-        return q * u ** (-b * alpha) * math.exp(beta * u)
+    def log_expo(u):  # log (t * mu)^-alpha at n = e^u
+        return log_q - b * alpha * math.log(u) + beta * u
 
-    z0 = expo(u0)
-    if b == 0.0:
-        g = gammaincc(1.0 / beta, z0) * math.exp(gammaln(1.0 / beta))
-        body = g * q ** (-1.0 / beta) / beta
-    else:
-        body = _heat_quad(expo, u0)
+    try:
+        q = (t * c) ** (-alpha)
+        z0 = q * u0 ** (-b * alpha) * math.exp(beta * u0)
+        # Gamma(1/beta, z0) q^(-1/beta) / beta, or the quadrature
+        body = None if b else (float(gammaincc(1.0 / beta, z0))
+                               * math.exp(gammaln(1.0 / beta))
+                               * q ** (-1.0 / beta) / beta)
+    except (OverflowError, ZeroDivisionError):  # then the quadrature
+        z0, body = math.exp(min(log_expo(u0), 700.0)), None
+    if body is None:
+        body = _heat_quad(log_expo, u0)
     f0 = math.exp(-z0)
-    # f' = f * alpha * (t mu)^-alpha * mu'/mu
-    d1 = f0 * alpha * z0 * _tail_d1(c, a, b, n0) / tail.value(n0)
+    # f' = f * alpha * (t mu)^-alpha * mu'/mu, mu'/mu = (b - a u)/(n u)
+    d1 = f0 and f0 * alpha * z0 * (b - a * u0) / (n0 * u0)
     return body + 0.5 * f0 - d1 / 12.0
 
 
@@ -300,14 +317,6 @@ class SingularSequence:
         total = kernels.power_sum(self.head, s, counts=self.counts)
         if self.tail is not None:
             total += tail_power_sum(self.tail, s, self.length + 1)
-        return total
-
-    def heat_sum(self, t, alpha):
-        """sum over n of exp(-(t mu_n)^-alpha), head plus tail model as
-        in power_sum; zero entries contribute nothing."""
-        total = kernels.heat_sum(self.head, t, alpha, counts=self.counts)
-        if self.tail is not None:
-            total += tail_heat_sum(self.tail, t, alpha, self.length + 1)
         return total
 
     def scaled(self, c):
@@ -732,10 +741,16 @@ def tauberian_classify(x, max_checkpoint=None):
 _BUILD_BYTES = 24.0
 
 
+def _charge_build(kind, horizon):
+    """Charge the build of a kind sequence of horizon values."""
+    _check_budget("%s sequence (horizon %d)" % (kind, horizon),
+                  _BUILD_BYTES * horizon)
+
+
 def harmonic_sequence(horizon, coeff=1.0):
     """mu_n = coeff / n with the exact matching tail model."""
     H = int(horizon)
-    _check_budget("harmonic sequence (horizon %d)" % H, _BUILD_BYTES * H)
+    _charge_build("harmonic", H)
     n = np.arange(1, H + 1, dtype=np.float64)
     return SingularSequence(coeff / n, PowerLogTail(coeff, 1.0))
 
@@ -747,7 +762,7 @@ def oscillator_sequence(horizon):
     H = int(horizon)
     if H < 3:
         raise ValueError("oscillator horizon must be >= 3")
-    _check_budget("oscillator sequence (horizon %d)" % H, _BUILD_BYTES * H)
+    _charge_build("oscillator", H)
     v = np.empty(H, dtype=np.float64)
     for start in range(2, H, kernels._CHUNK):  # no H-sized temporaries
         n = np.arange(start + 1, min(start + kernels._CHUNK, H) + 1,
@@ -765,7 +780,7 @@ def power_log_sequence(coeff, power, log_power, horizon):
     H = int(horizon)
     if H < 16:
         raise ValueError("horizon must be >= 16")
-    _check_budget("power-log sequence (horizon %d)" % H, _BUILD_BYTES * H)
+    _charge_build("power-log", H)
     tail = PowerLogTail(coeff, power, log_power, offset=1)
     n = np.arange(2, H + 1, dtype=np.float64)
     with np.errstate(over="ignore"):  # SingularSequence rejects an inf

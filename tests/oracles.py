@@ -91,6 +91,33 @@ def brute_heat(values, t, alpha):
     )
 
 
+def mp_log_heat_integral(values, T, alpha):
+    """sum over v of int_1^T exp(-(s v)^-alpha) ds / s^2, each integral
+    by mpmath.quad at 30 digits."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(float(alpha))
+        total = mpmath.fsum(
+            mpmath.quad(lambda s: mpmath.exp(-(s * v) ** -a) / s**2, [1, T])
+            for v in (mpmath.mpf(float(x)) for x in values)
+        )
+        return float(total)
+
+
+def mp_tail_heat_sum(coeff, power, t, alpha, n0):
+    """Euler-Maclaurin sum of exp(-(t c n^-a)^-alpha) over n >= n0 at 40
+    digits: Gamma(1/beta, z0) q^(-1/beta) / beta + f/2 - f'/12 at n0,
+    with q = (t c)^-alpha, beta = a alpha and z0 = q n0^beta."""
+    with mpmath.workdps(40):
+        c, a, t, alpha = (mpmath.mpf(float(x)) for x in (coeff, power, t,
+                                                         alpha))
+        q, beta = (t * c) ** -alpha, a * alpha
+        z0 = q * mpmath.mpf(n0) ** beta
+        f0 = mpmath.exp(-z0)
+        d1 = -f0 * alpha * z0 * a / n0
+        body = mpmath.gammainc(1 / beta, z0) * q ** (-1 / beta) / beta
+        return float(body + f0 / 2 - d1 / 12)
+
+
 def masked_heat_sum(values, t, alpha, counts=None):
     """The cut heat sum of values in any order, NaN skipped: the leading
     exponent from a scan of every value, then each 2^16 block masked to

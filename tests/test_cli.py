@@ -404,6 +404,28 @@ class TestMainExitCodes:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and "DIXLAB_BUDGET_MB" in lines[0]
 
+    @pytest.mark.parametrize("model,what", [
+        ({"kind": "oscillator", "horizon": 10**11},
+         "oscillator sequence (horizon 100000000000)"),
+        ({"kind": "torus", "dimension": 3, "cutoff_radius": 10**5},
+         "lattice shell table (radius 100000)"),
+    ])
+    def test_lazy_spectrum_is_charged_before_any_run(self, tmp_path, capsys,
+                                                     model, what):
+        # the spectrum builds when its own experiment starts, but its
+        # constructor charges it, so the harmonic experiment never runs
+        cfg = _cfg(experiments=[
+            {"label": "h", "model": {"kind": "harmonic", "horizon": 1024}},
+            {"label": "big", "model": model},
+        ])
+        code = cli.main(["--config", self._write(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: " + what)
+        assert "DIXLAB_BUDGET_MB" in lines[0]
+
     def test_matrix_kind_caps_at_quarter_dimension(self, capsys):
         cfg = _cfg(experiments=[{
             "label": "cosine",

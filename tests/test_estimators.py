@@ -197,22 +197,57 @@ class TestHeatEstimates:
         if e.status == "Undetermined":
             assert math.isnan(e.value)
 
-    def test_cesaro_evaluates_one_grid(self, monkeypatch):
-        calls = []
-        heat_trace = estimators.heat_trace
+    def test_cesaro_reads_the_head_once_per_scheduled_t(self, monkeypatch):
+        # the exact log-scale mean: no heat trace, one head pass per
+        # scheduled T and one at t = 1
+        traces, passes = [], []
+        heat_trace, gamma_sum = estimators.heat_trace, kernels.heat_gamma_sum
 
-        def counting(source, t, alpha_exp=1.0):
-            calls.append(t)
-            return heat_trace(source, t, alpha_exp)
+        def counting_trace(*args, **kwargs):
+            traces.append(args)
+            return heat_trace(*args, **kwargs)
 
-        monkeypatch.setattr(estimators, "heat_trace", counting)
+        def counting_sum(values, t, alpha, counts=None):
+            passes.append(t)
+            return gamma_sum(values, t, alpha, counts)
+
+        monkeypatch.setattr(estimators, "heat_trace", counting_trace)
+        monkeypatch.setattr(kernels, "heat_gamma_sum", counting_sum)
         dx.heat_estimate(dx.harmonic_model(4096), (1e2, 1e3, 1e4),
                          smoothing="cesaro")
-        assert len(calls) == 197
-        fine, coarse = estimators._cesaro_grids(np.array([1e2, 1e3, 1e4]))
-        assert np.array_equal(fine, calls)
-        assert set(coarse) <= set(fine)
-        assert coarse.size == 100
+        assert traces == []
+        assert passes == [1.0, 1e2, 1e3, 1e4]
+
+    @pytest.mark.parametrize("horizon,rtol", [(64, 1e-9), (10**6, 1e-13)])
+    def test_cesaro_matches_the_harmonic_closed_form(self, horizon, rtol):
+        # mu_n = 1/n: g(s) = 1 / (s (e^(1/s) - 1)), so (1/log T) int_1^T
+        # g ds/s = [log(1 - e^-1) - log(1 - e^(-1/T))] / log T, 0.901485,
+        # 0.933672 and 0.950205 here; the grid read 0.901454, 0.933652
+        # and 0.950190.  A head of 64 leaves most of it to the tail term,
+        # whose Euler-Maclaurin closure is off by about 2e-10 at s = 10
+        ts = (1e2, 1e3, 1e4)
+        got = dx.heat_estimate(dx.harmonic_model(horizon), ts,
+                               smoothing="cesaro").raw_series[1]
+        want = [(math.log(-math.expm1(-1.0)) - math.log(-math.expm1(-1 / T)))
+                / math.log(T) for T in ts]
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("args,horizon,ts,alpha", [
+        ((2.0, 1.5, 0.5), 64, (2.0, 10.0, 100.0), 1.0),
+        ((1.0, 1.0, -1.0), 200, (10.0, 100.0, 1000.0), 1.0),
+        ((1.0, 1.2, 0.0), 64, (1e2, 1e3, 1e4), 0.5),
+        ((1.0, 1.2, 0.0), 64, (1e2, 1e3, 1e4), 2.0),
+    ])
+    def test_cesaro_tail_matches_a_long_head(self, args, horizon, ts, alpha):
+        # the tail term against 2e6 head values, past which the terms
+        # total under 1e-20 at these T; the quadrature grid it replaced
+        # was off by 5e-6 to 9e-5 here
+        short = dx.power_log_model(*args, horizon)
+        long = dx.SingularSequence(
+            dx.power_log_sequence(*args, 2 * 10**6).head)
+        got = dx.heat_estimate(short, ts, alpha, "cesaro").raw_series[1]
+        want = dx.heat_estimate(long, ts, alpha, "cesaro").raw_series[1]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_cesaro_smooths_the_oscillator(self):
         m = dx.OscillatorModel(10**6)
@@ -256,8 +291,8 @@ class TestOscillatorModel:
         # zeta(1.5) and 1.2e-3 of heat(100) at H = 100
         short, long = dx.OscillatorModel(100), dx.OscillatorModel(10**6)
         assert short.zeta(1.5) == pytest.approx(long.zeta(1.5), abs=1e-5)
-        assert short.heat(100.0) == pytest.approx(long.heat(100.0),
-                                                  abs=1e-5)
+        assert dx.heat_trace(short, 100.0) == pytest.approx(
+            dx.heat_trace(long, 100.0), abs=1e-5)
 
     def test_z1_frozen_value(self):
         m = dx.OscillatorModel(10**6)
@@ -334,8 +369,8 @@ class TestProductZeta:
         assert e.value == pytest.approx(2.0 * math.pi, rel=1e-4)
 
     def test_sublattice_enumeration_respects_budget(self, monkeypatch):
+        m = dx.LatticeModel(2, 2000)  # its constructor charges 183 MB
         monkeypatch.setenv("DIXLAB_BUDGET_MB", "1")
-        m = dx.LatticeModel(2, 2000)
         with pytest.raises(dx.BudgetError):
             dx.product_zeta_sequence(dx.SublatticeProjection(2, 2), m)
 

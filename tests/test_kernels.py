@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 from hypothesis import given, settings, strategies as st
 
 from dixlab import kernels, models, sequences
@@ -443,6 +444,45 @@ class TestLatticeW:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             kernels.lattice_w(4, 3)
+
+
+class TestHeatGammaSum:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_closes_the_log_scale_heat_mean(self, alpha):
+        # Gamma(1/alpha + 1) [S(T) - S(1)] = sum_v int_1^T e^-(s v)^-alpha
+        # ds / s^2, eigenvalues spread over (0, 3]
+        v = _sorted_desc(3.0 * _rng(7).random(12))
+        for T in (2.0, 100.0, 1e4):
+            got = math.gamma(1.0 / alpha + 1.0) * (
+                kernels.heat_gamma_sum(v, T, alpha)
+                - kernels.heat_gamma_sum(v, 1.0, alpha))
+            want = oracles.mp_log_heat_integral(v, T, alpha)
+            assert got == pytest.approx(want, rel=1e-12, abs=0), T
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("t", [1e-2, 1.0, 1e4])
+    def test_cut_matches_full_evaluation(self, t, alpha):
+        # exponents from 1e-2 to 1e3: for alpha < 1, Q(1/alpha, x) falls
+        # slower than e^-x, and the factor v makes up the difference
+        v = TestHeatSum._across_band(t, alpha)
+        with np.errstate(all="ignore"):
+            terms = v * special.gammaincc(1.0 / alpha, (t * v) ** -alpha)
+        want = float(np.sum(terms, dtype=np.longdouble))
+        assert kernels.heat_gamma_sum(v, t, alpha) == pytest.approx(
+            want, rel=1e-15, abs=0)
+
+    def test_runs_zeros_and_overflow(self):
+        v, c = _runs(8, 2 * kernels._CHUNK + 5, zeros=3)
+        w = np.repeat(v, c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t, alpha in ((1.0, 1.0), (1e3, 0.5), (1e-2, 2.0)):
+                assert kernels.heat_gamma_sum(v, t, alpha, c) == (
+                    pytest.approx(kernels.heat_gamma_sum(w, t, alpha),
+                                  rel=1e-15))
+            # t * v past the float range: x = 0 and Q = 1, the term is v
+            assert kernels.heat_gamma_sum([1e300, 0.0], 1e10, 1.0) == 1e300
+            assert kernels.heat_gamma_sum(np.zeros(3), 1.0, 1.0) == 0.0
 
 
 def _runs(seed, n_runs, max_count=5, zeros=0):

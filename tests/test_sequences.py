@@ -146,8 +146,8 @@ class TestRunLengthSequence:
         assert x.head_sum() == pytest.approx(y.head_sum(), rel=1e-15)
         for s in (1.01, 2.0):
             assert x.power_sum(s) == pytest.approx(y.power_sum(s), rel=1e-15)
-        assert x.heat_sum(10.0, 1.0) == pytest.approx(y.heat_sum(10.0, 1.0),
-                                                      rel=1e-15)
+        assert dx.heat_trace(x, 10.0) == pytest.approx(dx.heat_trace(y, 10.0),
+                                                       rel=1e-15)
         assert dx.norm_1_inf(x) == pytest.approx(dx.norm_1_inf(y), rel=1e-15)
         assert dx.submajorizes(x, x)
         assert dx.submajorizes(x, y.scaled(0.999))
@@ -195,10 +195,33 @@ class TestTailCalculus:
         got = tail_heat_sum(tail, t, alpha, 50)
         assert got == pytest.approx(want, rel=1e-6)
 
+    def test_tail_heat_sum_in_logs_past_the_float_range(self):
+        # Gamma(1/beta) = Gamma(200) and q^(-1/beta) leave the float
+        # range, their product with Q(200, z0) does not
+        tail = dx.PowerLogTail(1.0, 0.005)
+        for t in (3.4e-3, 1e-2):
+            want = oracles.mp_tail_heat_sum(1.0, 0.005, t, 1.0, 65)
+            assert tail_heat_sum(tail, t, 1.0, 65) == pytest.approx(
+                want, rel=1e-7)
+        tiny = dx.PowerLogTail(1e-300, 0.001)
+        assert tail_heat_sum(tiny, 100.0, 1.0, 65) == 0.0
+        # some 100^200 terms near 1: past the float range, also with a
+        # log factor (the quadrature)
+        assert tail_heat_sum(tail, 100.0, 1.0, 101) == math.inf
+        assert tail_heat_sum(dx.PowerLogTail(1.0, 0.005, 1.0), 100.0, 1.0,
+                             101) == math.inf
+
+    def test_heat_past_the_float_range_raises(self):
+        m = dx.power_log_model(1.0, 0.005, 0.0, 100)
+        for smoothing in ("raw", "cesaro"):
+            with pytest.raises(ValueError, match="heat evaluation divergent "
+                               "or past the float64 range at t=100"):
+                dx.heat_estimate(m, smoothing=smoothing)
+
     def test_heat_sum_continuation_matches_brute_force(self):
         # sum over n >= 1 of exp(-n/10) is 1/(e^0.1 - 1); a tail closure
         # without the -f'/12 Euler-Maclaurin term is off by 1.5e-3
-        got = dx.harmonic_sequence(16).heat_sum(10.0, 1.0)
+        got = 10.0 * dx.heat_trace(dx.harmonic_sequence(16), 10.0)
         assert got == pytest.approx(1.0 / math.expm1(0.1), abs=1e-6)
 
     @pytest.mark.parametrize("c,a,b,t", [
@@ -214,7 +237,7 @@ class TestTailCalculus:
             math.exp(-1.0 / (t * c * math.log(n) ** b * n ** (-a)))
             for n in range(2, 200_000)
         )
-        assert x.heat_sum(t, 1.0) == pytest.approx(want, abs=1e-6)
+        assert t * dx.heat_trace(x, t) == pytest.approx(want, abs=1e-6)
 
     def test_power_log_continuation_matches_brute_force(self):
         # the head holds n = 2..16, so alpha_20 sums 1/n over n = 2..21
