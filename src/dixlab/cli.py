@@ -341,13 +341,17 @@ def parse_config(source):
 
 def _build_model(spec, where="model"):
     """The model of spec, from its kind's builder; where is the JSON path
-    of its model object, which prefixes input errors."""
+    of its model object, which prefixes input errors and budget
+    refusals."""
     try:
         return _KINDS[spec.kind][1](**spec.param_dict())
     except ConfigError as exc:
         raise ConfigError([where + "." + p for p in exc.problems]) from None
     except ValueError as exc:
         raise ConfigError(["%s: %s" % (where, exc)]) from None
+    except models.BudgetError as exc:
+        raise models.BudgetError("%s: %s" % (where, exc.what), exc.need_mb,
+                                 exc.budget_mb) from None
 
 
 def _param_string(spec):

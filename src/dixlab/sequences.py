@@ -15,8 +15,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammaincc
 
 from . import kernels
 
@@ -97,29 +96,110 @@ class PowerLogTail:
         )
 
 
+# ------------------------------------------------------- tail quadrature
+
+# The one accuracy target of every tail quadrature: its error bound is
+# at most TAIL_RTOL of its value.  The rule sums each panel at _GL_ORDER
+# and twice that many Gauss-Legendre nodes, bisects a panel at most
+# _GL_DEPTH times, and charges _GL_ROUNDING of each panel's magnitude to
+# rounding; _EXP_MAP is the scale of the map of an e^-y tail.
+TAIL_RTOL = 1e-12
+_GL_ORDER = 12
+_GL_DEPTH = 30
+_GL_ROUNDING = 2.0**-46
+_GL_RULES = [np.polynomial.legendre.leggauss(m)
+             for m in (_GL_ORDER, 2 * _GL_ORDER)]
+_EXP_MAP = 8.0
+
+
+def tail_quad(f, edges):
+    """(value, bound): the integral of f over the panels between
+    consecutive edges and a bound on its error.  f maps an array of
+    points to an array of values.  Each panel's value is its 2m-node
+    Gauss-Legendre sum and its bound the gap to its m-node sum plus
+    _GL_ROUNDING of that value.  While the bounds total more than
+    TAIL_RTOL of the value, the panels with the largest bounds are
+    bisected; a panel that would pass _GL_DEPTH bisections, or a value
+    of f that is not finite, raises ValueError."""
+    lo, hi = np.asarray(edges[:-1], dtype=np.float64), np.asarray(
+        edges[1:], dtype=np.float64)
+    depth = np.zeros(lo.size, dtype=np.int64)
+    keep = (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64),
+            np.empty(0), np.empty(0))
+    while True:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        sums = []
+        for x, w in _GL_RULES:
+            with np.errstate(all="ignore"):
+                y = np.asarray(f((mid[:, None] + half[:, None] * x).ravel()),
+                               dtype=np.float64)
+            if not np.all(np.isfinite(y)):
+                raise ValueError("tail quadrature: integrand not finite")
+            sums.append(half * (y.reshape(lo.size, -1) @ w))
+        err = np.abs(sums[1] - sums[0]) + _GL_ROUNDING * np.abs(sums[1])
+        a, b, d, q, e = (np.concatenate(z) for z in
+                         zip(keep, (lo, hi, depth, sums[1], err)))
+        total, bound = math.fsum(q), float(np.sum(e))
+        goal = TAIL_RTOL * abs(total)
+        if bound <= goal:
+            return total, bound
+        # bisect the worst panels until the rest are within half the goal
+        order = np.argsort(e)[::-1]
+        rest = bound - np.cumsum(e[order])
+        split = order[:int(np.argmax(rest <= 0.5 * goal)) + 1]
+        if d[split].max() >= _GL_DEPTH:
+            raise ValueError(
+                "tail quadrature: error bound %.3g above %.3g of the value "
+                "%.6g after %d bisections" % (bound, TAIL_RTOL, total,
+                                              _GL_DEPTH))
+        stay = np.ones(q.size, dtype=bool)
+        stay[split] = False
+        keep = (a[stay], b[stay], d[stay], q[stay], e[stay])
+        cut = 0.5 * (a[split] + b[split])
+        lo, hi = np.concatenate([a[split], cut]), np.concatenate(
+            [cut, b[split]])
+        depth = np.tile(d[split] + 1, 2)
+
+
+def _exp_tail(f, y_hi=math.inf):
+    """tail_quad of f over [0, y_hi] for an f that falls off like e^-y
+    (a tail mapped by its exponential envelope), run in w = 1 - e^(-y/8)
+    on [0, 1 - e^(-y_hi/8)]: one panel holds the whole decay."""
+    def g(w):
+        return f(-_EXP_MAP * np.log1p(-w)) * (_EXP_MAP / (1.0 - w))
+
+    return tail_quad(g, (0.0, -math.expm1(-y_hi / _EXP_MAP)))
+
+
 def _tail_integral(coeff, a, b, x0, x1):
-    """Integral of coeff * (log x)^b * x^(-a) over [x0, x1], x0 >= 2."""
+    """(value, bound): the integral of coeff * (log x)^b * x^(-a) over
+    [x0, x1], x0 >= 2, and the bound of its quadrature (0.0 for a closed
+    form)."""
     u0 = math.log(x0)
     u1 = math.inf if x1 is None or math.isinf(x1) else math.log(x1)
     if a == 1.0:
         if math.isinf(u1) and b >= -1.0:
-            return math.inf
+            return math.inf, 0.0
         if b == -1.0:
-            return coeff * (math.log(u1) - math.log(u0))
+            return coeff * (math.log(u1) - math.log(u0)), 0.0
         hi = 0.0 if math.isinf(u1) else u1 ** (b + 1.0)
-        return coeff * (hi - u0 ** (b + 1.0)) / (b + 1.0)
+        return coeff * (hi - u0 ** (b + 1.0)) / (b + 1.0), 0.0
     if a < 1.0 and math.isinf(u1):
-        return math.inf
+        return math.inf, 0.0
     kappa = a - 1.0
-    if math.isinf(u1) and b > -1.0 and kappa > 0.0:
+    if math.isinf(u1) and b > -1.0:
         # int u^b e^(-kappa u) du = kappa^-(b+1) * Gamma(b+1, kappa*u0)
         z = kappa * u0
-        g = gammaincc(b + 1.0, z) * math.exp(gammaln(b + 1.0))
-        return coeff * kappa ** (-(b + 1.0)) * g
-    val, _ = integrate.quad(
-        lambda u: u**b * math.exp((1.0 - a) * u), u0, u1, limit=200
-    )
-    return coeff * val
+        g = gammaincc(b + 1.0, z) * math.exp(math.lgamma(b + 1.0))
+        return coeff * kappa ** (-(b + 1.0)) * g, 0.0
+    # in u = log x the integrand is u^b e^(-kappa u); y = |kappa| times
+    # the distance from the end u_e where e^(-kappa u) is largest
+    k = abs(kappa)
+    u_e, sign = (u0, 1.0) if kappa > 0.0 else (u1, -1.0)
+    val, bound = _exp_tail(lambda y: (u_e + sign * y / k) ** b * np.exp(-y),
+                           k * (u1 - u0))
+    scale = coeff * math.exp(-kappa * u_e) / k
+    return scale * val, scale * bound
 
 
 def _tail_d1(coeff, a, b, x):
@@ -139,7 +219,7 @@ def tail_sum(tail, lo, hi=None):
     c, a, b = tail.coeff, tail.power, tail.log_power
     if hi is not None and hi < lo:
         return 0.0
-    body = _tail_integral(c, a, b, lo, hi)
+    body, _ = _tail_integral(c, a, b, lo, hi)
     if math.isinf(body):
         return math.inf
     g_lo = float(tail.value(lo))
@@ -162,62 +242,85 @@ def tail_power_sum(tail, s, lo):
     return math.ldexp(total, m) if total < 2.0 ** (1024 - m) else math.inf
 
 
-def _heat_quad(log_expo, u0):
-    """Integral over u >= u0 of exp(u - expo(u)), a heat tail in u =
-    log n with log_expo(u) = log (t mu)^-alpha.  It stops two units past
-    where expo passes 745 (exp underflows there); it is 0 past that at
-    u0 and +inf short of it at u0 + 2000 (over e^1255 terms above
-    e^-745).  Its integrand is scaled by e^-m, m = max(0, peak - 700)
-    for its peak at the unit steps; a peak past 711 is +inf, as the unit
-    below it alone integrates to over 0.63 e^711."""
-    log_745 = math.log(745.0)
-    if log_expo(u0) > log_745:
+_LOG_745 = math.log(745.0)
+
+
+def _heat_quad(log_e0, rise, u0):
+    """Integral over u >= u0 of exp(u - E), a heat tail in u = log n with
+    E = (t mu)^-alpha = exp(log_e0 + rise(u - u0)) and rise(0) = 0 (rise
+    takes arrays).  It is 0 where E passes 745 at u0 (exp underflows
+    there).  Where E grows by 4 or more per unit of u at u0 the integrand
+    falls off like e^-y in y = E - E(u0), and the rule runs in y.  Else
+    its panels are the unit steps of u, up to two units past where E
+    passes 745; it is +inf short of that at u0 + 2000 (over e^1255 terms
+    above e^-745).  Their integrand is scaled by e^-m, m = max(0, peak -
+    700) for its peak at the unit steps; a peak past 711 is +inf, as the
+    unit below it alone integrates to over 0.63 e^711."""
+    if log_e0 > _LOG_745:
         return 0.0
-    u_hi, peak = u0, -math.inf
-    while log_expo(u_hi) < log_745:
-        if u_hi >= u0 + 2000.0:
+    e0 = math.exp(log_e0)
+    slope = 1024.0 * float(rise(1.0 / 1024.0))  # d(log E)/du at u0
+    if e0 * slope >= 4.0:
+        def f(y):  # u - u0 = log(1 + y/e0) / slope: du/dy = 1/(slope (e0 + y))
+            d = np.log1p(y / e0) / slope
+            return np.exp(d - e0 * np.expm1(rise(d))) / (slope * (e0 + y))
+
+        return math.exp(u0 - e0) * _exp_tail(f)[0]
+    d_hi, peak = 0.0, -math.inf
+    while log_e0 + rise(d_hi) < _LOG_745:
+        if d_hi >= 2000.0:
             return math.inf
-        peak = max(peak, u_hi - math.exp(log_expo(u_hi)))
-        u_hi += 1.0
+        peak = max(peak, u0 + d_hi - math.exp(log_e0 + rise(d_hi)))
+        d_hi += 1.0
     m = max(0.0, peak - 700.0)
-    val, _ = integrate.quad(  # expo past e^700 leaves the integrand 0.0
-        lambda u: math.exp(u - m - math.exp(min(log_expo(u), 700.0))),
-        u0, u_hi + 2.0, limit=200,
-    )
+    val, _ = tail_quad(  # E past e^700 leaves the integrand 0.0
+        lambda d: np.exp(u0 + d - m - e0 * np.exp(
+            np.minimum(rise(d), 700.0 - log_e0))),
+        np.arange(d_hi + 3.0))
     return val * math.exp(m) if m < 11.0 else math.inf
 
 
 def tail_heat_sum(tail, t, alpha, lo):
     """Euler-Maclaurin sum over sequence indices >= lo of
     f = exp(-(t * mu)^-alpha), mu the tail value there: the integral
-    plus f/2 - f'/12 at the first index; +inf past the float range.
-    Where a factor of the closed form leaves the float range, the
-    integral is the quadrature in logs."""
+    plus f/2 - f'/12 + f3/720 at the first index, f3 the third
+    derivative of f; +inf past the float range.  Where a factor of the
+    closed form leaves the float range, the integral is the quadrature
+    in logs."""
     t, alpha = float(t), float(alpha)  # Python floats raise on overflow
     c, a, b = tail.coeff, tail.power, tail.log_power
-    log_q = -alpha * (math.log(t) + math.log(c))  # q = (t c)^-alpha
-    beta = a * alpha
+    beta, b_alpha = a * alpha, b * alpha
     n0 = lo + tail.offset
     u0 = math.log(n0)
-
-    def log_expo(u):  # log (t * mu)^-alpha at n = e^u
-        return log_q - b * alpha * math.log(u) + beta * u
-
+    # log g at n0, g = (t mu)^-alpha = q (log n)^(-b alpha) n^beta
+    log_g0 = -alpha * (math.log(t) + math.log(c)) - b_alpha * math.log(u0) \
+        + beta * u0
     try:
         q = (t * c) ** (-alpha)
-        z0 = q * u0 ** (-b * alpha) * math.exp(beta * u0)
+        z0 = q * u0 ** (-b_alpha) * math.exp(beta * u0)
         # Gamma(1/beta, z0) q^(-1/beta) / beta, or the quadrature
         body = None if b else (float(gammaincc(1.0 / beta, z0))
-                               * math.exp(gammaln(1.0 / beta))
+                               * math.exp(math.lgamma(1.0 / beta))
                                * q ** (-1.0 / beta) / beta)
     except (OverflowError, ZeroDivisionError):  # then the quadrature
-        z0, body = math.exp(min(log_expo(u0), 700.0)), None
+        z0, body = math.exp(min(log_g0, 700.0)), None
     if body is None:
-        body = _heat_quad(log_expo, u0)
+        body = _heat_quad(
+            log_g0, lambda d: beta * d - b_alpha * np.log1p(d / u0), u0)
     f0 = math.exp(-z0)
-    # f' = f * alpha * (t mu)^-alpha * mu'/mu, mu'/mu = (b - a u)/(n u)
-    d1 = f0 and f0 * alpha * z0 * (b - a * u0) / (n0 * u0)
-    return body + 0.5 * f0 - d1 / 12.0
+    if not f0:
+        return body
+    # n^k g^(k) / g from the derivatives of log g: with r = beta -
+    # b alpha / u, n (log g)' = r, n^2 (log g)'' = b alpha / u^2 - r and
+    # n^3 (log g)''' = 2 r - 3 b alpha / u^2 - 2 b alpha / u^3
+    r = beta - b_alpha / u0
+    l2 = b_alpha / u0**2 - r
+    l3 = 2.0 * r - 3.0 * b_alpha / u0**2 - 2.0 * b_alpha / u0**3
+    g1, g2, g3 = z0 * r, z0 * (r * r + l2), z0 * (r**3 + 3.0 * r * l2 + l3)
+    # f = e^-g: f' = -g' f and f''' = (-g'^3 + 3 g' g'' - g''') f
+    d1 = -g1 * f0 / n0
+    d3 = (3.0 * g1 * g2 - g1**3 - g3) * f0 / n0**3
+    return body + 0.5 * f0 - d1 / 12.0 + d3 / 720.0
 
 
 # -------------------------------------------------------------- sequences

@@ -105,8 +105,9 @@ def mp_log_heat_integral(values, T, alpha):
 
 def mp_tail_heat_sum(coeff, power, t, alpha, n0):
     """Euler-Maclaurin sum of exp(-(t c n^-a)^-alpha) over n >= n0 at 40
-    digits: Gamma(1/beta, z0) q^(-1/beta) / beta + f/2 - f'/12 at n0,
-    with q = (t c)^-alpha, beta = a alpha and z0 = q n0^beta."""
+    digits: Gamma(1/beta, z0) q^(-1/beta) / beta + f/2 - f'/12 + f3/720
+    at n0, f3 the third derivative of f, with q = (t c)^-alpha, beta =
+    a alpha and z0 = q n0^beta."""
     with mpmath.workdps(40):
         c, a, t, alpha = (mpmath.mpf(float(x)) for x in (coeff, power, t,
                                                          alpha))
@@ -114,8 +115,82 @@ def mp_tail_heat_sum(coeff, power, t, alpha, n0):
         z0 = q * mpmath.mpf(n0) ** beta
         f0 = mpmath.exp(-z0)
         d1 = -f0 * alpha * z0 * a / n0
+        # f = e^-g, g = q n^beta: f3 = (-g'^3 + 3 g' g'' - g3) f
+        g1 = beta * z0 / n0
+        g2 = beta * (beta - 1) * z0 / n0**2
+        g3 = beta * (beta - 1) * (beta - 2) * z0 / n0**3
+        d3 = (-g1**3 + 3 * g1 * g2 - g3) * f0
         body = mpmath.gammainc(1 / beta, z0) * q ** (-1 / beta) / beta
-        return float(body + f0 / 2 - d1 / 12)
+        return float(body + f0 / 2 - d1 / 12 + d3 / 720)
+
+
+def mp_tail_integral(coeff, power, log_power, x0, x1=None):
+    """Integral of coeff (log x)^b x^-a over [x0, x1] (None: infinity) at
+    40 digits, by mpmath.quad in u = log x, split where e^{(1-a)u} has
+    fallen by e, e^10 and e^100 from its larger end."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(power), mpmath.mpf(log_power)
+        u0 = mpmath.log(x0)
+        u1 = mpmath.inf if x1 is None else mpmath.log(x1)
+        start, step = (u0, 1 / (a - 1)) if a > 1 else (u1, -1 / (1 - a))
+        pts = sorted({u0, u1} | {start + y * step for y in (1, 10, 100)
+                                 if u0 < start + y * step < u1})
+        val = mpmath.quad(lambda u: u**b * mpmath.exp((1 - a) * u), pts)
+        return float(coeff * val)
+
+
+def mp_osc_zeta_tail(s, horizon):
+    """Integral of (2 + sin log u)^s e^{(1-s)u} over u >= log(horizon +
+    1/2), the oscillator's zeta tail, at 40 digits by mpmath.quad split
+    where e^{(1-s)u} has fallen by e^(1/4), e, e^4, e^16 and e^64."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        u0 = mpmath.log(mpmath.mpf(horizon) + mpmath.mpf(1) / 2)
+        pts = [u0] + [u0 + y / (s - 1) for y in (0.25, 1, 4, 16, 64)]
+        return float(mpmath.quad(
+            lambda u: (2 + mpmath.sin(mpmath.log(u))) ** s
+            * mpmath.exp((1 - s) * u), pts + [mpmath.inf]))
+
+
+def mp_log_heat_tail(coeff, power, log_power, alpha, n0, t0, t1):
+    """int_t0^t1 R(s) ds/s^2 at 30 digits, R(s) the Euler-Maclaurin sum
+    over n >= n0 of f_s(n) = exp(-(s mu_n)^-alpha), mu_n = coeff (log
+    n)^log_power n^-power: the integral of f_s over n plus f_s/2 -
+    f_s'/12 + f3/720 at n0 (mpmath.diff derivatives in n).  The integral
+    takes its s-integral first, in closed form: exp(-(s mu)^-alpha)/s^2
+    is the s-derivative of mu Gamma(1/alpha + 1) Q(1/alpha, (s mu)^-alpha),
+    Q the regularized upper incomplete gamma; its n-range
+    ends where (t1 mu_n)^-alpha passes 2000."""
+    with mpmath.workdps(30):
+        c, a, b, al = (mpmath.mpf(x) for x in (coeff, power, log_power,
+                                               alpha))
+        t0, t1 = mpmath.mpf(t0), mpmath.mpf(t1)
+
+        def mu(n):
+            return c * mpmath.log(n) ** b * n ** -a
+
+        def q(x):
+            return mpmath.gammainc(1 / al, x, regularized=True)
+
+        def by_s(m):
+            return m * mpmath.gamma(1 / al + 1) * (q((t1 * m) ** -al)
+                                                   - q((t0 * m) ** -al))
+
+        pts = [mpmath.log(n0)]
+        while (t1 * mu(mpmath.exp(pts[-1]))) ** -al < 2000:
+            pts.append(pts[-1] + 1)
+        body = mpmath.quad(lambda u: mpmath.exp(u) * by_s(mu(mpmath.exp(u))),
+                           pts)
+
+        def ends(s):
+            def f(n):
+                return mpmath.exp(-(s * mu(n)) ** -al)
+
+            n = mpmath.mpf(n0)
+            return (f(n) / 2 - mpmath.diff(f, n, 1) / 12
+                    + mpmath.diff(f, n, 3) / 720) / s**2
+
+        return float(body + mpmath.quad(ends, [t0, t1]))
 
 
 def masked_heat_sum(values, t, alpha, counts=None):

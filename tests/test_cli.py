@@ -413,7 +413,8 @@ class TestMainExitCodes:
     def test_lazy_spectrum_is_charged_before_any_run(self, tmp_path, capsys,
                                                      model, what):
         # the spectrum builds when its own experiment starts, but its
-        # constructor charges it, so the harmonic experiment never runs
+        # constructor charges it, so the harmonic experiment never runs;
+        # the refusal names the experiment whose model it is
         cfg = _cfg(experiments=[
             {"label": "h", "model": {"kind": "harmonic", "horizon": 1024}},
             {"label": "big", "model": model},
@@ -423,7 +424,8 @@ class TestMainExitCodes:
         assert code == 4
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: " + what)
+        assert len(lines) == 1
+        assert lines[0].startswith("error: experiments[1].model: " + what)
         assert "DIXLAB_BUDGET_MB" in lines[0]
 
     def test_matrix_kind_caps_at_quarter_dimension(self, capsys):
@@ -597,3 +599,52 @@ class TestDeterminism:
         rows2, _ = cli.run_experiment(cfg)
         assert cli.emit_report(rows1, "json") == cli.emit_report(rows2,
                                                                  "json")
+
+
+# run in a fresh interpreter: pytest itself has loaded scipy.integrate
+# (tests/oracles.py reads it), so only a subprocess sees what the package
+# loads
+_NO_INTEGRATE = """
+import contextlib, io, json, sys
+import dixlab
+from dixlab import cli
+
+def integrate_modules():
+    return [m for m in sys.modules
+            if m.split(".")[:2] == ["scipy", "integrate"]]
+
+seen = {"import": integrate_modules()}
+out = io.StringIO()
+with contextlib.redirect_stdout(out), \
+        contextlib.redirect_stderr(io.StringIO()):
+    seen["code"] = cli.main(["--config", sys.argv[1]])
+seen["rows"] = out.getvalue().count("\\n") - 1
+seen["run"] = integrate_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_no_run_loads_scipy_integrate(tmp_path):
+    # one model per kind whose tail closures reach the quadrature: a log
+    # factor in the power-log tail, the oscillator's continuum
+    models = [
+        {"kind": "harmonic", "horizon": 1024},
+        {"kind": "power_log", "coeff": 1.0, "power": 1.2, "log_power": 0.5,
+         "horizon": 64},
+        {"kind": "oscillator", "horizon": 1024},
+        {"kind": "torus", "dimension": 2, "cutoff_radius": 20},
+        {"kind": "matrix", "dimension": 1, "halfwidth": 32,
+         "coefficients": {"0": 2.0, "1": 0.5, "-1": 0.5}},
+    ]
+    methods = ["dixmier", "zeta", "heat_raw", "heat_cesaro"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_cfg(experiments=[
+        {"label": m["kind"], "model": m, "methods": methods}
+        for m in models])), encoding="utf-8")
+    r = subprocess.run([sys.executable, "-c", _NO_INTEGRATE, str(cfg)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    seen = json.loads(r.stdout)
+    assert seen["code"] in (0, 2)
+    assert seen["rows"] == len(models) * len(methods)
+    assert seen["import"] == [] and seen["run"] == []

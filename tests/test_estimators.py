@@ -218,13 +218,13 @@ class TestHeatEstimates:
         assert traces == []
         assert passes == [1.0, 1e2, 1e3, 1e4]
 
-    @pytest.mark.parametrize("horizon,rtol", [(64, 1e-9), (10**6, 1e-13)])
+    @pytest.mark.parametrize("horizon,rtol", [(64, 1e-12), (10**6, 1e-13)])
     def test_cesaro_matches_the_harmonic_closed_form(self, horizon, rtol):
         # mu_n = 1/n: g(s) = 1 / (s (e^(1/s) - 1)), so (1/log T) int_1^T
         # g ds/s = [log(1 - e^-1) - log(1 - e^(-1/T))] / log T, 0.901485,
         # 0.933672 and 0.950205 here; the grid read 0.901454, 0.933652
-        # and 0.950190.  A head of 64 leaves most of it to the tail term,
-        # whose Euler-Maclaurin closure is off by about 2e-10 at s = 10
+        # and 0.950190.  A head of 64 leaves most of it to the tail term;
+        # its Euler-Maclaurin closure without f'\''/720 read 1.1e-10 high
         ts = (1e2, 1e3, 1e4)
         got = dx.heat_estimate(dx.harmonic_model(horizon), ts,
                                smoothing="cesaro").raw_series[1]
@@ -248,6 +248,18 @@ class TestHeatEstimates:
         got = dx.heat_estimate(short, ts, alpha, "cesaro").raw_series[1]
         want = dx.heat_estimate(long, ts, alpha, "cesaro").raw_series[1]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("T", [10.0, 100.0])
+    def test_cesaro_tail_term_against_mpmath(self, T):
+        # int_1^T R(s) ds/s^2: in y = z(s) - z(T) at T = 10, where z(T) =
+        # 1/(T mu_64) = 12.5, on unit panels of log s at T = 100
+        m = dx.power_log_model(2.0, 1.5, 0.5, 64)
+        x, tail = estimators._heat_closure(m)
+        got, bound = estimators._log_heat_tail(
+            tail, 1.0, float(x.at(x.length)), 1.0, T)
+        want = oracles.mp_log_heat_tail(2.0, 1.5, 0.5, 1.0, 65, 1.0, T)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert abs(got - want) <= bound
 
     def test_cesaro_smooths_the_oscillator(self):
         m = dx.OscillatorModel(10**6)
@@ -280,6 +292,16 @@ class TestOscillatorModel:
         for s in (1.02, 1.1):
             want = oracles.osc_zeta_quad(s, np.sort(vals)[::-1])
             assert m.zeta(s) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("k", estimators.ZETA_SCHEDULE)
+    def test_zeta_against_mpmath(self, k):
+        s = 1.0 + 1.0 / k
+        m = dx.OscillatorModel(10**4)
+        tail, bound = m._zeta_tail(s)
+        want_tail = oracles.mp_osc_zeta_tail(s, 10**4)
+        assert abs(tail - want_tail) <= bound
+        want = float(oracles.mp_power_sum(m.spectrum().values, s))
+        assert m.zeta(s) == pytest.approx(want + want_tail, rel=1e-12)
 
     def test_divergence_guard(self):
         with pytest.raises(ValueError):

@@ -211,6 +211,14 @@ class TestTailCalculus:
         assert tail_heat_sum(dx.PowerLogTail(1.0, 0.005, 1.0), 100.0, 1.0,
                              101) == math.inf
 
+    def test_tiny_heat_tail_to_the_quadrature_accuracy(self):
+        # a tail near 1e-25 whose closed form overflows: the quadrature
+        # holds it relative to its own size, not to an absolute 1.5e-8
+        # (which left it 3.1e-8 off)
+        got = tail_heat_sum(dx.PowerLogTail(1.0, 0.005), 0.01, 1.0, 65)
+        want = oracles.mp_tail_heat_sum(1.0, 0.005, 0.01, 1.0, 65)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_heat_past_the_float_range_raises(self):
         m = dx.power_log_model(1.0, 0.005, 0.0, 100)
         for smoothing in ("raw", "cesaro"):
@@ -223,6 +231,11 @@ class TestTailCalculus:
         # without the -f'/12 Euler-Maclaurin term is off by 1.5e-3
         got = 10.0 * dx.heat_trace(dx.harmonic_sequence(16), 10.0)
         assert got == pytest.approx(1.0 / math.expm1(0.1), abs=1e-6)
+
+    def test_heat_tail_carries_the_third_derivative_term(self):
+        # without f'\''(65)/720 the 64-term head's trace is 2.2e-10 high
+        got = 10.0 * dx.heat_trace(dx.harmonic_model(64), 10.0)
+        assert got == pytest.approx(1.0 / math.expm1(0.1), rel=1e-12)
 
     @pytest.mark.parametrize("c,a,b,t", [
         (1.0, 1.0, 1.0, 10.0),
@@ -279,6 +292,29 @@ class TestTailCalculus:
         got = tail_sum(tail, 64)
         # EM correction shifts the integral by ~g(64)/2; compare loosely
         assert got == pytest.approx(want, rel=2e-2)
+
+
+class TestTailQuadrature:
+    @pytest.mark.parametrize("a,b,x0,x1", [
+        (1.5, -2.0, 65, None),  # the e^-y map of [x0, inf)
+        (0.5, 1.0, 65, 1e6),  # a growing integrand, mapped from x1 down
+    ])
+    def test_tail_integral_with_a_log_factor(self, a, b, x0, x1):
+        got, bound = sequences._tail_integral(1.0, a, b, x0, x1)
+        want = oracles.mp_tail_integral(1.0, a, b, x0, x1)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert 0.0 < abs(got - want) <= bound or got == want
+
+    def test_polynomial_is_exact_within_its_bound(self):
+        got, bound = sequences.tail_quad(lambda x: x**5, [0.0, 1.0, 2.0])
+        assert abs(got - 32.0 / 3.0) <= bound <= 1e-12 * got
+
+    def test_unresolved_integrand_raises(self):
+        # 1/sqrt(x) at 0: bisection gains only a factor sqrt(2) per level
+        with pytest.raises(ValueError, match="error bound"):
+            sequences.tail_quad(lambda x: 1.0 / np.sqrt(x), [0.0, 1.0])
+        with pytest.raises(ValueError, match="not finite"):
+            sequences.tail_quad(lambda x: np.sqrt(x - 0.5), [0.0, 1.0])
 
 
 class TestLogAverage:
