@@ -202,16 +202,29 @@ def _tail_integral(coeff, a, b, x0, x1):
     return scale * val, scale * bound
 
 
-def _tail_d1(coeff, a, b, x):
-    # d/dx of coeff (log x)^b x^-a
-    lx = math.log(x)
-    return coeff * x ** (-a - 1.0) * lx ** (b - 1.0) * (b - a * lx)
+def _log_slopes(B, C, u):
+    """n^k h^(k) / h for k = 1, 2, 3, h = exp(B log u + C u), u = log n.
+    With r = C + B/u: n (log h)' = r, n^2 (log h)'' = -B/u^2 - r and
+    n^3 (log h)''' = 2 r + 3 B/u^2 + 2 B/u^3."""
+    r = C + B / u
+    l2 = -B / u**2 - r
+    l3 = 2.0 * r + 3.0 * B / u**2 + 2.0 * B / u**3
+    return r, r * r + l2, r**3 + 3.0 * r * l2 + l3
+
+
+def _euler_maclaurin(body, f, n, p1, p3):
+    """body + f/2 - f'/12 + f'''/720, the Euler-Maclaurin terms of a sum's
+    lower end n, from f there, p1 = n f'/f and p3 = n^3 f'''/f.  At an
+    upper end the odd terms change sign: pass -p1 and -p3."""
+    return body + 0.5 * f - p1 * f / n / 12.0 + p3 * f / n**3 / 720.0
 
 
 def tail_sum(tail, lo, hi=None):
     """Euler-Maclaurin sum of the tail over sequence indices lo..hi
     (hi=None means infinity), i.e. of tail.value(n) for n from
-    lo + offset to hi + offset; that n must start at 2 or above."""
+    lo + offset to hi + offset; that n must start at 2 or above.  It is
+    the integral plus f/2 - f'/12 + f'''/720 at lo and, for a finite hi,
+    f/2 + f'/12 - f'''/720 at hi."""
     lo += tail.offset
     hi = None if hi is None else hi + tail.offset
     if lo < 2:
@@ -222,17 +235,19 @@ def tail_sum(tail, lo, hi=None):
     body, _ = _tail_integral(c, a, b, lo, hi)
     if math.isinf(body):
         return math.inf
-    g_lo = float(tail.value(lo))
-    corr = 0.5 * g_lo - _tail_d1(c, a, b, lo) / 12.0
+    # tail.value = c exp(b log u - a u)
+    p1, _, p3 = _log_slopes(b, -a, math.log(lo))
+    total = _euler_maclaurin(body, float(tail.value(lo)), lo, p1, p3)
     if hi is not None:
-        corr += 0.5 * float(tail.value(hi)) + _tail_d1(c, a, b, hi) / 12.0
-    return body + corr
+        p1, _, p3 = _log_slopes(b, -a, math.log(hi))
+        total = _euler_maclaurin(total, float(tail.value(hi)), hi, -p1, -p3)
+    return total
 
 
 def tail_power_sum(tail, s, lo):
-    """Euler-Maclaurin sum of the tail's s-th powers over sequence
-    indices >= lo, +inf past the float range.  Where coeff**s overflows
-    the sum, linear in it, is taken with 2^-m coeff**s and scaled by 2^m."""
+    """tail_sum of the tail's s-th powers over sequence indices >= lo,
+    +inf past the float range.  Where coeff**s overflows the sum, linear
+    in it, is taken with 2^-m coeff**s and scaled by 2^m."""
     try:
         return tail_sum(tail.powered(s), lo)
     except OverflowError:
@@ -310,17 +325,10 @@ def tail_heat_sum(tail, t, alpha, lo):
     f0 = math.exp(-z0)
     if not f0:
         return body
-    # n^k g^(k) / g from the derivatives of log g: with r = beta -
-    # b alpha / u, n (log g)' = r, n^2 (log g)'' = b alpha / u^2 - r and
-    # n^3 (log g)''' = 2 r - 3 b alpha / u^2 - 2 b alpha / u^3
-    r = beta - b_alpha / u0
-    l2 = b_alpha / u0**2 - r
-    l3 = 2.0 * r - 3.0 * b_alpha / u0**2 - 2.0 * b_alpha / u0**3
-    g1, g2, g3 = z0 * r, z0 * (r * r + l2), z0 * (r**3 + 3.0 * r * l2 + l3)
-    # f = e^-g: f' = -g' f and f''' = (-g'^3 + 3 g' g'' - g''') f
-    d1 = -g1 * f0 / n0
-    d3 = (3.0 * g1 * g2 - g1**3 - g3) * f0 / n0**3
-    return body + 0.5 * f0 - d1 / 12.0 + d3 / 720.0
+    # n^k g^(k) at n0, for g = q exp(-b alpha log u + beta u) = z0 there;
+    # f = e^-g, so f' = -g' f and f''' = (-g'^3 + 3 g' g'' - g''') f
+    g1, g2, g3 = (z0 * p for p in _log_slopes(-b_alpha, beta, u0))
+    return _euler_maclaurin(body, f0, n0, -g1, 3.0 * g1 * g2 - g1**3 - g3)
 
 
 # -------------------------------------------------------------- sequences
@@ -853,6 +861,8 @@ def _charge_build(kind, horizon):
 def harmonic_sequence(horizon, coeff=1.0):
     """mu_n = coeff / n with the exact matching tail model."""
     H = int(horizon)
+    if H < 1:
+        raise ValueError("harmonic horizon must be >= 1")
     _charge_build("harmonic", H)
     n = np.arange(1, H + 1, dtype=np.float64)
     return SingularSequence(coeff / n, PowerLogTail(coeff, 1.0))

@@ -32,6 +32,11 @@ def mp_zeta(s):
     return float(mpmath.zeta(s))
 
 
+def mp_harmonic_sum(lo, hi):
+    """sum of 1/n over n = lo..hi."""
+    return float(mpmath.harmonic(hi) - mpmath.harmonic(lo - 1))
+
+
 def mp_power_sum(values, s):
     """sum(v ** s) for float64 inputs at 40 significant digits."""
     with mpmath.workdps(40):

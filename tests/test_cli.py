@@ -283,6 +283,18 @@ class TestMainExitCodes:
         assert ("experiments[0].model: oscillator horizon must be >= 3"
                 in captured.err)
 
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_short_harmonic_horizon_names_its_path(self, tmp_path, capsys,
+                                                   horizon):
+        cfg = _cfg(experiments=[
+            {"model": {"kind": "harmonic", "horizon": horizon}}])
+        code = cli.main(["--config", self._write(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert ("experiments[0].model: harmonic horizon must be >= 1"
+                in captured.err)
+
     @staticmethod
     def _power_log(power):
         # coeff**s passes the float range at the schedule's s = 1.04

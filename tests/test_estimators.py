@@ -509,11 +509,13 @@ class TestMellin:
         rep = dx.mellin_check(dx.ExplicitEigenvalues((1.0, 2.0, 5.0)), 2.0)
         assert rep.passed
         assert rep.rel_error <= 1e-6
+        assert 0.0 < rep.error_bound <= 1e-12 * abs(rep.integral)
 
     def test_squares_eigenvalues(self):
         rep = dx.mellin_check(dx.SquaresEigenvalues(), 1.5)
         assert rep.passed
         assert rep.rel_error <= 1e-6
+        assert 0.0 < rep.error_bound <= 1e-12 * abs(rep.integral)
         assert rep.reference == pytest.approx(
             math.gamma(1.5) * oracles.mp_zeta(3.0), rel=1e-12
         )
@@ -522,6 +524,17 @@ class TestMellin:
         rep = dx.mellin_check(dx.TorusEigenvalues(), 2.0)
         assert rep.passed
         assert rep.rel_error <= 1e-6
+        assert 0.0 < rep.error_bound <= 1e-12 * abs(rep.integral)
+
+    def test_refused_quadrature_is_undetermined(self):
+        class NanPartition(dx.ExplicitEigenvalues):
+            def partition(self, t):
+                return np.full(np.shape(t), math.nan)
+
+        rep = dx.mellin_check(NanPartition((1.0, 2.0)), 2.0)
+        assert rep.passed is None
+        assert math.isnan(rep.rel_error) and math.isnan(rep.error_bound)
+        assert rep.reference == pytest.approx(1.25)
 
     def test_theta_switch_is_continuous(self):
         from dixlab.estimators import _theta3

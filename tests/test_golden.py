@@ -1,0 +1,94 @@
+"""Report bytes pinned against tests/golden_reports.txt.
+
+The CSV reports of `cli.example_config()` and of one config with one
+model per sequence and torus kind and every method, and the `--check`
+output at seed 0, must match the file byte for byte.  A change that
+moves a digit fails here; where the move is a bug fix, rewrite the file
+with `PYTHONPATH=src python tests/test_golden.py` and explain each
+changed line.  No `matrix` row is pinned: LAPACK singular values may
+vary with BLAS threading.
+"""
+
+import contextlib
+import io
+import os
+
+import pytest
+
+from dixlab import cli
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "golden_reports.txt")
+_HEADER = "=== "
+
+_KINDS = [
+    ("harmonic", {"kind": "harmonic", "horizon": 4096}),
+    ("pl-1-1--1", {"kind": "power_log", "coeff": 1.0, "power": 1.0,
+                   "log_power": -1.0, "horizon": 200}),
+    ("pl-2-1.5-0.5", {"kind": "power_log", "coeff": 2.0, "power": 1.5,
+                      "log_power": 0.5, "horizon": 64}),
+    ("pl-1-1.2-0", {"kind": "power_log", "coeff": 1.0, "power": 1.2,
+                    "log_power": 0.0, "horizon": 64}),
+    ("pl-1-1-0", {"kind": "power_log", "coeff": 1.0, "power": 1.0,
+                  "log_power": 0.0, "horizon": 16}),
+    ("oscillator", {"kind": "oscillator", "horizon": 100000}),
+    ("torus1", {"kind": "torus", "dimension": 1, "cutoff_radius": 1000}),
+    ("torus2", {"kind": "torus", "dimension": 2, "cutoff_radius": 100}),
+    ("torus3", {"kind": "torus", "dimension": 3, "cutoff_radius": 20}),
+]
+
+
+def one_model_per_kind():
+    return {
+        "schema_version": cli.SCHEMA_VERSION,
+        "seed": 0,
+        "experiments": [
+            {"label": label, "model": model,
+             "methods": ["dixmier", "zeta", "heat_raw", "heat_cesaro"]}
+            for label, model in _KINDS
+        ],
+    }
+
+
+def reports():
+    """{name: text} of every pinned report."""
+    out = {}
+    for name, config in (("example.csv", cli.example_config()),
+                         ("kinds.csv", one_model_per_kind())):
+        with contextlib.redirect_stderr(io.StringIO()):  # timing lines
+            rows, _ = cli.run_experiment(cli.parse_config(config))
+        out[name] = cli.emit_report(rows, "csv")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.run_check(0)
+    out["check-seed-0.txt"] = buf.getvalue()
+    return out
+
+
+def read_golden():
+    sections, name = {}, None
+    with open(GOLDEN, encoding="utf-8", newline="") as fh:
+        for line in fh:
+            if line.startswith(_HEADER):
+                name = line[len(_HEADER):].rstrip("\n")
+                sections[name] = ""
+            else:
+                sections[name] += line
+    return sections
+
+
+@pytest.fixture(scope="module")
+def current():
+    return reports()
+
+
+@pytest.mark.parametrize("name", ["example.csv", "kinds.csv",
+                                  "check-seed-0.txt"])
+def test_report_bytes_match_the_golden_file(current, name):
+    assert current[name] == read_golden()[name]
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8", newline="") as fh:
+        for name, text in reports().items():
+            fh.write(_HEADER + name + "\n" + text)

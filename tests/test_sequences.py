@@ -163,10 +163,11 @@ class TestRunLengthSequence:
 
 class TestTailCalculus:
     def test_tail_sum_matches_direct_sum(self):
+        # both ends carry f'''/720: with f'/12 alone the sum is 1.8e-11 off
         tail = dx.PowerLogTail(1.0, 1.0, 0.0)
-        want = math.fsum(1.0 / n for n in range(100, 10_001))
         got = tail_sum(tail, 100, 10_000)
-        assert got == pytest.approx(want, rel=1e-8)
+        assert got == pytest.approx(oracles.mp_harmonic_sum(100, 10_000),
+                                    rel=1e-14)
 
     def test_tail_power_sum_matches_mpmath(self):
         tail = dx.PowerLogTail(1.0, 1.0, 0.0)
@@ -256,12 +257,21 @@ class TestTailCalculus:
         # the head holds n = 2..16, so alpha_20 sums 1/n over n = 2..21
         x = dx.power_log_sequence(1.0, 1.0, 0.0, 16)
         want = math.fsum(1.0 / n for n in range(2, 22)) / math.log(21.0)
+        # without f'''/720 at both ends alpha_20 is 1.9e-8 off
         got = dx.log_average(x, np.array([20])).alphas[0]
-        assert got == pytest.approx(want, abs=1e-7)
-        # the first omitted Euler-Maclaurin term, f'''(17)/720, is 2.4e-8
+        assert got == pytest.approx(want, abs=1e-10)
+        # without f'''(17)/720 the tail is 2.3e-8 high (3.6e-8 relative)
         assert x.power_sum(2.0) == pytest.approx(
-            oracles.mp_zeta(2.0) - 1.0, abs=5e-8
+            oracles.mp_zeta(2.0) - 1.0, abs=1e-10
         )
+
+    def test_power_sum_carries_the_third_derivative_term(self):
+        # without f'''(65)/720 each sum is 6.3e-11 to 6.9e-11 relative off
+        x = dx.power_log_sequence(1.0, 1.2, 0.0, 64)
+        for k in dx.estimators.ZETA_SCHEDULE:
+            s = 1.0 + 1.0 / k
+            assert x.power_sum(s) == pytest.approx(
+                oracles.mp_zeta(1.2 * s) - 1.0, rel=1e-13)
 
     @given(
         st.floats(0.5, 3.0),
