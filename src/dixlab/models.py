@@ -410,6 +410,15 @@ def _golub_kahan_matvec(ab, X):
     return Y
 
 
+def _unit(sigma_1):
+    """The power of two 2^-e that puts sigma_1 * 2^-e in [1/2, 1) (at
+    most 2^1023 for a subnormal sigma_1), or 1 when sigma_1 is 0 or not
+    finite.  A certificate computed in these units scales exactly, so it
+    neither overflows nor underflows and decides alike at any scale of
+    the operator."""
+    return 2.0 ** -max(math.frexp(sigma_1)[1], -1023)
+
+
 def _certify_band(ab, sigma):
     """Raise CertificateError unless every sigma_i has a unit vector x
     with ||Hx - sigma_i x|| <= 1e-8 * sigma_1, which puts an eigenvalue
@@ -420,8 +429,12 @@ def _certify_band(ab, sigma):
     The residuals place each value but not the multiset (a value
     repeated in place of its neighbour passes them), so sum sigma_i^2
     must also equal ||A||_F^2, the sum of |ab|^2 (the lower band holds
-    each entry of A once), within what values that close allow."""
+    each entry of A once), within what values that close allow.  Both
+    checks run on H and sigma in _unit(sigma_1); ab is scaled in place."""
     kd, n = ab.shape[0] - 1, ab.shape[1]
+    unit = _unit(float(sigma[0]))
+    ab *= unit
+    sigma = sigma * unit
     scale = float(sigma[0]) if sigma[0] > 0 else 1.0
     bound = 1e-8 * scale
     # general band storage for gbsv: H[i, j] at row 2 kd + i - j
@@ -447,7 +460,7 @@ def _certify_band(ab, sigma):
             else:
                 raise CertificateError(
                     "inverse iteration at %.17g: shifted band is singular"
-                    % s
+                    % (s / unit)
                 )
             X[i] = x[:, 0]
         X /= np.linalg.norm(X, axis=1)[:, None]
@@ -457,15 +470,15 @@ def _certify_band(ab, sigma):
         worst = float(np.max(resid))  # a NaN residual propagates here
         if not worst <= bound:
             raise CertificateError(
-                "singular value residual %.3e exceeds 1e-8 * sigma_1 = %.3e"
-                % (worst, bound)
+                "singular value residual %.3e * sigma_1 exceeds 1e-8 * "
+                "sigma_1" % (worst / scale)
             )
     gap = abs(float(np.sum(sigma * sigma)) - float(np.vdot(ab, ab).real))
     # |s^2 - t^2| <= bound * (2 s + bound) whenever |s - t| <= bound
     if not gap <= bound * (2.0 * float(np.sum(sigma)) + sigma.size * bound):
         raise CertificateError(
-            "singular values miss ||A||_F^2 by %.3e: a value is repeated "
-            "or lost" % gap
+            "singular values miss ||A||_F^2 by %.3e * sigma_1^2: a value "
+            "is repeated or lost" % (gap / scale**2)
         )
 
 
@@ -523,13 +536,19 @@ def singular_values(a):
             "singular value solver failed: %s" % exc
         ) from exc
     v = vh.conj().T
-    resid = A.conj().T @ (A @ v) - v * (s * s)
+    # in _unit(s_1)^2, scaling each product in place
+    unit = _unit(float(s[0])) if s.size else 1.0
+    resid = A @ v
+    resid *= unit
+    resid = A.conj().T @ resid
+    resid *= unit
+    resid -= v * (s * unit) ** 2
     worst = float(np.max(np.linalg.norm(resid, axis=0))) if s.size else 0.0
-    scale = float(s[0] * s[0]) if s.size and s[0] > 0 else 1.0
-    if worst > 1e-8 * scale:
+    scale = float(s[0] * unit) ** 2 if s.size and s[0] > 0 else 1.0
+    if not worst <= 1e-8 * scale:
         raise CertificateError(
-            "singular value residual %.3e exceeds 1e-8 * ||A||^2 = %.3e"
-            % (worst, 1e-8 * scale)
+            "singular value residual %.3e * ||A||^2 exceeds 1e-8 * ||A||^2"
+            % (worst / scale)
         )
     return SingularSequence(s)
 

@@ -244,17 +244,25 @@ def tail_sum(tail, lo, hi=None):
     return total
 
 
+_MIN_NORMAL = 2.0**-1022  # the smallest normal float
+
+
 def tail_power_sum(tail, s, lo):
     """tail_sum of the tail's s-th powers over sequence indices >= lo,
-    +inf past the float range.  Where coeff**s overflows the sum, linear
-    in it, is taken with 2^-m coeff**s and scaled by 2^m."""
+    +inf past the float range.  Where coeff**s is not a normal float or
+    the sum overflows, the sum, linear in coeff**s, is taken with
+    2^-m coeff**s and scaled by 2^m."""
     try:
-        return tail_sum(tail.powered(s), lo)
+        if tail.coeff**s >= _MIN_NORMAL:
+            return tail_sum(tail.powered(s), lo)
     except OverflowError:
-        m = math.ceil(s * math.log2(tail.coeff))
+        pass
+    m = math.ceil(s * math.log2(tail.coeff))
     scaled = replace(tail, coeff=2.0 ** (math.log2(tail.coeff) - m / s))
-    total = tail_sum(scaled.powered(s), lo)
-    return math.ldexp(total, m) if total < 2.0 ** (1024 - m) else math.inf
+    try:
+        return math.ldexp(tail_sum(scaled.powered(s), lo), m)
+    except OverflowError:
+        return math.inf
 
 
 _LOG_745 = math.log(745.0)
@@ -512,33 +520,19 @@ def log_average(x, ks):
     return LogAverageSeries(ks, alphas)
 
 
-def _tail_alpha_limsup(x):
-    """limsup of alpha_k as k -> inf under the tail model."""
-    t = x.tail
-    if t.power > 1.0:
-        return 0.0
-    if t.power < 1.0:
-        return math.inf
-    if t.log_power > 0.0:
-        return math.inf
-    if t.log_power == 0.0:
-        return t.coeff
-    return 0.0
-
-
 def norm_1_inf(x):
     """sup_k alpha_k.  The head is scanned at every k; with a tail model
-    the supremum also covers tail-extended checkpoints and the analytic
-    limit, which can exceed anything visible in the stored head (the
-    flat-torus spectrum is the standard case: alpha is still climbing at
-    any finite truncation)."""
+    the supremum also covers dyadic tail-extended checkpoints and the
+    limit of alpha_k, limsup n*mu from _tail_limsups, which can exceed
+    anything visible in the stored head (the flat-torus spectrum is the
+    standard case: alpha is still climbing at any finite truncation)."""
     x = as_sequence(x)
     if x.length == 0:
         raise ValueError("empty sequence has no norm")
     best, _ = kernels.max_log_average(x.head, counts=x.counts)
     if x.tail is None:
         return float(best)
-    lim = _tail_alpha_limsup(x)
+    lim = _tail_limsups(x.tail)[0]
     if math.isinf(lim):
         return math.inf
     best = max(best, lim)
@@ -651,69 +645,54 @@ class IdealMembershipReport:
 _FIT_TOL = 0.05
 
 
-def _exact_membership(tail):
-    """Analytic verdicts for mu_n = C (log n)^b n^-a.
+def _membership(a, b, ps, band):
+    """(in m_(1,inf), in weak-l1, in u_(1,inf), {p: in weak-l_p}) for
+    mu_n ~ C (log n)^b n^-a.  a is compared with 1 and 1/p, b with 0 and
+    1, and a comparison counts only beyond +-band: band 0 for a tail
+    model's exact exponents, _FIT_TOL for regressed ones.
 
-    limsup n*mu is the weak-l1 witness, limsup n*mu/log(n) the u1inf
-    one; membership in m_(1,inf) coincides with weak-l1 on this family
-    (alpha stays bounded exactly when a>1, or a=1 with b<=0)."""
-    C, a, b = tail.coeff, tail.power, tail.log_power
-    if a > 1.0:
-        return True, True, 0.0, True, 0.0
-    if a < 1.0:
-        return False, False, math.inf, False, math.inf
-    w_l1 = 0.0 if b < 0.0 else (C if b == 0.0 else math.inf)
-    w_u = 0.0 if b < 1.0 else (C if b == 1.0 else math.inf)
-    in_l1w = b <= 0.0
-    in_u = b < 1.0
-    return in_l1w, in_l1w, w_l1, in_u, w_u
+    Where a sits on its threshold the log exponent decides: weak-l_p
+    needs b <= 0, u_(1,inf) needs b < 1, and m_(1,inf) coincides with
+    weak-l1 on this family.  A b inside a nonzero band around 1 cannot
+    tell O(log) from o(log) and reads None; at band 0, b = 1 is out."""
+    def side(v, thr):  # +1 above, -1 below, 0 within the band
+        return (v > thr + band) - (v < thr - band)
 
+    def weak(thr):  # weak-l_(1/thr)
+        return side(a, thr) > 0 if side(a, thr) else b <= band
 
-def _exact_weak_lp(tail, p):
-    thr = 1.0 / p
-    if tail.power != thr:
-        return tail.power > thr
-    return tail.log_power <= 0.0
-
-
-def _fitted_membership(a, b):
-    """Same predicates from regressed exponents, with a +-0.05 band.
-
-    Boundary cases inside the band resolve by the log exponent; an
-    unresolvable o(log) question returns None."""
-    t = _FIT_TOL
-    if a > 1.0 + t:
-        return True, True, True
-    if a < 1.0 - t:
-        return False, False, False
-    in_l1w = b <= t
-    if b < 1.0 - t:
-        in_u = True
-    elif b > 1.0 + t:
-        in_u = False
+    in_l1w = weak(1.0)
+    if side(a, 1.0):
+        in_u = side(a, 1.0) > 0
+    elif side(b, 1.0) or not band:
+        in_u = side(b, 1.0) < 0
     else:
-        in_u = None  # cannot tell O(log) from o(log) at this resolution
-    return in_l1w, in_l1w, in_u
+        in_u = None  # cannot tell O(log) from o(log) in the band
+    return in_l1w, in_l1w, in_u, {p: weak(1.0 / p) for p in ps}
 
 
-def _fitted_weak_lp(a, b, p):
-    t = _FIT_TOL
-    thr = 1.0 / p
-    if a > thr + t:
-        return True
-    if a < thr - t:
-        return False
-    return b <= t
+def _tail_limsups(tail):
+    """(limsup n*mu, limsup n*mu/log n) under the tail model, the weak-l1
+    and u_(1,inf) witnesses; the first is also the limit of alpha_k."""
+    def limsup(e):  # of C (log n)^e n^(1-a)
+        if tail.power != 1.0:
+            return 0.0 if tail.power > 1.0 else math.inf
+        return 0.0 if e < 0.0 else (tail.coeff if e == 0.0 else math.inf)
+
+    return limsup(tail.log_power), limsup(tail.log_power - 1.0)
 
 
 def ideal_membership(x, ps=()):
-    """Membership verdicts for the trace ideal family.
+    """Membership verdicts for the trace ideal family, all from the
+    exponents (a, b) of mu_n ~ C (log n)^b n^-a by _membership.
 
-    With a tail model the exponents are exact and the verdicts are
-    analytic.  Without one a windowed log-log regression over the
-    trailing three quarters estimates (a, b); verdicts then carry a
-    0.05 exponent band, witnesses are window suprema, and unresolvable
-    flags come back None."""
+    With a tail model the exponents are exact (band 0) and the
+    witnesses are the analytic limits of _tail_limsups.  A finitely
+    supported head is inside everything; a head below 64 values is
+    undecided.  Otherwise a log-log regression over the trailing three
+    quarters estimates (a, b); verdicts then carry the _FIT_TOL band,
+    witnesses are window suprema, and unresolvable flags come back
+    None."""
     x = as_sequence(x)
     L = x.length
     nrm = norm_1_inf(x)
@@ -721,11 +700,12 @@ def ideal_membership(x, ps=()):
     z1 = zeta_norm_z1(x)
     ps = [float(p) for p in ps]
     if x.tail is not None:
-        in_m, in_l1w, w_l1, in_u, w_u = _exact_membership(x.tail)
-        weak_lp = {p: _exact_weak_lp(x.tail, p) for p in ps}
+        a, b = x.tail.power, x.tail.log_power
+        in_m, in_l1w, in_u, weak_lp = _membership(a, b, ps, 0.0)
+        w_l1, w_u = _tail_limsups(x.tail)
         return IdealMembershipReport(
             nrm, in_m, in_l1w, w_l1, in_u, w_u, weak_lp, riesz, z1,
-            fitted_exponents=(x.tail.power, x.tail.log_power),
+            fitted_exponents=(a, b),
         )
     if L >= 1 and x.at(L) == 0.0:
         # finitely supported: inside everything, all witnesses vanish
@@ -742,11 +722,10 @@ def ideal_membership(x, ps=()):
     coef, *_ = np.linalg.lstsq(design, np.log(mu), rcond=None)
     b_hat = float(coef[1])
     a_hat = float(-coef[2])
-    in_m, in_l1w, in_u = _fitted_membership(a_hat, b_hat)
+    in_m, in_l1w, in_u, weak_lp = _membership(a_hat, b_hat, ps, _FIT_TOL)
     w_l1 = float(np.max(n * mu)) if in_l1w else math.inf
     # an unresolved u1inf verdict still reports its window supremum
     w_u = float(np.max(n * mu / np.log(n))) if in_u is not False else math.inf
-    weak_lp = {p: _fitted_weak_lp(a_hat, b_hat, p) for p in ps}
     return IdealMembershipReport(
         nrm, in_m, in_l1w, w_l1, in_u, w_u, weak_lp, riesz, z1,
         window=(int(lo), int(L)), fitted_exponents=(a_hat, b_hat),

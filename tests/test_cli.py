@@ -249,6 +249,21 @@ class TestMainExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    def test_zeta_runs_where_the_tail_power_underflows(self, tmp_path,
+                                                       capsys):
+        # (1e-320)^s is 0 or subnormal on the zeta schedule; the tail sum
+        # exited 4 with "tail coeff must be positive and finite"
+        cfg = _cfg(experiments=[{
+            "label": "h",
+            "model": {"kind": "harmonic", "horizon": 1024, "coeff": 1e-320},
+            "methods": ["zeta"],
+        }])
+        code = cli.main(["--config", self._write(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        assert "error:" not in captured.err
+        assert captured.out.splitlines()[1].startswith("zeta_residue,h,")
+
     def test_bad_config_exits_four(self, tmp_path, capsys):
         code = cli.main(["--config",
                          self._write(tmp_path, _cfg(schema_version=3))])

@@ -1,10 +1,11 @@
 """Seeded config fuzzer.
 
-Each case takes a small valid harmonic, power_log, oscillator or torus
-model, replaces one of its numeric fields with a hostile value (NaN,
-+-inf, 0, negative, huge, tiny, wrong type) and runs every method
-through ``cli.main`` in-process with warnings as errors.  Whatever the
-value, each run must end in a documented exit code, never a traceback,
+Each case takes a small valid harmonic, power_log, oscillator, torus or
+matrix model, replaces one of its fields with a hostile value (NaN,
++-inf, 0, negative, huge, tiny, wrong type; for matrix coefficients
+also the whole symbol scaled by 1e+-150 to 1e+-300) and runs every
+method through ``cli.main`` in-process with warnings as errors.  Whatever
+the value, each run must end in a documented exit code, never a traceback,
 and an input error must say so in exactly one ``error:`` line.  Each
 method runs alone, so a method that refuses first hides no other.
 """
@@ -27,8 +28,22 @@ BASE = {
     "torus": {"kind": "torus", "dimension": 2, "cutoff_radius": 20,
               "operator_power": 1.0},
 }
-INT_FIELDS = {"horizon", "dimension", "cutoff_radius"}
+# 2 + cos x at halfwidth 150 takes the banded singular values (size 301
+# >= 100 * bandwidth 3), a 2-D symbol at halfwidth 4 the dense SVD
+COSINE = {"0": 2.0, "1": 0.5, "-1": 0.5}
+MATRIX = {
+    "band": {"kind": "matrix", "dimension": 1, "halfwidth": 150,
+             "coefficients": COSINE, "operator_power": 0.5, "real": True,
+             "max_checkpoint": 64},
+    "dense": {"kind": "matrix", "dimension": 2, "halfwidth": 4,
+              "coefficients": {"0,0": 2.0, "1,0": 0.5, "-1,0": 0.5,
+                               "0,1": 0.25, "0,-1": 0.25},
+              "operator_power": 1.0, "real": True, "max_checkpoint": 16},
+}
+INT_FIELDS = {"horizon", "dimension", "cutoff_radius", "halfwidth",
+              "max_checkpoint"}
 CASES = 200
+MATRIX_CASES = 40
 
 
 def _hostile(rng, field):
@@ -53,16 +68,31 @@ def _hostile(rng, field):
     return ["1", [1.0], None, True][int(rng.integers(4))]
 
 
-def _seeded_models(seed=20261018, n=CASES):
+def _hostile_coefficients(rng, coefficients):
+    """The whole symbol scaled by 1e+-150..1e+-300, or one coefficient
+    replaced by a hostile value."""
+    if rng.random() < 0.5:
+        scale = 10.0 ** (float(rng.choice([-1.0, 1.0]))
+                         * rng.uniform(150.0, 300.0))
+        return {k: v * scale for k, v in coefficients.items()}
+    keys = sorted(coefficients)
+    key = keys[int(rng.integers(len(keys)))]
+    return dict(coefficients, **{key: _hostile(rng, "coefficient")})
+
+
+def _seeded_models(base=BASE, seed=20261018, n=CASES):
     rng = np.random.Generator(np.random.Philox(seed))
-    kinds = sorted(BASE)
+    kinds = sorted(base)
     out = []
     for _ in range(n):
         kind = kinds[int(rng.integers(len(kinds)))]
-        model = dict(BASE[kind])
+        model = dict(base[kind])
         fields = sorted(f for f in model if f != "kind")
         field = fields[int(rng.integers(len(fields)))]
-        model[field] = _hostile(rng, field)
+        if "coefficients" in model and rng.random() < 0.5:
+            field = "coefficients"  # the symbol draws half the cases
+        model[field] = (_hostile_coefficients(rng, model[field])
+                        if field == "coefficients" else _hostile(rng, field))
         out.append(model)
     return out
 
@@ -80,6 +110,11 @@ EXPLICIT = [
      "log_power": -50.0, "horizon": 64},
     {"kind": "oscillator", "horizon": 10**11},
     {"kind": "torus", "dimension": 3, "cutoff_radius": 10**5},
+] + [  # singular-value certificates that overflowed or underflowed
+    {"kind": "matrix", "dimension": 1, "halfwidth": halfwidth,
+     "coefficients": {k: v * scale for k, v in COSINE.items()}}
+    for halfwidth, scale in ((150, 1e160), (150, 1e200), (150, 1e-160),
+                             (4, 1e200))
 ]
 
 
@@ -94,7 +129,8 @@ def _run(tmp_path, model, method):
         return cli.main(["--config", str(path)])
 
 
-@pytest.mark.parametrize("model", EXPLICIT + _seeded_models(),
+@pytest.mark.parametrize("model", EXPLICIT + _seeded_models()
+                         + _seeded_models(MATRIX, 20261019, MATRIX_CASES),
                          ids=lambda m: json.dumps(m, sort_keys=True))
 def test_hostile_field_ends_in_a_documented_exit(tmp_path, capsys,
                                                  monkeypatch, model):

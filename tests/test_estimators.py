@@ -363,6 +363,22 @@ class TestMeasurability:
         capped = dx.dixmier_estimate(model, max_checkpoint=64)
         assert int(capped.raw_series[0][-1]) <= 64
 
+    def test_converged_estimators_that_disagree(self):
+        # a 1.5/n tail behind the harmonic 1e6 head passes the junction
+        # check (0.55): the log average still reads the head's 1, the
+        # zeta residue the tail's 1.5
+        head = dx.harmonic_sequence(10**6).head
+        model = dx.SequenceModel(
+            dx.SingularSequence(head, tail=dx.PowerLogTail(1.5, 1.0)))
+        rep = dx.measurability_report(model, methods=("dixmier", "zeta"))
+        dix, zeta = rep.estimates["dixmier"], rep.estimates["zeta"]
+        assert (dix.status, zeta.status) == ("Converged", "Converged")
+        assert dix.value == pytest.approx(1.0, abs=1e-3)
+        assert zeta.value == pytest.approx(1.5, abs=0.02)
+        assert rep.verdict == "NotMeasurable"
+        assert rep.notes == "converged estimators disagree beyond tolerance"
+        assert rep.max_pairwise_discrepancy > rep.tolerance
+
     def test_needs_two_methods(self, harmonic_1e6):
         with pytest.raises(ValueError):
             dx.measurability_report(harmonic_1e6, methods=("dixmier",))

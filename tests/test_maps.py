@@ -169,6 +169,17 @@ class TestContinuousMaps:
             if t * t < f.horizon and t >= g.domain_start:
                 assert maps.evaluate(g, t) == maps.evaluate(f, t * t)
 
+    def test_power_cont_resamples_linear_data(self):
+        # f(t) = t on [0, 40): P_2 f(t) = t^2 at every knot of the
+        # geometric resample, and the result is flagged
+        f = maps.linear_embed(np.arange(40.0))
+        g = maps.power_cont(f, 2.0)
+        assert g.kind == "linear" and "geometric resample" in g.note
+        assert g.horizon == pytest.approx(math.sqrt(40.0), rel=1e-15)
+        np.testing.assert_allclose(g.values, g.breakpoints**2, rtol=1e-12)
+        ratios = g.breakpoints[2:] / g.breakpoints[1:-1]
+        assert float(np.max(ratios)) <= maps.RESAMPLE_RATIO * (1 + 1e-12)
+
 
 class TestConjugation:
     def test_log_exp_round_trip_on_steps(self):
@@ -177,6 +188,25 @@ class TestConjugation:
         g = maps.exp_conjugate(maps.log_conjugate(f))
         for t in (0.4, 7.25, 31.8, 46.6):
             assert maps.evaluate(g, t) == maps.evaluate(f, t)
+
+    def test_log_exp_conjugates_of_linear_data(self):
+        # f(t) = t is exact linear data: exp_conjugate reads it at e^u,
+        # log_conjugate reads 0.5 u at log t, and both stay knot-exact
+        f = maps.PiecewiseFunction("linear", np.arange(1.0, 41.0),
+                                   np.arange(1.0, 41.0), 1.0, 40.0, 40.0)
+        g = maps.exp_conjugate(f)
+        assert g.kind == "linear"
+        assert g.note == "knot-exact log reparametrization"
+        assert g.horizon == pytest.approx(math.log(40.0), rel=1e-15)
+        np.testing.assert_allclose(g.values, np.exp(g.breakpoints),
+                                   rtol=1e-13)
+        h = maps.log_conjugate(maps.linear_embed(np.arange(5.0) * 0.5))
+        assert h.kind == "linear" and h.domain_start == 1.0
+        assert h.horizon == pytest.approx(math.exp(5.0), rel=1e-15)
+        inside = h.breakpoints < math.exp(4.0)
+        np.testing.assert_allclose(h.values[inside],
+                                   0.5 * np.log(h.breakpoints[inside]),
+                                   rtol=1e-12, atol=1e-15)
 
     def test_conjugated_shift_is_dilation(self):
         # log-domain translation by c acts as t -> t * e^c
@@ -239,6 +269,21 @@ class TestOscillationAndAlmostConvergence:
         assert maps.oscillation_K(f, 1.5) == pytest.approx(2.0)
         # constant piece: no oscillation inside [1, 2)
         assert maps.oscillation_K(f, 1.0) == 0.0
+
+    def test_oscillation_of_linear_data(self):
+        # knots 0, 1, 2 with values 0, 2, 1: on [0.5, 1.5) the peak is
+        # the knot at 1 (1.0 above f(0.5) = 1); at 1.5 the window runs
+        # past the horizon 3 - the linear end value 1 and the tail 5
+        f = maps.PiecewiseFunction("linear", np.array([0.0, 1.0, 2.0]),
+                                   np.array([0.0, 2.0, 1.0]), 0.0, 3.0, 5.0)
+        assert maps.oscillation_K(f, 0.5) == pytest.approx(1.0)
+        assert maps.oscillation_K(f, 2.5) == pytest.approx(4.0)
+
+    def test_dilation_repeats_each_entry(self):
+        np.testing.assert_array_equal(
+            maps.dilate_discrete([3.0, 1.0], 3), [3.0] * 3 + [1.0] * 3)
+        with pytest.raises(ValueError, match="positive integer"):
+            maps.dilate_discrete([1.0], 0)
 
     def test_oscillation_domain_guard(self):
         f = maps.floor_embed(np.array([1.0, 2.0]))

@@ -150,6 +150,17 @@ class TestCubeBasisAndExpectation:
             models.expectation_sequence(a), [3.0, 1.0, -1.0]
         )
 
+    def test_expectation_sequence_in_a_rotated_basis(self):
+        # columns (e1 +- e2)/sqrt 2 read the mean of the first two
+        # diagonal entries and pick up the off-diagonal 0.5
+        a = np.array([[3.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, -1.0]])
+        r = 1.0 / math.sqrt(2.0)
+        u = np.array([[r, r, 0.0], [r, -r, 0.0], [0.0, 0.0, 1.0]])
+        np.testing.assert_allclose(models.expectation_sequence(a, basis=u),
+                                   [2.5, 1.5, -1.0], rtol=1e-14)
+        with pytest.raises(ValueError, match="matching shape"):
+            models.expectation_sequence(a, basis=np.eye(2))
+
 
 class TestFourierMultiplier:
     def test_real_flag_requires_hermitian_coefficients(self):
@@ -302,6 +313,23 @@ class TestBandSingularValues:
         with pytest.raises(models.CertificateError, match=reason):
             models.singular_values(op)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160,
+                                       1e200, 1e300])
+    def test_certificate_holds_at_any_scale(self, scale):
+        # at 1e+-160 and 1e200 the squares and vector norms overflowed or
+        # underflowed into a NaN residual or Frobenius gap
+        f = _symbol("symmetric", 1)
+        scaled = dx.FourierMultiplier(
+            {k: c * scale for k, c in f.coefficients.items()})
+        op = models.multiplication_matrix(scaled, 1, 150)
+        assert models._takes_band_path(op)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = models.singular_values(op).values
+        want = models.singular_values(
+            models.multiplication_matrix(f, 1, 150)).values
+        np.testing.assert_allclose(got / scale, want, rtol=1e-12)
+
     def test_exactly_singular_shift_is_retried(self):
         # H = 0: every shift sigma = 0 is exactly singular until nudged
         op = models.multiplication_matrix(dx.FourierMultiplier({(0,): 0.0}),
@@ -347,6 +375,46 @@ class TestBandSingularValues:
 
 
 class TestSingularValuesAndDecomposition:
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170, 1e-150, 1.0,
+                                       1e100, 1e160, 1e200, 1e300])
+    def test_dense_certificate_at_any_scale(self, monkeypatch, scale):
+        # 2 + cos x at M = 4 takes the dense SVD.  (A*A)v and s^2 left the
+        # float range: past 1e160 or below 1e-150 a wrong value passed,
+        # and at 1e100 a right one failed
+        f = _symbol("symmetric", 1)
+        op = models.multiplication_matrix(dx.FourierMultiplier(
+            {k: c * scale for k, c in f.coefficients.items()}), 1, 4)
+        assert not models._takes_band_path(op)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = models.singular_values(op).values
+        want = linalg.svdvals(models.multiplication_matrix(f, 1, 4).entries)
+        np.testing.assert_allclose(got / scale, want, rtol=1e-12)
+        svd = linalg.svd
+
+        def wrong(*args, **kwargs):  # s_4 halfway to s_5, order kept
+            u, s, vh = svd(*args, **kwargs)
+            s[3] = 0.5 * (s[3] + s[4])
+            return u, s, vh
+
+        monkeypatch.setattr(models.linalg, "svd", wrong)
+        with pytest.raises(models.CertificateError, match="residual"):
+            models.singular_values(op)
+
+    def test_dense_nan_value_fails_certificate(self, monkeypatch):
+        # a NaN residual compared false against the bound and passed
+        svd = linalg.svd
+
+        def nan_value(*args, **kwargs):
+            u, s, vh = svd(*args, **kwargs)
+            s[3] = math.nan
+            return u, s, vh
+
+        monkeypatch.setattr(models.linalg, "svd", nan_value)
+        op = models.multiplication_matrix(_symbol("symmetric", 1), 1, 4)
+        with pytest.raises(models.CertificateError, match="residual nan"):
+            models.singular_values(op)
+
     def test_unitary_invariance(self):
         r = _rng(2)
         m = r.standard_normal((16, 16)) + 1j * r.standard_normal((16, 16))

@@ -187,6 +187,20 @@ class TestTailCalculus:
         huge = dx.PowerLogTail(1e300, 1.0)
         assert tail_power_sum(huge, 1.5, 2) == math.inf
 
+    def test_tail_power_sum_when_the_power_underflows(self):
+        # 1e-300**1.2 underflows to 0, which no tail may carry; the sum,
+        # about 2e-360, is below the float range
+        assert tail_power_sum(dx.PowerLogTail(1e-300, 1.0), 1.2, 100) == 0.0
+
+    def test_tail_power_sum_when_the_power_is_subnormal(self):
+        # (2^-530)^2 = 2^-1060 is subnormal, so each term of a sum taken
+        # at that scale keeps at most 14 of 53 bits (4.45e-322); taken at
+        # scale 1 and scaled once, the sum rounds once
+        got = tail_power_sum(dx.PowerLogTail(2.0**-530, 1.5), 2.0, 10)
+        want = math.ldexp(tail_power_sum(dx.PowerLogTail(1.0, 1.5), 2.0, 10),
+                          -1060)
+        assert got == want == pytest.approx(4.50e-322, abs=1e-324)
+
     def test_tail_heat_sum_matches_brute(self):
         tail = dx.PowerLogTail(1.0, 1.0, 0.0)
         t, alpha = 500.0, 1.0
@@ -553,6 +567,75 @@ class TestZ1AndRiesz:
             dx.riesz_seminorm_proxy(np.array([1.0, 0.5]))
 
 
+def _positions(band):
+    """(offset, position) of an exponent against its threshold: just
+    beyond the band above (+1) or below (-1), or inside it (0) at the
+    threshold and 1e-12 within each edge."""
+    out = [(band + 1e-12, 1), (-band - 1e-12, -1), (0.0, 0)]
+    if band:
+        out += [(band - 1e-12, 0), (1e-12 - band, 0)]
+    return out
+
+
+class TestMembershipRule:
+    """Verdicts of mu_n ~ C (log n)^b n^-a from its exponents: a against
+    1 and 1/p decides, and where a sits on its threshold b does (b <= 0
+    for weak-l_p, b < 1 for u_(1,inf), b = 1 unresolved in a band)."""
+
+    PS = (0.5, 1.0, 2.0)  # thresholds 1/p = 2, 1, 1/2
+
+    @pytest.mark.parametrize("band", [0.0, sequences._FIT_TOL])
+    def test_table_at_each_threshold(self, band):
+        cases = [(a_thr, pa, b_thr, pb, a_thr + da, b_thr + db)
+                 for a_thr in (1.0 / p for p in self.PS)
+                 for da, pa in _positions(band)
+                 for b_thr in (0.0, 1.0)
+                 for db, pb in _positions(band)]
+        assert len(cases) == 3 * 2 * len(_positions(band)) ** 2
+        for a_thr, pa, b_thr, pb, a, b in cases:
+            def a_at(t):  # a's position against threshold t
+                return pa if t == a_thr else (1 if a_thr > t else -1)
+
+            def b_at(t):
+                return pb if t == b_thr else (1 if b_thr > t else -1)
+
+            def weak(t):
+                return a_at(t) > 0 if a_at(t) else b_at(0.0) <= 0
+
+            if a_at(1.0):
+                u = a_at(1.0) > 0
+            elif b_at(1.0):
+                u = b_at(1.0) < 0
+            else:
+                u = None if band else False
+            want = (weak(1.0), weak(1.0), u,
+                    {p: weak(1.0 / p) for p in self.PS})
+            assert sequences._membership(a, b, self.PS, band) == want, (a, b)
+
+    def test_fitted_band_edges(self):
+        t = sequences._FIT_TOL
+        rule = sequences._membership
+        assert rule(1.0, t - 1e-12, (), t)[:3] == (True, True, True)
+        assert rule(1.0, t + 1e-12, (), t)[:3] == (False, False, True)
+        assert rule(1.0, 1.0, (), t)[2] is None
+        assert rule(1.0, 1.0 + t + 1e-12, (), t)[2] is False
+        assert rule(1.0, 1.0, (), 0.0)[2] is False  # exact b = 1 is out
+
+    @pytest.mark.parametrize("a, b, want", [
+        (1.0 + 1e-12, 9.0, (0.0, 0.0)),
+        (1.0 - 1e-12, -9.0, (math.inf, math.inf)),
+        (1.0, -1e-12, (0.0, 0.0)),
+        (1.0, 0.0, (3.0, 0.0)),
+        (1.0, 1e-12, (math.inf, 0.0)),
+        (1.0, 1.0 - 1e-12, (math.inf, 0.0)),
+        (1.0, 1.0, (math.inf, 3.0)),
+        (1.0, 1.0 + 1e-12, (math.inf, math.inf)),
+    ])
+    def test_tail_limsups(self, a, b, want):
+        # limsup n mu = limsup C (log n)^b n^(1-a), and over log n
+        assert sequences._tail_limsups(dx.PowerLogTail(3.0, a, b)) == want
+
+
 class TestIdealMembership:
     def test_harmonic_is_member_exactly(self):
         rep = dx.ideal_membership(dx.harmonic_sequence(4096), ps=(2.0,))
@@ -581,6 +664,65 @@ class TestIdealMembership:
         x = dx.SingularSequence(np.array([2.0, 1.0, 0.0, 0.0]))
         rep = dx.ideal_membership(x)
         assert rep.in_m1inf is True
+
+    def test_exact_summable_tail_is_inside_everything(self):
+        tail = dx.PowerLogTail(3.0, 1.5, 2.0, offset=40)
+        x = dx.SingularSequence(tail.value(np.arange(41.0, 141.0)),
+                                tail=tail)
+        rep = dx.ideal_membership(x, ps=(0.5, 1.0))
+        assert (rep.in_m1inf, rep.in_weak_l1, rep.in_u1inf) == (
+            True, True, True)
+        assert (rep.witness_weak_l1, rep.witness_u1inf) == (0.0, 0.0)
+        assert rep.weak_lp == {0.5: False, 1.0: True}
+        assert rep.fitted_exponents == (1.5, 2.0)
+        # alpha_k tends to the limit 0, so the norm is the finite peak
+        # the tail reaches past the head (at k = 6024), seen at dyadic k
+        v = tail.value(np.arange(41.0, 41.0 + 2**16))
+        alphas = np.cumsum(v) / np.log1p(np.arange(1, v.size + 1))
+        assert float(np.max(alphas[:100])) < dx.norm_1_inf(x) <= float(
+            np.max(alphas))
+
+    @staticmethod
+    def _fitted(a, b, ps=()):
+        n = np.arange(16.0, 4112.0)
+        rep = dx.ideal_membership(dx.SingularSequence(np.log(n) ** b
+                                                      * n ** -a), ps=ps)
+        assert rep.window == (1024, 4096)
+        return rep
+
+    def test_fitted_power_beyond_the_band_above(self):
+        rep = self._fitted(1.2, 0.0)
+        assert rep.fitted_exponents[0] > 1.0 + sequences._FIT_TOL
+        assert (rep.in_m1inf, rep.in_weak_l1, rep.in_u1inf) == (
+            True, True, True)
+        n = np.arange(1024.0, 4097.0)
+        mu = np.log(n + 15.0) ** 0.0 * (n + 15.0) ** -1.2
+        assert rep.witness_weak_l1 <= float(np.max(n * mu))
+        assert 0.0 < rep.witness_u1inf < rep.witness_weak_l1
+
+    def test_fitted_power_beyond_the_band_below(self):
+        rep = self._fitted(0.8, 0.0)
+        assert rep.fitted_exponents[0] < 1.0 - sequences._FIT_TOL
+        assert (rep.in_m1inf, rep.in_weak_l1, rep.in_u1inf) == (
+            False, False, False)
+        assert rep.witness_weak_l1 == rep.witness_u1inf == math.inf
+
+    def test_fitted_log_power_beyond_the_band_at_the_critical_power(self):
+        rep = self._fitted(1.0, 1.2)
+        a_hat, b_hat = rep.fitted_exponents
+        assert abs(a_hat - 1.0) <= sequences._FIT_TOL
+        assert b_hat > 1.0 + sequences._FIT_TOL
+        assert (rep.in_weak_l1, rep.in_u1inf) == (False, False)
+        assert rep.witness_u1inf == math.inf
+
+    def test_fitted_weak_lp_on_both_strict_sides(self):
+        # p = 2: the power against 1/2, outside the band either way
+        above, below = self._fitted(0.6, 0.0, (2.0,)), self._fitted(
+            0.4, 0.0, (2.0,))
+        assert above.fitted_exponents[0] > 0.5 + sequences._FIT_TOL
+        assert below.fitted_exponents[0] < 0.5 - sequences._FIT_TOL
+        assert (above.weak_lp, below.weak_lp) == ({2.0: True},
+                                                  {2.0: False})
 
 
 class TestTauberianClassification:
