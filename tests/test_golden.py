@@ -35,6 +35,9 @@ _KINDS = [
     ("torus1", {"kind": "torus", "dimension": 1, "cutoff_radius": 1000}),
     ("torus2", {"kind": "torus", "dimension": 2, "cutoff_radius": 100}),
     ("torus3", {"kind": "torus", "dimension": 3, "cutoff_radius": 20}),
+    ("torus2-p1.5", {"kind": "torus", "dimension": 2, "cutoff_radius": 100,
+                     "operator_power": 1.5}),
+    ("nc_torus", {"kind": "nc_torus", "cutoff_radius": 100, "theta": 0.25}),
 ]
 
 
