@@ -22,6 +22,7 @@ from .sequences import (
     norm_1_inf,
     oscillator_sequence,
     power_log_sequence,
+    power_trace,
     riesz_seminorm_proxy,
     submajorizes,
     tauberian_classify,

@@ -12,6 +12,7 @@ schedule, 1/t for the raw heat functional.
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
@@ -24,6 +25,7 @@ from .sequences import (
     PowerLogTail,
     SingularSequence,
     _charge_build,
+    _closures,
     _exp_tail,
     _fit_line,
     _heat_quad,
@@ -33,7 +35,7 @@ from .sequences import (
     log_average,
     oscillator_sequence,
     power_log_sequence,
-    tail_heat_sum,
+    power_trace,
     tail_quad,
     tauberian_classify,
 )
@@ -132,14 +134,6 @@ def _finite(value, kind, at):
 # ------------------------------------------------------- source handling
 
 
-def _spectrum_of(source):
-    if isinstance(source, SingularSequence):
-        return source
-    if hasattr(source, "spectrum"):
-        return source.spectrum()
-    return as_sequence(source)
-
-
 @dataclass(frozen=True)
 class SequenceModel:
     """Estimator source wrapping a sequence.  max_checkpoint caps the
@@ -169,9 +163,10 @@ def power_log_model(coeff, power, log_power, horizon=10**6):
 class OscillatorModel:
     """mu_n = (2 + sin log log n)/n: the standard non-Tauberian input.
 
-    No power-log tail matches it, so zeta and heat tails integrate the
-    continuum, (2 + sin log u)^s e^{(1-s)u} for zeta in u = log x, from
-    x = horizon + 1/2 (the midpoint rule for the terms past the head)."""
+    No power-log tail matches it, so zeta_tail and heat_tail integrate
+    the continuum, (2 + sin log u)^s e^{(1-s)u} for zeta in u = log x,
+    from x = horizon + 1/2 (the midpoint rule for the terms past the
+    head)."""
 
     horizon: int = 10**7
     name: str = "oscillator"
@@ -189,11 +184,11 @@ class OscillatorModel:
             object.__setattr__(self, "_spec", cached)
         return cached
 
-    def zeta(self, s):
+    def zeta_tail(self, s):
         s = float(s)
         if s <= 1.0:
             raise ValueError("zeta evaluation divergent at s=%g" % s)
-        return self.spectrum().power_sum(s) + self._zeta_tail(s)[0]
+        return self._zeta_tail(s)[0]
 
     def _zeta_tail(self, s):
         """(value, bound): the zeta tail past the head, in y = (s - 1)(u
@@ -222,7 +217,7 @@ class OscillatorModel:
 # ------------------------------------------------------ dixmier estimate
 
 
-def dixmier_estimate(source, max_checkpoint=None, extrapolate=True):
+def dixmier_estimate(source, max_checkpoint=None):
     """Log-average estimate over dyadic checkpoints.
 
     The checkpoint series is classified first; a value is produced by
@@ -233,7 +228,7 @@ def dixmier_estimate(source, max_checkpoint=None, extrapolate=True):
     max_checkpoint applies, if it has one."""
     if max_checkpoint is None:
         max_checkpoint = getattr(source, "max_checkpoint", None)
-    x = _spectrum_of(source)
+    x = as_sequence(source)
     verdict = tauberian_classify(x, max_checkpoint)
     diag = verdict.diagnostics
     ks = diag.get("checkpoints", np.empty(0, dtype=np.int64))
@@ -241,7 +236,7 @@ def dixmier_estimate(source, max_checkpoint=None, extrapolate=True):
     raw = (ks, alphas)
     notes = "tail model attached" if x.tail is not None else "head only"
     if verdict.status == "Tauberian":
-        value = float(verdict.limit_estimate if extrapolate else alphas[-1])
+        value = float(verdict.limit_estimate)
         # tauberian_classify fitted the limit on its last FIT_CHECKPOINTS
         # checkpoints; the error adds their residuals and a 3-point fit's gap
         resid = diag["fit_residuals"]
@@ -251,7 +246,7 @@ def dixmier_estimate(source, max_checkpoint=None, extrapolate=True):
                + abs(verdict.limit_estimate - a3))
         value = max(value, 0.0) if value > -1e-12 else value
         return TraceEstimate(
-            "dixmier_alpha", value, raw, extrapolate,
+            "dixmier_alpha", value, raw, True,
             verdict.oscillation_amplitude, CONVERGED,
             error_estimate=err, notes=notes,
         )
@@ -275,21 +270,17 @@ def dixmier_estimate(source, max_checkpoint=None, extrapolate=True):
 # -------------------------------------------------------- zeta estimate
 
 
-def _zeta_evaluator(source):
-    """Resolve source to (evaluator s -> Tr(T^s), truncation_guard).
-
-    For a bare head with no tail model the guard(s, head) judges the
-    head sum the evaluator returned at s against the worst
+def _truncation_guard(source):
+    """None, or for a bare head (no zeta tail, a nonzero last value) a
+    guard(s, head) that judges the head sum at s against the worst
     m_(1,inf)-compatible continuation mu_n = mu_L L / n; if that could
     shift the sum by more than 1%, the schedule point is untrustworthy
     and the whole estimate is refused."""
-    if hasattr(source, "zeta"):
-        return source.zeta, None
     if callable(source):
-        return source, None
-    x = _spectrum_of(source)
-    if x.tail is not None or x.length == 0 or x.at(x.length) == 0.0:
-        return x.power_sum, None
+        return None
+    x, zeta_tail, _ = _closures(source)
+    if zeta_tail is not None or x.length == 0 or x.at(x.length) == 0.0:
+        return None
 
     def guard(s, head):
         L = x.length
@@ -297,24 +288,24 @@ def _zeta_evaluator(source):
         worst = mu_edge**s * L / (s - 1.0)
         return worst <= 0.01 * head
 
-    return x.power_sum, guard
+    return guard
 
 
 def zeta_residue_estimate(source, k_schedule=ZETA_SCHEDULE):
     """(1/k) * Tr(T^{1+1/k}) over the schedule, extrapolated linearly
-    in 1/k.  source: an evaluator s -> zeta(s), a model exposing one, or
-    a sequence (tail-aware when the tail model is present)."""
+    in 1/k, Tr by power_trace of an evaluator s -> Tr(T^s), a sequence
+    or a model."""
     ks = np.asarray(k_schedule, dtype=np.float64)
     if ks.ndim != 1 or ks.size == 0 or np.any(ks < 1):
         raise ValueError("k schedule must be >= 1")
     if np.any(np.diff(ks) <= 0):
         raise ValueError("k schedule must increase")
-    evaluator, guard = _zeta_evaluator(source)
+    guard = _truncation_guard(source)
     vals = np.empty(ks.size)
     guarded = True
     for i, k in enumerate(ks):
         s = 1.0 + 1.0 / float(k)
-        z = _finite(float(evaluator(s)), "zeta", "s=%g" % s)
+        z = _finite(power_trace(source, s), "zeta", "s=%g" % s)
         vals[i] = z / float(k)
         if guard is not None and not guard(s, z):
             guarded = False
@@ -330,25 +321,15 @@ def zeta_residue_estimate(source, k_schedule=ZETA_SCHEDULE):
 # -------------------------------------------------------- heat estimates
 
 
-def _heat_closure(source):
-    """(x, tail): the spectrum of source and its raw heat sum past the
-    head, tail(t, alpha): the model's where it closes its own tail, else
-    the tail model's from n = length + 1, else 0.0."""
-    x = _spectrum_of(source)
-    if hasattr(source, "heat_tail"):
-        return x, source.heat_tail
-    if x.tail is None:
-        return x, lambda t, alpha: 0.0
-    return x, lambda t, alpha: tail_heat_sum(x.tail, t, alpha, x.length + 1)
-
-
 def heat_trace(source, t, alpha_exp=1.0):
     """g(t) = (1/t) * sum_n exp(-(t mu_n)^{-alpha}): the head kernel sum
-    plus the tail closure of _heat_closure; zero eigenvalues contribute
+    plus the heat tail of _closures, if any; zero eigenvalues contribute
     zero.  A sum past the float range raises ValueError."""
     t, alpha = float(t), float(alpha_exp)
-    x, tail = _heat_closure(source)
-    total = kernels.heat_sum(x.head, t, alpha, x.counts) + tail(t, alpha)
+    x, _, tail = _closures(source)
+    total = kernels.heat_sum(x.head, t, alpha, x.counts)
+    if tail is not None:
+        total += tail(t, alpha)
     return _finite(total, "heat", "t=%g" % t) / t
 
 
@@ -398,12 +379,12 @@ def heat_estimate(source, t_schedule=HEAT_SCHEDULE, alpha_exp=1.0,
         return _series_estimate("heat_raw", ts, vals, 1.0 / ts, True)
     if ts[0] <= 1.0:
         raise ValueError("cesaro smoothing needs t > 1")
-    x, tail = _heat_closure(source)
+    x, _, tail = _closures(source)
     s1 = kernels.heat_gamma_sum(x.head, 1.0, alpha, x.counts)
     vals, lo, tail_int = np.empty(ts.size), 1.0, 0.0
     for i, T in enumerate(ts):
         # R grows with t: finite on [1, T] when R(T) is, 0 when it is 0
-        if _finite(tail(T, alpha), "heat", "t=%g" % T):
+        if tail is not None and _finite(tail(T, alpha), "heat", "t=%g" % T):
             v = float(x.at(x.length))
             tail_int += _log_heat_tail(tail, alpha, v, lo, T)[0]
         lo = T
@@ -521,7 +502,7 @@ def product_zeta_sequence(a, model, k_schedule=ZETA_SCHEDULE):
         if not a.real_flag:
             raise ValueError("product trace needs a real symbol")
         c = float(a.fhat0.real)
-        vals = np.array([c * model.zeta(1 + 1 / k) / k for k in ks])
+        vals = np.array([c * power_trace(model, 1 + 1 / k) / k for k in ks])
         note = "diagonal formula: fhat(0) * lattice zeta"
     elif isinstance(a, SublatticeProjection):
         if a.dimension != n:
@@ -533,15 +514,15 @@ def product_zeta_sequence(a, model, k_schedule=ZETA_SCHEDULE):
                 "exact head/tail junction"
             )
         # the shells k of the coarse lattice are the shells stride^2 k
-        # of the sublattice, with the same counts
+        # of the sublattice, with the same counts; past the cutoff the
+        # sublattice holds 1/stride^n of the model's tail
         keys, counts = models._shells(n, R // stride)
-        w_sub = stride * stride * keys + 1.0
-        vals = np.empty(ks.size)
-        for i, k in enumerate(ks):
-            q = p * (1 + 1 / k)
-            head = kernels.power_sum(w_sub, -q, counts=counts)
-            tail = models._zeta_tail(n, q, R) / stride**n
-            vals[i] = (head + tail) / k
+        x = SingularSequence((stride * stride * keys + 1.0) ** -p, None,
+                             counts)
+        sub = SimpleNamespace(
+            spectrum=lambda: x,
+            zeta_tail=lambda s: model.zeta_tail(s) / stride**n)
+        vals = np.array([power_trace(sub, 1 + 1 / k) / k for k in ks])
         note = "sublattice counting with density-scaled tail"
     else:
         raise TypeError(
@@ -593,8 +574,8 @@ def holder_check(t_model, v_model, p):
     if p <= 1.0:
         raise ValueError("p must exceed 1")
     q = p / (p - 1.0)
-    x = _spectrum_of(t_model)
-    y = _spectrum_of(v_model)
+    x = as_sequence(t_model)
+    y = as_sequence(v_model)
     L = min(x.length, y.length)
     if L < 2:
         raise ValueError("need at least two eigenvalues")
@@ -706,7 +687,7 @@ class TorusEigenvalues:
         return np.exp(-t) * _theta3(t) ** 2
 
     def zeta_q(self, s):
-        return models.LatticeModel(2, self.cutoff, 1.0).zeta(s)
+        return power_trace(models.LatticeModel(2, self.cutoff, 1.0), s)
 
 
 MELLIN_RTOL = 1e-6  # the relative gap within which a Mellin check passes

@@ -118,18 +118,6 @@ def _zeta_tail(n, q, radius):
             * special.betainc(a, 0.5 * n, u))
 
 
-def _zeta_exponent(n, p, s):
-    """q = p*s, the exponent of (1+|m|^2) in Tr(T^s); the lattice sum
-    diverges for q <= n/2, which raises, naming s."""
-    s = float(s)
-    q = p * s
-    if q <= n / 2.0:
-        raise ValueError(
-            "zeta sum diverges at s=%g (needs s > %g)" % (s, n / (2.0 * p))
-        )
-    return q
-
-
 @dataclass(frozen=True)
 class LatticeModel:
     """(1+Delta)^{-operator_power} on the n-torus, truncated at a
@@ -159,16 +147,15 @@ class LatticeModel:
             object.__setattr__(self, "_spectrum", cached)
         return cached
 
-    def zeta(self, s):
-        """Tr(T^s) = sum (1+|m|^2)^{-ps}: the cached spectrum's shells
-        to the power s, each times its count, plus the continuum
-        integral over |x| > cutoff (the n=2 case closes in elementary
-        form).  Diverges for s <= n/(2p); that raises, naming s."""
-        n, p = self.dimension, self.operator_power
-        q = _zeta_exponent(n, p, s)
-        x = self.spectrum()
-        head = kernels.power_sum(x.head, s, counts=x.counts)
-        return head + _zeta_tail(n, q, self.cutoff_radius)
+    def zeta_tail(self, s):
+        """sum over |m| > cutoff of (1+|m|^2)^{-ps}: the continuum
+        integral _zeta_tail.  It diverges for s <= n/(2p), which raises,
+        naming s."""
+        n, p, s = self.dimension, self.operator_power, float(s)
+        if p * s <= n / 2.0:
+            raise ValueError("zeta sum diverges at s=%g (needs s > %g)"
+                             % (s, n / (2.0 * p)))
+        return _zeta_tail(n, p * s, self.cutoff_radius)
 
 
 # ------------------------------------------------ basis order / multipliers

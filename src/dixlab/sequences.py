@@ -430,14 +430,6 @@ class SingularSequence:
     def head_sum(self):
         return kernels.comp_sum(self.head, counts=self.counts)
 
-    def power_sum(self, s):
-        """sum over n of mu_n**s: the head kernel sum, continued by the
-        tail model from n = length + 1 when one is attached."""
-        total = kernels.power_sum(self.head, s, counts=self.counts)
-        if self.tail is not None:
-            total += tail_power_sum(self.tail, s, self.length + 1)
-        return total
-
     def scaled(self, c):
         """c * x: values and tail coefficient both scale."""
         if not (c > 0.0):
@@ -449,9 +441,40 @@ class SingularSequence:
 
 
 def as_sequence(x):
+    """x itself, a model's spectrum(), or a sequence of array values."""
     if isinstance(x, SingularSequence):
         return x
+    if hasattr(x, "spectrum"):
+        return x.spectrum()
     return SingularSequence(np.asarray(x, dtype=np.float64))
+
+
+def _closures(source):
+    """(x, zeta_tail(s), heat_tail(t, alpha)) of a sequence or a model:
+    its spectrum and its sums past the head, each the model's own where
+    it defines one, else the tail model's from n = length + 1, else
+    None."""
+    x = as_sequence(source)
+    zeta_tail = getattr(source, "zeta_tail", None)
+    heat_tail = getattr(source, "heat_tail", None)
+    if x.tail is not None:
+        lo = x.length + 1
+        zeta_tail = zeta_tail or (lambda s: tail_power_sum(x.tail, s, lo))
+        heat_tail = heat_tail or (
+            lambda t, alpha: tail_heat_sum(x.tail, t, alpha, lo))
+    return x, zeta_tail, heat_tail
+
+
+def power_trace(source, s):
+    """Tr(T^s) = sum over n of mu_n**s for an evaluator s -> Tr(T^s), a
+    sequence or a model: the head kernel sum plus the zeta tail of
+    _closures, taken first so that a divergent s is refused before the
+    head is summed."""
+    if callable(source):
+        return float(source(s))
+    x, zeta_tail, _ = _closures(source)
+    tail = 0.0 if zeta_tail is None else zeta_tail(s)
+    return kernels.power_sum(x.head, s, counts=x.counts) + tail
 
 
 def decreasing_rearrangement(x):
@@ -522,10 +545,12 @@ def log_average(x, ks):
 
 def norm_1_inf(x):
     """sup_k alpha_k.  The head is scanned at every k; with a tail model
-    the supremum also covers dyadic tail-extended checkpoints and the
-    limit of alpha_k, limsup n*mu from _tail_limsups, which can exceed
-    anything visible in the stored head (the flat-torus spectrum is the
-    standard case: alpha is still climbing at any finite truncation)."""
+    the supremum also covers the limit of alpha_k, limsup n*mu from
+    _tail_limsups, which can exceed anything visible in the stored head
+    (the flat-torus spectrum is the standard case: alpha is still
+    climbing at any finite truncation), and a peak past the head: the
+    best of the checkpoints length * 2^j, then a ternary search over the
+    integers between its two neighbours."""
     x = as_sequence(x)
     if x.length == 0:
         raise ValueError("empty sequence has no norm")
@@ -536,16 +561,21 @@ def norm_1_inf(x):
     if math.isinf(lim):
         return math.inf
     best = max(best, lim)
-    s = x.head_sum()
-    k = float(x.length)
-    for _ in range(48):  # dyadic extension catches transient bumps
-        k2 = k * 2.0
-        s = s + tail_sum(x.tail, int(k) + 1, int(k2))
-        best = max(best, s / math.log(1.0 + k2))
-        k = k2
-        if k > 1e18:
-            break
-    return float(best)
+    L, s_head = x.length, x.head_sum()
+
+    def alpha(k):
+        return (s_head + tail_sum(x.tail, L + 1, k)) / math.log(1.0 + k)
+
+    k = max((L << j for j in range(1, 49) if L << (j - 1) <= 1e18),
+            key=alpha)
+    lo, hi = k // 2, 2 * k
+    while hi - lo > 2:
+        m1, m2 = lo + (hi - lo) // 3, hi - (hi - lo) // 3
+        if alpha(m1) < alpha(m2):
+            lo = m1
+        else:
+            hi = m2
+    return float(max(best, alpha(k), *map(alpha, range(lo, hi + 1))))
 
 
 def submajorizes(x, y):
@@ -584,26 +614,20 @@ def riesz_seminorm_proxy(x):
     return float(np.max(log_average(x, ks[(ks.size - 1) // 2:]).alphas))
 
 
-def zeta_norm_z1(x, k_schedule=None, power_sum_fn=None):
-    """limsup over the schedule of (1/k) * (sum mu^(1+1/k))^(k/(k+1)).
-
-    s-power sums use the tail model (or an exact evaluator passed as
-    power_sum_fn); without either the head sum alone is used, which
-    undershoots once 1/k is small against 1/log(length).
-    """
-    x = as_sequence(x)
+def zeta_norm_z1(source, k_schedule=None):
+    """limsup over the schedule of (1/k) * Tr(T^(1+1/k))^(k/(k+1)), by
+    power_trace of an evaluator, a sequence or a model.  Without a zeta
+    tail only the head is summed, which undershoots once 1/k is small
+    against 1/log(length), and the default schedule stops at 2^14, not
+    2^20."""
     if k_schedule is None:
-        hi = 20 if (x.tail is not None or power_sum_fn is not None) else 14
-        k_schedule = 2 ** np.arange(3, hi + 1, dtype=np.int64)
+        closed = callable(source) or _closures(source)[1] is not None
+        k_schedule = 2 ** np.arange(3, 21 if closed else 15, dtype=np.int64)
     ks = _validate_checkpoints(k_schedule)
     best = 0.0
     for k in ks:
         k = float(k)
-        s = 1.0 + 1.0 / k
-        if power_sum_fn is not None:
-            total = float(power_sum_fn(s))
-        else:
-            total = x.power_sum(s)
+        total = power_trace(source, 1.0 + 1.0 / k)
         if math.isinf(total):
             return math.inf
         best = max(best, total ** (k / (k + 1.0)) / k)

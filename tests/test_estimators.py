@@ -33,12 +33,6 @@ class TestDixmierEstimate:
         assert e.oscillation <= 1e-2
         assert abs(e.value - 1.0) <= 2.0 * e.error_estimate + 1e-4
 
-    def test_unextrapolated_reports_last_checkpoint(self, harmonic_1e6):
-        e = dx.dixmier_estimate(harmonic_1e6.spectrum(), extrapolate=False)
-        ks, alphas = e.raw_series
-        assert not e.extrapolated
-        assert e.value == alphas[-1]
-
     def test_limit_fit_is_reused(self, harmonic_1e6, monkeypatch):
         sizes = []
         fit = sequences._fit_line
@@ -254,7 +248,7 @@ class TestHeatEstimates:
         # int_1^T R(s) ds/s^2: in y = z(s) - z(T) at T = 10, where z(T) =
         # 1/(T mu_64) = 12.5, on unit panels of log s at T = 100
         m = dx.power_log_model(2.0, 1.5, 0.5, 64)
-        x, tail = estimators._heat_closure(m)
+        x, _, tail = sequences._closures(m)
         got, bound = estimators._log_heat_tail(
             tail, 1.0, float(x.at(x.length)), 1.0, T)
         want = oracles.mp_log_heat_tail(2.0, 1.5, 0.5, 1.0, 65, 1.0, T)
@@ -279,8 +273,8 @@ class TestHeatEstimates:
 
 class TestOscillatorModel:
     def test_scheduled_zeta_values_frozen(self, oscillator_1e7):
-        z50 = oscillator_1e7.zeta(1 + 1 / 50.0) / 50.0
-        z5000 = oscillator_1e7.zeta(1 + 1 / 5000.0) / 5000.0
+        z50 = dx.power_trace(oscillator_1e7, 1 + 1 / 50.0) / 50.0
+        z5000 = dx.power_trace(oscillator_1e7, 1 + 1 / 5000.0) / 5000.0
         assert z50 == pytest.approx(oracles.FROZEN["osc_zeta_50"], abs=1e-5)
         assert z5000 == pytest.approx(oracles.FROZEN["osc_zeta_5000"],
                                       abs=1e-5)
@@ -291,7 +285,7 @@ class TestOscillatorModel:
         vals = m.spectrum().values
         for s in (1.02, 1.1):
             want = oracles.osc_zeta_quad(s, np.sort(vals)[::-1])
-            assert m.zeta(s) == pytest.approx(want, rel=1e-9)
+            assert dx.power_trace(m, s) == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("k", estimators.ZETA_SCHEDULE)
     def test_zeta_against_mpmath(self, k):
@@ -301,27 +295,45 @@ class TestOscillatorModel:
         want_tail = oracles.mp_osc_zeta_tail(s, 10**4)
         assert abs(tail - want_tail) <= bound
         want = float(oracles.mp_power_sum(m.spectrum().values, s))
-        assert m.zeta(s) == pytest.approx(want + want_tail, rel=1e-12)
+        assert dx.power_trace(m, s) == pytest.approx(want + want_tail,
+                                                     rel=1e-12)
 
     def test_divergence_guard(self):
         with pytest.raises(ValueError):
-            dx.OscillatorModel(10**4).zeta(1.0)
+            dx.power_trace(dx.OscillatorModel(10**4), 1.0)
 
     def test_tail_starts_past_the_head(self):
         # the head holds n <= H, so the tail integral starts at H + 1/2;
         # from H it counted about half of the term at H twice, 3.9e-4 of
         # zeta(1.5) and 1.2e-3 of heat(100) at H = 100
         short, long = dx.OscillatorModel(100), dx.OscillatorModel(10**6)
-        assert short.zeta(1.5) == pytest.approx(long.zeta(1.5), abs=1e-5)
+        assert dx.power_trace(short, 1.5) == pytest.approx(
+            dx.power_trace(long, 1.5), abs=1e-5)
         assert dx.heat_trace(short, 100.0) == pytest.approx(
             dx.heat_trace(long, 100.0), abs=1e-5)
 
     def test_z1_frozen_value(self):
         m = dx.OscillatorModel(10**6)
         ks = 2 ** np.arange(3, 15, dtype=np.int64)
-        z1 = dx.zeta_norm_z1(m.spectrum(), k_schedule=ks,
-                             power_sum_fn=m.zeta)
+        z1 = dx.zeta_norm_z1(m, k_schedule=ks)
         assert z1 == pytest.approx(oracles.FROZEN["osc_z1_1e6"], rel=1e-9)
+
+
+class TestPowerTrace:
+    @pytest.mark.parametrize("build,s", [
+        (lambda: dx.LatticeModel(2, 50, 1.0), 0.9),
+        (lambda: dx.OscillatorModel(10**4), 1.0),
+    ])
+    def test_divergent_s_is_refused_before_the_head_sum(self, build, s,
+                                                        monkeypatch):
+        model = build()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("head summed")
+
+        monkeypatch.setattr(kernels, "power_sum", refuse)
+        with pytest.raises(ValueError, match=r"s=%g\b" % s):
+            dx.power_trace(model, s)
 
 
 class TestMeasurability:

@@ -62,7 +62,7 @@ class TestLatticeZeta:
         direct = 1.0 + 2.0 * math.fsum(
             (1.0 + m * m) ** (-q) for m in range(1, 2_000_000)
         )
-        got = dx.LatticeModel(1, 4000, 1.0).zeta(q)
+        got = dx.power_trace(dx.LatticeModel(1, 4000, 1.0), q)
         assert got == pytest.approx(direct, rel=1e-6)
 
     @pytest.mark.parametrize("radius", [1, 10, 1e3, 1e4, 1e5])
@@ -92,8 +92,8 @@ class TestLatticeZeta:
 
     def test_two_dimensional_tail_improves_truncation(self):
         q = 1.5
-        small = dx.LatticeModel(2, 60, 1.0).zeta(q)
-        big = dx.LatticeModel(2, 600, 1.0).zeta(q)
+        small = dx.power_trace(dx.LatticeModel(2, 60, 1.0), q)
+        big = dx.power_trace(dx.LatticeModel(2, 600, 1.0), q)
         assert small == pytest.approx(big, rel=1e-4)
 
     def test_one_lattice_enumeration_per_model(self, monkeypatch):
@@ -113,7 +113,7 @@ class TestLatticeZeta:
 
     def test_subcritical_exponent_rejected(self):
         with pytest.raises(ValueError, match="s=0.9"):
-            dx.LatticeModel(2, 50, 1.0).zeta(0.9)
+            dx.power_trace(dx.LatticeModel(2, 50, 1.0), 0.9)
 
     def test_heat_tail_model_matches_larger_cutoff(self):
         t = 1e4
@@ -624,8 +624,8 @@ class TestRunLengthLatticeGate:
         s = 1.0 + 1.0 / 50.0
         want = (kernels.power_sum(plain.head, s)
                 + models._zeta_tail(n, n / 2.0 * s, radius))
-        assert dx.LatticeModel(n, radius).zeta(s) == pytest.approx(
-            want, rel=self.RTOL)
+        got = dx.power_trace(dx.LatticeModel(n, radius), s)
+        assert got == pytest.approx(want, rel=self.RTOL)
 
     @pytest.mark.parametrize("smoothing,schedule", [
         ("raw", (1e4, 1e5, 1e6)), ("cesaro", (2.0, 4.0)),
