@@ -6,10 +6,16 @@ unit window average E, while T_a (shift), D_a (dilation), P_a (power
 substitution) and C (Cesaro mean) act on functions.  Everything here is
 0-based: p(a) takes the value a_k on [k, k+1).
 
-Piecewise data is exact for step functions under every map except C;
-Cesaro output and a few linear-kind maps are returned as knot-exact
-linear interpolants and carry a ``note`` saying so.  Defect evaluations
-never go through those approximants: they use the exact per-piece
+Functions live on [0, T) or [1, T).  The embeddings make [0, T) data,
+and dilation, the Cesaro maps and log_conjugate need it; exp_conjugate
+needs [1, T); the other maps take either.
+
+T_a, D_a, P_a and the exp/log conjugations are one change of variables
+(_substitute), exact for step data and for linear data under T_a and
+D_a.  The flagged approximants, knot-exact linear interpolants whose
+``note`` says so, are linear data under power_cont, exp_conjugate and
+log_conjugate, cesaro_cont, and window_avg of linear data.  Defect
+evaluations never go through them: they use the exact per-piece
 integrators defined below.
 """
 
@@ -61,8 +67,9 @@ class PiecewiseFunction:
             raise ValueError("horizon must lie past the last breakpoint")
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
             raise ValueError("breakpoints and values must be finite")
-        if not math.isfinite(self.horizon):
-            raise ValueError("horizon must be finite")
+        if not (math.isfinite(self.horizon)
+                and math.isfinite(self.tail_value)):
+            raise ValueError("horizon and tail_value must be finite")
         b.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "breakpoints", b)
@@ -100,6 +107,8 @@ def evaluate(f, t):
     t = np.asarray(t, dtype=np.float64)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("evaluation point must be finite")
     if np.any(t < f.domain_start):
         raise ValueError("evaluation below domain_start")
     out = np.asarray(_raw_values(f, t), dtype=np.float64).copy()
@@ -107,30 +116,24 @@ def evaluate(f, t):
     return float(out[0]) if scalar else out
 
 
-def _pieces(f, t0, t1):
-    """Yield (a, b, va, vb) affine pieces of f covering [t0, t1]."""
-    cuts = f.breakpoints[(f.breakpoints > t0) & (f.breakpoints < t1)]
-    extra = [f.horizon] if t0 < f.horizon < t1 else []
-    grid = np.unique(np.concatenate([[t0, t1], cuts, extra]))
-    for a, b in zip(grid[:-1], grid[1:]):
-        if a >= f.horizon:
-            yield a, b, f.tail_value, f.tail_value
-            continue
-        va = float(_raw_values(f, np.float64(a)))
-        vb = va if f.kind == "step" else float(_raw_values(f, np.float64(b)))
-        yield a, b, va, vb
-
-
 def integral(f, t0, t1):
     """Exact integral of f over [t0, t1] (per-piece closed forms)."""
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("integration bounds must be finite")
     if t1 < t0:
         raise ValueError("reversed integration range")
     if t0 < f.domain_start:
         raise ValueError("integration below domain_start")
-    parts = [
-        (vb + va) * 0.5 * (b - a) for a, b, va, vb in _pieces(f, t0, t1)
-    ]
-    return math.fsum(parts)
+    cuts = f.breakpoints[(f.breakpoints > t0) & (f.breakpoints < t1)]
+    extra = [f.horizon] if t0 < f.horizon < t1 else []
+    grid = np.unique(np.concatenate([[t0, t1], cuts, extra]))
+    a, b = grid[:-1], grid[1:]
+    # the horizon starts the tail_value piece
+    data = a < f.horizon
+    va = np.where(data, _raw_values(f, a), f.tail_value)
+    vb = va if f.kind == "step" else np.where(
+        data, _raw_values(f, b), f.tail_value)
+    return math.fsum((vb + va) * 0.5 * (b - a))
 
 
 def unit_window_integral(f, t):
@@ -151,7 +154,7 @@ def _piece_prefix(f):
 def cumulative_integral(f, ts):
     """A(t) = int from domain_start to t, vectorized; ts <= horizon."""
     ts = np.asarray(ts, dtype=np.float64)
-    if np.any(ts < f.domain_start) or np.any(ts > f.horizon):
+    if not np.all((ts >= f.domain_start) & (ts <= f.horizon)):
         raise ValueError("cumulative integral outside the domain")
     b, v = f.breakpoints, f.values
     A = _piece_prefix(f)
@@ -183,7 +186,7 @@ def log_cesaro_window(f, t0, t1):
     start at s=0 have A(0)=0 and no log term survives."""
     if f.domain_start != 0.0:
         raise ValueError("needs domain_start 0")
-    if t0 < 0.0 or t1 < t0 or t1 > f.horizon:
+    if not 0.0 <= t0 <= t1 <= f.horizon:
         raise ValueError("bad range")
     b, v = f.breakpoints, f.values
     A = _piece_prefix(f)
@@ -286,7 +289,7 @@ def restrict(f):
 
 def window_sequence(f, count, start=0):
     """First `count` unit window integrals (r o E)(f)_k, k from start."""
-    if start + count + 1 > f.horizon + 1e-9:
+    if start + count > f.horizon + 1e-9:
         raise ValueError("windows run past the horizon")
     ts = np.arange(start, start + count + 1, dtype=np.float64)
     A = cumulative_integral(f, np.minimum(ts, f.horizon))
@@ -322,43 +325,60 @@ def window_avg(f):
 # ----------------------------------------------------- continuous maps
 
 
-def shift_cont(f, a):
-    """T_a(f)(t) = f(t+a), a > 0."""
-    a = float(a)
-    if a <= 0.0:
-        raise ValueError("shift amount must be positive")
-    new_h = f.horizon - a
-    if new_h <= f.domain_start:
-        raise ValueError("shift exhausts the domain")
-    inner = f.breakpoints - a
-    keep = np.nonzero(inner > f.domain_start)[0]
-    b = np.concatenate([[f.domain_start], inner[keep]])
-    # knot values come from the matching original pieces, never from
-    # re-evaluating at (b - a) + a, which can land one ulp off a knot
-    v = np.concatenate([[evaluate(f, f.domain_start + a)], f.values[keep]])
-    return PiecewiseFunction(
-        f.kind, b, v, f.domain_start, new_h, f.tail_value, note=f.note
-    )
-
-
-def dilate_cont(f, a):
-    """D_a(f)(t) = f(t/a), a > 0; acts on domain_start 0 data."""
-    a = float(a)
-    if a <= 0.0:
-        raise ValueError("dilation factor must be positive")
-    if f.domain_start != 0.0:
-        raise ValueError("dilation acts on domain_start 0 data")
-    return PiecewiseFunction(
-        f.kind, f.breakpoints * a, f.values, 0.0, f.horizon * a,
-        f.tail_value, note=f.note,
-    )
-
-
 def _geometric_fill(lo, hi):
     if lo <= 0.0 or hi <= lo:
         return np.empty(0)
     n = int(math.ceil(math.log(hi / lo) / math.log(RESAMPLE_RATIO)))
     return lo * RESAMPLE_RATIO ** np.arange(1, max(n, 1))
+
+
+def _substitute(f, t_of, moved, start, horizon, fill=None, note=""):
+    """g(s) = f(t_of(s)) on [start, horizon) for an increasing t_of;
+    moved holds f's breakpoints b carried to t_of^-1(b).
+
+    Step data, and linear data under an affine t_of (fill None), keep
+    each knot's value: it comes from f's own knots, never from
+    re-evaluating f at t_of(moved), which can land one ulp off a knot.
+    Other linear data is read at t_of, clamped into f's domain, on the
+    moved knots plus the geometric fill, and flagged with note."""
+    keep = moved > start
+    if f.kind == "step" or fill is None:
+        b = np.concatenate([[start], moved[keep]])
+        v = np.concatenate([[evaluate(f, t_of(start))], f.values[keep]])
+        return PiecewiseFunction(
+            f.kind, b, v, start, horizon, f.tail_value, note=f.note
+        )
+    knots = np.unique(np.concatenate([[start], moved[keep], fill]))
+    knots = knots[knots < horizon]
+    edge = np.nextafter(f.horizon, f.domain_start)
+    t = np.minimum(np.maximum(t_of(knots), f.domain_start), edge)
+    return PiecewiseFunction(
+        "linear", knots, evaluate(f, t), start, horizon, f.tail_value,
+        note=note,
+    )
+
+
+def shift_cont(f, a):
+    """T_a(f)(t) = f(t+a), a > 0."""
+    a = float(a)
+    if not 0.0 < a < math.inf:
+        raise ValueError("shift amount must be positive and finite")
+    new_h = f.horizon - a
+    if new_h <= f.domain_start:
+        raise ValueError("shift exhausts the domain")
+    return _substitute(f, lambda s: s + a, f.breakpoints - a,
+                       f.domain_start, new_h)
+
+
+def dilate_cont(f, a):
+    """D_a(f)(t) = f(t/a), a > 0; acts on domain_start 0 data."""
+    a = float(a)
+    if not 0.0 < a < math.inf:
+        raise ValueError("dilation factor must be positive and finite")
+    if f.domain_start != 0.0:
+        raise ValueError("dilation acts on domain_start 0 data")
+    return _substitute(f, lambda s: s / a, f.breakpoints * a, 0.0,
+                       f.horizon * a)
 
 
 def power_cont(f, a):
@@ -367,29 +387,15 @@ def power_cont(f, a):
     Step data transforms exactly (monotone substitution); linear data
     is resampled on a geometric grid (ratio 1.05) and flagged."""
     a = float(a)
-    if a <= 0.0:
-        raise ValueError("power exponent must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError("power exponent must be positive and finite")
     inv = 1.0 / a
     b = f.breakpoints**inv
-    b[0] = f.domain_start  # 0^x and 1^x are exact; avoid fp dust
     new_h = f.horizon**inv
-    if f.kind == "step":
-        return PiecewiseFunction(
-            "step", b, f.values, f.domain_start, new_h, f.tail_value,
-            note=f.note,
-        )
     lo = b[1] if (b[0] == 0.0 and b.size > 1) else max(b[0], 1e-12)
-    knots = np.unique(np.concatenate([b, _geometric_fill(lo, new_h)]))
-    knots = knots[(knots >= f.domain_start) & (knots < new_h)]
-    if knots.size == 0 or knots[0] != f.domain_start:
-        knots = np.concatenate([[f.domain_start], knots])
-    # clamped into [domain_start, horizon) for evaluation
-    edge = np.nextafter(f.horizon, f.domain_start)
-    vals = evaluate(f, np.minimum(np.maximum(knots**a, f.domain_start), edge))
-    return PiecewiseFunction(
-        "linear", knots, vals, f.domain_start, new_h, f.tail_value,
-        note="geometric resample of a power substitution",
-    )
+    return _substitute(f, lambda s: s**a, b, f.domain_start, new_h,
+                       _geometric_fill(lo, new_h),
+                       "geometric resample of a power substitution")
 
 
 def cesaro_cont(f):
@@ -422,23 +428,10 @@ def exp_conjugate(f):
     refinement, flagged."""
     if f.domain_start != 1.0:
         raise ValueError("inverse log substitution needs domain_start 1")
-    new_h = math.log(f.horizon)
-    if f.kind == "step":
-        nb = np.log(f.breakpoints)
-        nb[0] = 0.0
-        return PiecewiseFunction(
-            "step", nb, f.values, 0.0, new_h, f.tail_value, note=f.note
-        )
-    base = np.unique(
-        np.concatenate([f.breakpoints, _geometric_fill(1.0, f.horizon)])
-    )
-    base = base[base < f.horizon]
-    knots = np.log(base)
-    knots[0] = 0.0
-    return PiecewiseFunction(
-        "linear", knots, evaluate(f, base), 0.0, new_h, f.tail_value,
-        note="knot-exact log reparametrization",
-    )
+    return _substitute(f, np.exp, np.log(f.breakpoints), 0.0,
+                       math.log(f.horizon),
+                       np.log(_geometric_fill(1.0, f.horizon)),
+                       "knot-exact log reparametrization")
 
 
 def log_conjugate(f):
@@ -448,19 +441,9 @@ def log_conjugate(f):
     if f.horizon > 700.0:
         raise ValueError("horizon too large to exponentiate")
     new_h = math.exp(f.horizon)
-    b = np.exp(f.breakpoints)
-    b[0] = 1.0
-    if f.kind == "step":
-        return PiecewiseFunction(
-            "step", b, f.values, 1.0, new_h, f.tail_value, note=f.note
-        )
-    knots = np.unique(np.concatenate([b, _geometric_fill(1.0, new_h)]))
-    knots = knots[knots < new_h]
-    vals = evaluate(f, np.minimum(np.log(knots), np.nextafter(f.horizon, 0)))
-    return PiecewiseFunction(
-        "linear", knots, vals, 1.0, new_h, f.tail_value,
-        note="knot-exact exp reparametrization",
-    )
+    return _substitute(f, np.log, np.exp(f.breakpoints), 1.0, new_h,
+                       _geometric_fill(1.0, new_h),
+                       "knot-exact exp reparametrization")
 
 
 def conjugate_map(op, g, *args, **kwargs):
@@ -509,8 +492,11 @@ def commutator_defect(pair, data, t, j=1):
     f = data
     if not isinstance(f, PiecewiseFunction):
         raise ValueError("window_restrict pairs take a piecewise function")
+    if not math.isfinite(t):
+        raise ValueError("window index must be finite")
     n = int(t)
-    if n < 0 or n + jj + 1 > f.horizon:
+    # the shift reads the window at n + j, the Cesaro means windows 0..n
+    if n < 0 or n + 1 + (jj if g == "shift" else 0) > f.horizon:
         raise ValueError("window index runs past the horizon")
     if g == "shift":
         # (rE)(T_j f)_n = int_{n+j}^{n+j+1} f after substitution

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,13 +12,13 @@ def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _random_step(seed, n=40, lo=0.0):
+def _random_step(seed, n=40, lo=0.0, kind="step"):
     r = _rng(seed)
     b = np.sort(r.random(n) * 50.0) + lo
     b[0] = lo
     vals = r.random(n) * 4.0 - 1.0
     return maps.PiecewiseFunction(
-        "step", b, vals, lo, float(b[-1] + 1.0 + r.random()), float(vals[-1])
+        kind, b, vals, lo, float(b[-1] + 1.0 + r.random()), float(vals[-1])
     )
 
 
@@ -51,6 +52,21 @@ class TestPiecewiseValidation:
         assert maps.evaluate(f, 4.0) == -3.0  # tail constant past horizon
         assert maps.evaluate(f, 100.0) == -3.0
 
+    @pytest.mark.parametrize("tail", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tail_value_rejected(self, tail):
+        # a NaN tail read sup_norm() 1.0 and evaluated to NaN past the
+        # horizon
+        with pytest.raises(ValueError, match="tail_value"):
+            maps.PiecewiseFunction("step", np.array([0.0]),
+                                   np.array([1.0]), 0.0, 1.0, tail)
+
+    def test_evaluate_rejects_non_finite_points(self):
+        # NaN passed the domain_start guard and read the last value
+        f = maps.floor_embed(np.arange(1.0, 21.0))
+        for t in (math.nan, math.inf, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="finite"):
+                maps.evaluate(f, t)
+
 
 class TestIntegration:
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -66,12 +82,53 @@ class TestIntegration:
         )
         assert maps.integral(f, t0, t1) == pytest.approx(want, rel=1e-9)
 
+    def test_integral_equals_the_per_piece_sum(self):
+        # reference: one piece at a time, endpoint values read singly;
+        # the vectorized pass must agree bit for bit
+        def per_piece(f, t0, t1):
+            cuts = [b for b in f.breakpoints if t0 < b < t1]
+            if t0 < f.horizon < t1:
+                cuts.append(f.horizon)
+            grid = sorted({t0, t1, *cuts})
+            parts = []
+            for a, b in zip(grid[:-1], grid[1:]):
+                va = vb = f.tail_value
+                if a < f.horizon:
+                    va = vb = float(maps._raw_values(f, np.float64(a)))
+                    if f.kind == "linear":
+                        vb = float(maps._raw_values(f, np.float64(b)))
+                parts.append((vb + va) * 0.5 * (b - a))
+            return math.fsum(parts)
+
+        for seed in (1, 2, 3):
+            for kind in ("step", "linear"):
+                # a tail apart from the last value shows where it starts
+                f = dataclasses.replace(_random_step(seed, kind=kind),
+                                        tail_value=7.5)
+                ts = np.sort(_rng(seed).random(6) * (f.horizon + 5.0))
+                for t0 in ts:
+                    for t1 in ts[ts >= t0]:
+                        assert maps.integral(f, t0, t1) == per_piece(
+                            f, float(t0), float(t1))
+
     def test_cumulative_matches_pointwise_integral(self):
         f = _random_step(7)
         ts = np.linspace(f.domain_start, f.horizon, 113)
         got = maps.cumulative_integral(f, ts)
         want = [maps.integral(f, f.domain_start, t) for t in ts]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_non_finite_bounds_rejected(self):
+        # integral(f, 0, nan) returned nan; the cumulative forms let
+        # NaN past their range checks the same way
+        f = maps.floor_embed(np.arange(1.0, 21.0))
+        for t0, t1 in ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                maps.integral(f, t0, t1)
+        with pytest.raises(ValueError):
+            maps.cumulative_integral(f, np.array([1.0, math.nan]))
+        with pytest.raises(ValueError):
+            maps.log_cesaro_window(f, 1.0, math.nan)
 
     def test_linear_integral_exact_trapezoid(self):
         b = np.array([0.0, 1.0, 3.0])
@@ -127,21 +184,55 @@ class TestEmbeddingsAndRestriction:
         want = [maps.unit_window_integral(f, float(k)) for k in range(19)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
+    def test_window_sequence_reaches_the_horizon(self):
+        # 20 values hold 20 full windows, the last one ending at 20
+        a = _rng(8).random(20)
+        f = maps.floor_embed(a)
+        np.testing.assert_allclose(maps.window_sequence(f, 20), a,
+                                   rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(maps.window_sequence(f, 19, start=1),
+                                   a[1:], rtol=1e-12, atol=1e-13)
+        for count, start in ((21, 0), (20, 1)):
+            with pytest.raises(ValueError, match="past the horizon"):
+                maps.window_sequence(f, count, start)
+
 
 class TestContinuousMaps:
     def test_shift_cont_is_exact_translation(self):
-        f = _random_step(9)
-        g = maps.shift_cont(f, 4.5)
-        for t in (f.domain_start + 0.05, 3.71, 17.3):
-            if t + 4.5 < f.horizon:
-                assert maps.evaluate(g, t) == maps.evaluate(f, t + 4.5)
+        for kind in ("step", "linear"):
+            f = _random_step(9, kind=kind)
+            g = maps.shift_cont(f, 4.5)
+            assert g.kind == kind
+            # knot values are f's own, never re-read at (b - a) + a
+            kept = g.values.size - 1
+            assert np.array_equal(g.values[1:], f.values[-kept:])
+            for t in (f.domain_start + 0.05, 3.71, 17.3):
+                if t + 4.5 < f.horizon:
+                    want = maps.evaluate(f, t + 4.5)
+                    if kind == "step":
+                        assert maps.evaluate(g, t) == want
+                    else:  # (t - (b - a)) and ((t + a) - b) may round apart
+                        assert maps.evaluate(g, t) == pytest.approx(
+                            want, rel=1e-12, abs=1e-12)
 
     def test_dilate_cont_rescales_argument(self):
-        f = _random_step(10)
-        g = maps.dilate_cont(f, 2.0)
-        for t in (0.1, 5.3, 20.7):
-            if t / 2.0 < f.horizon:
-                assert maps.evaluate(g, t) == maps.evaluate(f, t / 2.0)
+        # doubling is exact, so linear interpolation commutes with it
+        for kind in ("step", "linear"):
+            f = _random_step(10, kind=kind)
+            g = maps.dilate_cont(f, 2.0)
+            assert g.kind == kind
+            for t in (0.1, 5.3, 20.7):
+                if t / 2.0 < f.horizon:
+                    assert maps.evaluate(g, t) == maps.evaluate(f, t / 2.0)
+
+    def test_map_parameters_must_be_finite(self):
+        # NaN slipped past the a <= 0 guards; an infinite power exponent
+        # returned a one-knot function
+        f = maps.linear_embed(np.arange(1.0, 21.0))
+        for op in (maps.shift_cont, maps.dilate_cont, maps.power_cont):
+            for a in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    op(f, a)
 
     def test_cesaro_cont_matches_discrete_at_integers(self):
         a = _rng(11).random(64)
@@ -225,11 +316,12 @@ class TestConjugation:
 
 class TestCommutatorDefects:
     def test_shift_embed_defect_is_exactly_zero(self):
-        for seed in range(10):
-            a = _rng(seed).random(300) * 2.0
-            d = maps.commutator_defect(("shift", "floor_embed"), a,
-                                       t=111.3, j=5)
-            assert d == 0.0
+        for embed in ("floor_embed", "linear_embed"):
+            for seed in range(10):
+                a = _rng(seed).random(300) * 2.0
+                d = maps.commutator_defect(("shift", embed), a,
+                                           t=111.3, j=5)
+                assert d == 0.0
 
     def test_shift_window_defect_is_exactly_zero(self):
         for seed in range(10):
@@ -256,6 +348,19 @@ class TestCommutatorDefects:
             f = maps.floor_embed(_rng(seed).random(128) * 2.0)
             d = maps.commutator_defect(("cesaro", "window_restrict"), f, t=t)
             assert d <= 3.0 * f.sup_norm() / t
+
+    def test_window_defects_reach_the_horizon(self):
+        # on 20 values the Cesaro pair reads windows 0..n, so n = 19 is
+        # the last index whatever j; the shift pair reads window n + j
+        f = maps.floor_embed(_rng(3).random(20))
+        cesaro = ("cesaro", "window_restrict")
+        shift = ("shift", "window_restrict")
+        assert maps.commutator_defect(cesaro, f, t=19) <= 3.0 / 19
+        assert maps.commutator_defect(cesaro, f, t=18, j=2) <= 3.0 / 18
+        assert maps.commutator_defect(shift, f, t=17, j=2) == 0.0
+        for pair, n, j in ((cesaro, 20, 1), (shift, 18, 2)):
+            with pytest.raises(ValueError, match="past the horizon"):
+                maps.commutator_defect(pair, f, t=n, j=j)
 
     def test_unknown_pair_rejected(self):
         with pytest.raises(ValueError):
