@@ -76,7 +76,6 @@ from .estimators import (
     HolderReport,
     MeasurabilityReport,
     MellinReport,
-    OscillatorModel,
     SequenceModel,
     SquaresEigenvalues,
     SublatticeProjection,
@@ -89,6 +88,7 @@ from .estimators import (
     holder_check,
     measurability_report,
     mellin_check,
+    oscillator_model,
     power_log_model,
     product_zeta_sequence,
     zeta_residue_estimate,

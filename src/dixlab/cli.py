@@ -87,7 +87,7 @@ def _sequence_file_model(path):
 _KINDS = {
     "harmonic": ({"horizon": (int, False), "coeff": (float, False)},
                  estimators.harmonic_model),
-    "oscillator": ({"horizon": (int, False)}, estimators.OscillatorModel),
+    "oscillator": ({"horizon": (int, False)}, estimators.oscillator_model),
     "power_log": ({"coeff": (float, True), "power": (float, True),
                    "log_power": (float, True), "horizon": (int, False)},
                   estimators.power_log_model),

@@ -22,13 +22,12 @@ from .sequences import (
     BURN_IN,
     EPS_CONV,
     EPS_OSC,
+    OscillatorTail,
     PowerLogTail,
     SingularSequence,
-    _charge_build,
     _closures,
     _exp_tail,
     _fit_line,
-    _heat_quad,
     as_sequence,
     dyadic_schedule,
     harmonic_sequence,
@@ -159,59 +158,14 @@ def power_log_model(coeff, power, log_power, horizon=10**6):
     )
 
 
-@dataclass(frozen=True)
-class OscillatorModel:
-    """mu_n = (2 + sin log log n)/n: the standard non-Tauberian input.
-
-    No power-log tail matches it, so zeta_tail and heat_tail integrate
-    the continuum, (2 + sin log u)^s e^{(1-s)u} for zeta in u = log x,
-    from x = horizon + 1/2 (the midpoint rule for the terms past the
-    head)."""
-
-    horizon: int = 10**7
-    name: str = "oscillator"
-
-    def __post_init__(self):
-        if int(self.horizon) < 3:
-            raise ValueError("oscillator horizon must be >= 3")
-        # charged here, before any experiment runs: the spectrum is lazy
-        _charge_build("oscillator", int(self.horizon))
-
-    def spectrum(self):
-        cached = getattr(self, "_spec", None)
-        if cached is None:
-            cached = oscillator_sequence(self.horizon)
-            object.__setattr__(self, "_spec", cached)
-        return cached
-
-    def zeta_tail(self, s):
-        s = float(s)
-        if s <= 1.0:
-            raise ValueError("zeta evaluation divergent at s=%g" % s)
-        return self._zeta_tail(s)[0]
-
-    def _zeta_tail(self, s):
-        """(value, bound): the zeta tail past the head, in y = (s - 1)(u
-        - u0) from u0 = log(horizon + 1/2), where its envelope e^{(1-s)u}
-        is e^-y."""
-        k = s - 1.0
-        u0 = math.log(int(self.horizon) + 0.5)
-        val, bound = _exp_tail(
-            lambda y: (2.0 + np.sin(np.log(u0 + y / k))) ** s * np.exp(-y))
-        scale = math.exp(-k * u0) / k
-        return scale * val, scale * bound
-
-    def heat_tail(self, t, alpha=1.0):
-        """The heat sum past the head, in u = log x from horizon + 1/2."""
-        u0 = math.log(int(self.horizon) + 0.5)
-        w0 = 2.0 + math.sin(math.log(u0))
-
-        def rise(d):  # log (t mu)^-alpha from u0 to u0 + d, mu at x = e^u
-            h = 0.5 * np.log1p(d / u0)  # half of log u - log u0
-            dw = 2.0 * np.cos(math.log(u0) + h) * np.sin(h)  # change of w0
-            return alpha * (d - np.log1p(dw / w0))
-
-        return _heat_quad(-alpha * (math.log(t * w0) - u0), rise, u0)
+def oscillator_model(horizon=10**7):
+    """mu_n = (2 + sin log log n)/n, the standard non-Tauberian input: its
+    first min(horizon, 2^16) values and OscillatorTail past them, with
+    horizon the end of the dixmier scan."""
+    H = int(horizon)
+    x = oscillator_sequence(min(H, 2**16))
+    return SequenceModel(SingularSequence(x.head, OscillatorTail(),
+                                          horizon=H), name="oscillator")
 
 
 # ------------------------------------------------------ dixmier estimate
@@ -291,15 +245,22 @@ def _truncation_guard(source):
     return guard
 
 
+def _zeta_schedule(k_schedule):
+    """The k of the zeta schedule s = 1 + 1/k as floats, or ValueError
+    unless they are finite, >= 1 and increasing."""
+    ks = np.asarray(k_schedule, dtype=np.float64)
+    if ks.ndim != 1 or ks.size == 0 or not np.all(np.isfinite(ks) & (ks >= 1)):
+        raise ValueError("k schedule must be finite and >= 1")
+    if np.any(np.diff(ks) <= 0):
+        raise ValueError("k schedule must increase")
+    return ks
+
+
 def zeta_residue_estimate(source, k_schedule=ZETA_SCHEDULE):
     """(1/k) * Tr(T^{1+1/k}) over the schedule, extrapolated linearly
     in 1/k, Tr by power_trace of an evaluator s -> Tr(T^s), a sequence
     or a model."""
-    ks = np.asarray(k_schedule, dtype=np.float64)
-    if ks.ndim != 1 or ks.size == 0 or np.any(ks < 1):
-        raise ValueError("k schedule must be >= 1")
-    if np.any(np.diff(ks) <= 0):
-        raise ValueError("k schedule must increase")
+    ks = _zeta_schedule(k_schedule)
     guard = _truncation_guard(source)
     vals = np.empty(ks.size)
     guarded = True
@@ -494,7 +455,7 @@ def product_zeta_sequence(a, model, k_schedule=ZETA_SCHEDULE):
     singular values instead."""
     if not isinstance(model, models.LatticeModel):
         raise TypeError("model must be a LatticeModel")
-    ks = np.asarray(k_schedule, dtype=np.float64)
+    ks = _zeta_schedule(k_schedule)
     n = model.dimension
     R = model.cutoff_radius
     p = model.operator_power
@@ -581,8 +542,9 @@ def holder_check(t_model, v_model, p):
         raise ValueError("need at least two eigenvalues")
     xh, yh = _truncate(x, L), _truncate(y, L)
     prod_tail = None
-    # tails that index the head differently have no power-log product
-    if (xh.tail is not None and yh.tail is not None
+    # only two power-log tails that index the head alike have a product
+    # in their family
+    if (isinstance(xh.tail, PowerLogTail) and isinstance(yh.tail, PowerLogTail)
             and xh.tail.offset == yh.tail.offset):
         prod_tail = PowerLogTail(
             xh.tail.coeff * yh.tail.coeff,

@@ -287,8 +287,17 @@ def restrict(f):
     return evaluate(f, ks)
 
 
+def _whole(v, what):
+    """v as an int; ValueError unless v is a finite integral number (the
+    float 1e2 passes, 2.5 does not)."""
+    if not (math.isfinite(v) and v == int(v)):
+        raise ValueError("%s must be a finite integer" % what)
+    return int(v)
+
+
 def window_sequence(f, count, start=0):
     """First `count` unit window integrals (r o E)(f)_k, k from start."""
+    count, start = _whole(count, "window count"), _whole(start, "window index")
     if start + count > f.horizon + 1e-9:
         raise ValueError("windows run past the horizon")
     ts = np.arange(start, start + count + 1, dtype=np.float64)
@@ -492,9 +501,7 @@ def commutator_defect(pair, data, t, j=1):
     f = data
     if not isinstance(f, PiecewiseFunction):
         raise ValueError("window_restrict pairs take a piecewise function")
-    if not math.isfinite(t):
-        raise ValueError("window index must be finite")
-    n = int(t)
+    n = _whole(t, "window index")
     # the shift reads the window at n + j, the Cesaro means windows 0..n
     if n < 0 or n + 1 + (jj if g == "shift" else 0) > f.horizon:
         raise ValueError("window index runs past the horizon")

@@ -1,8 +1,8 @@
 """Singular value sequences and their logarithmic averaging calculus.
 
 A sequence is a finite nonincreasing nonnegative head, optionally
-continued by a power-log tail model C * (log n)^b * n^(-a).  All the
-trace-style functionals here (log averages, the 1-infinity norm, the
+continued by a tail model, C * (log n)^b * n^(-a) or the oscillator.  All
+the trace-style functionals here (log averages, the 1-infinity norm, the
 Riesz window proxy, the zeta-power norm, Tauberian classification)
 consume that representation.
 
@@ -60,6 +60,18 @@ def _check_budget(what, need_bytes):
 
 # ------------------------------------------------------------ tail model
 
+# A tail model has value(n), powered(s), integral, slopes and
+# heat_integral, all that the tail sums read; its mu is C (log
+# n)^log_power n^-power times a bounded factor whose limsup and
+# log-average limsup are peaks.
+
+
+def _check_tail(coeff, power):
+    if not 0.0 < coeff < math.inf:
+        raise ValueError("tail coeff must be positive and finite")
+    if not 0.0 < power < math.inf:
+        raise ValueError("tail power must be positive and finite")
+
 
 @dataclass(frozen=True)
 class PowerLogTail:
@@ -71,12 +83,10 @@ class PowerLogTail:
     power: float
     log_power: float = 0.0
     offset: int = 0
+    peaks = (1.0, 1.0)
 
     def __post_init__(self):
-        if not 0.0 < self.coeff < math.inf:
-            raise ValueError("tail coeff must be positive and finite")
-        if not 0.0 < self.power < math.inf:
-            raise ValueError("tail power must be positive and finite")
+        _check_tail(self.coeff, self.power)
         if not math.isfinite(self.log_power):
             raise ValueError("tail log_power must be finite")
         if self.offset != int(self.offset) or self.offset < 0:
@@ -94,6 +104,120 @@ class PowerLogTail:
         return PowerLogTail(
             self.coeff**s, self.power * s, self.log_power * s, self.offset
         )
+
+    def integral(self, x0, x1):
+        """(value, bound): the integral over [x0, x1], x0 >= 2 (x1 None:
+        infinity), and the bound of its quadrature (0.0 for a closed
+        form)."""
+        coeff, a, b = self.coeff, self.power, self.log_power
+        u0 = math.log(x0)
+        u1 = math.inf if x1 is None or math.isinf(x1) else math.log(x1)
+        if a == 1.0:
+            if math.isinf(u1) and b >= -1.0:
+                return math.inf, 0.0
+            if b == -1.0:
+                return coeff * (math.log(u1) - math.log(u0)), 0.0
+            hi = 0.0 if math.isinf(u1) else u1 ** (b + 1.0)
+            return coeff * (hi - u0 ** (b + 1.0)) / (b + 1.0), 0.0
+        if a < 1.0 and math.isinf(u1):
+            return math.inf, 0.0
+        kappa = a - 1.0
+        if math.isinf(u1) and b > -1.0:
+            # int u^b e^(-kappa u) du = kappa^-(b+1) * Gamma(b+1, kappa*u0)
+            z = kappa * u0
+            g = gammaincc(b + 1.0, z) * math.exp(math.lgamma(b + 1.0))
+            return coeff * kappa ** (-(b + 1.0)) * g, 0.0
+        return _envelope_integral(coeff, kappa, lambda u: u**b, u0, u1)
+
+    def slopes(self, u, s=1.0):
+        """n^k h^(k) / h, k = 1, 2, 3, at n = e^u for h = value**s, a
+        constant times exp(B log u + C u): D^k log h = C + B/u, -B/u^2
+        and 2B/u^3 in D = d/du."""
+        B, C = self.log_power * s, -self.power * s
+        return _log_slopes(C + B / u, -B / u**2, 2.0 * B / u**3)
+
+    def heat_integral(self, t, alpha, u0):
+        """(int over n >= e^u0 of exp(-g), g at e^u0), g = (t mu)^-alpha
+        = q (log n)^(-b alpha) n^beta: Gamma(1/beta, z0) q^(-1/beta) /
+        beta at b = 0, else (or past the float range) in logs."""
+        c, a, b = self.coeff, self.power, self.log_power
+        beta, b_alpha = a * alpha, b * alpha
+        log_g0 = -alpha * (math.log(t) + math.log(c)) \
+            - b_alpha * math.log(u0) + beta * u0
+        try:
+            q = (t * c) ** (-alpha)
+            z0 = q * u0 ** (-b_alpha) * math.exp(beta * u0)
+            body = None if b else (float(gammaincc(1.0 / beta, z0))
+                                   * math.exp(math.lgamma(1.0 / beta))
+                                   * q ** (-1.0 / beta) / beta)
+        except (OverflowError, ZeroDivisionError):  # then the quadrature
+            z0, body = math.exp(min(log_g0, 700.0)), None
+        if body is None:
+            body = _heat_quad(
+                log_g0, lambda d: beta * d - b_alpha * np.log1p(d / u0), u0)
+        return body, z0
+
+
+@dataclass(frozen=True)
+class OscillatorTail:
+    """coeff * ((2 + sin log log n) / n)^power past the head, index k at
+    n = k.  2 + sin log log n has limsup 3; its log average 2 + (sin log
+    u - cos log u) / 2, u = log n, has limsup 2 + sqrt(1/2)."""
+
+    coeff: float = 1.0
+    power: float = 1.0
+    offset, log_power, peaks = 0, 0.0, (3.0, 2.0 + math.sqrt(0.5))
+
+    def __post_init__(self):
+        _check_tail(self.coeff, self.power)
+
+    def value(self, n):
+        n = np.asarray(n, dtype=np.float64)
+        return self.coeff * ((2.0 + np.sin(np.log(np.log(n)))) / n) \
+            ** self.power
+
+    def powered(self, s):
+        return OscillatorTail(self.coeff**s, self.power * s)
+
+    def integral(self, x0, x1):
+        """(value, bound) over [x0, x1] (x1 None: infinity), in u = log x:
+        at power 1 the closed form c [2u + u (sin log u - cos log u) / 2]."""
+        u0, u1 = math.log(x0), math.inf if x1 is None else math.log(x1)
+        if self.power <= 1.0 and math.isinf(u1):
+            return math.inf, 0.0
+        if self.power == 1.0:
+            (s0, c0), (s1, c1) = ((math.sin(math.log(u)),
+                                   math.cos(math.log(u))) for u in (u0, u1))
+            return self.coeff * (2.0 * (u1 - u0) + 0.5 * (
+                u1 * (s1 - c1) - u0 * (s0 - c0))), 0.0
+        return _envelope_integral(
+            self.coeff, self.power - 1.0,
+            lambda u: (2.0 + np.sin(np.log(u))) ** self.power, u0, u1)
+
+    def slopes(self, u, s=1.0):
+        """As PowerLogTail.slopes, log h = s a (psi(v) - u) + const with
+        psi = log(2 + sin v) and v = log u: D^k log h from psi's p_k =
+        d^k psi / dv^k by the rule of _log_slopes one level down."""
+        sa, v = s * self.power, math.log(u)
+        sin, cos = math.sin(v), math.cos(v)
+        w = 2.0 + sin
+        p1, p2 = cos / w, -(1.0 + 2.0 * sin) / w**2
+        p3 = 2.0 * cos * (sin - 1.0) / w**3
+        return _log_slopes(sa * (p1 / u - 1.0), sa * (p2 - p1) / u**2,
+                           sa * (p3 - 3.0 * p2 + 2.0 * p1) / u**3)
+
+    def heat_integral(self, t, alpha, u0):
+        """As PowerLogTail.heat_integral, by the quadrature in logs."""
+        w0, beta = 2.0 + math.sin(math.log(u0)), alpha * self.power
+        log_g0 = -alpha * (math.log(t) + math.log(self.coeff)) \
+            - beta * (math.log(w0) - u0)
+
+        def rise(d):  # log g from u0 to u0 + d
+            h = 0.5 * np.log1p(d / u0)  # half of log u - log u0
+            dw = 2.0 * np.cos(math.log(u0) + h) * np.sin(h)  # change of w
+            return beta * (d - np.log1p(dw / w0))
+
+        return _heat_quad(log_g0, rise, u0), math.exp(min(log_g0, 700.0))
 
 
 # ------------------------------------------------------- tail quadrature
@@ -171,44 +295,24 @@ def _exp_tail(f, y_hi=math.inf):
     return tail_quad(g, (0.0, -math.expm1(-y_hi / _EXP_MAP)))
 
 
-def _tail_integral(coeff, a, b, x0, x1):
-    """(value, bound): the integral of coeff * (log x)^b * x^(-a) over
-    [x0, x1], x0 >= 2, and the bound of its quadrature (0.0 for a closed
-    form)."""
-    u0 = math.log(x0)
-    u1 = math.inf if x1 is None or math.isinf(x1) else math.log(x1)
-    if a == 1.0:
-        if math.isinf(u1) and b >= -1.0:
-            return math.inf, 0.0
-        if b == -1.0:
-            return coeff * (math.log(u1) - math.log(u0)), 0.0
-        hi = 0.0 if math.isinf(u1) else u1 ** (b + 1.0)
-        return coeff * (hi - u0 ** (b + 1.0)) / (b + 1.0), 0.0
-    if a < 1.0 and math.isinf(u1):
-        return math.inf, 0.0
-    kappa = a - 1.0
-    if math.isinf(u1) and b > -1.0:
-        # int u^b e^(-kappa u) du = kappa^-(b+1) * Gamma(b+1, kappa*u0)
-        z = kappa * u0
-        g = gammaincc(b + 1.0, z) * math.exp(math.lgamma(b + 1.0))
-        return coeff * kappa ** (-(b + 1.0)) * g, 0.0
-    # in u = log x the integrand is u^b e^(-kappa u); y = |kappa| times
-    # the distance from the end u_e where e^(-kappa u) is largest
+def _envelope_integral(coeff, kappa, amp, u0, u1):
+    """(value, bound): the integral of coeff * amp(u) e^(-kappa u) over
+    [u0, u1] (finite where kappa < 0) by _exp_tail in y = |kappa| times
+    the distance from the end u_e where e^(-kappa u) is largest."""
     k = abs(kappa)
     u_e, sign = (u0, 1.0) if kappa > 0.0 else (u1, -1.0)
-    val, bound = _exp_tail(lambda y: (u_e + sign * y / k) ** b * np.exp(-y),
+    val, bound = _exp_tail(lambda y: amp(u_e + sign * y / k) * np.exp(-y),
                            k * (u1 - u0))
     scale = coeff * math.exp(-kappa * u_e) / k
     return scale * val, scale * bound
 
 
-def _log_slopes(B, C, u):
-    """n^k h^(k) / h for k = 1, 2, 3, h = exp(B log u + C u), u = log n.
-    With r = C + B/u: n (log h)' = r, n^2 (log h)'' = -B/u^2 - r and
-    n^3 (log h)''' = 2 r + 3 B/u^2 + 2 B/u^3."""
-    r = C + B / u
-    l2 = -B / u**2 - r
-    l3 = 2.0 * r + 3.0 * B / u**2 + 2.0 * B / u**3
+def _log_slopes(r, d2, d3):
+    """n^k h^(k) / h for k = 1, 2, 3 from r = D log h, d2 = D^2 log h and
+    d3 = D^3 log h, D = d/du and u = log n: n^2 (log h)'' = d2 - r and
+    n^3 (log h)''' = d3 - 3 d2 + 2 r."""
+    l2 = d2 - r
+    l3 = d3 - 3.0 * d2 + 2.0 * r
     return r, r * r + l2, r**3 + 3.0 * r * l2 + l3
 
 
@@ -229,17 +333,15 @@ def tail_sum(tail, lo, hi=None):
     hi = None if hi is None else hi + tail.offset
     if lo < 2:
         raise ValueError("tail sums start at n >= 2")
-    c, a, b = tail.coeff, tail.power, tail.log_power
     if hi is not None and hi < lo:
         return 0.0
-    body, _ = _tail_integral(c, a, b, lo, hi)
+    body, _ = tail.integral(lo, hi)
     if math.isinf(body):
         return math.inf
-    # tail.value = c exp(b log u - a u)
-    p1, _, p3 = _log_slopes(b, -a, math.log(lo))
+    p1, _, p3 = tail.slopes(math.log(lo))
     total = _euler_maclaurin(body, float(tail.value(lo)), lo, p1, p3)
     if hi is not None:
-        p1, _, p3 = _log_slopes(b, -a, math.log(hi))
+        p1, _, p3 = tail.slopes(math.log(hi))
         total = _euler_maclaurin(total, float(tail.value(hi)), hi, -p1, -p3)
     return total
 
@@ -305,37 +407,19 @@ def _heat_quad(log_e0, rise, u0):
 
 def tail_heat_sum(tail, t, alpha, lo):
     """Euler-Maclaurin sum over sequence indices >= lo of
-    f = exp(-(t * mu)^-alpha), mu the tail value there: the integral
-    plus f/2 - f'/12 + f3/720 at the first index, f3 the third
-    derivative of f; +inf past the float range.  Where a factor of the
-    closed form leaves the float range, the integral is the quadrature
-    in logs."""
+    f = exp(-(t * mu)^-alpha), mu the tail value there: the tail's
+    heat_integral plus f/2 - f'/12 + f3/720 at the first index, f3 the
+    third derivative of f; +inf past the float range."""
     t, alpha = float(t), float(alpha)  # Python floats raise on overflow
-    c, a, b = tail.coeff, tail.power, tail.log_power
-    beta, b_alpha = a * alpha, b * alpha
     n0 = lo + tail.offset
     u0 = math.log(n0)
-    # log g at n0, g = (t mu)^-alpha = q (log n)^(-b alpha) n^beta
-    log_g0 = -alpha * (math.log(t) + math.log(c)) - b_alpha * math.log(u0) \
-        + beta * u0
-    try:
-        q = (t * c) ** (-alpha)
-        z0 = q * u0 ** (-b_alpha) * math.exp(beta * u0)
-        # Gamma(1/beta, z0) q^(-1/beta) / beta, or the quadrature
-        body = None if b else (float(gammaincc(1.0 / beta, z0))
-                               * math.exp(math.lgamma(1.0 / beta))
-                               * q ** (-1.0 / beta) / beta)
-    except (OverflowError, ZeroDivisionError):  # then the quadrature
-        z0, body = math.exp(min(log_g0, 700.0)), None
-    if body is None:
-        body = _heat_quad(
-            log_g0, lambda d: beta * d - b_alpha * np.log1p(d / u0), u0)
+    body, z0 = tail.heat_integral(t, alpha, u0)
     f0 = math.exp(-z0)
     if not f0:
         return body
-    # n^k g^(k) at n0, for g = q exp(-b alpha log u + beta u) = z0 there;
-    # f = e^-g, so f' = -g' f and f''' = (-g'^3 + 3 g' g'' - g''') f
-    g1, g2, g3 = (z0 * p for p in _log_slopes(-b_alpha, beta, u0))
+    # n^k g^(k) at n0, g = (t mu)^-alpha = z0 there; f = e^-g, so f' =
+    # -g' f and f''' = (-g'^3 + 3 g' g'' - g''') f
+    g1, g2, g3 = (z0 * p for p in tail.slopes(u0, -alpha))
     return _euler_maclaurin(body, f0, n0, -g1, 3.0 * g1 * g2 - g1**3 - g3)
 
 
@@ -366,11 +450,13 @@ class SingularSequence:
     constructor are merged into one run).  counts None is a plain head.
     length counts every repeat, and values expands the runs on each read
     (charged to the memory budget, not cached); estimators read head
-    and counts instead."""
+    and counts instead.  horizon, length by default, ends the dyadic
+    scans (tauberian_classify, riesz_seminorm_proxy)."""
 
     head: np.ndarray
-    tail: PowerLogTail | None = None
+    tail: PowerLogTail | OscillatorTail | None = None
     counts: np.ndarray | None = None
+    horizon: int | None = None
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.head, dtype=np.float64)
@@ -413,6 +499,12 @@ class SingularSequence:
                     "tail junction insane: tail model at index %d gives %g "
                     "vs last value %g" % (length, model, edge)
                 )
+        H = length if self.horizon is None else self.horizon
+        if not (length <= H < 2**63 and H == int(H)) or (
+                H > length and self.tail is None):
+            raise ValueError("horizon must be an integer from the length %d "
+                             "to 2^63 - 1, past it only with a tail" % length)
+        object.__setattr__(self, "horizon", int(H))
 
     @property
     def values(self):
@@ -437,7 +529,7 @@ class SingularSequence:
         t = self.tail
         if t is not None:
             t = replace(t, coeff=t.coeff * c)
-        return SingularSequence(self.head * c, t, self.counts)
+        return SingularSequence(self.head * c, t, self.counts, self.horizon)
 
 
 def as_sequence(x):
@@ -451,29 +543,30 @@ def as_sequence(x):
 
 def _closures(source):
     """(x, zeta_tail(s), heat_tail(t, alpha)) of a sequence or a model:
-    its spectrum and its sums past the head, each the model's own where
-    it defines one, else the tail model's from n = length + 1, else
-    None."""
+    its spectrum and its sums past the head, from n = length + 1 by the
+    tail model (the zeta sum the model's own zeta_tail where it defines
+    one), else None."""
     x = as_sequence(source)
     zeta_tail = getattr(source, "zeta_tail", None)
-    heat_tail = getattr(source, "heat_tail", None)
-    if x.tail is not None:
-        lo = x.length + 1
-        zeta_tail = zeta_tail or (lambda s: tail_power_sum(x.tail, s, lo))
-        heat_tail = heat_tail or (
-            lambda t, alpha: tail_heat_sum(x.tail, t, alpha, lo))
-    return x, zeta_tail, heat_tail
+    if x.tail is None:
+        return x, zeta_tail, None
+    lo = x.length + 1
+    return x, zeta_tail or (lambda s: tail_power_sum(x.tail, s, lo)), (
+        lambda t, alpha: tail_heat_sum(x.tail, t, alpha, lo))
 
 
 def power_trace(source, s):
     """Tr(T^s) = sum over n of mu_n**s for an evaluator s -> Tr(T^s), a
     sequence or a model: the head kernel sum plus the zeta tail of
-    _closures, taken first so that a divergent s is refused before the
-    head is summed."""
+    _closures, taken first so that a divergent s (an infinite tail) is
+    refused before the head is summed."""
     if callable(source):
         return float(source(s))
     x, zeta_tail, _ = _closures(source)
     tail = 0.0 if zeta_tail is None else zeta_tail(s)
+    if math.isinf(tail):
+        raise ValueError("zeta evaluation divergent or past the float64 "
+                         "range at s=%g" % s)
     return kernels.power_sum(x.head, s, counts=x.counts) + tail
 
 
@@ -502,7 +595,7 @@ def dyadic_schedule(limit, start=1):
     limit = int(limit)
     if limit < 2**start:
         raise ValueError("limit %d below first checkpoint" % limit)
-    J = int(math.floor(math.log2(limit)))
+    J = limit.bit_length() - 1
     return 2 ** np.arange(start, J + 1, dtype=np.int64)
 
 
@@ -545,8 +638,8 @@ def log_average(x, ks):
 
 def norm_1_inf(x):
     """sup_k alpha_k.  The head is scanned at every k; with a tail model
-    the supremum also covers the limit of alpha_k, limsup n*mu from
-    _tail_limsups, which can exceed anything visible in the stored head
+    the supremum also covers limsup alpha_k from _tail_limsups, which
+    can exceed anything visible in the stored head
     (the flat-torus spectrum is the standard case: alpha is still
     climbing at any finite truncation), and a peak past the head: the
     best of the checkpoints length * 2^j, then a ternary search over the
@@ -608,9 +701,9 @@ def riesz_seminorm_proxy(x):
     overestimates for sequences whose alpha still drifts, so treat it as
     a proxy, not the seminorm."""
     x = as_sequence(x)
-    if x.length < 16:
+    if x.horizon < 16:
         raise ValueError("horizon below policy minimum (16)")
-    ks = dyadic_schedule(x.length)
+    ks = dyadic_schedule(x.horizon)
     return float(np.max(log_average(x, ks[(ks.size - 1) // 2:]).alphas))
 
 
@@ -627,8 +720,9 @@ def zeta_norm_z1(source, k_schedule=None):
     best = 0.0
     for k in ks:
         k = float(k)
-        total = power_trace(source, 1.0 + 1.0 / k)
-        if math.isinf(total):
+        try:
+            total = power_trace(source, 1.0 + 1.0 / k)
+        except ValueError:  # a divergent zeta tail, refused
             return math.inf
         best = max(best, total ** (k / (k + 1.0)) / k)
     return float(best)
@@ -696,14 +790,17 @@ def _membership(a, b, ps, band):
 
 
 def _tail_limsups(tail):
-    """(limsup n*mu, limsup n*mu/log n) under the tail model, the weak-l1
-    and u_(1,inf) witnesses; the first is also the limit of alpha_k."""
-    def limsup(e):  # of C (log n)^e n^(1-a)
+    """(limsup alpha_k, limsup n*mu, limsup n*mu/log n) under the tail
+    model, the last two the weak-l1 and u_(1,inf) witnesses; they part
+    where the factor oscillates (the oscillator: 2 + sqrt(1/2) and 3)."""
+    def limsup(e, peak):  # of C (log n)^e n^(1-a) times the factor
         if tail.power != 1.0:
             return 0.0 if tail.power > 1.0 else math.inf
-        return 0.0 if e < 0.0 else (tail.coeff if e == 0.0 else math.inf)
+        return 0.0 if e < 0.0 else (
+            tail.coeff * peak if e == 0.0 else math.inf)
 
-    return limsup(tail.log_power), limsup(tail.log_power - 1.0)
+    (top, mean), b = tail.peaks, tail.log_power
+    return limsup(b, mean), limsup(b, top), limsup(b - 1.0, top)
 
 
 def ideal_membership(x, ps=()):
@@ -720,13 +817,13 @@ def ideal_membership(x, ps=()):
     x = as_sequence(x)
     L = x.length
     nrm = norm_1_inf(x)
-    riesz = riesz_seminorm_proxy(x) if L >= 16 else float("nan")
+    riesz = riesz_seminorm_proxy(x) if x.horizon >= 16 else float("nan")
     z1 = zeta_norm_z1(x)
     ps = [float(p) for p in ps]
     if x.tail is not None:
         a, b = x.tail.power, x.tail.log_power
         in_m, in_l1w, in_u, weak_lp = _membership(a, b, ps, 0.0)
-        w_l1, w_u = _tail_limsups(x.tail)
+        _, w_l1, w_u = _tail_limsups(x.tail)
         return IdealMembershipReport(
             nrm, in_m, in_l1w, w_l1, in_u, w_u, weak_lp, riesz, z1,
             fitted_exponents=(a, b),
@@ -807,7 +904,7 @@ def tauberian_classify(x, max_checkpoint=None):
     trailing window sees less than a full log-log period, so the wide
     band is the honest lower bound."""
     x = as_sequence(x)
-    H, min_horizon = x.length, MIN_HORIZON
+    H, min_horizon = x.horizon, MIN_HORIZON
     if max_checkpoint is not None:
         cap = int(max_checkpoint)
         H, min_horizon = min(H, cap), min(MIN_HORIZON, max(64, cap))
@@ -874,7 +971,7 @@ def harmonic_sequence(horizon, coeff=1.0):
 def oscillator_sequence(horizon):
     """mu_n = (2 + sin log log n) / n for n >= 3, first three entries
     tied at the n=3 value.  Log-log oscillation makes alpha_k wander
-    forever; no power-log tail captures it, so none is attached."""
+    forever; estimators.oscillator_model attaches OscillatorTail."""
     H = int(horizon)
     if H < 3:
         raise ValueError("oscillator horizon must be >= 3")
@@ -883,7 +980,7 @@ def oscillator_sequence(horizon):
     for start in range(2, H, kernels._CHUNK):  # no H-sized temporaries
         n = np.arange(start + 1, min(start + kernels._CHUNK, H) + 1,
                       dtype=np.float64)
-        v[start:start + n.size] = (2.0 + np.sin(np.log(np.log(n)))) / n
+        v[start:start + n.size] = OscillatorTail().value(n)
     v[0] = v[1] = v[2]
     return SingularSequence(v)
 

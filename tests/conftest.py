@@ -48,4 +48,4 @@ def torus_2000():
 
 @pytest.fixture(scope="session")
 def oscillator_1e7():
-    return dixlab.OscillatorModel(10**7)
+    return dixlab.oscillator_model(10**7)

@@ -9,7 +9,6 @@ import math
 
 import mpmath
 import numpy as np
-from scipy import integrate
 
 
 def brute_alpha(values, k):
@@ -57,19 +56,6 @@ def osc_values(horizon):
     v = (2.0 + np.sin(np.log(np.log(np.maximum(n, 3.0))))) / n
     v[0] = v[1] = v[2]
     return v
-
-
-def osc_zeta_quad(s, vals):
-    """Head power sum plus the continuum tail of the oscillator model,
-    integrated from len(vals) + 1/2 (the midpoint rule for n > len)."""
-    head = float(np.sum(vals ** s))
-    u0 = math.log(len(vals) + 0.5)
-
-    def g(u):
-        return (2.0 + math.sin(math.log(u))) ** s * math.exp((1.0 - s) * u)
-
-    tail, _ = integrate.quad(g, u0, np.inf, limit=400)
-    return head + tail
 
 
 def brute_lattice_points(n, radius):
@@ -144,17 +130,59 @@ def mp_tail_integral(coeff, power, log_power, x0, x1=None):
         return float(coeff * val)
 
 
-def mp_osc_zeta_tail(s, horizon):
-    """Integral of (2 + sin log u)^s e^{(1-s)u} over u >= log(horizon +
-    1/2), the oscillator's zeta tail, at 40 digits by mpmath.quad split
-    where e^{(1-s)u} has fallen by e^(1/4), e, e^4, e^16 and e^64."""
+def mp_em_sum(f, n0, n1=None, pts=()):
+    """Euler-Maclaurin sum of f over n = n0..n1 (n1 None: infinity) at
+    the working precision: mpmath.quad of f(e^u) e^u over u from log n0
+    to log n1, split at the u in pts, plus f/2 - f'/12 + f'''/720 at n0
+    and, for a finite n1, f/2 + f'/12 - f'''/720 at n1, each derivative
+    by mpmath.diff.  mpmath.quad's tolerance is absolute, so it
+    integrates f relative to f(n0)."""
+    u0 = mpmath.log(n0)
+    u1 = mpmath.inf if n1 is None else mpmath.log(n1)
+    cuts = sorted({u0, u1} | {u for u in pts if u0 < u < u1})
+    f0 = f(mpmath.mpf(n0))
+    total = f0 * mpmath.quad(lambda u: f(mpmath.exp(u)) / f0 * mpmath.exp(u),
+                             cuts)
+    for n, sign in ((n0, 1), (n1, -1)):
+        if n is not None:
+            n = mpmath.mpf(n)
+            total += (f(n) / 2 - sign * mpmath.diff(f, n, 1) / 12
+                      + sign * mpmath.diff(f, n, 3) / 720)
+    return total
+
+
+def mp_osc_mu(n):
+    """The oscillator value (2 + sin log log n) / n at the working
+    precision."""
+    return (2 + mpmath.sin(mpmath.log(mpmath.log(n)))) / n
+
+
+def mp_osc_tail(n0, n1=None, s=1, t=None, alpha=1):
+    """The oscillator's sum over n = n0..n1 (n1 None: infinity) of
+    mu_n**s, or of exp(-(t mu_n)^-alpha) given t, as an mpf at 40 digits
+    by mp_em_sum.  The quadrature is split where e^((1-s)u) has fallen
+    by e^(1/4), e, e^4, e^16 and e^64 (s > 1), or where (n - n0) / (3t)
+    passes 1/4, 1, 4, 16, 64 and 256: heat terms fall off from n0 at
+    least like exp(-(n - n0) / (3t)), so their sum stops at n0 + 3000 t,
+    past which the rest is below e^-990 of it."""
     with mpmath.workdps(40):
-        s = mpmath.mpf(s)
-        u0 = mpmath.log(mpmath.mpf(horizon) + mpmath.mpf(1) / 2)
-        pts = [u0] + [u0 + y / (s - 1) for y in (0.25, 1, 4, 16, 64)]
-        return float(mpmath.quad(
-            lambda u: (2 + mpmath.sin(mpmath.log(u))) ** s
-            * mpmath.exp((1 - s) * u), pts + [mpmath.inf]))
+        s, alpha = mpmath.mpf(s), mpmath.mpf(alpha)
+        if t is None:
+            def f(n):
+                return mp_osc_mu(n) ** s
+
+            pts = [mpmath.log(n0) + y / (s - 1)
+                   for y in (0.25, 1, 4, 16, 64)] if s > 1 else []
+        else:
+            t = mpmath.mpf(t)
+
+            def f(n):
+                return mpmath.exp(-(t * mp_osc_mu(n)) ** -alpha)
+
+            pts = [mpmath.log(n0 + 3 * t * y)
+                   for y in (0.25, 1, 4, 16, 64, 256)]
+            n1 = n0 + 3000 * t if n1 is None else min(n1, n0 + 3000 * t)
+        return mp_em_sum(f, n0, n1, pts)
 
 
 def mp_log_heat_tail(coeff, power, log_power, alpha, n0, t0, t1):

@@ -206,7 +206,7 @@ def test_criterion_6_commutation_defects(verdict):
 
 
 def test_criterion_7_norm_calculus(torus_2000, verdict):
-    osc = dx.OscillatorModel(10**6)
+    osc = dx.oscillator_model(10**6)
     chains = (
         ("harmonic", dx.harmonic_sequence(10**6), None),
         ("oscillator", osc, 2 ** np.arange(3, 15, dtype=np.int64)),

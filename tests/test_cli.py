@@ -418,7 +418,6 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("kind,extra", [
         ("harmonic", {}),
-        ("oscillator", {}),
         ("power_log", {"coeff": 1.0, "power": 1.0, "log_power": 0.0}),
     ])
     def test_huge_horizon_exits_four(self, tmp_path, capsys, kind, extra):
@@ -432,8 +431,6 @@ class TestMainExitCodes:
         assert len(lines) == 1 and "DIXLAB_BUDGET_MB" in lines[0]
 
     @pytest.mark.parametrize("model,what", [
-        ({"kind": "oscillator", "horizon": 10**11},
-         "oscillator sequence (horizon 100000000000)"),
         ({"kind": "torus", "dimension": 3, "cutoff_radius": 10**5},
          "lattice shell table (radius 100000)"),
     ])
@@ -454,6 +451,32 @@ class TestMainExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("error: experiments[1].model: " + what)
         assert "DIXLAB_BUDGET_MB" in lines[0]
+
+    def test_oscillator_horizon_past_the_head_is_not_charged(
+            self, tmp_path, capsys, monkeypatch):
+        # 2^16 values are stored whatever the horizon; the scan to 10^11
+        # reads the tail, so every method runs under 64 MB
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "64")
+        cfg = _cfg(experiments=[{
+            "label": "osc",
+            "model": {"kind": "oscillator", "horizon": 10**11},
+            "methods": ["dixmier", "zeta", "heat_raw", "heat_cesaro"],
+        }])
+        code = cli.main(["--config", self._write(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        assert "error" not in captured.err
+        assert captured.out.count("\n") == 5
+
+    def test_oscillator_horizon_past_2_63_exits_four(self, tmp_path,
+                                                     capsys):
+        cfg = _cfg(experiments=[{"model": {"kind": "oscillator",
+                                           "horizon": 2**63}}])
+        code = cli.main(["--config", self._write(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "experiments[0].model: horizon must be an integer" in (
+            captured.err)
 
     def test_matrix_kind_caps_at_quarter_dimension(self, capsys):
         cfg = _cfg(experiments=[{

@@ -133,8 +133,9 @@ def _seeded_models(base=BASE, seed=20261018, n=CASES):
 
 # the satellite reproducers: a heat tail past the float range (an
 # OverflowError traceback before), a finite tail whose closed form
-# overflows, t * v past the float range in the head's heat sum, and
-# lazily built spectra over the budget
+# overflows, t * v past the float range in the head's heat sum, an
+# oscillator scan horizon of 10^11 read through its tail past a 2^16
+# head, and a lazily built spectrum over the budget
 EXPLICIT = [
     {"kind": "power_log", "coeff": 1.0, "power": 0.005, "log_power": 0.0,
      "horizon": 100},

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ class TestHeatEstimates:
         assert abs(got - want) <= bound
 
     def test_cesaro_smooths_the_oscillator(self):
-        m = dx.OscillatorModel(10**6)
+        m = dx.oscillator_model(10**6)
         raw = dx.heat_estimate(m, smoothing="raw")
         ces = dx.heat_estimate(m, smoothing="cesaro")
         assert raw.status == "Oscillating"
@@ -281,39 +282,74 @@ class TestOscillatorModel:
         assert abs(z50 - z5000) >= 0.05
 
     def test_zeta_matches_quadrature_oracle(self):
-        m = dx.OscillatorModel(10**5)
-        vals = m.spectrum().values
+        # 10^5 values asked for, 2^16 stored: the tail sums from 2^16 + 1
+        m = dx.oscillator_model(10**5)
+        head = m.spectrum().values
+        assert head.size == 2**16
         for s in (1.02, 1.1):
-            want = oracles.osc_zeta_quad(s, np.sort(vals)[::-1])
-            assert dx.power_trace(m, s) == pytest.approx(want, rel=1e-9)
+            want = (oracles.mp_power_sum(head, s)
+                    + oracles.mp_osc_tail(2**16 + 1, s=s))
+            assert dx.power_trace(m, s) == pytest.approx(float(want),
+                                                         rel=1e-12)
 
     @pytest.mark.parametrize("k", estimators.ZETA_SCHEDULE)
     def test_zeta_against_mpmath(self, k):
         s = 1.0 + 1.0 / k
-        m = dx.OscillatorModel(10**4)
-        tail, bound = m._zeta_tail(s)
-        want_tail = oracles.mp_osc_zeta_tail(s, 10**4)
-        assert abs(tail - want_tail) <= bound
-        want = float(oracles.mp_power_sum(m.spectrum().values, s))
-        assert dx.power_trace(m, s) == pytest.approx(want + want_tail,
-                                                     rel=1e-12)
+        m = dx.oscillator_model(10**4)
+        want_tail = oracles.mp_osc_tail(10**4 + 1, s=s)
+        want = oracles.mp_power_sum(m.spectrum().values, s) + want_tail
+        assert dx.power_trace(m, s) == pytest.approx(float(want), rel=1e-12)
 
     def test_divergence_guard(self):
         with pytest.raises(ValueError):
-            dx.power_trace(dx.OscillatorModel(10**4), 1.0)
+            dx.power_trace(dx.oscillator_model(10**4), 1.0)
 
     def test_tail_starts_past_the_head(self):
-        # the head holds n <= H, so the tail integral starts at H + 1/2;
-        # from H it counted about half of the term at H twice, 3.9e-4 of
-        # zeta(1.5) and 1.2e-3 of heat(100) at H = 100
-        short, long = dx.OscillatorModel(100), dx.OscillatorModel(10**6)
+        # the head holds n <= H, so the tail sum starts at H + 1; from H
+        # it would count the term at H twice, 3.9e-4 of zeta(1.5) and
+        # 1.2e-3 of heat(100) at H = 100
+        short, long = dx.oscillator_model(100), dx.oscillator_model(10**6)
         assert dx.power_trace(short, 1.5) == pytest.approx(
             dx.power_trace(long, 1.5), abs=1e-5)
         assert dx.heat_trace(short, 100.0) == pytest.approx(
             dx.heat_trace(long, 100.0), abs=1e-5)
 
+    def test_head_stops_at_2_16_values_and_the_scan_at_the_horizon(
+            self, oscillator_1e7):
+        x = oscillator_1e7.spectrum()
+        assert (x.head.size, x.length, x.horizon) == (2**16, 2**16, 10**7)
+        assert x.tail == sequences.OscillatorTail()
+        small = dx.oscillator_model(1000).spectrum()
+        assert (small.head.size, small.horizon) == (1000, 1000)
+        ks = dx.tauberian_classify(x).diagnostics["checkpoints"]
+        assert ks[-1] == 2**23
+
+    def test_log_average_matches_the_materialized_sequence(
+            self, oscillator_1e7):
+        # the 7 checkpoints past 2^16 read the tail; all 23 agree
+        ks = dx.dyadic_schedule(10**7)
+        got = dx.log_average(oscillator_1e7, ks).alphas
+        want = dx.log_average(dx.oscillator_sequence(10**7), ks).alphas
+        assert ks.size == 23
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_norm_and_membership_from_the_tail(self):
+        # sup alpha_k is the head's own peak near k = 2^15; past it the
+        # tail's limsup alpha_k, 2 + sqrt(2)/2, stays below.  The tail
+        # gives the exponents (1, 0) and the witnesses limsup n mu = 3
+        # and limsup n mu / log n = 0 exactly
+        x = dx.oscillator_model(10**6).spectrum()
+        assert dx.norm_1_inf(x) == pytest.approx(2.71224415433, abs=1e-11)
+        assert dx.norm_1_inf(x) > 2.0 + math.sqrt(2.0) / 2.0
+        rep = dx.ideal_membership(x)
+        assert rep.fitted_exponents == (1.0, 0.0)
+        assert (rep.in_m1inf, rep.in_weak_l1, rep.in_u1inf) == (
+            True, True, True)
+        assert (rep.witness_weak_l1, rep.witness_u1inf) == (3.0, 0.0)
+        assert rep.window is None
+
     def test_z1_frozen_value(self):
-        m = dx.OscillatorModel(10**6)
+        m = dx.oscillator_model(10**6)
         ks = 2 ** np.arange(3, 15, dtype=np.int64)
         z1 = dx.zeta_norm_z1(m, k_schedule=ks)
         assert z1 == pytest.approx(oracles.FROZEN["osc_z1_1e6"], rel=1e-9)
@@ -322,7 +358,8 @@ class TestOscillatorModel:
 class TestPowerTrace:
     @pytest.mark.parametrize("build,s", [
         (lambda: dx.LatticeModel(2, 50, 1.0), 0.9),
-        (lambda: dx.OscillatorModel(10**4), 1.0),
+        (lambda: dx.oscillator_model(10**4), 1.0),
+        (lambda: dx.harmonic_model(1024), 1.0),
     ])
     def test_divergent_s_is_refused_before_the_head_sum(self, build, s,
                                                         monkeypatch):
@@ -432,6 +469,20 @@ class TestProductZeta:
     def test_inexact_symbols_are_refused(self, torus_2000):
         with pytest.raises(TypeError, match="multiplication_matrix"):
             dx.product_zeta_sequence(np.eye(4), torus_2000)
+
+    @pytest.mark.parametrize("schedule", [(50, 25), (0, 25)])
+    def test_schedule_checked_as_the_zeta_estimate_checks_it(self,
+                                                             schedule):
+        # (50, 25) read Converged 3.1425 from a decreasing schedule, and
+        # (0, 25) divided by zero with a RuntimeWarning
+        f = dx.FourierMultiplier({(0, 0): 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="k schedule"):
+                dx.product_zeta_sequence(f, dx.LatticeModel(2, 50),
+                                         schedule)
+            with pytest.raises(ValueError, match="k schedule"):
+                dx.zeta_residue_estimate(dx.harmonic_model(1024), schedule)
 
     def test_complex_symbol_refused(self, torus_2000):
         f = dx.FourierMultiplier({(1, 0): 1.0 + 0j}, real_flag=False)

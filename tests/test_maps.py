@@ -362,6 +362,22 @@ class TestCommutatorDefects:
             with pytest.raises(ValueError, match="past the horizon"):
                 maps.commutator_defect(pair, f, t=n, j=j)
 
+    def test_window_indices_must_be_integers(self):
+        # t = -0.5 read index 0, t = 18.9 index 18, and a count of 2.5
+        # returned 3 windows; an integral float such as 1e2 still passes
+        f = maps.floor_embed(_rng(3).random(128))
+        for pair in (("cesaro", "window_restrict"),
+                     ("shift", "window_restrict")):
+            for t in (-0.5, 18.9):
+                with pytest.raises(ValueError, match="integer"):
+                    maps.commutator_defect(pair, f, t=t)
+            assert maps.commutator_defect(pair, f, t=1e2) == \
+                maps.commutator_defect(pair, f, t=100)
+        with pytest.raises(ValueError, match="integer"):
+            maps.window_sequence(f, 2.5)
+        np.testing.assert_array_equal(maps.window_sequence(f, 1e2),
+                                      maps.window_sequence(f, 100))
+
     def test_unknown_pair_rejected(self):
         with pytest.raises(ValueError):
             maps.commutator_defect(("shift", "nonsense"), np.ones(4), t=1.0)

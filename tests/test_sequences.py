@@ -1,12 +1,13 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dixlab as dx
-from dixlab import kernels, sequences
+from dixlab import estimators, kernels, sequences
 from dixlab.sequences import tail_sum, tail_power_sum, tail_heat_sum
 
 import oracles
@@ -41,6 +42,19 @@ class TestSingularSequence:
         with pytest.raises(dx.BudgetError, match="power-log sequence"):
             dx.power_log_sequence(1.0, 1.0, 0.0, 10**5)
         assert dx.harmonic_sequence(10**4).length == 10**4
+
+    def test_scan_horizon(self):
+        head = 1.0 / np.arange(1.0, 101.0)
+        assert dx.SingularSequence(head).horizon == 100
+        x = dx.SingularSequence(head, dx.PowerLogTail(1.0, 1.0), horizon=1e4)
+        assert x.horizon == 10**4 and x.scaled(2.0).horizon == 10**4
+        assert dx.tauberian_classify(x).diagnostics["checkpoints"][-1] == \
+            2**13
+        for tail, horizon in ((None, 101), (x.tail, 99), (x.tail, 100.5),
+                              (x.tail, 2**63), (x.tail, math.inf),
+                              (x.tail, math.nan)):
+            with pytest.raises(ValueError, match="horizon must be"):
+                dx.SingularSequence(head, tail, horizon=horizon)
 
     def test_tail_junction_guard(self):
         # the tail model at the head's last index must match mu_L
@@ -325,7 +339,7 @@ class TestTailQuadrature:
         (0.5, 1.0, 65, 1e6),  # a growing integrand, mapped from x1 down
     ])
     def test_tail_integral_with_a_log_factor(self, a, b, x0, x1):
-        got, bound = sequences._tail_integral(1.0, a, b, x0, x1)
+        got, bound = dx.PowerLogTail(1.0, a, b).integral(x0, x1)
         want = oracles.mp_tail_integral(1.0, a, b, x0, x1)
         assert got == pytest.approx(want, rel=1e-12)
         assert 0.0 < abs(got - want) <= bound or got == want
@@ -340,6 +354,57 @@ class TestTailQuadrature:
             sequences.tail_quad(lambda x: 1.0 / np.sqrt(x), [0.0, 1.0])
         with pytest.raises(ValueError, match="not finite"):
             sequences.tail_quad(lambda x: np.sqrt(x - 0.5), [0.0, 1.0])
+
+
+class TestOscillatorTail:
+    """The oscillator tail against the 40-digit oracle that sums from
+    the first index past the head (oracles.mp_osc_tail)."""
+
+    TAIL = sequences.OscillatorTail()
+
+    @pytest.mark.parametrize("lo,hi", [(101, 202), (65537, 10**7),
+                                       (65537, 2**40)])
+    def test_closed_form_sum(self, lo, hi):
+        # s = 1: the integral is c F(u), F(u) = 2u + u (sin - cos)(log u)/2
+        want = float(oracles.mp_osc_tail(lo, hi))
+        assert tail_sum(self.TAIL, lo, hi) == pytest.approx(
+            want, rel=sequences.TAIL_RTOL)
+
+    @pytest.mark.parametrize("k", estimators.ZETA_SCHEDULE)
+    @pytest.mark.parametrize("lo", [101, 65537])
+    def test_zeta_tail_on_the_schedule(self, k, lo):
+        s = 1.0 + 1.0 / k
+        want = float(oracles.mp_osc_tail(lo, s=s))
+        assert tail_power_sum(self.TAIL, s, lo) == pytest.approx(
+            want, rel=sequences.TAIL_RTOL)
+
+    @pytest.mark.parametrize("t", estimators.HEAT_SCHEDULE)
+    @pytest.mark.parametrize("lo", [101, 65537])
+    def test_heat_tail_on_the_schedule(self, t, lo):
+        want = float(oracles.mp_osc_tail(lo, t=t))
+        assert tail_heat_sum(self.TAIL, t, 1.0, lo) == pytest.approx(
+            want, rel=sequences.TAIL_RTOL)
+
+    def test_powered_sum_between_two_ends(self):
+        tail = self.TAIL.powered(2.0)
+        want = float(oracles.mp_osc_tail(101, 1000, s=2))
+        assert tail_sum(tail, 101, 1000) == pytest.approx(
+            want, rel=sequences.TAIL_RTOL)
+        assert tail_power_sum(self.TAIL, 1.0, 101) == math.inf
+        assert tail_power_sum(self.TAIL, 0.5, 101) == math.inf
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, -1.0])
+    @pytest.mark.parametrize("n", [5.0, 101.0, 65537.0])
+    def test_slopes_against_mpmath_derivatives(self, s, n):
+        # n^k h^(k)/h of h = value**s; s = -1 is the heat tail's
+        with mpmath.workdps(40):
+            def h(x):
+                return oracles.mp_osc_mu(x) ** s
+
+            want = [float(n**k * mpmath.diff(h, n, k) / h(n))
+                    for k in (1, 2, 3)]
+        got = self.TAIL.slopes(math.log(n), s)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestLogAverage:
@@ -631,8 +696,20 @@ class TestMembershipRule:
         (1.0, 1.0 + 1e-12, (math.inf, math.inf)),
     ])
     def test_tail_limsups(self, a, b, want):
-        # limsup n mu = limsup C (log n)^b n^(1-a), and over log n
-        assert sequences._tail_limsups(dx.PowerLogTail(3.0, a, b)) == want
+        # limsup n mu = limsup C (log n)^b n^(1-a), and over log n; on a
+        # power-log tail limsup alpha_k, the first entry, is limsup n mu
+        assert sequences._tail_limsups(dx.PowerLogTail(3.0, a, b)) == (
+            want[0],) + want
+
+    def test_oscillator_limsups_keep_alpha_apart_from_n_mu(self):
+        # alpha_k ~ 2 + (sin log U - cos log U)/2 with U = log k peaks at
+        # 2 + sqrt(2)/2, while n mu = 2 + sin log log n peaks at 3
+        got = sequences._tail_limsups(sequences.OscillatorTail(2.0))
+        assert got[0] == pytest.approx(2.0 * (2.0 + math.sqrt(2.0) / 2.0),
+                                       rel=1e-15)
+        assert got[1:] == (6.0, 0.0)
+        assert sequences._tail_limsups(sequences.OscillatorTail(2.0, 1.5)) == (
+            0.0, 0.0, 0.0)
 
 
 class TestIdealMembership:
