@@ -20,6 +20,7 @@ from .sequences import (
     ideal_membership,
     log_average,
     norm_1_inf,
+    oscillator_model,
     oscillator_sequence,
     power_log_sequence,
     power_trace,
@@ -76,20 +77,16 @@ from .estimators import (
     HolderReport,
     MeasurabilityReport,
     MellinReport,
-    SequenceModel,
     SquaresEigenvalues,
     SublatticeProjection,
     TorusEigenvalues,
     TraceEstimate,
     dixmier_estimate,
-    harmonic_model,
     heat_estimate,
     heat_trace,
     holder_check,
     measurability_report,
     mellin_check,
-    oscillator_model,
-    power_log_model,
     product_zeta_sequence,
     zeta_residue_estimate,
 )

@@ -17,7 +17,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,24 +46,24 @@ def _nc_torus_model(cutoff_radius, theta=0.0, operator_power=None):
 
 def _matrix_model(dimension, halfwidth, coefficients, operator_power=None,
                   real=True, max_checkpoint=None):
-    """Singular values of the truncated multiplier, the dixmier scan
-    capped at max_checkpoint (default: a quarter of the matrix size)."""
+    """Singular values of the truncated multiplier, scanned to
+    min(max_checkpoint, size) values (default: a quarter of the matrix
+    size, at least 1)."""
     f = models.FourierMultiplier(dict(coefficients), real_flag=real)
     op = models.multiplication_matrix(f, dimension, halfwidth,
                                       operator_power)
     if max_checkpoint is None:
-        max_checkpoint = op.size // 4
-    return estimators.SequenceModel(models.singular_values(op),
-                                    name="matrix",
-                                    max_checkpoint=max_checkpoint)
+        max_checkpoint = max(1, op.size // 4)
+    return replace(models.singular_values(op),
+                   horizon=min(max_checkpoint, op.size))
 
 
 def _sequence_file_model(path):
     """Finite, nonnegative, nonincreasing values in one column or one
-    row; any other file is a ConfigError naming the path field and the
+    row; any other file is a FieldError naming the path field and the
     file."""
     def bad(why):
-        return ConfigError(["path: %s: %s" % (path, why)])
+        return sequences.FieldError("path", "%s: %s" % (path, why))
 
     try:
         with warnings.catch_warnings():
@@ -77,7 +77,7 @@ def _sequence_file_model(path):
     if vals.size == 0:
         raise bad("no values")
     try:
-        return estimators.SequenceModel(sequences.as_sequence(vals))
+        return sequences.as_sequence(vals)
     except ValueError as exc:
         raise bad(exc) from None
 
@@ -86,11 +86,11 @@ def _sequence_file_model(path):
 # with the parsed fields as keywords, so defaults live in the builders
 _KINDS = {
     "harmonic": ({"horizon": (int, False), "coeff": (float, False)},
-                 estimators.harmonic_model),
-    "oscillator": ({"horizon": (int, False)}, estimators.oscillator_model),
+                 sequences.harmonic_sequence),
+    "oscillator": ({"horizon": (int, False)}, sequences.oscillator_model),
     "power_log": ({"coeff": (float, True), "power": (float, True),
                    "log_power": (float, True), "horizon": (int, False)},
-                  estimators.power_log_model),
+                  sequences.power_log_sequence),
     "torus": ({"dimension": (int, True), "cutoff_radius": (int, True),
                "operator_power": (float, False)}, models.LatticeModel),
     "nc_torus": ({"cutoff_radius": (int, True), "theta": (float, False),
@@ -341,14 +341,15 @@ def parse_config(source):
 
 def _build_model(spec, where="model"):
     """The model of spec, from its kind's builder; where is the JSON path
-    of its model object, which prefixes input errors and budget
-    refusals."""
+    of its model object, which prefixes input errors (with the field a
+    FieldError names, where the kind has it) and budget refusals."""
+    fields, builder = _KINDS[spec.kind]
     try:
-        return _KINDS[spec.kind][1](**spec.param_dict())
-    except ConfigError as exc:
-        raise ConfigError([where + "." + p for p in exc.problems]) from None
+        return builder(**spec.param_dict())
     except ValueError as exc:
-        raise ConfigError(["%s: %s" % (where, exc)]) from None
+        field = getattr(exc, "field", None)
+        path = where + "." + field if field in fields else where
+        raise ConfigError(["%s: %s" % (path, exc)]) from None
     except models.BudgetError as exc:
         raise models.BudgetError("%s: %s" % (where, exc.what), exc.need_mb,
                                  exc.budget_mb) from None
@@ -380,7 +381,7 @@ def run_experiment(config):
     for spec in config.experiments:
         model, build_s = built.pop(0)
         t0 = time.perf_counter() - build_s  # the builder's time counts
-        model.spectrum()  # a model that builds lazily builds here
+        sequences.as_sequence(model)  # a lazy model builds here
         print("# %s/build: %.2fs" % (spec.label, time.perf_counter() - t0),
               file=sys.stderr)
         param = _param_string(spec)

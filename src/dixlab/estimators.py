@@ -22,18 +22,15 @@ from .sequences import (
     BURN_IN,
     EPS_CONV,
     EPS_OSC,
-    OscillatorTail,
     PowerLogTail,
     SingularSequence,
     _closures,
     _exp_tail,
     _fit_line,
+    _zeta_schedule,
     as_sequence,
     dyadic_schedule,
-    harmonic_sequence,
     log_average,
-    oscillator_sequence,
-    power_log_sequence,
     power_trace,
     tail_quad,
     tauberian_classify,
@@ -130,60 +127,20 @@ def _finite(value, kind, at):
     return value
 
 
-# ------------------------------------------------------- source handling
-
-
-@dataclass(frozen=True)
-class SequenceModel:
-    """Estimator source wrapping a sequence.  max_checkpoint caps the
-    dixmier scan when the caller sets none: the values past it are not
-    trusted (a matrix truncation's, past a fraction of its size)."""
-
-    x: SingularSequence
-    name: str = "sequence"
-    max_checkpoint: int | None = None
-
-    def spectrum(self):
-        return self.x
-
-
-def harmonic_model(horizon=10**6, coeff=1.0):
-    return SequenceModel(harmonic_sequence(horizon, coeff), name="harmonic")
-
-
-def power_log_model(coeff, power, log_power, horizon=10**6):
-    return SequenceModel(
-        power_log_sequence(coeff, power, log_power, horizon),
-        name="power_log(%g,%g,%g)" % (coeff, power, log_power),
-    )
-
-
-def oscillator_model(horizon=10**7):
-    """mu_n = (2 + sin log log n)/n, the standard non-Tauberian input: its
-    first min(horizon, 2^16) values and OscillatorTail past them, with
-    horizon the end of the dixmier scan."""
-    H = int(horizon)
-    x = oscillator_sequence(min(H, 2**16))
-    return SequenceModel(SingularSequence(x.head, OscillatorTail(),
-                                          horizon=H), name="oscillator")
-
-
 # ------------------------------------------------------ dixmier estimate
 
 
-def dixmier_estimate(source, max_checkpoint=None):
-    """Log-average estimate over dyadic checkpoints.
+def dixmier_estimate(source):
+    """Log-average estimate over the dyadic checkpoints up to the
+    sequence's horizon.
 
     The checkpoint series is classified first; a value is produced by
-    the a + b/log(1+k) fit only on Tauberian data.  max_checkpoint caps
-    the scan and relaxes its horizon gate as in tauberian_classify (used
-    for matrix truncations, where singular values past a fraction of the
-    dimension are unreliable); when it is None the source's own
-    max_checkpoint applies, if it has one."""
-    if max_checkpoint is None:
-        max_checkpoint = getattr(source, "max_checkpoint", None)
+    the a + b/log(1+k) fit only on Tauberian data.  A horizon below the
+    length caps the scan and lowers its gate as in tauberian_classify
+    (matrix truncations, whose singular values past a fraction of the
+    dimension are unreliable)."""
     x = as_sequence(source)
-    verdict = tauberian_classify(x, max_checkpoint)
+    verdict = tauberian_classify(x)
     diag = verdict.diagnostics
     ks = diag.get("checkpoints", np.empty(0, dtype=np.int64))
     alphas = diag.get("alphas", np.empty(0))
@@ -245,17 +202,6 @@ def _truncation_guard(source):
     return guard
 
 
-def _zeta_schedule(k_schedule):
-    """The k of the zeta schedule s = 1 + 1/k as floats, or ValueError
-    unless they are finite, >= 1 and increasing."""
-    ks = np.asarray(k_schedule, dtype=np.float64)
-    if ks.ndim != 1 or ks.size == 0 or not np.all(np.isfinite(ks) & (ks >= 1)):
-        raise ValueError("k schedule must be finite and >= 1")
-    if np.any(np.diff(ks) <= 0):
-        raise ValueError("k schedule must increase")
-    return ks
-
-
 def zeta_residue_estimate(source, k_schedule=ZETA_SCHEDULE):
     """(1/k) * Tr(T^{1+1/k}) over the schedule, extrapolated linearly
     in 1/k, Tr by power_trace of an evaluator s -> Tr(T^s), a sequence
@@ -282,11 +228,20 @@ def zeta_residue_estimate(source, k_schedule=ZETA_SCHEDULE):
 # -------------------------------------------------------- heat estimates
 
 
+def _alpha(alpha_exp):
+    """alpha_exp as a float, or ValueError unless positive and finite."""
+    alpha = float(alpha_exp)
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha_exp must be positive and finite")
+    return alpha
+
+
 def heat_trace(source, t, alpha_exp=1.0):
     """g(t) = (1/t) * sum_n exp(-(t mu_n)^{-alpha}): the head kernel sum
     plus the heat tail of _closures, if any; zero eigenvalues contribute
-    zero.  A sum past the float range raises ValueError."""
-    t, alpha = float(t), float(alpha_exp)
+    zero.  An alpha_exp that is not positive and finite, or a sum past
+    the float range, raises ValueError."""
+    t, alpha = float(t), _alpha(alpha_exp)
     x, _, tail = _closures(source)
     total = kernels.heat_sum(x.head, t, alpha, x.counts)
     if tail is not None:
@@ -333,7 +288,7 @@ def heat_estimate(source, t_schedule=HEAT_SCHEDULE, alpha_exp=1.0,
         raise ValueError("t schedule must increase")
     if smoothing not in ("raw", "cesaro"):
         raise ValueError("smoothing must be 'raw' or 'cesaro'")
-    alpha = float(alpha_exp)
+    alpha = _alpha(alpha_exp)
     norm = math.gamma(1.0 / alpha + 1.0)
     if smoothing == "raw":
         vals = np.array([heat_trace(source, t, alpha) / norm for t in ts])
@@ -367,7 +322,6 @@ class MeasurabilityReport:
     max_pairwise_discrepancy: float
     verdict: str  # Measurable | NotMeasurable | Undetermined
     tolerance: float
-    model_name: str = ""
     notes: str = field(default="", compare=False)
 
 
@@ -422,10 +376,7 @@ def measurability_report(model, methods=("dixmier", "zeta", "heat_raw"),
     else:
         verdict = "Undetermined"
         notes = "some estimator returned no value"
-    return MeasurabilityReport(
-        estimates, disc, verdict, AGREEMENT_TOL,
-        getattr(model, "name", type(model).__name__), notes,
-    )
+    return MeasurabilityReport(estimates, disc, verdict, AGREEMENT_TOL, notes)
 
 
 # ------------------------------------------------------- product traces

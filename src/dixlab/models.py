@@ -19,6 +19,7 @@ from scipy import linalg, special
 from . import kernels
 from .sequences import (  # BudgetError: models.BudgetError stays public
     BudgetError,
+    FieldError,
     PowerLogTail,
     SingularSequence,
     _check_budget,
@@ -34,7 +35,7 @@ class CertificateError(RuntimeError):
 
 def _check_dim(n):
     if n not in (1, 2, 3):
-        raise ValueError("lattice dimension must be 1, 2 or 3")
+        raise FieldError("dimension", "lattice dimension must be 1, 2 or 3")
 
 
 def _check_multiplier(f, n):
@@ -50,7 +51,8 @@ def _operator_power(n, power):
     positive and finite in any case."""
     p = n / 2.0 if power is None else float(power)
     if not 0.0 < p < math.inf:
-        raise ValueError("operator power must be positive and finite")
+        raise FieldError("operator_power",
+                         "operator power must be positive and finite")
     return p
 
 
@@ -58,11 +60,14 @@ def _operator_power(n, power):
 
 
 def _charge_shells(n, radius):
-    """Charge the budget for the shell table of kernels.shell_counts(n,
-    radius): at most min(point count, radius^2 + 1) entries, six int64
-    words each with the temporaries of a dense pass."""
+    """Check n and radius and charge the budget for the shell table of
+    kernels.shell_counts(n, radius): at most min(point count, radius^2 +
+    1) entries, six int64 words each with the temporaries of a dense
+    pass."""
     _check_dim(n)
     radius = int(radius)
+    if radius < 1:
+        raise FieldError("cutoff_radius", "cutoff radius must be >= 1")
     points = UNIT_BALL_VOL[n] * (radius + 1.0) ** n
     words = 6.0 * min(points, radius * radius + 1.0)
     _check_budget("lattice shell table (radius %d)" % radius, 8.0 * words)
@@ -128,15 +133,12 @@ class LatticeModel:
     operator_power: float = None
 
     def __post_init__(self):
-        _check_dim(self.dimension)
         p = _operator_power(self.dimension, self.operator_power)
         object.__setattr__(self, "operator_power", p)
         object.__setattr__(self, "cutoff_radius", int(self.cutoff_radius))
-        if self.cutoff_radius < 1:
-            raise ValueError("cutoff radius must be >= 1")
         # checked here, before any experiment runs: the spectrum is lazy
-        _spectrum_tail(self.dimension, p)
         _charge_shells(self.dimension, self.cutoff_radius)
+        _spectrum_tail(self.dimension, p)
 
     def spectrum(self):
         cached = getattr(self, "_spectrum", None)
@@ -327,7 +329,7 @@ def multiplication_matrix(f, n, halfwidth, power=None):
     p = _operator_power(n, power)
     M = int(halfwidth)
     if M < 1:
-        raise ValueError("cube halfwidth must be >= 1")
+        raise FieldError("halfwidth", "cube halfwidth must be >= 1")
     dim = (2 * M + 1) ** n
     # cube_basis and the weights peak at 3n + 5 words per point: the
     # grids, the points and their sorted copy, and five one-word arrays

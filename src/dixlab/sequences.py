@@ -38,6 +38,28 @@ class BudgetError(RuntimeError):
         )
 
 
+class FieldError(ValueError):
+    """A ValueError about the constructor argument named field; the CLI
+    prefixes its message with the JSON path of that config field."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
+def _horizon(value, lo, what):
+    """value as an int, or FieldError("horizon") naming what unless it is
+    an integer from lo to 2^63 - 1."""
+    try:
+        ok = lo <= value < 2**63 and value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise FieldError("horizon", "%s must be an integer from %d to "
+                         "2^63 - 1" % (what, lo))
+    return int(value)
+
+
 def memory_budget_mb():
     raw = os.environ.get("DIXLAB_BUDGET_MB", "")
     if not raw:
@@ -68,9 +90,9 @@ def _check_budget(what, need_bytes):
 
 def _check_tail(coeff, power):
     if not 0.0 < coeff < math.inf:
-        raise ValueError("tail coeff must be positive and finite")
+        raise FieldError("coeff", "tail coeff must be positive and finite")
     if not 0.0 < power < math.inf:
-        raise ValueError("tail power must be positive and finite")
+        raise FieldError("power", "tail power must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -88,7 +110,7 @@ class PowerLogTail:
     def __post_init__(self):
         _check_tail(self.coeff, self.power)
         if not math.isfinite(self.log_power):
-            raise ValueError("tail log_power must be finite")
+            raise FieldError("log_power", "tail log_power must be finite")
         if self.offset != int(self.offset) or self.offset < 0:
             raise ValueError("tail offset must be a nonnegative integer")
         object.__setattr__(self, "offset", int(self.offset))
@@ -451,7 +473,9 @@ class SingularSequence:
     length counts every repeat, and values expands the runs on each read
     (charged to the memory budget, not cached); estimators read head
     and counts instead.  horizon, length by default, ends the dyadic
-    scans (tauberian_classify, riesz_seminorm_proxy)."""
+    scans (tauberian_classify, riesz_seminorm_proxy): an integer >= 1,
+    below the length to cap them at the values the caller trusts, past
+    it only with a tail."""
 
     head: np.ndarray
     tail: PowerLogTail | OscillatorTail | None = None
@@ -499,12 +523,13 @@ class SingularSequence:
                     "tail junction insane: tail model at index %d gives %g "
                     "vs last value %g" % (length, model, edge)
                 )
-        H = length if self.horizon is None else self.horizon
-        if not (length <= H < 2**63 and H == int(H)) or (
-                H > length and self.tail is None):
-            raise ValueError("horizon must be an integer from the length %d "
-                             "to 2^63 - 1, past it only with a tail" % length)
-        object.__setattr__(self, "horizon", int(H))
+        H = length
+        if self.horizon is not None:
+            H = _horizon(self.horizon, 1, "horizon")
+            if H > length and self.tail is None:
+                raise FieldError("horizon", "horizon must be at most the "
+                                 "length %d without a tail" % length)
+        object.__setattr__(self, "horizon", H)
 
     @property
     def values(self):
@@ -707,6 +732,17 @@ def riesz_seminorm_proxy(x):
     return float(np.max(log_average(x, ks[(ks.size - 1) // 2:]).alphas))
 
 
+def _zeta_schedule(k_schedule):
+    """The k of the zeta schedule s = 1 + 1/k as floats, or ValueError
+    unless they are finite, >= 1 and increasing."""
+    ks = np.asarray(k_schedule, dtype=np.float64)
+    if ks.ndim != 1 or ks.size == 0 or not np.all(np.isfinite(ks) & (ks >= 1)):
+        raise ValueError("k schedule must be finite and >= 1")
+    if np.any(np.diff(ks) <= 0):
+        raise ValueError("k schedule must increase")
+    return ks
+
+
 def zeta_norm_z1(source, k_schedule=None):
     """limsup over the schedule of (1/k) * Tr(T^(1+1/k))^(k/(k+1)), by
     power_trace of an evaluator, a sequence or a model.  Without a zeta
@@ -716,10 +752,8 @@ def zeta_norm_z1(source, k_schedule=None):
     if k_schedule is None:
         closed = callable(source) or _closures(source)[1] is not None
         k_schedule = 2 ** np.arange(3, 21 if closed else 15, dtype=np.int64)
-    ks = _validate_checkpoints(k_schedule)
     best = 0.0
-    for k in ks:
-        k = float(k)
+    for k in map(float, _zeta_schedule(k_schedule)):
         try:
             total = power_trace(source, 1.0 + 1.0 / k)
         except ValueError:  # a divergent zeta tail, refused
@@ -885,13 +919,14 @@ def _fit_line(zs, vals):
     return float(coef[0]), float(coef[1]), resid
 
 
-def tauberian_classify(x, max_checkpoint=None):
-    """Classify alpha_k behaviour on dyadic checkpoints.
+def tauberian_classify(x):
+    """Classify alpha_k behaviour on the dyadic checkpoints up to
+    x.horizon.
 
-    max_checkpoint caps the scan; it is an informed override of the
-    MIN_HORIZON gate, which it relaxes to min(MIN_HORIZON,
-    max(64, max_checkpoint)) (a matrix truncation certifies nothing past
-    a fraction of its dimension, yet must still be extrapolated).
+    A horizon below MIN_HORIZON is not classified.  A horizon below the
+    length caps the scan at the values the caller trusts (a matrix
+    truncation certifies nothing past a fraction of its dimension, yet
+    must still be extrapolated) and lowers that gate to 64.
 
     Convergence is judged on the total variation of residuals after
     removing the a + b/log(1+k) trend over the last third of
@@ -904,10 +939,8 @@ def tauberian_classify(x, max_checkpoint=None):
     trailing window sees less than a full log-log period, so the wide
     band is the honest lower bound."""
     x = as_sequence(x)
-    H, min_horizon = x.horizon, MIN_HORIZON
-    if max_checkpoint is not None:
-        cap = int(max_checkpoint)
-        H, min_horizon = min(H, cap), min(MIN_HORIZON, max(64, cap))
+    H = x.horizon
+    min_horizon = MIN_HORIZON if H >= x.length else 64
     if H < min_horizon:
         return TauberianVerdict(
             "Undetermined", None, 0.0,
@@ -958,11 +991,9 @@ def _charge_build(kind, horizon):
                   _BUILD_BYTES * horizon)
 
 
-def harmonic_sequence(horizon, coeff=1.0):
+def harmonic_sequence(horizon=10**6, coeff=1.0):
     """mu_n = coeff / n with the exact matching tail model."""
-    H = int(horizon)
-    if H < 1:
-        raise ValueError("harmonic horizon must be >= 1")
+    H = _horizon(horizon, 1, "harmonic horizon")
     _charge_build("harmonic", H)
     n = np.arange(1, H + 1, dtype=np.float64)
     return SingularSequence(coeff / n, PowerLogTail(coeff, 1.0))
@@ -970,11 +1001,10 @@ def harmonic_sequence(horizon, coeff=1.0):
 
 def oscillator_sequence(horizon):
     """mu_n = (2 + sin log log n) / n for n >= 3, first three entries
-    tied at the n=3 value.  Log-log oscillation makes alpha_k wander
-    forever; estimators.oscillator_model attaches OscillatorTail."""
-    H = int(horizon)
-    if H < 3:
-        raise ValueError("oscillator horizon must be >= 3")
+    tied at the n=3 value, every value stored and no tail.  Log-log
+    oscillation makes alpha_k wander forever; oscillator_model continues
+    a short head with OscillatorTail instead."""
+    H = _horizon(horizon, 3, "oscillator horizon")
     _charge_build("oscillator", H)
     v = np.empty(H, dtype=np.float64)
     for start in range(2, H, kernels._CHUNK):  # no H-sized temporaries
@@ -985,14 +1015,21 @@ def oscillator_sequence(horizon):
     return SingularSequence(v)
 
 
-def power_log_sequence(coeff, power, log_power, horizon):
+def oscillator_model(horizon=10**7):
+    """mu_n = (2 + sin log log n)/n, the standard non-Tauberian input: its
+    first min(horizon, 2^16) values and OscillatorTail past them, scanned
+    to horizon."""
+    H = _horizon(horizon, 3, "oscillator horizon")
+    x = oscillator_sequence(min(H, 2**16))
+    return SingularSequence(x.head, OscillatorTail(), horizon=H)
+
+
+def power_log_sequence(coeff, power, log_power, horizon=10**6):
     """mu_n = coeff (log n)^log_power n^-power sampled at n = 2..horizon,
     sorted nonincreasingly (the raw formula is not monotone near its
     start for log_power > 0), with the tail model attached.  Head entry
     k holds n = k + 1, so the tail carries offset 1."""
-    H = int(horizon)
-    if H < 16:
-        raise ValueError("horizon must be >= 16")
+    H = _horizon(horizon, 16, "power-log horizon")
     _charge_build("power-log", H)
     tail = PowerLogTail(coeff, power, log_power, offset=1)
     n = np.arange(2, H + 1, dtype=np.float64)

@@ -38,7 +38,7 @@ def verdict(request):
 
 @pytest.fixture(scope="session")
 def harmonic_1e6():
-    return dixlab.harmonic_model(10**6)
+    return dixlab.harmonic_sequence(10**6)
 
 
 @pytest.fixture(scope="session")

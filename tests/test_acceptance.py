@@ -7,6 +7,7 @@ that follow carry the details.  Numeric targets are analytic constants
 under test.
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -23,7 +24,7 @@ import oracles
 
 def test_criterion_1_harmonic_triple(harmonic_1e6, verdict):
     t0 = time.perf_counter()
-    dix = dx.dixmier_estimate(harmonic_1e6.spectrum())
+    dix = dx.dixmier_estimate(harmonic_1e6)
     zeta = dx.zeta_residue_estimate(harmonic_1e6)
     heat = dx.heat_trace(harmonic_1e6, 1e4) / math.gamma(2.0)
     dt = time.perf_counter() - t0
@@ -85,8 +86,8 @@ def test_criterion_3_multiplication_operator(verdict):
     vals = {}
     for m in (600, 1200):
         op = dx.multiplication_matrix(f, 1, m)
-        est = dx.dixmier_estimate(dx.singular_values(op),
-                                  max_checkpoint=op.size // 4)
+        est = dx.dixmier_estimate(dataclasses.replace(
+            dx.singular_values(op), horizon=op.size // 4))
         vals[m] = est
     dt = time.perf_counter() - t0
     rel600 = abs(vals[600].value - target) / target
@@ -138,7 +139,7 @@ def test_criterion_4_vacuum_state_invariance(verdict):
 
 
 def test_criterion_5_oscillator_escapes_every_estimator(oscillator_1e7, verdict):
-    cls = dx.tauberian_classify(oscillator_1e7.spectrum())
+    cls = dx.tauberian_classify(oscillator_1e7)
     report = dx.measurability_report(oscillator_1e7)
     z50 = dx.power_trace(oscillator_1e7, 1 + 1 / 50.0) / 50.0
     z5000 = dx.power_trace(oscillator_1e7, 1 + 1 / 5000.0) / 5000.0
@@ -234,13 +235,11 @@ def test_criterion_7_norm_calculus(torus_2000, verdict):
         want = oracles.exact_dominates(x.values, y.values)
         agree += got == want
 
-    r2 = dx.holder_check(
-        dx.SequenceModel(dx.power_log_sequence(1.0, 0.5, 0.0, 10**6)),
-        dx.SequenceModel(dx.power_log_sequence(1.0, 0.5, 0.0, 10**6)), 2.0)
-    r3 = dx.holder_check(
-        dx.SequenceModel(dx.power_log_sequence(1.5, 1.0 / 3.0, 0.0, 10**6)),
-        dx.SequenceModel(dx.power_log_sequence(1.0, 2.0 / 3.0, 0.0, 10**6)),
-        3.0)
+    r2 = dx.holder_check(dx.power_log_sequence(1.0, 0.5, 0.0, 10**6),
+                         dx.power_log_sequence(1.0, 0.5, 0.0, 10**6), 2.0)
+    r3 = dx.holder_check(dx.power_log_sequence(1.5, 1.0 / 3.0, 0.0, 10**6),
+                         dx.power_log_sequence(1.0, 2.0 / 3.0, 0.0, 10**6),
+                         3.0)
     holder_ok = all(
         r.holds and r.pointwise_ok
         and abs(r.lhs - r.rhs) <= 5e-3 * max(1.0, r.rhs)

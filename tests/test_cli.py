@@ -295,8 +295,8 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert ("experiments[0].model: oscillator horizon must be >= 3"
-                in captured.err)
+        assert ("experiments[0].model.horizon: oscillator horizon must be "
+                "an integer from 3 to 2^63 - 1" in captured.err)
 
     @pytest.mark.parametrize("horizon", [0, -5])
     def test_short_harmonic_horizon_names_its_path(self, tmp_path, capsys,
@@ -307,8 +307,37 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert ("experiments[0].model: harmonic horizon must be >= 1"
-                in captured.err)
+        assert ("experiments[0].model.horizon: harmonic horizon must be "
+                "an integer from 1 to 2^63 - 1" in captured.err)
+
+    @pytest.mark.parametrize("model,problem", [
+        ({"kind": "torus", "dimension": 4, "cutoff_radius": 10},
+         "dimension: lattice dimension must be 1, 2 or 3"),
+        ({"kind": "torus", "dimension": 2, "cutoff_radius": 0},
+         "cutoff_radius: cutoff radius must be >= 1"),
+        ({"kind": "harmonic", "horizon": 0},
+         "horizon: harmonic horizon must be an integer from 1 to 2^63 - 1"),
+        ({"kind": "power_log", "coeff": 1.0, "power": 1.0, "log_power": 0.0,
+          "horizon": 8},
+         "horizon: power-log horizon must be an integer from 16 to "
+         "2^63 - 1"),
+        ({"kind": "oscillator", "horizon": 2},
+         "horizon: oscillator horizon must be an integer from 3 to "
+         "2^63 - 1"),
+        ({"kind": "power_log", "coeff": -1.0, "power": 1.0,
+          "log_power": 0.0},
+         "coeff: tail coeff must be positive and finite"),
+        ({"kind": "matrix", "dimension": 4, "halfwidth": 2,
+          "coefficients": {"0,0,0,0": 2.0}},
+         "dimension: lattice dimension must be 1, 2 or 3"),
+    ])
+    def test_constructor_refusals_name_their_field(self, tmp_path, capsys,
+                                                   model, problem):
+        cfg = _cfg(experiments=[{"model": model}])
+        code = cli.main(["--config", self._write(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == "error:\nexperiments[0].model.%s\n" % problem
 
     @staticmethod
     def _power_log(power):
@@ -475,8 +504,8 @@ class TestMainExitCodes:
         code = cli.main(["--config", self._write(tmp_path, cfg)])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
-        assert "experiments[0].model: horizon must be an integer" in (
-            captured.err)
+        assert ("experiments[0].model.horizon: oscillator horizon must be "
+                "an integer" in captured.err)
 
     def test_matrix_kind_caps_at_quarter_dimension(self, capsys):
         cfg = _cfg(experiments=[{
@@ -489,10 +518,29 @@ class TestMainExitCodes:
         }])
         spec = cli.parse_config(cfg).experiments[0]
         model = cli._build_model(spec)
-        assert model.max_checkpoint == 601 // 4
+        assert model.horizon == 150
         rows, _ = cli.run_experiment(cli.parse_config(cfg))
         assert rows[0]["method"] == "dixmier_alpha"
         assert rows[0]["status"] == "Converged"
+
+    def test_a_cap_at_or_past_the_matrix_size_is_no_cap(self):
+        # size 601: caps 601 and 602 used to classify (601: "classification
+        # undetermined") or gate at the cap (602: "minimum 602"); a cap
+        # below the size still lowers the gate to 64
+        cfg = _cfg(experiments=[{
+            "label": "cap%d" % cap,
+            "model": {
+                "kind": "matrix", "dimension": 1, "halfwidth": 300,
+                "coefficients": {"0": 2.0, "1": 0.5, "-1": 0.5},
+                "max_checkpoint": cap,
+            },
+            "methods": ["dixmier"],
+        } for cap in (601, 602, 5000, 63)])
+        rows, _ = cli.run_experiment(cli.parse_config(cfg))
+        assert [(r["status"], r["notes"]) for r in rows] == [
+            ("Undetermined", "head only; horizon 601 below policy "
+             "minimum 1024")] * 3 + [
+            ("Undetermined", "head only; horizon 63 below policy minimum 64")]
 
     def test_failed_certificate_exits_five(self, tmp_path, capsys,
                                            monkeypatch):
@@ -621,10 +669,10 @@ class TestDeterminism:
           "coefficients": {"0": 2.0, "1": 0.5, "-1": 0.5},
           "operator_power": -1.0}, "experiments[0].model.operator_power"),
         ({"kind": "harmonic", "coeff": -1},
-         "experiments[0].model: tail coeff must be positive"),
+         "experiments[0].model.coeff: tail coeff must be positive"),
         ({"kind": "power_log", "coeff": 1.0, "power": math.inf,
           "log_power": 0.0},
-         "experiments[0].model: tail power must be positive and finite"),
+         "experiments[0].model.power: tail power must be positive and finite"),
     ])
     def test_rejected_numbers_exit_four_without_warnings(self, tmp_path,
                                                          model, problem):

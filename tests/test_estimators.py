@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -27,7 +28,7 @@ class TestDyadicSchedule:
 
 class TestDixmierEstimate:
     def test_harmonic_converges_to_one(self, harmonic_1e6):
-        e = dx.dixmier_estimate(harmonic_1e6.spectrum())
+        e = dx.dixmier_estimate(harmonic_1e6)
         assert e.status == "Converged"
         assert e.extrapolated
         assert e.value == pytest.approx(1.0, abs=1e-3)
@@ -44,7 +45,7 @@ class TestDixmierEstimate:
 
         monkeypatch.setattr(sequences, "_fit_line", counted)
         monkeypatch.setattr(estimators, "_fit_line", counted)
-        e = dx.dixmier_estimate(harmonic_1e6.spectrum())
+        e = dx.dixmier_estimate(harmonic_1e6)
         assert sizes == [7, 6, 3]
         # the error estimate is the one refitting the last 6 would give
         ks, alphas = e.raw_series
@@ -56,7 +57,7 @@ class TestDixmierEstimate:
                                     + abs(a6 - a3))
 
     def test_oscillator_band(self, oscillator_1e7):
-        e = dx.dixmier_estimate(oscillator_1e7.spectrum())
+        e = dx.dixmier_estimate(oscillator_1e7)
         assert e.status == "Oscillating"
         assert e.oscillation == pytest.approx(oracles.FROZEN["osc_band"],
                                               abs=5e-3)
@@ -68,12 +69,12 @@ class TestDixmierEstimate:
         assert math.isnan(e.value)
 
     def test_explicit_cap_overrides_gate(self):
-        x = dx.harmonic_sequence(4096)
-        e = dx.dixmier_estimate(x, max_checkpoint=512)
+        x = dataclasses.replace(dx.harmonic_sequence(4096), horizon=512)
+        e = dx.dixmier_estimate(x)
         assert e.status == "Converged"
         ks, _ = e.raw_series
         assert ks[-1] <= 512
-        v = dx.tauberian_classify(x, max_checkpoint=512)
+        v = dx.tauberian_classify(x)
         assert v.status == "Tauberian"
         assert v.diagnostics["checkpoints"][-1] == ks[-1]
 
@@ -115,13 +116,6 @@ class TestZetaResidueEstimate:
         assert e.status == "Undetermined"
         assert math.isnan(e.value)
         assert "tail" in e.notes
-
-    def test_bare_head_model_keeps_the_guard(self):
-        head = dx.SingularSequence(1.0 / np.arange(1.0, 2049.0))
-        model = dx.SequenceModel(head)
-        e = dx.zeta_residue_estimate(model)
-        assert e.status == "Undetermined"
-        assert math.isnan(e.value)
         assert "head truncation dominates" in e.notes
 
     def test_bare_head_sums_once_per_schedule_point(self, monkeypatch):
@@ -208,7 +202,7 @@ class TestHeatEstimates:
 
         monkeypatch.setattr(estimators, "heat_trace", counting_trace)
         monkeypatch.setattr(kernels, "heat_gamma_sum", counting_sum)
-        dx.heat_estimate(dx.harmonic_model(4096), (1e2, 1e3, 1e4),
+        dx.heat_estimate(dx.harmonic_sequence(4096), (1e2, 1e3, 1e4),
                          smoothing="cesaro")
         assert traces == []
         assert passes == [1.0, 1e2, 1e3, 1e4]
@@ -221,7 +215,7 @@ class TestHeatEstimates:
         # and 0.950190.  A head of 64 leaves most of it to the tail term;
         # its Euler-Maclaurin closure without f'\''/720 read 1.1e-10 high
         ts = (1e2, 1e3, 1e4)
-        got = dx.heat_estimate(dx.harmonic_model(horizon), ts,
+        got = dx.heat_estimate(dx.harmonic_sequence(horizon), ts,
                                smoothing="cesaro").raw_series[1]
         want = [(math.log(-math.expm1(-1.0)) - math.log(-math.expm1(-1 / T)))
                 / math.log(T) for T in ts]
@@ -237,7 +231,7 @@ class TestHeatEstimates:
         # the tail term against 2e6 head values, past which the terms
         # total under 1e-20 at these T; the quadrature grid it replaced
         # was off by 5e-6 to 9e-5 here
-        short = dx.power_log_model(*args, horizon)
+        short = dx.power_log_sequence(*args, horizon)
         long = dx.SingularSequence(
             dx.power_log_sequence(*args, 2 * 10**6).head)
         got = dx.heat_estimate(short, ts, alpha, "cesaro").raw_series[1]
@@ -248,7 +242,7 @@ class TestHeatEstimates:
     def test_cesaro_tail_term_against_mpmath(self, T):
         # int_1^T R(s) ds/s^2: in y = z(s) - z(T) at T = 10, where z(T) =
         # 1/(T mu_64) = 12.5, on unit panels of log s at T = 100
-        m = dx.power_log_model(2.0, 1.5, 0.5, 64)
+        m = dx.power_log_sequence(2.0, 1.5, 0.5, 64)
         x, _, tail = sequences._closures(m)
         got, bound = estimators._log_heat_tail(
             tail, 1.0, float(x.at(x.length)), 1.0, T)
@@ -264,11 +258,21 @@ class TestHeatEstimates:
         assert ces.status == "Converged"
         assert not ces.extrapolated
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+    def test_alpha_exp_must_be_positive_and_finite(self, alpha):
+        # 0 divided by zero and -1 or inf failed in math.gamma
+        x = dx.harmonic_sequence(2048)
+        with pytest.raises(ValueError, match="alpha_exp"):
+            dx.heat_trace(x, 100.0, alpha)
+        for smoothing in ("raw", "cesaro"):
+            with pytest.raises(ValueError, match="alpha_exp"):
+                dx.heat_estimate(x, alpha_exp=alpha, smoothing=smoothing)
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
-            dx.heat_estimate(dx.harmonic_model(2048), (1e3, 1e2))
+            dx.heat_estimate(dx.harmonic_sequence(2048), (1e3, 1e2))
         with pytest.raises(ValueError):
-            dx.heat_estimate(dx.harmonic_model(2048), (1e2,),
+            dx.heat_estimate(dx.harmonic_sequence(2048), (1e2,),
                              smoothing="bogus")
 
 
@@ -284,7 +288,7 @@ class TestOscillatorModel:
     def test_zeta_matches_quadrature_oracle(self):
         # 10^5 values asked for, 2^16 stored: the tail sums from 2^16 + 1
         m = dx.oscillator_model(10**5)
-        head = m.spectrum().values
+        head = m.values
         assert head.size == 2**16
         for s in (1.02, 1.1):
             want = (oracles.mp_power_sum(head, s)
@@ -297,7 +301,7 @@ class TestOscillatorModel:
         s = 1.0 + 1.0 / k
         m = dx.oscillator_model(10**4)
         want_tail = oracles.mp_osc_tail(10**4 + 1, s=s)
-        want = oracles.mp_power_sum(m.spectrum().values, s) + want_tail
+        want = oracles.mp_power_sum(m.values, s) + want_tail
         assert dx.power_trace(m, s) == pytest.approx(float(want), rel=1e-12)
 
     def test_divergence_guard(self):
@@ -316,10 +320,10 @@ class TestOscillatorModel:
 
     def test_head_stops_at_2_16_values_and_the_scan_at_the_horizon(
             self, oscillator_1e7):
-        x = oscillator_1e7.spectrum()
+        x = oscillator_1e7
         assert (x.head.size, x.length, x.horizon) == (2**16, 2**16, 10**7)
         assert x.tail == sequences.OscillatorTail()
-        small = dx.oscillator_model(1000).spectrum()
+        small = dx.oscillator_model(1000)
         assert (small.head.size, small.horizon) == (1000, 1000)
         ks = dx.tauberian_classify(x).diagnostics["checkpoints"]
         assert ks[-1] == 2**23
@@ -338,7 +342,7 @@ class TestOscillatorModel:
         # tail's limsup alpha_k, 2 + sqrt(2)/2, stays below.  The tail
         # gives the exponents (1, 0) and the witnesses limsup n mu = 3
         # and limsup n mu / log n = 0 exactly
-        x = dx.oscillator_model(10**6).spectrum()
+        x = dx.oscillator_model(10**6)
         assert dx.norm_1_inf(x) == pytest.approx(2.71224415433, abs=1e-11)
         assert dx.norm_1_inf(x) > 2.0 + math.sqrt(2.0) / 2.0
         rep = dx.ideal_membership(x)
@@ -359,7 +363,7 @@ class TestPowerTrace:
     @pytest.mark.parametrize("build,s", [
         (lambda: dx.LatticeModel(2, 50, 1.0), 0.9),
         (lambda: dx.oscillator_model(10**4), 1.0),
-        (lambda: dx.harmonic_model(1024), 1.0),
+        (lambda: dx.harmonic_sequence(1024), 1.0),
     ])
     def test_divergent_s_is_refused_before_the_head_sum(self, build, s,
                                                         monkeypatch):
@@ -401,15 +405,15 @@ class TestMeasurability:
     def test_model_carries_the_dixmier_cap(self):
         f = dx.FourierMultiplier({(0,): 2.0, (1,): 0.5, (-1,): 0.5})
         op = dx.multiplication_matrix(f, 1, 300)
-        model = dx.SequenceModel(dx.singular_values(op),
-                                 max_checkpoint=op.size // 4)
+        model = dataclasses.replace(dx.singular_values(op),
+                                    horizon=op.size // 4)
         rep = dx.measurability_report(model, methods=("dixmier", "zeta"))
         dix = rep.estimates["dixmier"]
         assert dix.status == "Converged"
         assert dix.value == pytest.approx(4.0, rel=0.1)
         assert int(dix.raw_series[0][-1]) <= op.size // 4
-        # an explicit cap still wins over the model's
-        capped = dx.dixmier_estimate(model, max_checkpoint=64)
+        # a lower horizon caps the scan further
+        capped = dx.dixmier_estimate(dataclasses.replace(model, horizon=64))
         assert int(capped.raw_series[0][-1]) <= 64
 
     def test_converged_estimators_that_disagree(self):
@@ -417,8 +421,7 @@ class TestMeasurability:
         # check (0.55): the log average still reads the head's 1, the
         # zeta residue the tail's 1.5
         head = dx.harmonic_sequence(10**6).head
-        model = dx.SequenceModel(
-            dx.SingularSequence(head, tail=dx.PowerLogTail(1.5, 1.0)))
+        model = dx.SingularSequence(head, tail=dx.PowerLogTail(1.5, 1.0))
         rep = dx.measurability_report(model, methods=("dixmier", "zeta"))
         dix, zeta = rep.estimates["dixmier"], rep.estimates["zeta"]
         assert (dix.status, zeta.status) == ("Converged", "Converged")
@@ -434,9 +437,7 @@ class TestMeasurability:
 
     def test_undetermined_component_blocks_verdict(self):
         x = dx.SingularSequence(1.0 / np.arange(1.0, 5001.0))
-        rep = dx.measurability_report(
-            dx.SequenceModel(x), methods=("dixmier", "zeta")
-        )
+        rep = dx.measurability_report(x, methods=("dixmier", "zeta"))
         assert rep.verdict == "Undetermined"
 
 
@@ -482,7 +483,7 @@ class TestProductZeta:
                 dx.product_zeta_sequence(f, dx.LatticeModel(2, 50),
                                          schedule)
             with pytest.raises(ValueError, match="k schedule"):
-                dx.zeta_residue_estimate(dx.harmonic_model(1024), schedule)
+                dx.zeta_residue_estimate(dx.harmonic_sequence(1024), schedule)
 
     def test_complex_symbol_refused(self, torus_2000):
         f = dx.FourierMultiplier({(1, 0): 1.0 + 0j}, real_flag=False)
@@ -493,7 +494,7 @@ class TestProductZeta:
 class TestHolder:
     def test_conjugate_pair_equality(self):
         x = dx.power_log_sequence(1.0, 0.5, 0.0, 10**6)
-        rep = dx.holder_check(dx.SequenceModel(x), dx.SequenceModel(x), 2.0)
+        rep = dx.holder_check(x, x, 2.0)
         assert rep.status == "Converged"
         assert rep.pointwise_ok
         assert rep.holds
@@ -503,7 +504,7 @@ class TestHolder:
     def test_p_three_mixed_pair(self):
         x = dx.power_log_sequence(1.5, 1.0 / 3.0, 0.0, 10**6)
         y = dx.power_log_sequence(1.0, 2.0 / 3.0, 0.0, 10**6)
-        rep = dx.holder_check(dx.SequenceModel(x), dx.SequenceModel(y), 3.0)
+        rep = dx.holder_check(x, y, 3.0)
         assert rep.status == "Converged"
         assert rep.pointwise_ok
         assert rep.holds
@@ -516,14 +517,13 @@ class TestHolder:
         for seed in range(5):
             x = dx.decreasing_rearrangement(r.random(2048) + 1e-9)
             y = dx.decreasing_rearrangement(r.random(2048) + 1e-9)
-            rep = dx.holder_check(dx.SequenceModel(x), dx.SequenceModel(y),
-                                  p=1.5)
+            rep = dx.holder_check(x, y, p=1.5)
             assert rep.pointwise_ok
 
     def test_divergent_side_yields_undetermined(self):
         x = dx.power_log_sequence(1.0, 0.6, 0.0, 10**5)
         y = dx.power_log_sequence(1.0, 0.4, 0.0, 10**5)
-        rep = dx.holder_check(dx.SequenceModel(x), dx.SequenceModel(y), 2.0)
+        rep = dx.holder_check(x, y, 2.0)
         assert rep.status == "Undetermined"
         assert rep.holds is None
         assert rep.pointwise_ok
@@ -539,8 +539,8 @@ class TestHolder:
         assert xp.counts is not None
         np.testing.assert_array_equal(xp.values, xh.values ** 3.0)
         got = dx.holder_check(x, y, 3.0)
-        want = dx.holder_check(*(dx.SequenceModel(dx.SingularSequence(
-            s.values, s.tail)) for s in (x, y)), 3.0)
+        want = dx.holder_check(*(dx.SingularSequence(s.values, s.tail)
+                                 for s in (x, y)), 3.0)
         assert (got.status, got.pointwise_ok, got.holds) == (
             want.status, want.pointwise_ok, want.holds)
         # the extrapolated limits sit near 1e-3 and 1e-6, fitted from
@@ -578,7 +578,7 @@ class TestHolder:
                                           a.values[:L] * b.values[:L])
 
     def test_p_must_exceed_one(self):
-        x = dx.SequenceModel(dx.harmonic_sequence(2048))
+        x = dx.harmonic_sequence(2048)
         with pytest.raises(ValueError):
             dx.holder_check(x, x, 1.0)
 

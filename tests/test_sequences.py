@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -50,11 +51,42 @@ class TestSingularSequence:
         assert x.horizon == 10**4 and x.scaled(2.0).horizon == 10**4
         assert dx.tauberian_classify(x).diagnostics["checkpoints"][-1] == \
             2**13
-        for tail, horizon in ((None, 101), (x.tail, 99), (x.tail, 100.5),
+        for tail, horizon in ((None, 101), (x.tail, -5), (x.tail, 0),
+                              (x.tail, 100.5), (x.tail, 100.7),
                               (x.tail, 2**63), (x.tail, math.inf),
-                              (x.tail, math.nan)):
+                              (x.tail, math.nan), (None, math.nan)):
             with pytest.raises(ValueError, match="horizon must be"):
                 dx.SingularSequence(head, tail, horizon=horizon)
+
+    def test_horizon_below_the_length_caps_the_scans(self):
+        # with or without a tail; the gate drops from MIN_HORIZON to 64
+        x = dx.harmonic_sequence(4096)
+        for tail in (x.tail, None):
+            capped = dx.SingularSequence(x.head, tail, horizon=64)
+            assert capped.horizon == 64 and capped.length == 4096
+            assert dx.riesz_seminorm_proxy(capped) == float(np.max(
+                dx.log_average(x, [8, 16, 32, 64]).alphas))
+            assert dx.riesz_seminorm_proxy(capped) > dx.riesz_seminorm_proxy(x)
+            v = dx.tauberian_classify(capped)
+            assert v.status == "Tauberian"
+            assert v.diagnostics["checkpoints"][-1] == 64
+        note = dx.tauberian_classify(replace(x, horizon=63)).diagnostics
+        assert note["note"] == "horizon 63 below policy minimum 64"
+        note = dx.tauberian_classify(dx.harmonic_sequence(1000)).diagnostics
+        assert note["note"] == "horizon 1000 below policy minimum 1024"
+
+    @pytest.mark.parametrize("build", [
+        lambda: dx.harmonic_sequence(2.5),
+        lambda: dx.oscillator_sequence(10**4 + 0.5),
+        lambda: dx.oscillator_model(10**4 + 0.5),
+        lambda: dx.power_log_sequence(1.0, 1.0, 0.0, 100.5),
+        lambda: dx.oscillator_model(math.nan),
+    ])
+    def test_builders_refuse_a_non_integral_horizon(self, build):
+        # harmonic_sequence(2.5) built 2 values and oscillator_model(10^4
+        # + 0.5) scanned to 10^4
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            build()
 
     def test_tail_junction_guard(self):
         # the tail model at the head's last index must match mu_L
@@ -250,7 +282,7 @@ class TestTailCalculus:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_heat_past_the_float_range_raises(self):
-        m = dx.power_log_model(1.0, 0.005, 0.0, 100)
+        m = dx.power_log_sequence(1.0, 0.005, 0.0, 100)
         for smoothing in ("raw", "cesaro"):
             with pytest.raises(ValueError, match="heat evaluation divergent "
                                "or past the float64 range at t=100"):
@@ -264,7 +296,7 @@ class TestTailCalculus:
 
     def test_heat_tail_carries_the_third_derivative_term(self):
         # without f'\''(65)/720 the 64-term head's trace is 2.2e-10 high
-        got = 10.0 * dx.heat_trace(dx.harmonic_model(64), 10.0)
+        got = 10.0 * dx.heat_trace(dx.harmonic_sequence(64), 10.0)
         assert got == pytest.approx(1.0 / math.expm1(0.1), rel=1e-12)
 
     @pytest.mark.parametrize("c,a,b,t", [
@@ -626,6 +658,20 @@ class TestZ1AndRiesz:
         # trailing dyadic window of alpha_k for 1/n stays near 1
         assert 1.0 <= r <= 1.2
 
+    def test_z1_schedule_is_the_zeta_schedule(self):
+        # k was cast to int64: [1.5, 2.5] ran as [1, 2], [2, 2.5] read
+        # "strictly increasing", NaN and 1e20 raised from the cast
+        h = dx.harmonic_sequence(10**4)
+        for ks in ([1.5, 2.5], [2, 2.5], 2 ** np.arange(3, 9)):
+            want = max(dx.power_trace(h, 1.0 + 1.0 / k) ** (k / (k + 1.0)) / k
+                       for k in map(float, ks))
+            assert dx.zeta_norm_z1(h, k_schedule=ks) == want
+        for ks in ([math.nan], [0.5, 2.0], [2.0, 2.0], [4.0, 2.0], []):
+            with pytest.raises(ValueError, match="k schedule"):
+                dx.zeta_norm_z1(h, k_schedule=ks)
+        # s = 1 + 1e-20 rounds to 1, where the harmonic sum diverges
+        assert dx.zeta_norm_z1(h, k_schedule=[1e20]) == math.inf
+
     def test_riesz_needs_enough_data(self):
         with pytest.raises(ValueError):
             dx.riesz_seminorm_proxy(np.array([1.0, 0.5]))
@@ -814,7 +860,7 @@ class TestTauberianClassification:
         assert v.oscillation_amplitude <= 1e-2
 
     def test_oscillator_is_non_tauberian(self, oscillator_1e7):
-        v = dx.tauberian_classify(oscillator_1e7.spectrum())
+        v = dx.tauberian_classify(oscillator_1e7)
         assert v.status == "NonTauberian"
         assert v.oscillation_amplitude == pytest.approx(
             oracles.FROZEN["osc_band"], abs=5e-3
