@@ -178,11 +178,14 @@ def _parse_schedule(raw, path, problems, kind):
                             % (path, i))
             return None
         out.append(float(v))
-    if any(b <= a for a, b in zip(out, out[1:])):
+    if kind == "zeta":
+        try:
+            sequences._zeta_schedule(out)
+        except ValueError as exc:
+            problems.append("%s: %s" % (path, exc))
+            return None
+    elif any(b <= a for a, b in zip(out, out[1:])):
         problems.append("%s: schedule must increase" % path)
-        return None
-    if kind == "zeta" and any(v < 1 for v in out):
-        problems.append("%s: zeta schedule entries must be >= 1" % path)
         return None
     return tuple(out)
 

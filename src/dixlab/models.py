@@ -346,11 +346,14 @@ def multiplication_matrix(f, n, halfwidth, power=None):
 
 # ------------------------------------------------------ singular values
 
-# Golub-Kahan vectors certified per banded matvec
+# singular vectors certified per batch of banded matvecs
 _BLOCK = 16
-# a 1-D band path costs about N^2 * kd against N^3 for the dense SVD;
-# timed for deg f = 1..10 on 2 CPUs with one BLAS thread, at N = 90 kd
-# the dense SVD is faster (a tie at deg f = 10), at 110 kd the band is
+# a 1-D band path costs about N^2 * kd against N^3 for the dense SVD.
+# Timed for deg f = 1..10 on 2 CPUs with one BLAS thread: certified on
+# the 2N band, the dense SVD was faster at N = 90 kd (a tie at deg f =
+# 10) and the band at 110 kd.  Certified on the Gram band, the band is
+# faster from 70 kd at deg f = 3, 5 and 10 and ties the dense SVD at 70
+# and 90 kd at deg f = 1, where it is faster at 110 kd
 _BAND_MIN_SIZE_PER_KD = 100
 
 
@@ -368,35 +371,109 @@ def _as_matrix(a, what, arrays):
     return a.entries if truncation else a
 
 
-def _golub_kahan_band(op):
-    """Lower band storage (ab[o, c] = H[c + o, c]) of the Hermitian
-    H = [[0, A], [A*, 0]] of a 1-D truncation, interleaved in the natural
-    order m = -M..M: row m of A at 2(m+M), column m at 2(m+M) + 1.
-    A[j + k, j] = fhat(k) w_j, so H has bandwidth 2 deg f + 1 and the
-    eigenvalues +-sigma_i."""
+def _symbol_band(op):
+    """A of a 1-D truncation in column band storage, in the natural order
+    m = -M..M: a[d + k, j] = A[j + k, j] = fhat(k) w_j for |k| <= d =
+    deg f, zero where row j + k leaves the cube."""
     M, N = op.cube_halfwidth, op.size
     weights = np.empty(N)
     weights[op.basis_points[:, 0] + M] = op.weights  # natural order
-    kd = _band_kd(op)
-    ab = np.zeros((kd + 1, 2 * N), dtype=np.complex128)
+    d = (_band_kd(op) - 1) // 2
+    a = np.zeros((2 * d + 1, N), dtype=np.complex128)
     for (k,), c in op.coefficients.items():
+        lo, hi = max(0, -k), min(N, N - k)
+        a[d + k, lo:hi] = c * weights[lo:hi]
+    return a
+
+
+def _golub_kahan_band(a):
+    """Lower band storage (ab[o, c] = H[c + o, c]) of the Hermitian
+    H = [[0, A], [A*, 0]] of the band a (_symbol_band), interleaved in the
+    natural order: row m of A at 2(m+M), column m at 2(m+M) + 1.  H has
+    bandwidth 2 deg f + 1 and the eigenvalues +-sigma_i."""
+    d, N = (a.shape[0] - 1) // 2, a.shape[1]
+    ab = np.zeros((2 * d + 2, 2 * N), dtype=np.complex128)
+    for k in range(-d, d + 1):
         if k > 0:  # A[j + k, j] at H[2(j + k), 2j + 1]
-            ab[2 * k - 1, 1:2 * (N - k):2] = c * weights[:N - k]
+            ab[2 * k - 1, 1:2 * (N - k):2] = a[d + k, :N - k]
         else:  # conj(A[i, i - k]) at H[2(i - k) + 1, 2i]
-            ab[1 - 2 * k, 0:2 * (N + k):2] = c.conjugate() * weights[-k:]
+            ab[1 - 2 * k, 0:2 * (N + k):2] = a[d + k, -k:].conj()
     return ab
 
 
-def _golub_kahan_matvec(ab, X):
-    """H x for each row x of X, H held in lower band storage ab.  A
-    Golub-Kahan band couples rows to columns only, so only its odd
-    offsets are nonzero."""
-    n = ab.shape[1]
+def _gram_band(a):
+    """Lower band storage (g[q, j] = B[j + q, j]) of the Hermitian
+    B = A*A of the band a (_symbol_band), bandwidth 2 deg f:
+    B[j + q, j] = sum_k conj(A[j + k, j + q]) A[j + k, j]."""
+    d, N = (a.shape[0] - 1) // 2, a.shape[1]
+    g = np.zeros((2 * d + 1, N), dtype=np.complex128)
+    for q in range(min(2 * d, N - 1) + 1):
+        for k in range(q - d, d + 1):  # both k and k - q within the band
+            g[q, :N - q] += a[d + k - q, q:].conj() * a[d + k, :N - q]
+    return g
+
+
+def _general_band(lower):
+    """The lower band storage of a Hermitian band as gbsv's general band
+    storage, H[i, j] at row 2 kd + i - j, with room for the LU fill."""
+    kd, n = lower.shape[0] - 1, lower.shape[1]
+    gb = np.zeros((3 * kd + 1, n), dtype=np.complex128, order="F")
+    for o in range(min(kd, n - 1) + 1):
+        gb[2 * kd + o, :n - o] = lower[o, :n - o]
+        gb[2 * kd - o, o:] = lower[o, :n - o].conj()
+    return gb
+
+
+def _start(n):
+    """The fixed pseudo-random start of inverse iteration, as a column (a
+    structured start such as all ones can be orthogonal to a whole
+    symmetry class of eigenvectors)."""
+    rng = np.random.Generator(np.random.Philox(0))
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n))[:, None]
+
+
+def _inverse_step(gb, shift, start, nudge):
+    """(G - shift)^-1 start for the Hermitian band G in general band
+    storage gb (_general_band), or None when G - shift and, retried once,
+    G - shift - nudge are exactly singular."""
+    kd = (gb.shape[0] - 1) // 3
+    gbsv, = linalg.get_lapack_funcs(("gbsv",), (gb,))
+    for s in (shift, shift + nudge):
+        shifted = gb.copy(order="F")
+        shifted[2 * kd] -= s
+        _, _, x, info = gbsv(kd, kd, shifted, start, overwrite_ab=1)
+        if info == 0:
+            return x[:, 0]
+    return None
+
+
+def _band_apply(a, X, adjoint=False):
+    """A x for each row x of X, A held in column band storage a; with
+    adjoint, A^T x, so A* x when a holds conj(A)."""
+    d, N = (a.shape[0] - 1) // 2, a.shape[1]
     Y = np.zeros_like(X)
-    for o in range(1, ab.shape[0], 2):
-        Y[:, o:] += ab[o, :n - o] * X[:, :n - o]
-        Y[:, :n - o] += ab[o, :n - o].conj() * X[:, o:]
+    for k in range(-d, d + 1):
+        lo, hi = max(0, -k), min(N, N - k)  # columns j with a row j + k
+        if adjoint:
+            Y[:, lo:hi] += a[d + k, lo:hi] * X[:, lo + k:hi + k]
+        else:
+            Y[:, lo + k:hi + k] += a[d + k, lo:hi] * X[:, lo:hi]
     return Y
+
+
+def _norms(U, V):
+    """||(u, v)|| for u and v the rows of U and V."""
+    return np.hypot(np.linalg.norm(U, axis=1), np.linalg.norm(V, axis=1))
+
+
+def _residuals(ac, U, V, AV, s):
+    """||Hx - s x|| / ||x|| of H = [[0, A], [A*, 0]] for each x = (u, v),
+    u, v and A v the rows of U, V and AV, ac the band of conj(A): Hx =
+    (A v, A* u).  NaN where ||x|| overflows."""
+    s = s[:, None]
+    size = _norms(U, V)
+    resid = _norms(AV - s * U, _band_apply(ac, U, adjoint=True) - s * V)
+    return np.where(np.isfinite(size), resid / size, np.nan)
 
 
 def _unit(sigma_1):
@@ -408,61 +485,79 @@ def _unit(sigma_1):
     return 2.0 ** -max(math.frexp(sigma_1)[1], -1023)
 
 
-def _certify_band(ab, sigma):
-    """Raise CertificateError unless every sigma_i has a unit vector x
-    with ||Hx - sigma_i x|| <= 1e-8 * sigma_1, which puts an eigenvalue
-    of H within that distance.  x is one step of inverse iteration from
-    a fixed pseudo-random start (a structured start such as all ones can
-    be orthogonal to a whole symmetry class of eigenvectors).
+def _certify_band(a, sigma):
+    """Raise CertificateError unless every sigma_i has a vector x with
+    ||Hx - sigma_i x|| <= 1e-8 * sigma_1 ||x||, H = [[0, A], [A*, 0]] the
+    Golub-Kahan matrix of the band a (_symbol_band).  That residual puts
+    an eigenvalue of H within the bound, whatever produced x.
+
+    x = (u, v) comes from one step of inverse iteration on the N x N
+    Gram band A*A: (A*A - sigma^2) v = start for a fixed pseudo-random
+    start, and u = A v / sigma.  Where that fails (sigma is not > 0, the
+    shifted band is singular, or the residual misses the bound) x is one
+    step on the 2N band H - sigma instead, and only if that misses too
+    is the value refused.
 
     The residuals place each value but not the multiset (a value
     repeated in place of its neighbour passes them), so sum sigma_i^2
-    must also equal ||A||_F^2, the sum of |ab|^2 (the lower band holds
-    each entry of A once), within what values that close allow.  Both
-    checks run on H and sigma in _unit(sigma_1); ab is scaled in place."""
-    kd, n = ab.shape[0] - 1, ab.shape[1]
+    must also equal ||A||_F^2, the sum of |a|^2, within what values that
+    close allow.  Both checks run on A and sigma in _unit(sigma_1)."""
     unit = _unit(float(sigma[0]))
-    ab *= unit
+    a = a * unit
+    ac = a.conj()
     sigma = sigma * unit
     scale = float(sigma[0]) if sigma[0] > 0 else 1.0
     bound = 1e-8 * scale
-    # general band storage for gbsv: H[i, j] at row 2 kd + i - j
-    gb = np.zeros((3 * kd + 1, n), dtype=np.complex128, order="F")
-    for o in range(kd + 1):
-        gb[2 * kd + o, :n - o] = ab[o, :n - o]
-        gb[2 * kd - o, o:] = ab[o, :n - o].conj()
-    gbsv, = linalg.get_lapack_funcs(("gbsv",), (gb,))
-    rng = np.random.Generator(np.random.Philox(0))
-    start = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[:, None]
-    nudge = 4.0 * np.spacing(scale)
-    for lo in range(0, sigma.size, _BLOCK):
-        block = sigma[lo:lo + _BLOCK]
-        X = np.empty((block.size, n), dtype=np.complex128)
-        for i, s in enumerate(block):
-            # (H - s)^-1 start; an exactly singular shift is retried once
-            for shift in (s, s + nudge):
-                shifted = gb.copy(order="F")
-                shifted[2 * kd] -= shift
-                _, _, x, info = gbsv(kd, kd, shifted, start, overwrite_ab=1)
-                if info == 0:
-                    break
-            else:
-                raise CertificateError(
-                    "inverse iteration at %.17g: shifted band is singular"
-                    % (s / unit)
-                )
-            X[i] = x[:, 0]
-        X /= np.linalg.norm(X, axis=1)[:, None]
-        resid = np.linalg.norm(
-            _golub_kahan_matvec(ab, X) - block[:, None] * X, axis=1
-        )
-        worst = float(np.max(resid))  # a NaN residual propagates here
-        if not worst <= bound:
+    N = a.shape[1]
+    gram = _general_band(_gram_band(a))
+    start = _start(N)
+    nudge = 4.0 * np.spacing(scale * scale)  # on the scale of A*A
+    gk = None  # the 2N band H and its start, built on a first retry
+
+    def golub_kahan_step(s):
+        nonlocal gk
+        if gk is None:
+            gk = _general_band(_golub_kahan_band(a)), _start(2 * N)
+        x = _inverse_step(gk[0], s, gk[1], 4.0 * np.spacing(scale))
+        if x is None:
             raise CertificateError(
-                "singular value residual %.3e * sigma_1 exceeds 1e-8 * "
-                "sigma_1" % (worst / scale)
+                "inverse iteration at %.17g: shifted band is singular"
+                % (s / unit)
             )
-    gap = abs(float(np.sum(sigma * sigma)) - float(np.vdot(ab, ab).real))
+        x = x / np.max(np.abs(x))
+        return x[0::2], x[1::2]
+
+    # a vector that overflows has a NaN residual: retried, then refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, sigma.size, _BLOCK):
+            block = sigma[lo:lo + _BLOCK]
+            U = np.empty((block.size, N), dtype=np.complex128)
+            V = np.empty_like(U)
+            on_gram = np.zeros(block.size, dtype=bool)
+            for i, s in enumerate(block):
+                v = None  # sigma <= 0 or NaN: no u = A v / sigma
+                if s > 0:
+                    v = _inverse_step(gram, s * s, start, nudge)
+                if v is None:
+                    U[i], V[i] = golub_kahan_step(s)
+                else:
+                    V[i], on_gram[i] = v / np.max(np.abs(v)), True
+            AV = _band_apply(a, V)
+            U[on_gram] = AV[on_gram] / block[on_gram, None]
+            resid = _residuals(ac, U, V, AV, block)
+            for i in np.flatnonzero(on_gram & ~(resid <= bound)):
+                row = slice(i, i + 1)
+                U[i], V[i] = golub_kahan_step(block[i])
+                AV[row] = _band_apply(a, V[row])
+                resid[row] = _residuals(ac, U[row], V[row], AV[row],
+                                        block[row])
+            worst = float(np.max(resid))  # a NaN residual propagates here
+            if not worst <= bound:
+                raise CertificateError(
+                    "singular value residual %.3e * sigma_1 exceeds 1e-8 * "
+                    "sigma_1" % (worst / scale)
+                )
+    gap = abs(float(np.sum(sigma * sigma)) - float(np.vdot(a, a).real))
     # |s^2 - t^2| <= bound * (2 s + bound) whenever |s - t| <= bound
     if not gap <= bound * (2.0 * float(np.sum(sigma)) + sigma.size * bound):
         raise CertificateError(
@@ -475,13 +570,18 @@ def _band_singular_values(op):
     """Singular values of a 1-D truncation from the eigenvalues of its
     Golub-Kahan band (no squaring of A), each certified by
     _certify_band."""
-    ab = _golub_kahan_band(op)
-    kd, n = ab.shape[0] - 1, ab.shape[1]
+    kd, N = _band_kd(op), op.size
+    # 16 bytes per entry: the A band, its scaled copy, its conjugate and
+    # the Gram band (4 kd x N), the Golub-Kahan band and eig_banded's copy
+    # (2 (kd + 1) x 2N), its general band and LU copy (2 (3 kd + 1) x 2N),
+    # the Gram general band and LU copy (2 (3 kd - 2) x N) and 8 block
+    # arrays (8 x 16 x N)
     _check_budget(
-        "banded singular values (%d x %d, bandwidth %d)"
-        % (op.size, op.size, kd),
-        16.0 * n * (2 * (kd + 1) + 2 * (3 * kd + 1) + 4 * _BLOCK),
+        "banded singular values (%d x %d, bandwidth %d)" % (N, N, kd),
+        16.0 * N * (26 * kd + 4 + 8 * _BLOCK),
     )
+    a = _symbol_band(op)
+    ab = _golub_kahan_band(a)
     try:
         lam = linalg.eig_banded(ab, lower=True, eigvals_only=True)
     except linalg.LinAlgError as exc:
@@ -489,8 +589,8 @@ def _band_singular_values(op):
             "singular value solver failed: %s" % exc
         ) from exc
     # eigenvalues ascend and pair up as +-sigma: the top half, reversed
-    sigma = np.maximum(lam[op.size:][::-1], 0.0)
-    _certify_band(ab, sigma)
+    sigma = np.maximum(lam[N:][::-1], 0.0)
+    _certify_band(a, sigma)
     return sigma
 
 

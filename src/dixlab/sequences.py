@@ -734,12 +734,18 @@ def riesz_seminorm_proxy(x):
 
 def _zeta_schedule(k_schedule):
     """The k of the zeta schedule s = 1 + 1/k as floats, or ValueError
-    unless they are finite, >= 1 and increasing."""
+    unless they are finite, >= 1 and increasing, and each s is above 1 in
+    float arithmetic (k below 2^53)."""
     ks = np.asarray(k_schedule, dtype=np.float64)
     if ks.ndim != 1 or ks.size == 0 or not np.all(np.isfinite(ks) & (ks >= 1)):
         raise ValueError("k schedule must be finite and >= 1")
     if np.any(np.diff(ks) <= 0):
         raise ValueError("k schedule must increase")
+    flat = np.flatnonzero(1.0 + 1.0 / ks == 1.0)
+    if flat.size:
+        raise ValueError("k schedule entry %d (%g) puts s = 1 + 1/k at 1 "
+                         "in float arithmetic (needs k < 2^53)"
+                         % (flat[0], ks[flat[0]]))
     return ks
 
 

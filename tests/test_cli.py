@@ -148,6 +148,18 @@ class TestParseConfig:
             "experiments[0].%s[1]: expected a positive finite number" % key,
         )
 
+    def test_zeta_schedule_past_2_to_the_53_is_refused_at_parse(self):
+        # it parsed, built the model and exited 4 with "zeta evaluation
+        # divergent ... at s=1" from the run
+        bad = _cfg()
+        bad["experiments"][0]["zeta_schedule"] = [1e15, 1e16, 1e17]
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config(bad)
+        assert err.value.problems == (
+            "experiments[0].zeta_schedule: k schedule entry 1 (1e+16) puts "
+            "s = 1 + 1/k at 1 in float arithmetic (needs k < 2^53)",
+        )
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(cli.ConfigError, match="config"):
             cli.parse_config("/nonexistent/path.json")

@@ -337,6 +337,64 @@ class TestBandSingularValues:
         assert np.array_equal(models.singular_values(op).values,
                               np.zeros(121))
 
+    @pytest.mark.parametrize("M", [1, 2, 17])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["phases", "complex"])
+    def test_gram_band_matches_dense_gram_matrix(self, case, degree, M):
+        op = models.multiplication_matrix(_symbol(case, degree), 1, M)
+        natural = np.argsort(op.basis_points[:, 0])  # m = -M..M
+        A = op.entries[np.ix_(natural, natural)]
+        want = A.conj().T @ A
+        g = models._gram_band(models._symbol_band(op))
+        got = np.zeros_like(want)
+        for q in range(min(g.shape[0], op.size)):
+            got += np.diag(g[q, :op.size - q], -q)
+            if q:
+                got += np.diag(g[q, :op.size - q].conj(), q)
+        sigma_1 = linalg.svdvals(A)[0]
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-14 * sigma_1**2)
+
+    def _count_solves(self, monkeypatch, op):
+        """Singular values of op, and the number of inverse-iteration
+        steps on the N x N Gram band and on the 2N Golub-Kahan band."""
+        sizes = []
+        step = models._inverse_step
+
+        def spy(gb, *args):
+            sizes.append(gb.shape[1])
+            return step(gb, *args)
+
+        monkeypatch.setattr(models, "_inverse_step", spy)
+        got = models.singular_values(op).values
+        return got, sizes.count(op.size), sizes.count(2 * op.size)
+
+    def test_gram_vectors_certify_the_workload_symbol(self, monkeypatch):
+        c = 0.5 * np.exp(1.234j)  # 2 + cos(x + phi)
+        op = models.multiplication_matrix(
+            dx.FourierMultiplier({(0,): 2.0, (1,): c, (-1,): np.conj(c)}),
+            1, 300)
+        got, gram, golub_kahan = self._count_solves(monkeypatch, op)
+        assert (gram, golub_kahan) == (601, 0)
+        want = linalg.svdvals(op.entries)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * want[0])
+
+    @pytest.mark.parametrize("coefficients,real", [
+        ({(1,): 0.5, (-1,): 0.5}, True),  # cos x: an exactly zero sigma
+        ({(0,): 1.0, (1,): 2.0}, False),  # 1 + 2 e^{ix}: sigma_N ~ 1e-19
+    ])
+    def test_tiny_values_are_retried_on_the_golub_kahan_band(
+            self, monkeypatch, coefficients, real):
+        op = models.multiplication_matrix(
+            dx.FourierMultiplier(coefficients, real_flag=real), 1, 150)
+        assert models._takes_band_path(op)
+        got, gram, golub_kahan = self._count_solves(monkeypatch, op)
+        assert golub_kahan >= 1 and gram >= op.size - golub_kahan
+        want = linalg.svdvals(op.entries)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * want[0])
+
     def test_band_path_charges_the_band_not_a_dense_svd(self, monkeypatch):
         op = models.multiplication_matrix(_symbol("phases", 1), 1, 300)
         monkeypatch.setenv("DIXLAB_BUDGET_MB", "10")  # entries: 5.5 MB

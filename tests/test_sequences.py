@@ -669,8 +669,23 @@ class TestZ1AndRiesz:
         for ks in ([math.nan], [0.5, 2.0], [2.0, 2.0], [4.0, 2.0], []):
             with pytest.raises(ValueError, match="k schedule"):
                 dx.zeta_norm_z1(h, k_schedule=ks)
-        # s = 1 + 1e-20 rounds to 1, where the harmonic sum diverges
-        assert dx.zeta_norm_z1(h, k_schedule=[1e20]) == math.inf
+        # s = 1 + 1e-20 rounds to 1, where the harmonic sum diverges: it
+        # read inf, and is refused now
+        with pytest.raises(ValueError, match="entry 0 .* at 1"):
+            dx.zeta_norm_z1(h, k_schedule=[1e20])
+
+    def test_zeta_schedule_stops_below_2_to_the_53(self):
+        # from k = 2^53 on, s = 1 + 1/k is 1.0: the zeta estimate read a
+        # divergent sum at s = 1 instead of refusing the schedule
+        h = dx.harmonic_sequence(10**4)
+        assert sequences._zeta_schedule([2.0**53 - 1]).size == 1
+        for ks, entry in (([2.0**53], 0), ([1e15, 1e16, 1e17], 1)):
+            with pytest.raises(ValueError,
+                               match=r"k schedule entry %d .* k < 2\^53"
+                               % entry):
+                sequences._zeta_schedule(ks)
+            with pytest.raises(ValueError, match="entry %d" % entry):
+                dx.zeta_residue_estimate(h, ks)
 
     def test_riesz_needs_enough_data(self):
         with pytest.raises(ValueError):
