@@ -52,8 +52,8 @@ from .models import (
     BudgetError,
     CertificateError,
     FourierMultiplier,
-    LatticeModel,
     NCTorusElement,
+    TorusTail,
     TruncatedOperator,
     connes_rhs,
     cube_basis,

@@ -39,11 +39,6 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.problems))
 
 
-def _nc_torus_model(cutoff_radius, theta=0.0, operator_power=None):
-    # (1+Delta_theta)^-p has the flat 2-torus spectrum for every theta
-    return models.LatticeModel(2, cutoff_radius, operator_power)
-
-
 def _matrix_model(dimension, halfwidth, coefficients, operator_power=None,
                   real=True, max_checkpoint=None):
     """Singular values of the truncated multiplier, scanned to
@@ -83,23 +78,36 @@ def _sequence_file_model(path):
 
 
 # kind -> ({field: (type, required)}, builder); the builder is called
-# with the parsed fields as keywords, so defaults live in the builders
+# with the parsed fields as keywords, so defaults live in the builders.
+# A library builder is looked up in its module at each call, so a
+# replaced module attribute (a tracing wrapper) is the one that runs
 _KINDS = {
     "harmonic": ({"horizon": (int, False), "coeff": (float, False)},
-                 sequences.harmonic_sequence),
-    "oscillator": ({"horizon": (int, False)}, sequences.oscillator_model),
+                 lambda **kw: sequences.harmonic_sequence(**kw)),
+    "oscillator": ({"horizon": (int, False)},
+                   lambda **kw: sequences.oscillator_model(**kw)),
     "power_log": ({"coeff": (float, True), "power": (float, True),
                    "log_power": (float, True), "horizon": (int, False)},
-                  sequences.power_log_sequence),
+                  lambda **kw: sequences.power_log_sequence(**kw)),
     "torus": ({"dimension": (int, True), "cutoff_radius": (int, True),
-               "operator_power": (float, False)}, models.LatticeModel),
+               "operator_power": (float, False)},
+              lambda **kw: models.torus_spectrum(**kw)),
     "nc_torus": ({"cutoff_radius": (int, True), "theta": (float, False),
-                  "operator_power": (float, False)}, _nc_torus_model),
+                  "operator_power": (float, False)},
+                 lambda **kw: models.nc_torus_spectrum(**kw)),
     "matrix": ({"dimension": (int, True), "halfwidth": (int, True),
                 "coefficients": (dict, True), "operator_power": (float, False),
                 "real": (bool, False), "max_checkpoint": (int, False)},
                _matrix_model),
     "sequence_file": ({"path": (str, True)}, _sequence_file_model),
+}
+
+# config field -> the library's range rule for it, run at parse time so
+# that every problem is reported before any experiment runs
+_RANGE_RULES = {
+    "max_checkpoint": lambda v: sequences._horizon(v, 1, "max_checkpoint"),
+    "theta": models._theta,
+    "operator_power": lambda v: models._operator_power(None, v),
 }
 
 
@@ -223,15 +231,12 @@ def _parse_experiment(entry, idx, problems):
         elif required:
             problems.append("%s.model.%s: required for kind %s"
                             % (path, key, kind))
-    if params.get("max_checkpoint", 1) < 1:
-        problems.append("%s.model.max_checkpoint: expected an integer >= 1"
-                        % path)
-    if not 0.0 <= params.get("theta", 0.0) < 1.0:
-        problems.append("%s.model.theta: expected a number in [0, 1)"
-                        % path)
-    if not 0.0 < params.get("operator_power", 1.0) < math.inf:
-        problems.append("%s.model.operator_power: expected a positive "
-                        "finite number" % path)
+    for key, rule in _RANGE_RULES.items():
+        if key in params:
+            try:
+                rule(params[key])
+            except ValueError as exc:
+                problems.append("%s.model.%s: %s" % (path, key, exc))
     methods = entry.get("methods", ["dixmier"])
     if (not isinstance(methods, list) or not methods
             or any(m not in estimators.METHODS for m in methods)):
@@ -383,10 +388,7 @@ def run_experiment(config):
     rows = []
     for spec in config.experiments:
         model, build_s = built.pop(0)
-        t0 = time.perf_counter() - build_s  # the builder's time counts
-        sequences.as_sequence(model)  # a lazy model builds here
-        print("# %s/build: %.2fs" % (spec.label, time.perf_counter() - t0),
-              file=sys.stderr)
+        print("# %s/build: %.2fs" % (spec.label, build_s), file=sys.stderr)
         param = _param_string(spec)
         for method in spec.methods:
             t0 = time.perf_counter()

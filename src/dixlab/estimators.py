@@ -12,7 +12,6 @@ schedule, 1/t for the raw heat functional.
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
@@ -24,7 +23,6 @@ from .sequences import (
     EPS_OSC,
     PowerLogTail,
     SingularSequence,
-    _closures,
     _exp_tail,
     _fit_line,
     _zeta_schedule,
@@ -32,6 +30,7 @@ from .sequences import (
     dyadic_schedule,
     log_average,
     power_trace,
+    tail_heat_sum,
     tail_quad,
     tauberian_classify,
 )
@@ -182,15 +181,15 @@ def dixmier_estimate(source):
 
 
 def _truncation_guard(source):
-    """None, or for a bare head (no zeta tail, a nonzero last value) a
+    """None, or for a bare head (no tail, a nonzero last value) a
     guard(s, head) that judges the head sum at s against the worst
     m_(1,inf)-compatible continuation mu_n = mu_L L / n; if that could
     shift the sum by more than 1%, the schedule point is untrustworthy
     and the whole estimate is refused."""
     if callable(source):
         return None
-    x, zeta_tail, _ = _closures(source)
-    if zeta_tail is not None or x.length == 0 or x.at(x.length) == 0.0:
+    x = as_sequence(source)
+    if x.tail is not None or x.length == 0 or x.at(x.length) == 0.0:
         return None
 
     def guard(s, head):
@@ -204,8 +203,8 @@ def _truncation_guard(source):
 
 def zeta_residue_estimate(source, k_schedule=ZETA_SCHEDULE):
     """(1/k) * Tr(T^{1+1/k}) over the schedule, extrapolated linearly
-    in 1/k, Tr by power_trace of an evaluator s -> Tr(T^s), a sequence
-    or a model."""
+    in 1/k, Tr by power_trace of an evaluator s -> Tr(T^s) or a
+    sequence."""
     ks = _zeta_schedule(k_schedule)
     guard = _truncation_guard(source)
     vals = np.empty(ks.size)
@@ -238,25 +237,28 @@ def _alpha(alpha_exp):
 
 def heat_trace(source, t, alpha_exp=1.0):
     """g(t) = (1/t) * sum_n exp(-(t mu_n)^{-alpha}): the head kernel sum
-    plus the heat tail of _closures, if any; zero eigenvalues contribute
-    zero.  An alpha_exp that is not positive and finite, or a sum past
-    the float range, raises ValueError."""
+    plus tail_heat_sum from index length + 1, if there is a tail; zero
+    eigenvalues contribute zero.  An alpha_exp that is not positive and
+    finite, or a sum past the float range, raises ValueError."""
     t, alpha = float(t), _alpha(alpha_exp)
-    x, _, tail = _closures(source)
+    x = as_sequence(source)
     total = kernels.heat_sum(x.head, t, alpha, x.counts)
-    if tail is not None:
-        total += tail(t, alpha)
+    if x.tail is not None:
+        total += tail_heat_sum(x.tail, t, alpha, x.length + 1)
     return _finite(total, "heat", "t=%g" % t) / t
 
 
-def _log_heat_tail(tail, alpha, v, lo, hi):
+def _log_heat_tail(x, alpha, lo, hi):
     """(value, bound): int_lo^hi R(s) ds/s^2 for the raw heat tail R(s) =
-    tail(s, alpha) past a head whose last value is v.  R falls off like
-    e^-z as s falls, z = (s v)^-alpha: where z(hi) * alpha >= 4 the rule
-    runs in y = z - z(hi), else on unit panels of log s."""
+    tail_heat_sum(x.tail, s, alpha, x.length + 1) past the head of x,
+    whose last value is v.  R falls off like e^-z as s falls, z = (s
+    v)^-alpha: where z(hi) * alpha >= 4 the rule runs in y = z - z(hi),
+    else on unit panels of log s."""
     def r(s):
-        return np.array([tail(float(si), alpha) for si in s])
+        return np.array([tail_heat_sum(x.tail, float(si), alpha, x.length + 1)
+                         for si in s])
 
+    v = float(x.at(x.length))
     z_hi = (hi * v) ** -alpha
     if alpha * z_hi >= 4.0:
         def f(y):  # s = hi (z / z_hi)^(-1/alpha), ds/s^2 = dy/(alpha s z)
@@ -295,14 +297,15 @@ def heat_estimate(source, t_schedule=HEAT_SCHEDULE, alpha_exp=1.0,
         return _series_estimate("heat_raw", ts, vals, 1.0 / ts, True)
     if ts[0] <= 1.0:
         raise ValueError("cesaro smoothing needs t > 1")
-    x, _, tail = _closures(source)
+    x = as_sequence(source)
     s1 = kernels.heat_gamma_sum(x.head, 1.0, alpha, x.counts)
     vals, lo, tail_int = np.empty(ts.size), 1.0, 0.0
     for i, T in enumerate(ts):
         # R grows with t: finite on [1, T] when R(T) is, 0 when it is 0
-        if tail is not None and _finite(tail(T, alpha), "heat", "t=%g" % T):
-            v = float(x.at(x.length))
-            tail_int += _log_heat_tail(tail, alpha, v, lo, T)[0]
+        if x.tail is not None and _finite(
+                tail_heat_sum(x.tail, T, alpha, x.length + 1), "heat",
+                "t=%g" % T):
+            tail_int += _log_heat_tail(x, alpha, lo, T)[0]
         lo = T
         head = kernels.heat_gamma_sum(x.head, T, alpha, x.counts) - s1
         total = _finite(head + tail_int / norm, "heat", "t=%g" % T)
@@ -395,26 +398,26 @@ class SublatticeProjection:
         object.__setattr__(self, "stride", int(self.stride))
 
 
-def product_zeta_sequence(a, model, k_schedule=ZETA_SCHEDULE):
-    """(1/k) Tr(A T^{1+1/k}) for diagonal-compatible A against a lattice
-    model, with the linear-in-1/k extrapolated residue.
+def product_zeta_sequence(a, x, k_schedule=ZETA_SCHEDULE):
+    """(1/k) Tr(A T^{1+1/k}) for diagonal-compatible A against a torus
+    spectrum x (models.torus_spectrum, known by its TorusTail), with the
+    linear-in-1/k extrapolated residue.
 
     Exact routes: Fourier multipliers (Tr(f T^s) = fhat(0) zeta_T(s))
     and stride sublattice projections (rescaled lattice sum with a
     density-scaled tail).  Anything else has no exact product-trace
     formula here; build the multiplication matrix and estimate from its
     singular values instead."""
-    if not isinstance(model, models.LatticeModel):
-        raise TypeError("model must be a LatticeModel")
+    tail = getattr(x, "tail", None)
+    if not isinstance(tail, models.TorusTail):
+        raise TypeError("x must be a torus spectrum (models.torus_spectrum)")
     ks = _zeta_schedule(k_schedule)
-    n = model.dimension
-    R = model.cutoff_radius
-    p = model.operator_power
+    n, R, p = tail.dimension, tail.cutoff_radius, tail.operator_power
     if isinstance(a, models.FourierMultiplier):
         if not a.real_flag:
             raise ValueError("product trace needs a real symbol")
         c = float(a.fhat0.real)
-        vals = np.array([c * power_trace(model, 1 + 1 / k) / k for k in ks])
+        vals = np.array([c * power_trace(x, 1 + 1 / k) / k for k in ks])
         note = "diagonal formula: fhat(0) * lattice zeta"
     elif isinstance(a, SublatticeProjection):
         if a.dimension != n:
@@ -427,14 +430,12 @@ def product_zeta_sequence(a, model, k_schedule=ZETA_SCHEDULE):
             )
         # the shells k of the coarse lattice are the shells stride^2 k
         # of the sublattice, with the same counts; past the cutoff the
-        # sublattice holds 1/stride^n of the model's tail
+        # sublattice holds 1/stride^n of the torus tail's sum
         keys, counts = models._shells(n, R // stride)
-        x = SingularSequence((stride * stride * keys + 1.0) ** -p, None,
-                             counts)
-        sub = SimpleNamespace(
-            spectrum=lambda: x,
-            zeta_tail=lambda s: model.zeta_tail(s) / stride**n)
-        vals = np.array([power_trace(sub, 1 + 1 / k) / k for k in ks])
+        head = (stride * stride * keys + 1.0) ** -p
+        vals = np.array([(kernels.power_sum(head, 1 + 1 / k, counts=counts)
+                          + tail.power_sum(1 + 1 / k) / stride**n) / k
+                         for k in ks])
         note = "sublattice counting with density-scaled tail"
     else:
         raise TypeError(
@@ -600,7 +601,7 @@ class TorusEigenvalues:
         return np.exp(-t) * _theta3(t) ** 2
 
     def zeta_q(self, s):
-        return power_trace(models.LatticeModel(2, self.cutoff, 1.0), s)
+        return power_trace(models.torus_spectrum(2, self.cutoff, 1.0), s)
 
 
 MELLIN_RTOL = 1e-6  # the relative gap within which a Mellin check passes

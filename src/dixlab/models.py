@@ -85,27 +85,6 @@ def lattice_count(n, radius):
     return int(_shells(n, radius)[1].sum())
 
 
-def _spectrum_tail(n, power):
-    # Weyl counting N(lambda) ~ omega_n * lambda^{n/(2p)} inverts to
-    # mu_k ~ (omega_n / k)^{2p/n}
-    a = 2.0 * power / n
-    if a * math.log(UNIT_BALL_VOL[n]) > 709.0:
-        raise ValueError("operator power %g puts the Weyl tail past the "
-                         "float range" % power)
-    return PowerLogTail(UNIT_BALL_VOL[n] ** a, a, 0.0)
-
-
-def torus_spectrum(n, cutoff_radius, power=None):
-    """Eigenvalues (1+|m|^2)^{-power} over |m| <= cutoff, nonincreasing,
-    with the Weyl-law tail model attached: one run per lattice shell,
-    its count the number of points on the shell."""
-    _check_dim(n)
-    p = _operator_power(n, power)
-    keys, counts = _shells(n, cutoff_radius)
-    return SingularSequence((1.0 + keys) ** (-p), _spectrum_tail(n, p),
-                            counts)
-
-
 def _zeta_tail(n, q, radius):
     """Integral of (1+|x|^2)^{-q} over |x| > radius in R^n.
 
@@ -123,41 +102,56 @@ def _zeta_tail(n, q, radius):
             * special.betainc(a, 0.5 * n, u))
 
 
-@dataclass(frozen=True)
-class LatticeModel:
-    """(1+Delta)^{-operator_power} on the n-torus, truncated at a
-    Euclidean lattice radius."""
+@dataclass(frozen=True, kw_only=True)
+class TorusTail(PowerLogTail):
+    """The Weyl tail coeff * k^-power, power = 2p/n and coeff omega_n^power
+    (times the factor of SingularSequence.scaled), past the spectrum
+    (1+|m|^2)^-p of the n-torus over |m| <= cutoff_radius, p the
+    operator_power.  value, powered, slopes and heat_integral are the
+    PowerLogTail's; power_sum closes the power sums past that head
+    exactly, so the tail continues that head only."""
 
     dimension: int
+    operator_power: float
     cutoff_radius: int
-    operator_power: float = None
 
-    def __post_init__(self):
-        p = _operator_power(self.dimension, self.operator_power)
-        object.__setattr__(self, "operator_power", p)
-        object.__setattr__(self, "cutoff_radius", int(self.cutoff_radius))
-        # checked here, before any experiment runs: the spectrum is lazy
-        _charge_shells(self.dimension, self.cutoff_radius)
-        _spectrum_tail(self.dimension, p)
-
-    def spectrum(self):
-        cached = getattr(self, "_spectrum", None)
-        if cached is None:
-            cached = torus_spectrum(
-                self.dimension, self.cutoff_radius, self.operator_power
-            )
-            object.__setattr__(self, "_spectrum", cached)
-        return cached
-
-    def zeta_tail(self, s):
-        """sum over |m| > cutoff of (1+|m|^2)^{-ps}: the continuum
-        integral _zeta_tail.  It diverges for s <= n/(2p), which raises,
-        naming s."""
+    def power_sum(self, s):
+        """sum over |m| > cutoff_radius of the s-th powers: the continuum
+        integral _zeta_tail of (1+|m|^2)^{-ps} times (coeff /
+        omega_n^power)^s, which is 1 unless the spectrum was scaled.  It
+        diverges for s <= n/(2p), which raises, naming s; +inf past the
+        float range."""
         n, p, s = self.dimension, self.operator_power, float(s)
         if p * s <= n / 2.0:
             raise ValueError("zeta sum diverges at s=%g (needs s > %g)"
                              % (s, n / (2.0 * p)))
-        return _zeta_tail(n, p * s, self.cutoff_radius)
+        try:
+            factor = (self.coeff / UNIT_BALL_VOL[n] ** self.power) ** s
+        except OverflowError:
+            return math.inf
+        return factor * float(_zeta_tail(n, p * s, self.cutoff_radius))
+
+
+def torus_spectrum(dimension, cutoff_radius, operator_power=None):
+    """Eigenvalues (1+|m|^2)^{-p} of (1+Delta)^{-p} on the n-torus over
+    |m| <= cutoff, nonincreasing, one run per lattice shell with the
+    number of points on the shell as its count, and the TorusTail past
+    them.  p is operator_power, n/2 by default."""
+    n = dimension
+    _check_dim(n)
+    p = _operator_power(n, operator_power)
+    radius = int(cutoff_radius)
+    _charge_shells(n, radius)
+    # Weyl counting N(lambda) ~ omega_n * lambda^{n/(2p)} inverts to
+    # mu_k ~ (omega_n / k)^{2p/n}
+    a = 2.0 * p / n
+    if a * math.log(UNIT_BALL_VOL[n]) > 709.0:
+        raise ValueError("operator power %g puts the Weyl tail past the "
+                         "float range" % p)
+    tail = TorusTail(UNIT_BALL_VOL[n] ** a, a, dimension=n, operator_power=p,
+                     cutoff_radius=radius)
+    keys, counts = kernels.shell_counts(n, radius)
+    return SingularSequence((1.0 + keys) ** (-p), tail, counts)
 
 
 # ------------------------------------------------ basis order / multipliers
@@ -697,6 +691,14 @@ def expectation_sequence(a, basis=None):
 # --------------------------------------------------- noncommutative torus
 
 
+def _theta(theta):
+    """theta as a float, or FieldError unless it lies in [0, 1)."""
+    th = float(theta)
+    if not 0.0 <= th < 1.0:
+        raise FieldError("theta", "theta must lie in [0, 1)")
+    return th
+
+
 @dataclass(frozen=True)
 class NCTorusElement:
     """Finite sum a = sum a_{m,n} u^m v^n in the rotation algebra A_theta."""
@@ -705,9 +707,7 @@ class NCTorusElement:
     theta: float
 
     def __post_init__(self):
-        th = float(self.theta)
-        if not 0.0 <= th < 1.0:
-            raise ValueError("theta must lie in [0, 1)")
+        th = _theta(self.theta)
         clean = {}
         for key, val in self.coefficients.items():
             m, n = (int(key[0]), int(key[1]))
@@ -769,10 +769,11 @@ def nc_tau0(a):
     return a.coefficients.get((0, 0), 0j)
 
 
-def nc_torus_spectrum(cutoff_radius, power=None):
-    """Spectrum of (1+Delta_theta)^{-power}: identical to the flat
-    2-torus lattice for every theta."""
-    return torus_spectrum(2, cutoff_radius, power)
+def nc_torus_spectrum(cutoff_radius, theta=0.0, operator_power=None):
+    """Spectrum of (1+Delta_theta)^{-operator_power}: the flat 2-torus
+    spectrum for every theta in [0, 1)."""
+    _theta(theta)
+    return torus_spectrum(2, cutoff_radius, operator_power)
 
 
 # ------------------------------------------------------------ Connes RHS

@@ -1,10 +1,12 @@
 """Singular value sequences and their logarithmic averaging calculus.
 
 A sequence is a finite nonincreasing nonnegative head, optionally
-continued by a tail model, C * (log n)^b * n^(-a) or the oscillator.  All
-the trace-style functionals here (log averages, the 1-infinity norm, the
-Riesz window proxy, the zeta-power norm, Tauberian classification)
-consume that representation.
+continued by a tail model from one of three families: the power-log
+tail C * (log n)^b * n^(-a), the torus's Weyl tail (models.TorusTail, a
+power-log tail that also closes its own power sums) and the oscillator.
+All the trace-style functionals here (log averages, the 1-infinity
+norm, the Riesz window proxy, the zeta-power norm, Tauberian
+classification) consume that representation.
 
 Checkpoints, horizons and indices are 1-based throughout: alpha_k
 averages the first k values.
@@ -85,7 +87,9 @@ def _check_budget(what, need_bytes):
 # A tail model has value(n), powered(s), integral, slopes and
 # heat_integral, all that the tail sums read; its mu is C (log
 # n)^log_power n^-power times a bounded factor whose limsup and
-# log-average limsup are peaks.
+# log-average limsup are peaks.  A tail that has an exact sum of its
+# powers past its head (models.TorusTail) also has power_sum(s), which
+# tail_power_sum returns in place of the Euler-Maclaurin sum.
 
 
 def _check_tail(coeff, power):
@@ -372,10 +376,15 @@ _MIN_NORMAL = 2.0**-1022  # the smallest normal float
 
 
 def tail_power_sum(tail, s, lo):
-    """tail_sum of the tail's s-th powers over sequence indices >= lo,
-    +inf past the float range.  Where coeff**s is not a normal float or
-    the sum overflows, the sum, linear in coeff**s, is taken with
-    2^-m coeff**s and scaled by 2^m."""
+    """The sum of the tail's s-th powers over sequence indices >= lo,
+    +inf past the float range.  A tail with its own closure (power_sum,
+    the sum past the head it was built with: lo is the index after that
+    head) returns it.  Any other sum is tail_sum of the powered tail;
+    where coeff**s is not a normal float or the sum overflows, the sum,
+    linear in coeff**s, is taken with 2^-m coeff**s and scaled by 2^m."""
+    closure = getattr(tail, "power_sum", None)
+    if closure is not None:
+        return closure(s)
     try:
         if tail.coeff**s >= _MIN_NORMAL:
             return tail_sum(tail.powered(s), lo)
@@ -465,7 +474,9 @@ def _expand_runs(head, counts):
 
 @dataclass(frozen=True)
 class SingularSequence:
-    """Nonincreasing nonnegative head values plus optional tail model.
+    """Nonincreasing nonnegative head values plus optional tail model:
+    a PowerLogTail, a models.TorusTail (the torus spectrum's, which
+    closes its own power sums) or an OscillatorTail.
 
     With counts the head is run-length: strictly decreasing values, the
     i-th repeated counts[i] >= 1 times (equal neighbours given to the
@@ -558,37 +569,21 @@ class SingularSequence:
 
 
 def as_sequence(x):
-    """x itself, a model's spectrum(), or a sequence of array values."""
+    """x itself, or a sequence of array values."""
     if isinstance(x, SingularSequence):
         return x
-    if hasattr(x, "spectrum"):
-        return x.spectrum()
     return SingularSequence(np.asarray(x, dtype=np.float64))
 
 
-def _closures(source):
-    """(x, zeta_tail(s), heat_tail(t, alpha)) of a sequence or a model:
-    its spectrum and its sums past the head, from n = length + 1 by the
-    tail model (the zeta sum the model's own zeta_tail where it defines
-    one), else None."""
-    x = as_sequence(source)
-    zeta_tail = getattr(source, "zeta_tail", None)
-    if x.tail is None:
-        return x, zeta_tail, None
-    lo = x.length + 1
-    return x, zeta_tail or (lambda s: tail_power_sum(x.tail, s, lo)), (
-        lambda t, alpha: tail_heat_sum(x.tail, t, alpha, lo))
-
-
 def power_trace(source, s):
-    """Tr(T^s) = sum over n of mu_n**s for an evaluator s -> Tr(T^s), a
-    sequence or a model: the head kernel sum plus the zeta tail of
-    _closures, taken first so that a divergent s (an infinite tail) is
+    """Tr(T^s) = sum over n of mu_n**s for an evaluator s -> Tr(T^s) or
+    a sequence: the head kernel sum plus tail_power_sum from index
+    length + 1, taken first so that a divergent s (an infinite tail) is
     refused before the head is summed."""
     if callable(source):
         return float(source(s))
-    x, zeta_tail, _ = _closures(source)
-    tail = 0.0 if zeta_tail is None else zeta_tail(s)
+    x = as_sequence(source)
+    tail = 0.0 if x.tail is None else tail_power_sum(x.tail, s, x.length + 1)
     if math.isinf(tail):
         raise ValueError("zeta evaluation divergent or past the float64 "
                          "range at s=%g" % s)
@@ -751,12 +746,11 @@ def _zeta_schedule(k_schedule):
 
 def zeta_norm_z1(source, k_schedule=None):
     """limsup over the schedule of (1/k) * Tr(T^(1+1/k))^(k/(k+1)), by
-    power_trace of an evaluator, a sequence or a model.  Without a zeta
-    tail only the head is summed, which undershoots once 1/k is small
-    against 1/log(length), and the default schedule stops at 2^14, not
-    2^20."""
+    power_trace of an evaluator or a sequence.  Without a tail only the
+    head is summed, which undershoots once 1/k is small against
+    1/log(length), and the default schedule stops at 2^14, not 2^20."""
     if k_schedule is None:
-        closed = callable(source) or _closures(source)[1] is not None
+        closed = callable(source) or as_sequence(source).tail is not None
         k_schedule = 2 ** np.arange(3, 21 if closed else 15, dtype=np.int64)
     best = 0.0
     for k in map(float, _zeta_schedule(k_schedule)):

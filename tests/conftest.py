@@ -43,7 +43,7 @@ def harmonic_1e6():
 
 @pytest.fixture(scope="session")
 def torus_2000():
-    return dixlab.LatticeModel(2, 2000)
+    return dixlab.torus_spectrum(2, 2000)
 
 
 @pytest.fixture(scope="session")

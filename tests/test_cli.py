@@ -123,12 +123,13 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError) as err:
             cli.parse_config(bad)
         assert err.value.problems == (
-            "experiments[0].model.theta: expected a number in [0, 1)",
-            "experiments[1].model.max_checkpoint: expected an integer >= 1",
-            "experiments[2].model.operator_power: expected a positive "
-            "finite number",
-            "experiments[3].model.operator_power: expected a positive "
-            "finite number",
+            "experiments[0].model.theta: theta must lie in [0, 1)",
+            "experiments[1].model.max_checkpoint: max_checkpoint must be "
+            "an integer from 1 to 2^63 - 1",
+            "experiments[2].model.operator_power: operator power must be "
+            "positive and finite",
+            "experiments[3].model.operator_power: operator power must be "
+            "positive and finite",
             "experiments[4].model.operator_power: zeta sum diverges at "
             "s=1.005 (needs operator_power > 0.995025)",
             "experiments[5].model.operator_power: zeta sum diverges at "
@@ -180,6 +181,32 @@ class TestRunAndEmit:
             "# h/build", "# h/dixmier", "# h/zeta", "# h/heat_raw"
         ]
         assert re.fullmatch(r"# h/build: \d+\.\d\ds", lines[0])
+
+    def test_library_builders_are_looked_up_at_call_time(self,
+                                                         monkeypatch):
+        # a wrapper put on the module attribute, as a tracer puts one,
+        # sees every build of its kind
+        calls = []
+
+        def counting(name, build):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return build(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((sequences, "harmonic_sequence"),
+                             (sequences, "oscillator_model"),
+                             (models, "torus_spectrum")):
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+        cli.run_experiment(cli.parse_config(_cfg(experiments=[
+            {"model": {"kind": "harmonic", "horizon": 4096}},
+            {"model": {"kind": "oscillator", "horizon": 4096}},
+            {"model": {"kind": "torus", "dimension": 2, "cutoff_radius": 10}},
+            {"model": {"kind": "nc_torus", "cutoff_radius": 10}},
+        ])))
+        assert calls == ["harmonic_sequence", "oscillator_model",
+                         "torus_spectrum", "torus_spectrum"]
 
     def test_csv_layout_and_digits(self):
         rows, _ = cli.run_experiment(cli.parse_config(_cfg()))

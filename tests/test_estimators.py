@@ -243,9 +243,7 @@ class TestHeatEstimates:
         # int_1^T R(s) ds/s^2: in y = z(s) - z(T) at T = 10, where z(T) =
         # 1/(T mu_64) = 12.5, on unit panels of log s at T = 100
         m = dx.power_log_sequence(2.0, 1.5, 0.5, 64)
-        x, _, tail = sequences._closures(m)
-        got, bound = estimators._log_heat_tail(
-            tail, 1.0, float(x.at(x.length)), 1.0, T)
+        got, bound = estimators._log_heat_tail(m, 1.0, 1.0, T)
         want = oracles.mp_log_heat_tail(2.0, 1.5, 0.5, 1.0, 65, 1.0, T)
         assert got == pytest.approx(want, rel=1e-12)
         assert abs(got - want) <= bound
@@ -361,7 +359,7 @@ class TestOscillatorModel:
 
 class TestPowerTrace:
     @pytest.mark.parametrize("build,s", [
-        (lambda: dx.LatticeModel(2, 50, 1.0), 0.9),
+        (lambda: dx.torus_spectrum(2, 50, 1.0), 0.9),
         (lambda: dx.oscillator_model(10**4), 1.0),
         (lambda: dx.harmonic_sequence(1024), 1.0),
     ])
@@ -457,15 +455,20 @@ class TestProductZeta:
         assert e.value == pytest.approx(2.0 * math.pi, rel=1e-4)
 
     def test_sublattice_enumeration_respects_budget(self, monkeypatch):
-        m = dx.LatticeModel(2, 2000)  # its constructor charges 183 MB
+        m = dx.torus_spectrum(2, 2000)  # its constructor charges 183 MB
         monkeypatch.setenv("DIXLAB_BUDGET_MB", "1")
         with pytest.raises(dx.BudgetError):
             dx.product_zeta_sequence(dx.SublatticeProjection(2, 2), m)
 
     def test_stride_must_divide_cutoff(self):
-        m = dx.LatticeModel(2, 101)
+        m = dx.torus_spectrum(2, 101)
         with pytest.raises(ValueError, match="multiple"):
             dx.product_zeta_sequence(dx.SublatticeProjection(2, 2), m)
+
+    def test_needs_a_torus_spectrum(self):
+        f = dx.FourierMultiplier({(0, 0): 1.0})
+        with pytest.raises(TypeError, match="torus spectrum"):
+            dx.product_zeta_sequence(f, dx.harmonic_sequence(1024))
 
     def test_inexact_symbols_are_refused(self, torus_2000):
         with pytest.raises(TypeError, match="multiplication_matrix"):
@@ -480,7 +483,7 @@ class TestProductZeta:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="k schedule"):
-                dx.product_zeta_sequence(f, dx.LatticeModel(2, 50),
+                dx.product_zeta_sequence(f, dx.torus_spectrum(2, 50),
                                          schedule)
             with pytest.raises(ValueError, match="k schedule"):
                 dx.zeta_residue_estimate(dx.harmonic_sequence(1024), schedule)
@@ -529,8 +532,8 @@ class TestHolder:
         assert rep.pointwise_ok
 
     def test_lattice_runs_are_cut_and_powered_as_runs(self):
-        x = dx.LatticeModel(2, 200).spectrum()
-        y = dx.LatticeModel(2, 150).spectrum()
+        x = dx.torus_spectrum(2, 200)
+        y = dx.torus_spectrum(2, 150)
         L = y.length
         xh = estimators._truncate(x, L)
         assert xh.counts is not None and xh.length == L and xh.tail is None
@@ -549,8 +552,8 @@ class TestHolder:
         assert got.rhs == pytest.approx(want.rhs, rel=1e-9)
 
     def test_product_of_runs_is_built_on_the_run_ends(self, monkeypatch):
-        x = dx.LatticeModel(2, 200).spectrum()
-        y = dx.LatticeModel(2, 150).spectrum()
+        x = dx.torus_spectrum(2, 200)
+        y = dx.torus_spectrum(2, 150)
         plain = dx.SingularSequence(y.values[:5000])
         pairs = ((x, y), (x, plain), (plain, x))
         dixmier = estimators.dixmier_estimate

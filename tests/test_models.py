@@ -32,7 +32,7 @@ class TestLatticeCounting:
         # the 1-torus has radius + 1 shells, not a radius^2 table
         monkeypatch.delenv("DIXLAB_BUDGET_MB", raising=False)
         assert models.lattice_count(1, 10**6) == 2 * 10**6 + 1
-        spec = dx.LatticeModel(1, 10**5).spectrum()
+        spec = dx.torus_spectrum(1, 10**5)
         assert spec.values.size == 2 * 10**5 + 1
         np.testing.assert_allclose(
             spec.values[:5], [1.0, 2**-0.5, 2**-0.5, 5**-0.5, 5**-0.5],
@@ -62,7 +62,7 @@ class TestLatticeZeta:
         direct = 1.0 + 2.0 * math.fsum(
             (1.0 + m * m) ** (-q) for m in range(1, 2_000_000)
         )
-        got = dx.power_trace(dx.LatticeModel(1, 4000, 1.0), q)
+        got = dx.power_trace(dx.torus_spectrum(1, 4000, 1.0), q)
         assert got == pytest.approx(direct, rel=1e-6)
 
     @pytest.mark.parametrize("radius", [1, 10, 1e3, 1e4, 1e5])
@@ -78,7 +78,7 @@ class TestLatticeZeta:
         # quad lost the tail here and gave 0.603 Oscillating
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = dx.zeta_residue_estimate(dx.LatticeModel(1, 10**5))
+            est = dx.zeta_residue_estimate(dx.torus_spectrum(1, 10**5))
         assert est.status == "Converged"
         assert est.value == pytest.approx(2.0, rel=1e-3)
 
@@ -92,8 +92,8 @@ class TestLatticeZeta:
 
     def test_two_dimensional_tail_improves_truncation(self):
         q = 1.5
-        small = dx.power_trace(dx.LatticeModel(2, 60, 1.0), q)
-        big = dx.power_trace(dx.LatticeModel(2, 600, 1.0), q)
+        small = dx.power_trace(dx.torus_spectrum(2, 60, 1.0), q)
+        big = dx.power_trace(dx.torus_spectrum(2, 600, 1.0), q)
         assert small == pytest.approx(big, rel=1e-4)
 
     def test_one_lattice_enumeration_per_model(self, monkeypatch):
@@ -105,7 +105,7 @@ class TestLatticeZeta:
             return enumerate_shells(n, radius)
 
         monkeypatch.setattr(kernels, "shell_counts", counting)
-        m = dx.LatticeModel(2, 100)
+        m = dx.torus_spectrum(2, 100)
         dx.dixmier_estimate(m)
         dx.zeta_residue_estimate(m)
         dx.heat_estimate(m)
@@ -113,14 +113,33 @@ class TestLatticeZeta:
 
     def test_subcritical_exponent_rejected(self):
         with pytest.raises(ValueError, match="s=0.9"):
-            dx.power_trace(dx.LatticeModel(2, 50, 1.0), 0.9)
+            dx.power_trace(dx.torus_spectrum(2, 50, 1.0), 0.9)
+
+    def test_spectrum_reads_the_exact_closure(self):
+        # the continuum closure, bitwise as the lattice model source gave
+        # it; the Weyl tail's Euler-Maclaurin sum read 3.1415780988398674
+        est = dx.zeta_residue_estimate(dx.torus_spectrum(2, 200))
+        assert est.value == 3.1415755424051945
+
+    @pytest.mark.parametrize("n,radius", [(2, 200), (3, 60)])
+    @pytest.mark.parametrize("k", [1, -1, 100, -100])
+    @pytest.mark.parametrize("s", [1.005, 1.04])
+    def test_scaled_spectrum_scales_the_power_trace(self, n, radius, k, s):
+        # 2^(ks) times the exact trace; the Weyl tail's Euler-Maclaurin
+        # sum missed it by 1.4e-6 to 7.8e-6 here
+        x = dx.torus_spectrum(n, radius)
+        exact = (kernels.power_sum(x.head, s, counts=x.counts)
+                 + models._zeta_tail(n, n / 2.0 * s, radius))
+        assert dx.power_trace(x.scaled(2.0**k), s) == pytest.approx(
+            2.0 ** (k * s) * exact, rel=1e-14)
+        assert dx.power_trace(x, s) == exact
 
     def test_heat_tail_model_matches_larger_cutoff(self):
         t = 1e4
-        small = dx.heat_trace(dx.LatticeModel(2, 120), t)
-        big = dx.heat_trace(dx.LatticeModel(2, 600), t)
+        small = dx.heat_trace(dx.torus_spectrum(2, 120), t)
+        big = dx.heat_trace(dx.torus_spectrum(2, 600), t)
         head_only = oracles.brute_heat(
-            dx.LatticeModel(2, 120).spectrum().values, t, 1.0
+            dx.torus_spectrum(2, 120).values, t, 1.0
         ) / t
         assert small > head_only  # the tail genuinely adds mass here
         assert small == pytest.approx(big, rel=1e-3)
@@ -218,7 +237,7 @@ class TestMultiplicationMatrix:
         with pytest.raises(ValueError, match="operator power"):
             models.multiplication_matrix(f, 1, 8, power)
         with pytest.raises(ValueError, match="operator power"):
-            dx.LatticeModel(2, 10, power)
+            dx.torus_spectrum(2, 10, power)
 
 
 def _symbol(case, degree):
@@ -593,6 +612,15 @@ class TestNCTorus:
         s2 = models.torus_spectrum(2, 50)
         np.testing.assert_array_equal(s1.values, s2.values)
 
+    @pytest.mark.parametrize("theta", [-0.5, 1.0, math.nan])
+    def test_nc_spectrum_checks_theta_as_the_algebra_does(self, theta):
+        for build in (lambda: dx.nc_torus_spectrum(50, theta),
+                      lambda: dx.nc_identity(theta)):
+            with pytest.raises(sequences.FieldError,
+                               match=r"theta must lie in \[0, 1\)") as err:
+                build()
+            assert err.value.field == "theta"
+
     def test_connes_rhs_is_exact(self):
         f = dx.FourierMultiplier({(0, 0): 1.0})
         assert dx.connes_rhs(f, 2) == math.pi
@@ -682,7 +710,7 @@ class TestRunLengthLatticeGate:
         s = 1.0 + 1.0 / 50.0
         want = (kernels.power_sum(plain.head, s)
                 + models._zeta_tail(n, n / 2.0 * s, radius))
-        got = dx.power_trace(dx.LatticeModel(n, radius), s)
+        got = dx.power_trace(dx.torus_spectrum(n, radius), s)
         assert got == pytest.approx(want, rel=self.RTOL)
 
     @pytest.mark.parametrize("smoothing,schedule", [
@@ -735,7 +763,7 @@ class TestRunLengthLatticePaths:
     def test_sublattice_product_zeta_on_shells(self):
         # the even sublattice of Z^2 as stride-2 shells of the coarse
         # lattice, against one value per point
-        model = dx.LatticeModel(2, 400)
+        model = dx.torus_spectrum(2, 400)
         got = dx.product_zeta_sequence(dx.SublatticeProjection(2), model)
         w = 4.0 * (kernels.lattice_w(2, 200) - 1.0) + 1.0
         for k, v in zip(*got.raw_series):
@@ -743,14 +771,15 @@ class TestRunLengthLatticePaths:
             want = (kernels.power_sum(w, -q)
                     + models._zeta_tail(2, q, 400) / 4.0) / k
             assert v == pytest.approx(want, rel=1e-12)
+        # bitwise the residue the lattice model source gave
+        assert got.value == 0.7853063616814545
 
     def test_three_torus_at_radius_1000(self, monkeypatch):
         # 4.19e9 lattice points on 833,337 shells, under the default
         # budget: no path held one value per point before
         monkeypatch.delenv("DIXLAB_BUDGET_MB", raising=False)
         radius = 1000
-        model = dx.LatticeModel(3, radius)
-        x = model.spectrum()
+        x = dx.torus_spectrum(3, radius)
         assert x.head.size == 833_337
         # sum over the columns (a, b) of the 2c + 1 points on each
         m2 = np.arange(-radius, radius + 1, dtype=np.int64) ** 2
@@ -761,30 +790,29 @@ class TestRunLengthLatticePaths:
         c += (c + 1) * (c + 1) <= rest
         assert x.length == int(np.sum(2 * c + 1)) == 4_188_781_437
         target = 4.0 * math.pi / 3.0
-        for est, tol in ((dx.dixmier_estimate(model), 1e-4),
-                         (dx.zeta_residue_estimate(model), 1e-3),
-                         (dx.heat_estimate(model, (1e4, 1e5, 1e6)), 1e-3)):
+        for est, tol in ((dx.dixmier_estimate(x), 1e-4),
+                         (dx.zeta_residue_estimate(x), 1e-3),
+                         (dx.heat_estimate(x, (1e4, 1e5, 1e6)), 1e-3)):
             assert est.status == "Converged"
             assert est.value == pytest.approx(target, rel=tol)
 
     def test_no_reader_expands_the_runs(self, monkeypatch):
         # 1.13e8 values on 75,004 runs: 863 MB expanded, over the budget
         monkeypatch.setenv("DIXLAB_BUDGET_MB", "200")
-        model = dx.LatticeModel(3, 300)
-        x = model.spectrum()
+        x = dx.torus_spectrum(3, 300)
         assert x.head.size == 75_004 and x.length > 10**8
         with pytest.raises(dx.BudgetError):
             x.values
         for method in ("dixmier", "zeta", "heat_raw", "heat_cesaro"):
-            estimators.METHODS[method](model, estimators.ZETA_SCHEDULE,
+            estimators.METHODS[method](x, estimators.ZETA_SCHEDULE,
                                        estimators.HEAT_SCHEDULE)
         dx.norm_1_inf(x)
         dx.riesz_seminorm_proxy(x)
         dx.zeta_norm_z1(x)
         dx.ideal_membership(x, ps=(1.0, 2.0))
         assert dx.submajorizes(x, x)
-        dx.holder_check(model, model, 2.0)
-        dx.measurability_report(model)
+        dx.holder_check(x, x, 2.0)
+        dx.measurability_report(x)
         # tilde_mu returns one value per index by contract
         with pytest.raises(dx.BudgetError):
             dx.tilde_mu(x, x, x, x)

@@ -558,7 +558,7 @@ class TestSubmajorization:
                                       np.ones(x.length, dtype=np.int64))):
             assert dx.submajorizes(x, y)
             assert dx.submajorizes(y, x)
-        lattice = dx.LatticeModel(2, 200).spectrum()
+        lattice = dx.torus_spectrum(2, 200)
         expanded = dx.SingularSequence(lattice.values)
         assert dx.submajorizes(lattice, expanded)
         assert dx.submajorizes(expanded, lattice)
@@ -583,7 +583,7 @@ class TestSubmajorization:
         x = {
             "harmonic": lambda: dx.harmonic_sequence(n),
             "oscillator": lambda: dx.oscillator_sequence(n),
-            "lattice": lambda: dx.LatticeModel(3, 60).spectrum(),
+            "lattice": lambda: dx.torus_spectrum(3, 60),
             # about 1000 binary orders: wide exact integer sums
             "wide": lambda: dx.SingularSequence(
                 2.0 ** -np.linspace(0.0, 1000.0, n)),
@@ -631,7 +631,7 @@ class TestTildeMu:
         np.testing.assert_array_equal(got, want)
 
     def test_charges_its_footprint_before_allocating(self, monkeypatch):
-        x = dx.LatticeModel(2, 400).spectrum()  # 502,625 values on runs
+        x = dx.torus_spectrum(2, 400)  # 502,625 values on runs
         monkeypatch.setenv("DIXLAB_BUDGET_MB", "10")
         with pytest.raises(dx.BudgetError):
             dx.tilde_mu(x, x, x, x)
