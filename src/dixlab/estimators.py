@@ -18,26 +18,25 @@ from scipy import special
 
 from . import kernels, models
 from .sequences import (
-    BURN_IN,
+    CONVERGED,
     EPS_CONV,
-    EPS_OSC,
+    OSCILLATING,
+    UNDETERMINED,
     PowerLogTail,
     SingularSequence,
     _exp_tail,
     _fit_line,
+    _nonneg,
     _zeta_schedule,
     as_sequence,
     dyadic_schedule,
+    judge,
     log_average,
     power_trace,
     tail_heat_sum,
     tail_quad,
     tauberian_classify,
 )
-
-CONVERGED = "Converged"
-OSCILLATING = "Oscillating"
-UNDETERMINED = "Undetermined"
 
 # default schedules: zeta at s = 1 + 1/k, heat at times t
 ZETA_SCHEDULE = (25, 50, 100, 200)
@@ -49,17 +48,20 @@ AGREEMENT_TOL = 1e-2
 
 @dataclass(frozen=True)
 class TraceEstimate:
-    """One estimator's verdict: a value only when defensible.
+    """One estimator's verdict, decided by sequences.judge: a value only
+    when defensible.
 
-    Converged: value is the extrapolated limit, oscillation the fit
-    residual band.  Oscillating: value is the midpoint of the observed
-    band and oscillation its width.  Undetermined: value is NaN.
-    error_estimate combines fit residuals with fit-window stability.  It
-    is a diagnostic for library callers: nothing in the package reads
-    it, the CLI report leaves it out, and measurability_report measures
-    cross-method agreement against AGREEMENT_TOL instead.  It does not
-    bound the error on every input (the dixmier fit's falls short of
-    the error against the analytic target on most of them)."""
+    Converged: value is the extrapolated limit (heat_cesaro: its last
+    scheduled value), oscillation the spread judged (a schedule's fit
+    residual band, the dixmier scan's detrended residual total
+    variation), and error_estimate twice the largest residual of the
+    line fitted to the judged points plus the gap to the line fitted to
+    their trailing half.  Oscillating: value is the midpoint of the
+    observed band, oscillation and error_estimate its width.
+    Undetermined: value and error_estimate are NaN.  Nothing in the
+    package reads error_estimate and the CLI report leaves it out; it
+    does not bound the error on every input (the dixmier fit's falls
+    short of the error against the analytic target on most of them)."""
 
     method: str
     value: float
@@ -78,42 +80,22 @@ class TraceEstimate:
 
 
 def _series_estimate(method, ks, vals, zs, extrapolate, notes=""):
-    """Shared schedule -> TraceEstimate reduction for zeta/heat series.
-
-    Fits vals ~ a + b*z (z the method's decay variable), judges the
-    residual band against the classification thresholds, and reports
-    fit-window stability as part of the error estimate."""
+    """A zeta/heat schedule's TraceEstimate: judge on every point, with
+    the residual band of the line vals ~ a + b*z (z the method's decay
+    variable) as spread, swing and held band.  Converged without
+    extrapolate, the value is the last one."""
     vals = np.asarray(vals, dtype=np.float64)
-    ks = np.asarray(ks, dtype=np.float64)
-    raw = (ks, vals)
-    a, b, resid = _fit_line(zs, vals)
-    band = float(resid.max() - resid.min())
-    if vals.size < 3:
-        return TraceEstimate(
-            method, float(vals[-1]), raw, False, band,
-            UNDETERMINED if band > EPS_CONV else CONVERGED,
-            error_estimate=band + abs(float(vals[-1]) - a),
-            notes=(notes + "; schedule too short to extrapolate").strip("; "),
-        )
-    half = vals.size // 2
-    a_half, _, _ = _fit_line(zs[half:], vals[half:])
-    err = 2.0 * float(np.max(np.abs(resid))) + abs(a - a_half)
-    if band <= EPS_CONV:
-        value = a if extrapolate else float(vals[-1])
-        value = max(value, 0.0) if value > -1e-12 else value
-        return TraceEstimate(
-            method, value, raw, extrapolate, band, CONVERGED,
-            error_estimate=err, notes=notes,
-        )
-    lo, hi = float(vals.min()), float(vals.max())
-    if band > EPS_OSC:
-        return TraceEstimate(
-            method, 0.5 * (lo + hi), raw, False, hi - lo, OSCILLATING,
-            error_estimate=err, notes=notes,
-        )
+    _, _, resid = _fit_line(zs, vals)
+    band = float(np.ptp(resid))
+    j = judge(zs, vals, band, band, vals, resid)
+    converged = j.status == CONVERGED
+    value = j.value if extrapolate or not converged else _nonneg(
+        float(vals[-1]))
     return TraceEstimate(
-        method, math.nan, raw, False, band, UNDETERMINED,
-        error_estimate=err, notes=notes,
+        method, value, (np.asarray(ks, dtype=np.float64), vals),
+        extrapolate and converged, j.band, j.status,
+        error_estimate=j.error_estimate,
+        notes="; ".join(filter(None, (notes, j.note))),
     )
 
 
@@ -133,47 +115,24 @@ def dixmier_estimate(source):
     """Log-average estimate over the dyadic checkpoints up to the
     sequence's horizon.
 
-    The checkpoint series is classified first; a value is produced by
-    the a + b/log(1+k) fit only on Tauberian data.  A horizon below the
-    length caps the scan and lowers its gate as in tauberian_classify
-    (matrix truncations, whose singular values past a fraction of the
-    dimension are unreliable)."""
+    Every field comes from tauberian_classify's judgement of the
+    checkpoint series.  A horizon below the length caps the scan and
+    lowers its gate as in tauberian_classify (matrix truncations, whose
+    singular values past a fraction of the dimension are unreliable)."""
     x = as_sequence(source)
-    verdict = tauberian_classify(x)
-    diag = verdict.diagnostics
-    ks = diag.get("checkpoints", np.empty(0, dtype=np.int64))
-    alphas = diag.get("alphas", np.empty(0))
-    raw = (ks, alphas)
+    diag = tauberian_classify(x).diagnostics
+    raw = (diag.get("checkpoints", np.empty(0, dtype=np.int64)),
+           diag.get("alphas", np.empty(0)))
     notes = "tail model attached" if x.tail is not None else "head only"
-    if verdict.status == "Tauberian":
-        value = float(verdict.limit_estimate)
-        # tauberian_classify fitted the limit on its last FIT_CHECKPOINTS
-        # checkpoints; the error adds their residuals and a 3-point fit's gap
-        resid = diag["fit_residuals"]
-        zs = 1.0 / np.log1p(ks[-3:].astype(np.float64))
-        a3, _, _ = _fit_line(zs, alphas[-3:])
-        err = (2.0 * float(np.max(np.abs(resid)))
-               + abs(verdict.limit_estimate - a3))
-        value = max(value, 0.0) if value > -1e-12 else value
-        return TraceEstimate(
-            "dixmier_alpha", value, raw, True,
-            verdict.oscillation_amplitude, CONVERGED,
-            error_estimate=err, notes=notes,
-        )
-    if verdict.status == "NonTauberian":
-        keep = ks >= BURN_IN
-        lo = float(alphas[keep].min())
-        hi = float(alphas[keep].max())
-        return TraceEstimate(
-            "dixmier_alpha", 0.5 * (lo + hi), raw, False, hi - lo,
-            OSCILLATING, error_estimate=hi - lo,
-            notes=notes + "; value is the band midpoint",
-        )
-    note = diag.get("note", "classification undetermined")
+    j = diag.get("judgement")
+    if j is None:  # the horizon is below the gate
+        return TraceEstimate("dixmier_alpha", math.nan, raw, False, 0.0,
+                             UNDETERMINED, notes=notes + "; " + diag["note"])
+    notes += {OSCILLATING: "; value is the band midpoint",
+              UNDETERMINED: "; classification undetermined"}.get(j.status, "")
     return TraceEstimate(
-        "dixmier_alpha", math.nan, raw, False,
-        verdict.oscillation_amplitude, UNDETERMINED,
-        notes=(notes + "; " + note),
+        "dixmier_alpha", j.value, raw, j.status == CONVERGED, j.band,
+        j.status, error_estimate=j.error_estimate, notes=notes,
     )
 
 
@@ -347,9 +306,9 @@ def measurability_report(model, methods=("dixmier", "zeta", "heat_raw"),
 
     Measurable requires every method Converged with pairwise spread
     within AGREEMENT_TOL (scaled by the common magnitude).  A method that
-    oscillates beyond the policy band, or converged methods that
-    genuinely disagree, both witness distinct limiting values, hence
-    NotMeasurable.  Anything else stays Undetermined."""
+    reads Oscillating, or converged methods that genuinely disagree, both
+    witness distinct limiting values, hence NotMeasurable.  Anything else
+    stays Undetermined."""
     if len(methods) < 2:
         raise ValueError("need at least two methods to compare")
     estimates = {}
@@ -364,10 +323,7 @@ def measurability_report(model, methods=("dixmier", "zeta", "heat_raw"),
         disc = math.nan
     scale = max(1.0, max((abs(v) for v in values), default=1.0))
     notes = ""
-    if any(
-        e.status == OSCILLATING and e.oscillation > EPS_OSC
-        for e in estimates.values()
-    ):
+    if any(e.status == OSCILLATING for e in estimates.values()):
         verdict = "NotMeasurable"
         notes = "an estimator oscillates beyond the policy band"
     elif all(e.status == CONVERGED for e in estimates.values()):

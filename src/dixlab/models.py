@@ -109,11 +109,14 @@ class TorusTail(PowerLogTail):
     (1+|m|^2)^-p of the n-torus over |m| <= cutoff_radius, p the
     operator_power.  value, powered, slopes and heat_integral are the
     PowerLogTail's; power_sum closes the power sums past that head
-    exactly, so the tail continues that head only."""
+    exactly, so the tail continues that head only: head_length, its
+    number of lattice points, is the only length SingularSequence
+    accepts in front of it."""
 
     dimension: int
     operator_power: float
     cutoff_radius: int
+    head_length: int
 
     def power_sum(self, s):
         """sum over |m| > cutoff_radius of the s-th powers: the continuum
@@ -148,9 +151,9 @@ def torus_spectrum(dimension, cutoff_radius, operator_power=None):
     if a * math.log(UNIT_BALL_VOL[n]) > 709.0:
         raise ValueError("operator power %g puts the Weyl tail past the "
                          "float range" % p)
-    tail = TorusTail(UNIT_BALL_VOL[n] ** a, a, dimension=n, operator_power=p,
-                     cutoff_radius=radius)
     keys, counts = kernels.shell_counts(n, radius)
+    tail = TorusTail(UNIT_BALL_VOL[n] ** a, a, dimension=n, operator_power=p,
+                     cutoff_radius=radius, head_length=int(counts.sum()))
     return SingularSequence((1.0 + keys) ** (-p), tail, counts)
 
 

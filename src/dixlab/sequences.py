@@ -14,6 +14,7 @@ averages the first k values.
 
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,7 +90,8 @@ def _check_budget(what, need_bytes):
 # n)^log_power n^-power times a bounded factor whose limsup and
 # log-average limsup are peaks.  A tail that has an exact sum of its
 # powers past its head (models.TorusTail) also has power_sum(s), which
-# tail_power_sum returns in place of the Euler-Maclaurin sum.
+# tail_power_sum returns in place of the Euler-Maclaurin sum, and
+# head_length, the length of that head, the only one it continues.
 
 
 def _check_tail(coeff, power):
@@ -534,6 +536,10 @@ class SingularSequence:
                     "tail junction insane: tail model at index %d gives %g "
                     "vs last value %g" % (length, model, edge)
                 )
+            if getattr(self.tail, "head_length", length) != length:
+                raise ValueError(
+                    "tail junction insane: the tail continues a head of %d "
+                    "values, not %d" % (self.tail.head_length, length))
         H = length
         if self.horizon is not None:
             H = _horizon(self.horizon, 1, "horizon")
@@ -890,17 +896,23 @@ def ideal_membership(x, ps=()):
 # ------------------------------------------------------- classification
 
 
-# Status thresholds, absolute (they assume sequences at natural scale
-# ~1).  A series converges when its detrended variation is below
-# EPS_CONV and oscillates when its band exceeds EPS_OSC; a horizon below
-# MIN_HORIZON is not classified, checkpoints below BURN_IN stay out of
-# reported oscillation bands, and a Tauberian limit is fitted on the
-# last FIT_CHECKPOINTS checkpoints.
+# judge's statuses and absolute thresholds (for sequences at natural
+# scale ~1), and the dyadic scan's policy: a horizon below MIN_HORIZON
+# is not classified, checkpoints below BURN_IN stay out of its bands,
+# and its limit is fitted on the last FIT_CHECKPOINTS checkpoints.
+CONVERGED = "Converged"
+OSCILLATING = "Oscillating"
+UNDETERMINED = "Undetermined"
 EPS_CONV = 1e-2
 EPS_OSC = 5e-2
 MIN_HORIZON = 1024
 BURN_IN = 16
 FIT_CHECKPOINTS = 6
+
+
+# judge's answer; status is CONVERGED, OSCILLATING or UNDETERMINED
+Judgement = namedtuple("Judgement", "status value band error_estimate note",
+                       defaults=("",))
 
 
 @dataclass(frozen=True)
@@ -919,6 +931,38 @@ def _fit_line(zs, vals):
     return float(coef[0]), float(coef[1]), resid
 
 
+def _nonneg(value):
+    """value, with a roundoff negative above -1e-12 read as 0."""
+    return max(value, 0.0) if value > -1e-12 else value
+
+
+def judge(zs, vals, spread, swing, shown, held):
+    """The Judgement of a series whose trend is a line in z.
+
+    Fewer than 3 fit points (zs, vals) are Undetermined: a line fits any
+    two.  Else the series is Converged when spread <= EPS_CONV: band is
+    the spread, value the intercept a of the line fitted to the points
+    (_nonneg), and error_estimate twice its largest residual plus the gap
+    from a to the intercept fitted to their trailing half.  Else it is
+    Oscillating when swing > EPS_OSC, with value the midpoint of the
+    points shown and band and error_estimate their width.  Else it is
+    Undetermined, with band the width of the points held.  value and
+    error_estimate are NaN where no rule sets them."""
+    if len(vals) < 3:
+        return Judgement(UNDETERMINED, math.nan, float(np.ptp(held)),
+                         math.nan, "fewer than 3 points: a line fits any two")
+    if spread <= EPS_CONV:
+        a, _, resid = _fit_line(zs, vals)
+        half = len(vals) // 2
+        a_half, _, _ = _fit_line(zs[half:], vals[half:])
+        err = 2.0 * float(np.max(np.abs(resid))) + abs(a - a_half)
+        return Judgement(CONVERGED, _nonneg(a), spread, err)
+    if swing > EPS_OSC:
+        lo, hi = float(shown.min()), float(shown.max())
+        return Judgement(OSCILLATING, 0.5 * (lo + hi), hi - lo, hi - lo)
+    return Judgement(UNDETERMINED, math.nan, float(np.ptp(held)), math.nan)
+
+
 def tauberian_classify(x):
     """Classify alpha_k behaviour on the dyadic checkpoints up to
     x.horizon.
@@ -928,16 +972,18 @@ def tauberian_classify(x):
     truncation certifies nothing past a fraction of its dimension, yet
     must still be extrapolated) and lowers that gate to 64.
 
-    Convergence is judged on the total variation of residuals after
-    removing the a + b/log(1+k) trend over the last third of
-    checkpoints (raw alpha still drifts at any reachable horizon, so an
-    un-detrended variation test would flunk plainly Tauberian data).
-    The reported amplitude is the detrended variation itself for
-    Tauberian verdicts (the quantity the decision was made on; fit
-    misfit is a diagnostics entry, not oscillation) and the raw band
-    over checkpoints past BURN_IN otherwise; for oscillating data the
-    trailing window sees less than a full log-log period, so the wide
-    band is the honest lower bound."""
+    judge decides the verdict (Converged is Tauberian, Oscillating
+    NonTauberian) on the trend a + b/log(1+k), a line in z = 1/log(1+k),
+    fitting the limit on the last FIT_CHECKPOINTS checkpoints.  Its
+    spread is the total variation of the detrended residuals over the
+    last third of the checkpoints (raw alpha still drifts at any
+    reachable horizon, so an un-detrended variation test would flunk
+    plainly Tauberian data), and its swing the raw band there.  The
+    amplitude is the spread when Tauberian, else the raw band past
+    BURN_IN: for oscillating data the trailing window sees less than a
+    full log-log period, so the wide band is the honest lower bound.
+    diagnostics holds the "checkpoints", their "alphas" and the
+    "judgement", or below the horizon gate only a "note"."""
     x = as_sequence(x)
     H = x.horizon
     min_horizon = MIN_HORIZON if H >= x.length else 64
@@ -949,32 +995,19 @@ def tauberian_classify(x):
         )
     ks = dyadic_schedule(H)
     alphas = log_average(x, ks).alphas
-    # the a + b/log(1+k) trend is a line in z = 1/log(1+k)
     zs = 1.0 / np.log1p(ks.astype(np.float64))
     i0 = (2 * ks.size) // 3  # the last third of the checkpoints
-    tail_al = alphas[i0:]
-    a_fit, b_fit, resid = _fit_line(zs[i0:], tail_al)
-    resid_tv = float(np.sum(np.abs(np.diff(resid))))
-    band_third = float(tail_al.max() - tail_al.min())
-    keep = ks >= BURN_IN
-    band_wide = float(alphas[keep].max() - alphas[keep].min()) if keep.any() else 0.0
-    diag = {
-        "checkpoints": ks,
-        "alphas": alphas,
-        "residual_tv": resid_tv,
-        "band_last_third": band_third,
-        "band_past_burn_in": band_wide,
-        "fit": (a_fit, b_fit),
-    }
-    if resid_tv < EPS_CONV:
-        m = FIT_CHECKPOINTS
-        a_lim, _, fit_resid = _fit_line(zs[-m:], alphas[-m:])
-        diag["fit_residuals"] = fit_resid
-        diag["fit_band"] = float(fit_resid.max() - fit_resid.min())
-        return TauberianVerdict("Tauberian", a_lim, resid_tv, diag)
-    if band_third > EPS_OSC:
-        return TauberianVerdict("NonTauberian", None, band_wide, diag)
-    return TauberianVerdict("Undetermined", None, band_wide, diag)
+    _, _, resid = _fit_line(zs[i0:], alphas[i0:])
+    past = alphas[ks >= BURN_IN]
+    m = FIT_CHECKPOINTS
+    j = judge(zs[-m:], alphas[-m:], float(np.sum(np.abs(np.diff(resid)))),
+              float(np.ptp(alphas[i0:])), past, past)
+    status = {CONVERGED: "Tauberian", OSCILLATING: "NonTauberian"}.get(
+        j.status, "Undetermined")
+    return TauberianVerdict(
+        status, j.value if j.status == CONVERGED else None, j.band,
+        {"checkpoints": ks, "alphas": alphas, "judgement": j},
+    )
 
 
 # ----------------------------------------------------- model sequences

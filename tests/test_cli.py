@@ -288,6 +288,21 @@ class TestMainExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    def test_short_schedules_exit_two(self, tmp_path, capsys):
+        # a line fits any two points: these schedules read Converged
+        # (zeta 1.5294, heat_raw 2.8477) and the run exited 0
+        cfg = _cfg(experiments=[{
+            "label": "osc",
+            "model": {"kind": "oscillator", "horizon": 10**7},
+            "methods": ["zeta", "heat_raw", "heat_cesaro"],
+            "zeta_schedule": [50, 100],
+            "heat_schedule": [100, 1000],
+        }])
+        code = cli.main(["--config", self._write(tmp_path, cfg)])
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert code == 2
+        assert [r.split(",")[4] for r in rows] == ["Undetermined"] * 3
+
     def test_zeta_runs_where_the_tail_power_underflows(self, tmp_path,
                                                        capsys):
         # (1e-320)^s is 0 or subnormal on the zeta schedule; the tail sum

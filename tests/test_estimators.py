@@ -86,6 +86,24 @@ class TestDixmierEstimate:
             assert e2.value == pytest.approx(c * e1.value, rel=1e-6)
 
 
+@pytest.mark.parametrize("fixture", ["oscillator_1e7", "harmonic_1e6"])
+@pytest.mark.parametrize("method,schedule", [
+    ("zeta", (50, 100)), ("zeta", (100,)),
+    ("heat_raw", (1e2, 1e3)), ("heat_raw", (1e3,)),
+    ("heat_cesaro", (1e2, 1e3)), ("heat_cesaro", (1e3,)),
+], ids=str)
+def test_short_schedule_is_undetermined(request, fixture, method, schedule):
+    # a line fits any two points, so their zero residual band is no
+    # evidence of convergence: the oscillator read Converged here
+    x = request.getfixturevalue(fixture)
+    if method == "zeta":
+        e = dx.zeta_residue_estimate(x, schedule)
+    else:
+        e = dx.heat_estimate(x, schedule, 1.0, method[len("heat_"):])
+    assert e.status == "Undetermined"
+    assert math.isnan(e.value)
+
+
 class TestZetaResidueEstimate:
     def test_harmonic_with_tail_extrapolates_to_one(self, harmonic_1e6):
         e = dx.zeta_residue_estimate(harmonic_1e6)

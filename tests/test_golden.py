@@ -1,7 +1,9 @@
 """Report bytes pinned against tests/golden_reports.txt.
 
-The CSV reports of `cli.example_config()` and of one config with one
-model per sequence and torus kind and every method, and the `--check`
+The CSV reports of `cli.example_config()`, of one config with one model
+per sequence and torus kind and every method, and of the `lattice` and
+`sequences` benchmark configs (copied from perfbench/workloads.py at
+seed 1, so the tests do not import the benchmark), and the `--check`
 output at seed 0, must match the file byte for byte.  A change that
 moves a digit fails here; where the move is a bug fix, rewrite the file
 with `PYTHONPATH=src python tests/test_golden.py` and explain each
@@ -15,7 +17,7 @@ import os
 
 import pytest
 
-from dixlab import cli
+from dixlab import cli, estimators
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_reports.txt")
@@ -41,6 +43,32 @@ _KINDS = [
 ]
 
 
+# perfbench/workloads.config("lattice", 1) and config("sequences", 1)
+LATTICE = {
+    "schema_version": 1,
+    "seed": 1,
+    "experiments": [
+        {"label": "torus%d-R%d" % (n, radius),
+         "model": {"kind": "torus", "dimension": n, "cutoff_radius": radius},
+         "methods": ["dixmier", "zeta", "heat_raw"],
+         "heat_schedule": [1e4, 1e5, 1e6]}
+        for n, radius in ((2, 1000), (3, 80))
+    ],
+}
+SEQUENCES = {
+    "schema_version": 1,
+    "seed": 1,
+    "experiments": [
+        {"label": "harmonic",
+         "model": {"kind": "harmonic", "horizon": 10**6},
+         "methods": ["dixmier", "zeta", "heat_raw", "heat_cesaro"]},
+        {"label": "oscillator",
+         "model": {"kind": "oscillator", "horizon": 10**7},
+         "methods": ["dixmier", "heat_raw"]},
+    ],
+}
+
+
 def one_model_per_kind():
     return {
         "schema_version": cli.SCHEMA_VERSION,
@@ -57,7 +85,9 @@ def reports():
     """{name: text} of every pinned report."""
     out = {}
     for name, config in (("example.csv", cli.example_config()),
-                         ("kinds.csv", one_model_per_kind())):
+                         ("kinds.csv", one_model_per_kind()),
+                         ("lattice.csv", LATTICE),
+                         ("sequences.csv", SEQUENCES)):
         with contextlib.redirect_stderr(io.StringIO()):  # timing lines
             rows, _ = cli.run_experiment(cli.parse_config(config))
         out[name] = cli.emit_report(rows, "csv")
@@ -85,10 +115,21 @@ def current():
     return reports()
 
 
-@pytest.mark.parametrize("name", ["example.csv", "kinds.csv",
-                                  "check-seed-0.txt"])
+@pytest.mark.parametrize("name", ["example.csv", "kinds.csv", "lattice.csv",
+                                  "sequences.csv", "check-seed-0.txt"])
 def test_report_bytes_match_the_golden_file(current, name):
     assert current[name] == read_golden()[name]
+
+
+def test_no_pinned_schedule_is_shorter_than_three_points():
+    # a schedule of 1 or 2 points reads Undetermined on every input
+    assert min(len(estimators.ZETA_SCHEDULE),
+               len(estimators.HEAT_SCHEDULE)) >= 3
+    for config in (cli.example_config(), one_model_per_kind(), LATTICE,
+                   SEQUENCES):
+        for experiment in config["experiments"]:
+            for key in ("zeta_schedule", "heat_schedule"):
+                assert len(experiment.get(key, "...")) >= 3
 
 
 if __name__ == "__main__":

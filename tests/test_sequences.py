@@ -102,6 +102,19 @@ class TestSingularSequence:
             with pytest.raises(ValueError, match="junction"):
                 dx.SingularSequence(head, dx.PowerLogTail(coeff, 1.0, 0.0))
 
+    def test_torus_tail_continues_its_whole_lattice_ball_only(self):
+        # its power_sum closes the sum past |m| <= cutoff_radius, so a cut
+        # head read power_trace 78.4776 at s = 1.04 against 78.5655
+        x = dx.torus_spectrum(2, 200)
+        for counts in (x.counts[:-400], x.counts[:-1],
+                       np.append(x.counts[:-1], x.counts[-1] - 1)):
+            with pytest.raises(ValueError, match="junction"):
+                dx.SingularSequence(x.head[:counts.size], x.tail, counts)
+        whole = dx.SingularSequence(np.repeat(x.head, x.counts), x.tail)
+        assert dx.power_trace(whole, 1.04) == pytest.approx(
+            dx.power_trace(x, 1.04), rel=1e-12)
+        assert x.scaled(2.0).tail.head_length == x.length
+
     def test_shipped_models_pass_the_junction_at_smallest_size(self):
         for n in (1, 2, 3):
             assert dx.torus_spectrum(n, 1).tail is not None

@@ -38,36 +38,36 @@ TARGETS = {
 # the flat tori read their heat trace at the times of the example config
 TORUS_HEAT_SCHEDULE = (1e4, 1e5, 1e6)
 
-_ITEM_2 = "ROADMAP item 2: Oscillating on a series that never turns"
-_ITEM_3 = "ROADMAP item 3: heat_cesaro fits its means against 1/T"
-_ITEM_4 = "ROADMAP item 4: Converged off the target beyond the tolerance"
+_ITEM_3 = "ROADMAP item 3: Oscillating on a series that never turns"
+_ITEM_4 = "ROADMAP item 4: heat_cesaro fits its means against 1/T"
+_ITEM_5 = "ROADMAP item 5: Converged off the target beyond the tolerance"
 
 # (input, method, status today, why the target contradicts it or None)
 ROWS = [
     ("harmonic", "dixmier", C, None),
     ("harmonic", "zeta", C, None),
     ("harmonic", "heat_raw", C, None),
-    ("harmonic", "heat_cesaro", U, _ITEM_3),
+    ("harmonic", "heat_cesaro", U, _ITEM_4),
     ("torus2-R2000", "dixmier", C, None),
     ("torus2-R2000", "zeta", C, None),
     ("torus2-R2000", "heat_raw", C, None),
-    ("torus2-R2000", "heat_cesaro", U, _ITEM_3),
+    ("torus2-R2000", "heat_cesaro", U, _ITEM_4),
     ("torus3-R200", "dixmier", C, None),
     ("torus3-R200", "zeta", C, None),
     ("torus3-R200", "heat_raw", C, None),
-    ("torus3-R200", "heat_cesaro", O, _ITEM_3),
-    ("power_log-1-1.2-0", "dixmier", O, _ITEM_2),
+    ("torus3-R200", "heat_cesaro", O, _ITEM_4),
+    ("power_log-1-1.2-0", "dixmier", O, _ITEM_3),
     ("power_log-1-1.2-0", "zeta", C, None),
-    ("power_log-1-1.2-0", "heat_raw", O, _ITEM_2),
+    ("power_log-1-1.2-0", "heat_raw", O, _ITEM_3),
     ("power_log-1-1.2-0", "heat_cesaro", U, None),
-    ("power_log-1-1-(-1)", "dixmier", C, _ITEM_4),
-    ("power_log-1-1-(-1)", "zeta", C, _ITEM_4),
+    ("power_log-1-1-(-1)", "dixmier", C, _ITEM_5),
+    ("power_log-1-1-(-1)", "zeta", C, _ITEM_5),
     ("power_log-1-1-(-1)", "heat_raw", U, None),
     ("power_log-1-1-(-1)", "heat_cesaro", U, None),
     ("oscillator", "dixmier", O, None),
     ("oscillator", "zeta", O, None),
     ("oscillator", "heat_raw", O, None),
-    ("oscillator", "heat_cesaro", C, _ITEM_3),
+    ("oscillator", "heat_cesaro", C, _ITEM_4),
 ]
 
 
@@ -76,9 +76,8 @@ def _id(row):
 
 
 @pytest.fixture(scope="module")
-def estimate(harmonic_1e6, torus_2000, oscillator_1e7):
-    """(input, method) -> its TraceEstimate, each computed once."""
-    inputs = {
+def inputs(harmonic_1e6, torus_2000, oscillator_1e7):
+    return {
         "harmonic": harmonic_1e6,
         "torus2-R2000": torus_2000,
         "torus3-R200": dx.torus_spectrum(3, 200),
@@ -86,6 +85,11 @@ def estimate(harmonic_1e6, torus_2000, oscillator_1e7):
         "power_log-1-1-(-1)": dx.power_log_sequence(1.0, 1.0, -1.0, 10**5),
         "oscillator": oscillator_1e7,
     }
+
+
+@pytest.fixture(scope="module")
+def estimate(inputs):
+    """(input, method) -> its TraceEstimate, each computed once."""
     done = {}
 
     def run(name, method):
@@ -116,3 +120,15 @@ def test_status_meets_the_target(estimate, name, method):
     if est.status == C:
         tol = estimators.AGREEMENT_TOL * max(1.0, abs(target))
         assert abs(est.value - target) <= tol
+
+
+@pytest.mark.parametrize("name", list(TARGETS))
+def test_classification_and_dixmier_agree(inputs, estimate, name):
+    # dixmier_estimate reads tauberian_classify's judgement of the scan
+    v = dx.tauberian_classify(inputs[name])
+    e = estimate(name, "dixmier")
+    assert (v.status == "Tauberian") == (e.status == C)
+    assert (v.status == "NonTauberian") == (e.status == O)
+    if e.status == C:
+        assert v.limit_estimate == e.value
+    assert v.oscillation_amplitude == e.oscillation
