@@ -420,8 +420,11 @@ class HolderReport:
 
 
 def _seq_power(x, p):
-    tail = x.tail.powered(p) if x.tail is not None else None
-    return SingularSequence(x.head**p, tail, x.counts)
+    """x**p: the head powered and, scanned to the horizon of x, the
+    tail."""
+    if x.tail is None:
+        return SingularSequence(x.head**p, None, x.counts)
+    return SingularSequence(x.head**p, x.tail.powered(p), x.counts, x.horizon)
 
 
 def _truncate(x, L):
@@ -437,8 +440,10 @@ def _truncate(x, L):
 def holder_check(t_model, v_model, p):
     """Holder inequality with C_p = 1 for simultaneously diagonal
     positive models: checks alpha_k(xy) <= alpha_k(x^p)^{1/p} *
-    alpha_k(y^q)^{1/q} at every dyadic checkpoint (a finite-sum
-    identity) and compares converged trace estimates the same way."""
+    alpha_k(y^q)^{1/q} at every dyadic checkpoint of the common stored
+    length (a finite-sum identity) and compares converged trace
+    estimates the same way, each scanned to the horizon of the factors
+    whose tails it keeps."""
     p = float(p)
     if p <= 1.0:
         raise ValueError("p must exceed 1")
@@ -449,9 +454,9 @@ def holder_check(t_model, v_model, p):
     if L < 2:
         raise ValueError("need at least two eigenvalues")
     xh, yh = _truncate(x, L), _truncate(y, L)
-    prod_tail = None
+    prod_tail = horizon = None
     # only two power-log tails that index the head alike have a product
-    # in their family
+    # in their family, scanned as far as both factors are
     if (isinstance(xh.tail, PowerLogTail) and isinstance(yh.tail, PowerLogTail)
             and xh.tail.offset == yh.tail.offset):
         prod_tail = PowerLogTail(
@@ -460,15 +465,16 @@ def holder_check(t_model, v_model, p):
             xh.tail.log_power + yh.tail.log_power,
             xh.tail.offset,
         )
+        horizon = min(xh.horizon, yh.horizon)
     if xh.counts is None and yh.counts is None:
-        prod = SingularSequence(xh.head * yh.head, prod_tail)
+        prod = SingularSequence(xh.head * yh.head, prod_tail, None, horizon)
     else:
         # both factors are constant between the run ends of either, and
         # a plain one ends a run at every index
         e = np.union1d(kernels._run_ends(xh.counts, L),
                        kernels._run_ends(yh.counts, L))
         prod = SingularSequence(xh.at(e) * yh.at(e), prod_tail,
-                                np.diff(e, prepend=0))
+                                np.diff(e, prepend=0), horizon)
     xp = _seq_power(xh, p)
     yq = _seq_power(yh, q)
     ks = dyadic_schedule(L)

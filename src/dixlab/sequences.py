@@ -123,8 +123,9 @@ class PowerLogTail:
 
     def value(self, n):
         n = np.asarray(n, dtype=np.float64)
-        if np.any(n < 2):
-            raise ValueError("tail model is evaluated for n >= 2 only")
+        if np.any(n < (2 if self.log_power else 1)):
+            raise ValueError("tail model is evaluated for n >= 2 only "
+                             "(n >= 1 at log_power 0)")
         return self.coeff * np.log(n) ** self.log_power * n ** (-self.power)
 
     def powered(self, s):
@@ -976,12 +977,13 @@ def tauberian_classify(x):
     NonTauberian) on the trend a + b/log(1+k), a line in z = 1/log(1+k),
     fitting the limit on the last FIT_CHECKPOINTS checkpoints.  Its
     spread is the total variation of the detrended residuals over the
-    last third of the checkpoints (raw alpha still drifts at any
-    reachable horizon, so an un-detrended variation test would flunk
-    plainly Tauberian data), and its swing the raw band there.  The
-    amplitude is the spread when Tauberian, else the raw band past
-    BURN_IN: for oscillating data the trailing window sees less than a
-    full log-log period, so the wide band is the honest lower bound.
+    last third of the checkpoints, at least 3 of them (raw alpha still
+    drifts at any reachable horizon, so an un-detrended variation test
+    would flunk plainly Tauberian data), and its swing the raw band
+    there.  The amplitude is the spread when Tauberian, else the raw
+    band past BURN_IN: for oscillating data the trailing window sees
+    less than a full log-log period, so the wide band is the honest
+    lower bound.
     diagnostics holds the "checkpoints", their "alphas" and the
     "judgement", or below the horizon gate only a "note"."""
     x = as_sequence(x)
@@ -996,7 +998,8 @@ def tauberian_classify(x):
     ks = dyadic_schedule(H)
     alphas = log_average(x, ks).alphas
     zs = 1.0 / np.log1p(ks.astype(np.float64))
-    i0 = (2 * ks.size) // 3  # the last third of the checkpoints
+    # a line through 2 points leaves no residual to vary
+    i0 = min((2 * ks.size) // 3, ks.size - 3)
     _, _, resid = _fit_line(zs[i0:], alphas[i0:])
     past = alphas[ks >= BURN_IN]
     m = FIT_CHECKPOINTS
@@ -1013,23 +1016,59 @@ def tauberian_classify(x):
 # ----------------------------------------------------- model sequences
 
 
-# bytes charged per value by the sequence builders below: the largest
-# of their peak allocations (harmonic 17, oscillator 9, power-log 24)
-_BUILD_BYTES = 24.0
+# The most values a model sequence stores.  Its tail model gives every
+# value and sum past them, exactly as past any head, up to its horizon.
+_HEAD_MAX = 2**16
+# bytes charged per stored value by the sequence builders below: the
+# largest of their peak allocations (_model_sequence 32,
+# oscillator_sequence 10)
+_BUILD_BYTES = 32.0
 
 
-def _charge_build(kind, horizon):
-    """Charge the build of a kind sequence of horizon values."""
-    _check_budget("%s sequence (horizon %d)" % (kind, horizon),
-                  _BUILD_BYTES * horizon)
+def _charge_build(kind, stored):
+    """Charge the build of a kind sequence that stores `stored` values."""
+    _check_budget("%s sequence (%d stored values)" % (kind, stored),
+                  _BUILD_BYTES * stored)
+
+
+def _model_sequence(kind, tail, length, tied=0, sort=False):
+    """The kind sequence mu_k = tail.value(k + tail.offset), k = 1 ..
+    length, with its first `tied` values tied to the next one: its first
+    min(length, _HEAD_MAX) values are stored and the tail continues
+    them, scanned to length.  sort sorts the stored values
+    nonincreasingly, for a formula that is not monotone near its start.
+
+    A sorted head is cut only where the cut is exact: the tail falls
+    past it (log n > log_power / power there) and stays at or below
+    every stored value, so sorting all `length` values would give the
+    stored ones followed by the tail's.  Otherwise the same body runs
+    again with the cut at length, storing every value; this is not a
+    second path, as a head that fits under _HEAD_MAX is stored the
+    same way."""
+    for L in (min(length, _HEAD_MAX), length):
+        _charge_build(kind, L)
+        n = np.arange(tied + 1 + tail.offset, L + 1 + tail.offset,
+                      dtype=np.float64)
+        v = np.empty(L, dtype=np.float64)
+        with np.errstate(over="ignore"):  # SingularSequence rejects an inf
+            v[tied:] = tail.value(n)
+        v[:tied] = v[tied]
+        if not sort:
+            break
+        v = np.sort(v)[::-1].copy()
+        n_next = L + 1 + tail.offset
+        if L == length or (
+                math.log(n_next) * tail.power > tail.log_power
+                and v[-1] >= float(tail.value(n_next))):
+            break
+    return SingularSequence(v, tail, horizon=length)
 
 
 def harmonic_sequence(horizon=10**6, coeff=1.0):
-    """mu_n = coeff / n with the exact matching tail model."""
+    """mu_n = coeff / n to horizon: its first min(horizon, 2^16) values
+    and the exact tail model PowerLogTail(coeff, 1) past them."""
     H = _horizon(horizon, 1, "harmonic horizon")
-    _charge_build("harmonic", H)
-    n = np.arange(1, H + 1, dtype=np.float64)
-    return SingularSequence(coeff / n, PowerLogTail(coeff, 1.0))
+    return _model_sequence("harmonic", PowerLogTail(coeff, 1.0), H)
 
 
 def oscillator_sequence(horizon):
@@ -1049,23 +1088,19 @@ def oscillator_sequence(horizon):
 
 
 def oscillator_model(horizon=10**7):
-    """mu_n = (2 + sin log log n)/n, the standard non-Tauberian input: its
-    first min(horizon, 2^16) values and OscillatorTail past them, scanned
-    to horizon."""
+    """mu_n = (2 + sin log log n)/n, the standard non-Tauberian input, as
+    oscillator_sequence gives it: its first min(horizon, 2^16) values and
+    OscillatorTail past them, scanned to horizon."""
     H = _horizon(horizon, 3, "oscillator horizon")
-    x = oscillator_sequence(min(H, 2**16))
-    return SingularSequence(x.head, OscillatorTail(), horizon=H)
+    return _model_sequence("oscillator", OscillatorTail(), H, tied=2)
 
 
 def power_log_sequence(coeff, power, log_power, horizon=10**6):
-    """mu_n = coeff (log n)^log_power n^-power sampled at n = 2..horizon,
-    sorted nonincreasingly (the raw formula is not monotone near its
-    start for log_power > 0), with the tail model attached.  Head entry
-    k holds n = k + 1, so the tail carries offset 1."""
+    """mu_n = coeff (log n)^log_power n^-power at n = 2..horizon, sorted
+    nonincreasingly (the raw formula is not monotone near its start for
+    log_power > 0), with the tail model attached: head entry k holds
+    n = k + 1, so the tail carries offset 1.  At most 2^16 values are
+    stored where the tail continues them exactly (_model_sequence)."""
     H = _horizon(horizon, 16, "power-log horizon")
-    _charge_build("power-log", H)
     tail = PowerLogTail(coeff, power, log_power, offset=1)
-    n = np.arange(2, H + 1, dtype=np.float64)
-    with np.errstate(over="ignore"):  # SingularSequence rejects an inf
-        v = np.sort(np.asarray(tail.value(n)))[::-1].copy()
-    return SingularSequence(v, tail)
+    return _model_sequence("power-log", tail, H - 1, sort=True)

@@ -503,7 +503,10 @@ class TestMainExitCodes:
         ("harmonic", {}),
         ("power_log", {"coeff": 1.0, "power": 1.0, "log_power": 0.0}),
     ])
-    def test_huge_horizon_exits_four(self, tmp_path, capsys, kind, extra):
+    def test_huge_horizon_exits_four(self, tmp_path, capsys, monkeypatch,
+                                     kind, extra):
+        # the kind stores 2^16 values, charged 2 MB, whatever its horizon
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "1")
         model = dict(kind=kind, horizon=10**15, **extra)
         cfg = _cfg(experiments=[{"model": model}])
         code = cli.main(["--config", self._write(tmp_path, cfg)])

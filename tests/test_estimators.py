@@ -250,8 +250,9 @@ class TestHeatEstimates:
         # total under 1e-20 at these T; the quadrature grid it replaced
         # was off by 5e-6 to 9e-5 here
         short = dx.power_log_sequence(*args, horizon)
+        n = np.arange(2.0, 2 * 10**6 + 1)
         long = dx.SingularSequence(
-            dx.power_log_sequence(*args, 2 * 10**6).head)
+            np.sort(short.tail.value(n))[::-1].copy())
         got = dx.heat_estimate(short, ts, alpha, "cesaro").raw_series[1]
         want = dx.heat_estimate(long, ts, alpha, "cesaro").raw_series[1]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
@@ -436,7 +437,7 @@ class TestMeasurability:
         # a 1.5/n tail behind the harmonic 1e6 head passes the junction
         # check (0.55): the log average still reads the head's 1, the
         # zeta residue the tail's 1.5
-        head = dx.harmonic_sequence(10**6).head
+        head = 1 / np.arange(1, 10**6 + 1)
         model = dx.SingularSequence(head, tail=dx.PowerLogTail(1.5, 1.0))
         rep = dx.measurability_report(model, methods=("dixmier", "zeta"))
         dix, zeta = rep.estimates["dixmier"], rep.estimates["zeta"]
@@ -597,6 +598,23 @@ class TestHolder:
             assert prod.counts is not None
             np.testing.assert_array_equal(prod.values,
                                           a.values[:L] * b.values[:L])
+
+    def test_powers_and_product_keep_the_scan_horizon(self, monkeypatch):
+        # _seq_power dropped the horizon: the oscillator's square scanned
+        # to 2^16, not 10^7
+        assert estimators._seq_power(dx.oscillator_model(), 2.0).horizon \
+            == 10**7
+        dixmier = estimators.dixmier_estimate
+        seen = []
+
+        def spy(source, *args):
+            seen.append(source.horizon)
+            return dixmier(source, *args)
+
+        monkeypatch.setattr(estimators, "dixmier_estimate", spy)
+        x = dx.power_log_sequence(1.0, 0.5, 0.0, 10**6)
+        dx.holder_check(x, x, 2.0)
+        assert seen == [10**6 - 1] * 3  # xy, x^p and y^q
 
     def test_p_must_exceed_one(self):
         x = dx.harmonic_sequence(2048)

@@ -184,9 +184,12 @@ class TestHeatSumOnSequenceHeads:
     # the kept prefix of a nonincreasing head is summed with the float
     # operations of the masked, order-agnostic sum it replaced
     HEADS = {
-        "harmonic": lambda: sequences.harmonic_sequence(10**5),
-        "power_log": lambda: sequences.power_log_sequence(1.0, 1.0, 2.0,
-                                                          10**5),
+        # every value stored, past one chunk of the stream
+        "harmonic": lambda: sequences.SingularSequence(
+            1 / np.arange(1, 10**5 + 1)),
+        "power_log": lambda: sequences.SingularSequence(np.sort(
+            sequences.PowerLogTail(1.0, 1.0, 2.0).value(
+                np.arange(2.0, 10**5 + 1)))[::-1].copy()),
         "oscillator": lambda: sequences.oscillator_sequence(10**5),
         "torus1": lambda: models.torus_spectrum(1, 1000),
         "torus2": lambda: models.torus_spectrum(2, 300),

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -452,6 +453,68 @@ class TestOscillatorTail:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def _full_build(x):
+    """x with every value to its horizon stored: the tail formula at
+    each index, sorted nonincreasingly."""
+    n = np.arange(1, x.horizon + 1, dtype=np.float64) + x.tail.offset
+    v = np.sort(np.asarray(x.tail.value(n)))[::-1].copy()
+    return dx.SingularSequence(v, x.tail)
+
+
+class TestHeadRule:
+    # model sequences store at most 2^16 values and read the rest from
+    # their exact tail, scanned to their horizon
+    H = 2**20
+
+    @pytest.mark.parametrize("build", [
+        lambda H: dx.harmonic_sequence(H),
+        *(lambda H, b=b: dx.power_log_sequence(1.0, 1.0, b, H + 1)
+          for b in (-1.0, 0.0, 1.0, 3.0)),
+    ], ids=["harmonic", "pl-b-1", "pl-b0", "pl-b1", "pl-b3"])
+    def test_cut_reads_as_the_full_build(self, build):
+        x = build(self.H)
+        full = _full_build(x)
+        assert (x.length, x.horizon, full.length) == (2**16, self.H, self.H)
+        np.testing.assert_array_equal(x.head, full.head[:2**16])
+        for name, method in estimators.METHODS.items():
+            got, want = (method(s, estimators.ZETA_SCHEDULE,
+                                estimators.HEAT_SCHEDULE) for s in (x, full))
+            assert got.status == want.status, name
+            if math.isnan(want.value):
+                assert math.isnan(got.value), name
+                continue
+            tol = 1e-10 * abs(want.value)
+            if want.error_estimate < tol:
+                tol = want.error_estimate
+            assert abs(got.value - want.value) <= tol, name
+
+    def test_a_sorted_head_is_cut_only_where_the_cut_is_exact(self):
+        # at log_power 4 the smallest of the first 2^16 values, mu at
+        # n = 2, sits below the tail's next value, so the full sort
+        # interleaves them: every value is stored
+        x = dx.power_log_sequence(1.0, 1.0, 4.0, 2**18)
+        assert float(x.tail.value(2)) < float(x.tail.value(2**16 + 2))
+        assert x.head.size == x.length == x.horizon == 2**18 - 1
+        cut = dx.power_log_sequence(1.0, 1.0, 3.0, 2**18)
+        assert (cut.length, cut.horizon) == (2**16, 2**18 - 1)
+        np.testing.assert_array_equal(cut.head,
+                                      _full_build(cut).head[:2**16])
+
+    def test_a_huge_horizon_stores_one_head(self):
+        t0 = time.perf_counter()
+        x = dx.harmonic_sequence(10**15)
+        assert time.perf_counter() - t0 < 1.0
+        assert (x.head.size, x.horizon) == (2**16, 10**15)
+        e = dx.dixmier_estimate(x)
+        assert e.status == "Converged"
+        assert e.value == pytest.approx(1.0, abs=1e-9)
+
+    def test_kinds_at_their_default_horizons(self):
+        for x in (dx.harmonic_sequence(), dx.oscillator_model(),
+                  dx.power_log_sequence(1.0, 1.0, 0.0)):
+            assert x.length <= 2**16 < x.horizon
+
+
 class TestLogAverage:
     def test_frozen_harmonic_alpha_100(self):
         h = dx.harmonic_sequence(1024)
@@ -577,7 +640,7 @@ class TestSubmajorization:
         assert dx.submajorizes(expanded, lattice)
 
     def test_charges_its_footprint_before_the_kernel(self, monkeypatch):
-        x = dx.harmonic_sequence(10**6)
+        x = dx.SingularSequence(1 / np.arange(1, 10**6 + 1))
         y = x.scaled(0.5)
         monkeypatch.setenv("DIXLAB_BUDGET_MB", "100")
         with pytest.raises(dx.BudgetError, match="submajorization"):
@@ -585,7 +648,7 @@ class TestSubmajorization:
 
     def test_charge_admits_a_pair_that_fits(self, monkeypatch):
         # a fixed 256 B per run charged this pair 488 MB
-        h = dx.harmonic_sequence(10**6)
+        h = dx.SingularSequence(1 / np.arange(1, 10**6 + 1))
         monkeypatch.setenv("DIXLAB_BUDGET_MB", "300")
         assert dx.submajorizes(h, h.scaled(0.5))
 
@@ -594,7 +657,7 @@ class TestSubmajorization:
     def test_charge_covers_what_the_kernel_holds(self, monkeypatch, name):
         n = 70_000  # past one chunk of the prefix-sum stream
         x = {
-            "harmonic": lambda: dx.harmonic_sequence(n),
+            "harmonic": lambda: dx.SingularSequence(1 / np.arange(1, n + 1)),
             "oscillator": lambda: dx.oscillator_sequence(n),
             "lattice": lambda: dx.torus_spectrum(3, 60),
             # about 1000 binary orders: wide exact integer sums
@@ -899,6 +962,15 @@ class TestTauberianClassification:
         v = dx.tauberian_classify(dx.harmonic_sequence(512))
         assert v.status == "Undetermined"
 
+    @pytest.mark.parametrize("horizon", [64, 100, 127])
+    def test_a_capped_scan_judges_at_least_three_checkpoints(self, horizon):
+        # the last third of 6 checkpoints is 2, whose line leaves no
+        # residual: sorted random values read Tauberian at every cap
+        # from 64 to 127
+        v = np.sort(_rng(3).random(4096))[::-1].copy()
+        x = dx.SingularSequence(v, horizon=horizon)
+        assert dx.tauberian_classify(x).status == "NonTauberian"
+
     def test_zero_sequence_converges_to_zero(self):
         x = dx.SingularSequence(np.zeros(2048))
         v = dx.tauberian_classify(x)
@@ -907,7 +979,7 @@ class TestTauberianClassification:
 
     def test_singularity_first_hundred_entries_do_not_matter(self):
         base = dx.harmonic_sequence(10**6)
-        bumped = np.array(base.values)
+        bumped = 1 / np.arange(1, 10**6 + 1)
         bumped[:100] = bumped[0] * 2.0
         v1 = dx.tauberian_classify(base)
         v2 = dx.tauberian_classify(dx.SingularSequence(bumped))
