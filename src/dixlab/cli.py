@@ -172,7 +172,9 @@ def _coerce(value, target, path, problems):
     return target(value)
 
 
-def _parse_schedule(raw, path, problems, kind):
+def _parse_schedule(raw, path, problems, rule):
+    """raw as a tuple of positive finite floats that the library's
+    schedule rule admits."""
     if raw is None:
         return None
     if not isinstance(raw, list) or not raw:
@@ -186,14 +188,10 @@ def _parse_schedule(raw, path, problems, kind):
                             % (path, i))
             return None
         out.append(float(v))
-    if kind == "zeta":
-        try:
-            sequences._zeta_schedule(out)
-        except ValueError as exc:
-            problems.append("%s: %s" % (path, exc))
-            return None
-    elif any(b <= a for a, b in zip(out, out[1:])):
-        problems.append("%s: schedule must increase" % path)
+    try:
+        rule(out)
+    except ValueError as exc:
+        problems.append("%s: %s" % (path, exc))
         return None
     return tuple(out)
 
@@ -248,12 +246,12 @@ def _parse_experiment(entry, idx, problems):
         problems.append("%s.label: expected a nonempty string" % path)
         return None
     zs = _parse_schedule(entry.get("zeta_schedule"),
-                         "%s.zeta_schedule" % path, problems, "zeta")
+                         "%s.zeta_schedule" % path, problems,
+                         sequences._zeta_schedule)
     hs = _parse_schedule(entry.get("heat_schedule"),
-                         "%s.heat_schedule" % path, problems, "heat")
-    if "heat_cesaro" in methods and hs and hs[0] <= 1:
-        problems.append("%s.heat_schedule: heat_cesaro needs every entry "
-                        "> 1" % path)
+                         "%s.heat_schedule" % path, problems,
+                         lambda ts: estimators._heat_schedule(
+                             ts, "heat_cesaro" in methods))
     if "zeta" in methods and kind in ("torus", "nc_torus"):
         # Tr(T^s) = sum (1+|m|^2)^{-ps} diverges for p*s <= n/2, and the
         # schedule's smallest s is 1 + 1/k_max

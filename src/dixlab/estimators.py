@@ -235,6 +235,20 @@ def _log_heat_tail(x, alpha, lo, hi):
     return tail_quad(lambda u: r(np.exp(u)) * np.exp(-u), edges)
 
 
+def _heat_schedule(t_schedule, cesaro):
+    """The times of a heat schedule as floats, or ValueError unless they
+    are finite, positive and increasing, and for cesaro smoothing, whose
+    mean divides by log T, above 1."""
+    ts = np.asarray(t_schedule, dtype=np.float64)
+    if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts) & (ts > 0)):
+        raise ValueError("t schedule must be finite and positive")
+    if np.any(np.diff(ts) <= 0):
+        raise ValueError("schedule must increase")
+    if cesaro and ts[0] <= 1.0:
+        raise ValueError("heat_cesaro needs every entry > 1")
+    return ts
+
+
 def heat_estimate(source, t_schedule=HEAT_SCHEDULE, alpha_exp=1.0,
                   smoothing="raw"):
     """Normalized heat functional g(t)/Gamma(1/alpha+1) over the
@@ -242,20 +256,14 @@ def heat_estimate(source, t_schedule=HEAT_SCHEDULE, alpha_exp=1.0,
     log-scale mean (1/log T) int_1^T g ds/s and never extrapolates: it
     is [S(T) - S(1)] / log T over the head (kernels.heat_gamma_sum), and
     the tail R adds int_1^T R(s) ds/s^2 (_log_heat_tail)."""
-    ts = np.asarray(t_schedule, dtype=np.float64)
-    if ts.ndim != 1 or ts.size == 0 or np.any(ts <= 0):
-        raise ValueError("t schedule must be positive")
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("t schedule must increase")
     if smoothing not in ("raw", "cesaro"):
         raise ValueError("smoothing must be 'raw' or 'cesaro'")
+    ts = _heat_schedule(t_schedule, smoothing == "cesaro")
     alpha = _alpha(alpha_exp)
     norm = math.gamma(1.0 / alpha + 1.0)
     if smoothing == "raw":
         vals = np.array([heat_trace(source, t, alpha) / norm for t in ts])
         return _series_estimate("heat_raw", ts, vals, 1.0 / ts, True)
-    if ts[0] <= 1.0:
-        raise ValueError("cesaro smoothing needs t > 1")
     x = as_sequence(source)
     s1 = kernels.heat_gamma_sum(x.head, 1.0, alpha, x.counts)
     vals, lo, tail_int = np.empty(ts.size), 1.0, 0.0
@@ -553,17 +561,15 @@ class SquaresEigenvalues:
 @dataclass(frozen=True)
 class TorusEigenvalues:
     """lambda_m = 1 + |m|^2 on Z^2; the partition function closes as
-    e^{-t} theta3(t)^2 (exact), the zeta as a tail-corrected lattice
-    sum."""
-
-    cutoff: int = 600
+    e^{-t} theta3(t)^2 (exact), the zeta as the lattice sum over
+    |m| <= 600 plus its TorusTail."""
 
     def partition(self, t):
         t = np.asarray(t, dtype=np.float64)
         return np.exp(-t) * _theta3(t) ** 2
 
     def zeta_q(self, s):
-        return power_trace(models.torus_spectrum(2, self.cutoff, 1.0), s)
+        return power_trace(models.torus_spectrum(2, 600, 1.0), s)
 
 
 MELLIN_RTOL = 1e-6  # the relative gap within which a Mellin check passes

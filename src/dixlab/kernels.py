@@ -352,13 +352,9 @@ def shell_counts(n, radius):
     for m > 0) and, once per further dimension, adds a copy of the
     shells shifted by each m^2 into a dense 0..radius^2 table, so no
     pass holds more than a few words per table entry or, on the
-    1-torus, per shell.  n in {1, 2, 3}.
+    1-torus, per shell.  n in {1, 2, 3} and the integer radius >= 1 are
+    models._shells' to check.
     """
-    if n not in (1, 2, 3):
-        raise ValueError("lattice dimension must be 1, 2 or 3")
-    radius = int(radius)
-    if radius < 1:
-        raise ValueError("cutoff radius must be >= 1")
     r2 = radius * radius
     squares = np.arange(radius + 1, dtype=np.int64) ** 2
     weights = np.where(squares > 0, 2, 1)

@@ -78,9 +78,6 @@ class PiecewiseFunction:
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "tail_value", float(self.tail_value))
 
-    def __call__(self, t):
-        return evaluate(self, t)
-
     def sup_norm(self):
         return float(max(np.max(np.abs(self.values)), abs(self.tail_value)))
 
@@ -538,13 +535,13 @@ def oscillation_K(f, s):
     return float(np.max(np.abs(cand - base)))
 
 
-def almost_convergence_test(f, windows, tol=1e-2):
+def almost_convergence_test(f, windows):
     """Vanishing-window-mean test.
 
     profile[i] = sup over a t-grid (step W/8, at least 1) of
     |(1/W_i) int_t^(t+W_i) f|; the input almost converges to zero when
     the profile dies out, and the test passes iff the largest window's
-    supremum is <= tol."""
+    supremum is <= 1e-2."""
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 1 or windows.size == 0 or np.any(windows <= 0):
         raise ValueError("windows must be positive")
@@ -560,4 +557,4 @@ def almost_convergence_test(f, windows, tol=1e-2):
             cumulative_integral(f, ts + w) - cumulative_integral(f, ts)
         ) / w
         profile[i] = float(np.max(np.abs(means)))
-    return bool(profile[-1] <= tol), profile
+    return bool(profile[-1] <= 1e-2), profile

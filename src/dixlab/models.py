@@ -59,11 +59,11 @@ def _operator_power(n, power):
 # ------------------------------------------------------- lattice spectra
 
 
-def _charge_shells(n, radius):
-    """Check n and radius and charge the budget for the shell table of
-    kernels.shell_counts(n, radius): at most min(point count, radius^2 +
-    1) entries, six int64 words each with the temporaries of a dense
-    pass."""
+def _shells(n, radius):
+    """kernels.shell_counts(n, radius), once n and radius pass the one
+    check of every lattice path and the budget admits the table: at most
+    min(point count, radius^2 + 1) entries, six int64 words each with
+    the temporaries of a dense pass."""
     _check_dim(n)
     radius = int(radius)
     if radius < 1:
@@ -71,11 +71,6 @@ def _charge_shells(n, radius):
     points = UNIT_BALL_VOL[n] * (radius + 1.0) ** n
     words = 6.0 * min(points, radius * radius + 1.0)
     _check_budget("lattice shell table (radius %d)" % radius, 8.0 * words)
-
-
-def _shells(n, radius):
-    """kernels.shell_counts(n, radius) behind the memory budget."""
-    _charge_shells(n, radius)
     return kernels.shell_counts(n, radius)
 
 
@@ -141,19 +136,17 @@ def torus_spectrum(dimension, cutoff_radius, operator_power=None):
     number of points on the shell as its count, and the TorusTail past
     them.  p is operator_power, n/2 by default."""
     n = dimension
-    _check_dim(n)
+    keys, counts = _shells(n, cutoff_radius)
     p = _operator_power(n, operator_power)
-    radius = int(cutoff_radius)
-    _charge_shells(n, radius)
     # Weyl counting N(lambda) ~ omega_n * lambda^{n/(2p)} inverts to
     # mu_k ~ (omega_n / k)^{2p/n}
     a = 2.0 * p / n
     if a * math.log(UNIT_BALL_VOL[n]) > 709.0:
         raise ValueError("operator power %g puts the Weyl tail past the "
                          "float range" % p)
-    keys, counts = kernels.shell_counts(n, radius)
     tail = TorusTail(UNIT_BALL_VOL[n] ** a, a, dimension=n, operator_power=p,
-                     cutoff_radius=radius, head_length=int(counts.sum()))
+                     cutoff_radius=int(cutoff_radius),
+                     head_length=int(counts.sum()))
     return SingularSequence((1.0 + keys) ** (-p), tail, counts)
 
 
@@ -463,13 +456,13 @@ def _norms(U, V):
     return np.hypot(np.linalg.norm(U, axis=1), np.linalg.norm(V, axis=1))
 
 
-def _residuals(ac, U, V, AV, s):
+def _residuals(U, V, AV, AU, s):
     """||Hx - s x|| / ||x|| of H = [[0, A], [A*, 0]] for each x = (u, v),
-    u, v and A v the rows of U, V and AV, ac the band of conj(A): Hx =
-    (A v, A* u).  NaN where ||x|| overflows."""
+    u, v, A v and A* u the rows of U, V, AV and AU: Hx = (A v, A* u).
+    NaN where ||x|| overflows."""
     s = s[:, None]
     size = _norms(U, V)
-    resid = _norms(AV - s * U, _band_apply(ac, U, adjoint=True) - s * V)
+    resid = _norms(AV - s * U, AU - s * V)
     return np.where(np.isfinite(size), resid / size, np.nan)
 
 
@@ -482,29 +475,53 @@ def _unit(sigma_1):
     return 2.0 ** -max(math.frexp(sigma_1)[1], -1023)
 
 
-def _certify_band(a, sigma):
+def _misses(sigma, resid):
+    """Where a residual is NaN or exceeds _certify's bound 1e-8 *
+    sigma_1 (the band path retries those values)."""
+    scale = float(sigma[0]) if sigma.size and sigma[0] > 0 else 1.0
+    return ~(resid <= 1e-8 * scale)
+
+
+def _certify(sigma, resid, frobenius):
     """Raise CertificateError unless every sigma_i has a vector x with
-    ||Hx - sigma_i x|| <= 1e-8 * sigma_1 ||x||, H = [[0, A], [A*, 0]] the
-    Golub-Kahan matrix of the band a (_symbol_band).  That residual puts
-    an eigenvalue of H within the bound, whatever produced x.
+    resid_i = ||Hx - sigma_i x|| / ||x|| <= 1e-8 * sigma_1, H = [[0, A],
+    [A*, 0]], whose eigenvalues are the +-sigma of A, and sum sigma_i^2
+    equals frobenius = ||A||_F^2 within what values that close allow.
 
-    x = (u, v) comes from one step of inverse iteration on the N x N
-    Gram band A*A: (A*A - sigma^2) v = start for a fixed pseudo-random
-    start, and u = A v / sigma.  Where that fails (sigma is not > 0, the
-    shifted band is singular, or the residual misses the bound) x is one
-    step on the 2N band H - sigma instead, and only if that misses too
-    is the value refused.
+    A residual places each value, whatever produced x, but not the
+    multiset (a value repeated in place of its neighbour passes it):
+    the Frobenius check catches that.  Every argument is in
+    _unit(sigma_1), so the rule decides alike at any scale of A."""
+    scale = float(sigma[0]) if sigma.size and sigma[0] > 0 else 1.0
+    bound = 1e-8 * scale
+    if _misses(sigma, resid).any():
+        worst = float(np.max(resid))  # a NaN residual propagates here
+        raise CertificateError(
+            "singular value residual %.3e * sigma_1 exceeds 1e-8 * sigma_1"
+            % (worst / scale)
+        )
+    gap = abs(float(np.sum(sigma * sigma)) - frobenius)
+    # |s^2 - t^2| <= bound * (2 s + bound) whenever |s - t| <= bound
+    if not gap <= bound * (2.0 * float(np.sum(sigma)) + sigma.size * bound):
+        raise CertificateError(
+            "singular values miss ||A||_F^2 by %.3e * sigma_1^2: a value "
+            "is repeated or lost" % (gap / scale**2)
+        )
 
-    The residuals place each value but not the multiset (a value
-    repeated in place of its neighbour passes them), so sum sigma_i^2
-    must also equal ||A||_F^2, the sum of |a|^2, within what values that
-    close allow.  Both checks run on A and sigma in _unit(sigma_1)."""
+
+def _certify_band(a, sigma):
+    """_certify the singular values sigma of the band a (_symbol_band).
+
+    Each x = (u, v) comes from one step of inverse iteration on the
+    N x N Gram band A*A: (A*A - sigma^2) v = start for a fixed
+    pseudo-random start, and u = A v / sigma.  Where that fails (sigma is
+    not > 0, the shifted band is singular, or the residual misses the
+    bound) x is one step on the 2N band H - sigma instead."""
     unit = _unit(float(sigma[0]))
     a = a * unit
     ac = a.conj()
     sigma = sigma * unit
     scale = float(sigma[0]) if sigma[0] > 0 else 1.0
-    bound = 1e-8 * scale
     N = a.shape[1]
     gram = _general_band(_gram_band(a))
     start = _start(N)
@@ -524,6 +541,10 @@ def _certify_band(a, sigma):
         x = x / np.max(np.abs(x))
         return x[0::2], x[1::2]
 
+    def residuals(U, V, AV, s):
+        return _residuals(U, V, AV, _band_apply(ac, U, adjoint=True), s)
+
+    resid = np.empty(sigma.size)
     # a vector that overflows has a NaN residual: retried, then refused
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, sigma.size, _BLOCK):
@@ -541,26 +562,14 @@ def _certify_band(a, sigma):
                     V[i], on_gram[i] = v / np.max(np.abs(v)), True
             AV = _band_apply(a, V)
             U[on_gram] = AV[on_gram] / block[on_gram, None]
-            resid = _residuals(ac, U, V, AV, block)
-            for i in np.flatnonzero(on_gram & ~(resid <= bound)):
+            r = resid[lo:lo + _BLOCK]
+            r[:] = residuals(U, V, AV, block)
+            for i in np.flatnonzero(on_gram & _misses(sigma, r)):
                 row = slice(i, i + 1)
                 U[i], V[i] = golub_kahan_step(block[i])
                 AV[row] = _band_apply(a, V[row])
-                resid[row] = _residuals(ac, U[row], V[row], AV[row],
-                                        block[row])
-            worst = float(np.max(resid))  # a NaN residual propagates here
-            if not worst <= bound:
-                raise CertificateError(
-                    "singular value residual %.3e * sigma_1 exceeds 1e-8 * "
-                    "sigma_1" % (worst / scale)
-                )
-    gap = abs(float(np.sum(sigma * sigma)) - float(np.vdot(a, a).real))
-    # |s^2 - t^2| <= bound * (2 s + bound) whenever |s - t| <= bound
-    if not gap <= bound * (2.0 * float(np.sum(sigma)) + sigma.size * bound):
-        raise CertificateError(
-            "singular values miss ||A||_F^2 by %.3e * sigma_1^2: a value "
-            "is repeated or lost" % (gap / scale**2)
-        )
+                r[row] = residuals(U[row], V[row], AV[row], block[row])
+    _certify(sigma, resid, float(np.vdot(a, a).real))
 
 
 def _band_singular_values(op):
@@ -603,39 +612,37 @@ def _takes_band_path(a):
 
 
 def singular_values(a):
-    """Singular values, nonincreasing, each certified or CertificateError
-    is raised.
+    """Singular values, nonincreasing, each certified by _certify or
+    CertificateError is raised.
 
     A 1-D TruncatedOperator whose size is large against its symbol's
-    degree takes the banded Golub-Kahan path (_band_singular_values,
-    residual bound 1e-8 * sigma_1).  Anything else takes a dense SVD:
-    every pair must satisfy ||(A*A)v - s^2 v|| <= 1e-8 * ||A||^2."""
+    degree takes the banded Golub-Kahan path (_band_singular_values).
+    Anything else takes a dense SVD, whose own vectors x = (u, v) and
+    ||A||_F^2 go to the same certificate."""
     if _takes_band_path(a):
         return SingularSequence(_band_singular_values(a))
-    # the entries and, at the peak, six more: LAPACK's copy of A, U,
-    # V^H and its workspace, then the certificate's products
+    # the entries and, at the peak, six more: LAPACK's copy of A, U, V^H
+    # and its workspace.  The certificate holds U, V^H and, a quarter of
+    # the values at a time, a few blocks of vectors: less than that peak
     A = _as_matrix(a, "dense SVD", 7)
     try:
-        _, s, vh = linalg.svd(A, full_matrices=False)
+        u, s, vh = linalg.svd(A, full_matrices=False)
     except linalg.LinAlgError as exc:
         raise CertificateError(
             "singular value solver failed: %s" % exc
         ) from exc
-    v = vh.conj().T
-    # in _unit(s_1)^2, scaling each product in place
+    # in _unit(s_1), scaling each product of A
     unit = _unit(float(s[0])) if s.size else 1.0
-    resid = A @ v
-    resid *= unit
-    resid = A.conj().T @ resid
-    resid *= unit
-    resid -= v * (s * unit) ** 2
-    worst = float(np.max(np.linalg.norm(resid, axis=0))) if s.size else 0.0
-    scale = float(s[0] * unit) ** 2 if s.size and s[0] > 0 else 1.0
-    if not worst <= 1e-8 * scale:
-        raise CertificateError(
-            "singular value residual %.3e * ||A||^2 exceeds 1e-8 * ||A||^2"
-            % (worst / scale)
-        )
+    resid, frobenius = np.empty(s.size), 0.0
+    step = s.size // 4 + 1
+    for lo in range(0, s.size, step):
+        rows = slice(lo, lo + step)
+        U, V = u[:, rows].T, vh[rows].conj()  # rows u_i and v_i
+        AU = (U.conj() @ A).conj() * unit  # rows A* u_i
+        resid[rows] = _residuals(U, V, (V @ A.T) * unit, AU, s[rows] * unit)
+        block = A[rows] * unit
+        frobenius += float(np.vdot(block, block).real)
+    _certify(s * unit, resid, frobenius)
     return SingularSequence(s)
 
 
@@ -651,20 +658,21 @@ def _positive_parts(H):
 
 def hermitian_decompose(a):
     """T = T1 - T2 + i T3 - i T4 with all four parts positive
-    semidefinite, T1 T2 = 0 and T3 T4 = 0 (certified)."""
+    semidefinite, T1 T2 = 0 and T3 T4 = 0, certified in _unit(max |T|)
+    (so at any scale of T) or CertificateError is raised."""
     # the input and, at the peak, eight more (H, K, the parts, eigh's)
     A = _as_matrix(a, "hermitian decomposition", 9)
-    H = 0.5 * (A + A.conj().T)
-    K = (A - A.conj().T) / 2j
-    t1, t2 = _positive_parts(H)
-    t3, t4 = _positive_parts(K)
-    scale = max(float(np.linalg.norm(A)), 1e-300)
-    recon = t1 - t2 + 1j * (t3 - t4)
-    if float(np.linalg.norm(recon - A)) > 1e-10 * scale:
-        raise RuntimeError("positive-part reconstruction failed")
+    t1, t2 = _positive_parts(0.5 * (A + A.conj().T))
+    t3, t4 = _positive_parts((A - A.conj().T) / 2j)
+    unit = _unit(float(np.max(np.abs(A)))) if A.size else 1.0
+    scale = float(np.linalg.norm(A * unit))
+    gap = (t1 - t2 + 1j * (t3 - t4) - A) * unit
+    if not float(np.linalg.norm(gap)) <= 1e-10 * scale:
+        raise CertificateError("positive-part reconstruction failed")
     for x, y in ((t1, t2), (t3, t4)):
-        if float(np.linalg.norm(x @ y)) > 1e-8 * scale * scale:
-            raise RuntimeError("positive/negative parts not orthogonal")
+        if not float(np.linalg.norm((x * unit) @ (y * unit))) <= (
+                1e-8 * scale * scale):
+            raise CertificateError("positive/negative parts not orthogonal")
     return t1, t2, t3, t4
 
 
@@ -720,10 +728,6 @@ class NCTorusElement:
             clean[(m, n)] = val
         object.__setattr__(self, "coefficients", clean)
         object.__setattr__(self, "theta", th)
-
-    @property
-    def lam(self):
-        return cmath.exp(2j * math.pi * self.theta)
 
 
 def nc_element(coefficients, theta):
@@ -795,11 +799,12 @@ def connes_rhs(f, n):
 # ------------------------------------------------------ domination check
 
 
-def domination_check(basis_profiles, candidate, atol=1e-12):
+def domination_check(basis_profiles, candidate):
     """True iff every profile |h_m(x)|^2 is pointwise below the
-    candidate |h(x)|^2 on the shared grid (the multiplication-algebra
-    surrogate for projection domination).  atol absorbs roundoff in
-    profiles that are analytically equal to the candidate."""
+    candidate |h(x)|^2 plus 1e-12 on the shared grid (the
+    multiplication-algebra surrogate for projection domination); the
+    1e-12 absorbs roundoff in profiles that are analytically equal to
+    the candidate."""
     cand = np.asarray(candidate, dtype=np.float64)
     if np.any(cand < 0.0):
         raise ValueError("candidate profile must be nonnegative")
@@ -810,4 +815,4 @@ def domination_check(basis_profiles, candidate, atol=1e-12):
         raise ValueError("profile grid does not match candidate grid")
     if np.any(profiles < 0.0):
         raise ValueError("profiles must be nonnegative")
-    return bool(np.all(profiles <= cand + atol))
+    return bool(np.all(profiles <= cand + 1e-12))

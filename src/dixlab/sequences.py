@@ -613,17 +613,14 @@ class LogAverageSeries:
     checkpoints: np.ndarray
     alphas: np.ndarray
 
-    def __len__(self):
-        return int(self.checkpoints.size)
 
-
-def dyadic_schedule(limit, start=1):
-    """Checkpoints 2^start .. 2^J with 2^J <= limit."""
+def dyadic_schedule(limit):
+    """Checkpoints 2 .. 2^J with 2^J <= limit."""
     limit = int(limit)
-    if limit < 2**start:
+    if limit < 2:
         raise ValueError("limit %d below first checkpoint" % limit)
     J = limit.bit_length() - 1
-    return 2 ** np.arange(start, J + 1, dtype=np.int64)
+    return 2 ** np.arange(1, J + 1, dtype=np.int64)
 
 
 def _validate_checkpoints(ks):

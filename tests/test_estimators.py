@@ -292,6 +292,17 @@ class TestHeatEstimates:
             dx.heat_estimate(dx.harmonic_sequence(2048), (1e2,),
                              smoothing="bogus")
 
+    @pytest.mark.parametrize("smoothing", ["raw", "cesaro"])
+    @pytest.mark.parametrize("schedule", [(1e2, math.nan, 1e4),
+                                          (1e2, 1e4, math.inf)])
+    def test_schedule_entries_must_be_finite(self, schedule, smoothing):
+        # a NaN read "t and alpha must be positive" (raw) or "heat
+        # evaluation divergent ... at t=nan" (cesaro), an inf "divergent"
+        with pytest.raises(ValueError, match="^t schedule must be finite "
+                                             "and positive$"):
+            dx.heat_estimate(dx.harmonic_sequence(4096), schedule, 1.0,
+                             smoothing)
+
 
 class TestOscillatorModel:
     def test_scheduled_zeta_values_frozen(self, oscillator_1e7):

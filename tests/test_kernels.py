@@ -425,11 +425,6 @@ class TestShellCounts:
         np.testing.assert_array_equal(keys, want_keys)
         np.testing.assert_array_equal(counts, want_counts)
 
-    @pytest.mark.parametrize("n,radius", [(0, 3), (4, 3), (2, 0), (3, -1)])
-    def test_rejects_bad_dimension_and_radius(self, n, radius):
-        with pytest.raises(ValueError):
-            kernels.shell_counts(n, radius)
-
 
 class TestLatticeW:
     @pytest.mark.parametrize("n,radius", [(1, 7), (2, 11), (3, 6)])
@@ -443,10 +438,6 @@ class TestLatticeW:
         # radius 5: (3, 4) sits exactly on the circle and must be counted
         w = kernels.lattice_w(2, 5)
         assert int(np.sum(w == 26)) == 12  # (+-3,+-4),(+-4,+-3),(0,+-5),(+-5,0)
-
-    def test_dimension_validation(self):
-        with pytest.raises(ValueError):
-            kernels.lattice_w(4, 3)
 
 
 class TestHeatGammaSum:

@@ -21,6 +21,15 @@ class TestLatticeCounting:
         want = len(oracles.brute_lattice_points(n, radius))
         assert models.lattice_count(n, radius) == want
 
+    @pytest.mark.parametrize("n,radius", [(0, 3), (4, 3), (2, 0), (3, -1)])
+    def test_rejects_bad_dimension_and_radius(self, n, radius):
+        # models._shells checks both for every lattice path; the kernel
+        # takes them as given
+        with pytest.raises(ValueError):
+            models.lattice_count(n, radius)
+        with pytest.raises(ValueError):
+            models.torus_spectrum(n, radius)
+
     def test_count_table_respects_budget(self, monkeypatch):
         monkeypatch.setenv("DIXLAB_BUDGET_MB", "1")
         with pytest.raises(models.BudgetError):
@@ -478,18 +487,31 @@ class TestSingularValuesAndDecomposition:
         with pytest.raises(models.CertificateError, match="residual"):
             models.singular_values(op)
 
-    def test_dense_nan_value_fails_certificate(self, monkeypatch):
-        # a NaN residual compared false against the bound and passed
+    @pytest.mark.parametrize("corruption", ["nan", "repeated"])
+    def test_dense_corrupted_value_fails_certificate(self, monkeypatch,
+                                                     corruption):
+        # a NaN residual compared false against the bound and passed, and
+        # sigma_2 written over sigma_3 with its vectors passed the Gram
+        # residual: 1.18906 twice, 1.14141 lost
         svd = linalg.svd
 
-        def nan_value(*args, **kwargs):
+        def corrupted(*args, **kwargs):
             u, s, vh = svd(*args, **kwargs)
-            s[3] = math.nan
+            if corruption == "repeated":
+                u[:, 2], s[2], vh[2] = u[:, 1], s[1], vh[1]
+            else:
+                s[3] = math.nan
             return u, s, vh
 
-        monkeypatch.setattr(models.linalg, "svd", nan_value)
-        op = models.multiplication_matrix(_symbol("symmetric", 1), 1, 4)
-        with pytest.raises(models.CertificateError, match="residual nan"):
+        monkeypatch.setattr(models.linalg, "svd", corrupted)
+        f = dx.FourierMultiplier(
+            {(0, 0): 2.0, (1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.25j,
+             (0, -1): -0.25j}
+        )
+        op = models.multiplication_matrix(f, 2, 6)
+        reason = {"nan": "residual nan",
+                  "repeated": "repeated or lost"}[corruption]
+        with pytest.raises(models.CertificateError, match=reason):
             models.singular_values(op)
 
     def test_unitary_invariance(self):
@@ -527,6 +549,29 @@ class TestSingularValuesAndDecomposition:
         for t in (t1, t2, t3, t4):
             lam = np.linalg.eigvalsh(t)
             assert lam.min() >= -1e-10 * max(scale, 1.0)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e100, 1e160, 1e200])
+    def test_decomposition_certificate_holds_at_any_scale(self, monkeypatch,
+                                                          scale):
+        # at 1e160 and 1e200 both sides of the orthogonality check
+        # overflowed to inf, and at 1e-200 underflowed to 0, so a split
+        # whose parts overlap passed
+        r = _rng(4)
+        m = scale * (r.standard_normal((10, 10))
+                     + 1j * r.standard_normal((10, 10)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            models.hermitian_decompose(m)
+        positive_parts = models._positive_parts
+
+        def overlapping(H):
+            pos, neg = positive_parts(H)
+            shift = np.max(np.abs(H)) * np.eye(H.shape[0])
+            return pos + shift, neg + shift
+
+        monkeypatch.setattr(models, "_positive_parts", overlapping)
+        with pytest.raises(models.CertificateError, match="not orthogonal"):
+            models.hermitian_decompose(m)
 
 
 class TestNCTorus:
