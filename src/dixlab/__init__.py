@@ -73,13 +73,10 @@ from .models import (
     torus_spectrum,
 )
 from .estimators import (
-    ExplicitEigenvalues,
     HolderReport,
     MeasurabilityReport,
     MellinReport,
-    SquaresEigenvalues,
     SublatticeProjection,
-    TorusEigenvalues,
     TraceEstimate,
     dixmier_estimate,
     heat_estimate,

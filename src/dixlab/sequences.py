@@ -144,10 +144,16 @@ class PowerLogTail:
         if a == 1.0:
             if math.isinf(u1) and b >= -1.0:
                 return math.inf, 0.0
+            # d = u1 - u0 and r = log(u1 / u0) by log1p, not as
+            # differences of rounded logs
+            d = math.log1p((x1 - x0) / x0) if math.isfinite(u1) else u1
+            if b == 0.0:
+                return coeff * d, 0.0
+            r = math.log1p(d / u0)
             if b == -1.0:
-                return coeff * (math.log(u1) - math.log(u0)), 0.0
-            hi = 0.0 if math.isinf(u1) else u1 ** (b + 1.0)
-            return coeff * (hi - u0 ** (b + 1.0)) / (b + 1.0), 0.0
+                return coeff * r, 0.0
+            return coeff * u0 ** (b + 1.0) * math.expm1((b + 1.0) * r) \
+                / (b + 1.0), 0.0
         if a < 1.0 and math.isinf(u1):
             return math.inf, 0.0
         kappa = a - 1.0
@@ -583,12 +589,10 @@ def as_sequence(x):
 
 
 def power_trace(source, s):
-    """Tr(T^s) = sum over n of mu_n**s for an evaluator s -> Tr(T^s) or
-    a sequence: the head kernel sum plus tail_power_sum from index
-    length + 1, taken first so that a divergent s (an infinite tail) is
-    refused before the head is summed."""
-    if callable(source):
-        return float(source(s))
+    """Tr(T^s) = sum over n of mu_n**s for a sequence (or an array,
+    through as_sequence): the head kernel sum plus tail_power_sum from
+    index length + 1, taken first so that a divergent s (an infinite
+    tail) is refused before the head is summed."""
     x = as_sequence(source)
     tail = 0.0 if x.tail is None else tail_power_sum(x.tail, s, x.length + 1)
     if math.isinf(tail):
@@ -750,16 +754,17 @@ def _zeta_schedule(k_schedule):
 
 def zeta_norm_z1(source, k_schedule=None):
     """limsup over the schedule of (1/k) * Tr(T^(1+1/k))^(k/(k+1)), by
-    power_trace of an evaluator or a sequence.  Without a tail only the
-    head is summed, which undershoots once 1/k is small against
-    1/log(length), and the default schedule stops at 2^14, not 2^20."""
+    power_trace of the sequence.  Without a tail only the head is
+    summed, which undershoots once 1/k is small against 1/log(length),
+    and the default schedule stops at 2^14, not 2^20."""
+    x = as_sequence(source)
     if k_schedule is None:
-        closed = callable(source) or as_sequence(source).tail is not None
-        k_schedule = 2 ** np.arange(3, 21 if closed else 15, dtype=np.int64)
+        k_schedule = 2 ** np.arange(3, 15 if x.tail is None else 21,
+                                    dtype=np.int64)
     best = 0.0
     for k in map(float, _zeta_schedule(k_schedule)):
         try:
-            total = power_trace(source, 1.0 + 1.0 / k)
+            total = power_trace(x, 1.0 + 1.0 / k)
         except ValueError:  # a divergent zeta tail, refused
             return math.inf
         best = max(best, total ** (k / (k + 1.0)) / k)

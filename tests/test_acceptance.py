@@ -246,10 +246,13 @@ def test_criterion_7_norm_calculus(torus_2000, verdict):
         for r in (r2, r3)
     )
 
+    # Q = T^-1 with eigenvalues 1, 2, 5; n^2, n >= 1; 1 + |m|^2 on Z^2
+    squares = dx.SingularSequence(1.0 / np.arange(1.0, 1025.0) ** 2,
+                                  dx.PowerLogTail(1.0, 2.0))
     mell = [
-        dx.mellin_check(dx.ExplicitEigenvalues((1.0, 2.0, 5.0)), 2.0),
-        dx.mellin_check(dx.SquaresEigenvalues(), 1.5),
-        dx.mellin_check(dx.TorusEigenvalues(), 2.0),
+        dx.mellin_check(np.array([1.0, 0.5, 0.2]), 2.0),
+        dx.mellin_check(squares, 1.5),
+        dx.mellin_check(dx.torus_spectrum(2, 200, 1.0), 2.0),
     ]
     mellin_ok = all(r.passed and r.rel_error <= 1e-6 for r in mell)
 

@@ -120,14 +120,6 @@ class TestZetaResidueEstimate:
             want = oracles.mp_zeta(1.0 + 1.0 / k) / k
             assert v == pytest.approx(want, rel=1e-7)
 
-    def test_callable_evaluator_accepted(self):
-        e = dx.zeta_residue_estimate(lambda s: oracles.mp_zeta(s))
-        assert e.status == "Converged"
-        # the schedule's own extrapolation error, pinned by the oracle
-        assert e.value - 1.0 == pytest.approx(
-            oracles.FROZEN["harmonic_zeta_extrap_err"], abs=2e-6
-        )
-
     def test_bare_head_guard_refuses_when_truncation_dominates(self):
         x = dx.SingularSequence(1.0 / np.arange(1.0, 2049.0))
         e = dx.zeta_residue_estimate(x, k_schedule=(25, 50, 100, 200))
@@ -157,17 +149,14 @@ class TestZetaResidueEstimate:
         assert e.value == pytest.approx(0.0, abs=1e-3)
 
     def test_divergent_evaluator_raises(self):
-        x = dx.SingularSequence(np.full(100, 1.0))
-
-        def bad(s):
-            return math.inf
-
+        # n^-1/2 past the head: its zeta sum diverges at every s <= 2
+        x = dx.SingularSequence(np.ones(1), dx.PowerLogTail(1.0, 0.5))
         with pytest.raises(ValueError, match="divergent"):
-            dx.zeta_residue_estimate(bad)
+            dx.zeta_residue_estimate(x)
 
     def test_schedule_must_increase(self):
         with pytest.raises(ValueError):
-            dx.zeta_residue_estimate(lambda s: 1.0 / (s - 1.0),
+            dx.zeta_residue_estimate(dx.harmonic_sequence(1024),
                                      k_schedule=(50, 25))
 
 
@@ -633,15 +622,22 @@ class TestHolder:
             dx.holder_check(x, x, 1.0)
 
 
+def _squares():
+    """1/n^2, n >= 1: a 2^10-value head and its PowerLogTail."""
+    return dx.SingularSequence(1.0 / np.arange(1.0, 1025.0) ** 2,
+                               dx.PowerLogTail(1.0, 2.0))
+
+
 class TestMellin:
     def test_explicit_eigenvalues(self):
-        rep = dx.mellin_check(dx.ExplicitEigenvalues((1.0, 2.0, 5.0)), 2.0)
+        # Q has eigenvalues 1, 2 and 5
+        rep = dx.mellin_check(np.array([1.0, 0.5, 0.2]), 2.0)
         assert rep.passed
         assert rep.rel_error <= 1e-6
         assert 0.0 < rep.error_bound <= 1e-12 * abs(rep.integral)
 
     def test_squares_eigenvalues(self):
-        rep = dx.mellin_check(dx.SquaresEigenvalues(), 1.5)
+        rep = dx.mellin_check(_squares(), 1.5)
         assert rep.passed
         assert rep.rel_error <= 1e-6
         assert 0.0 < rep.error_bound <= 1e-12 * abs(rep.integral)
@@ -650,27 +646,47 @@ class TestMellin:
         )
 
     def test_torus_eigenvalues(self):
-        rep = dx.mellin_check(dx.TorusEigenvalues(), 2.0)
+        rep = dx.mellin_check(dx.torus_spectrum(2, 200, 1.0), 2.0)
         assert rep.passed
         assert rep.rel_error <= 1e-6
         assert 0.0 < rep.error_bound <= 1e-12 * abs(rep.integral)
 
-    def test_refused_quadrature_is_undetermined(self):
-        class NanPartition(dx.ExplicitEigenvalues):
-            def partition(self, t):
-                return np.full(np.shape(t), math.nan)
+    @pytest.mark.parametrize("build,s", [
+        (lambda: dx.harmonic_sequence(2**12), 2.0),
+        (lambda: dx.oscillator_model(2**12), 2.0),
+        (lambda: dx.power_log_sequence(1.0, 2.0, 1.0, 2**12), 1.5),
+        (lambda: dx.power_log_sequence(1.0, 2.0, -1.0, 2**12), 1.5),
+        (lambda: dx.power_log_sequence(2.0, 1.5, 0.5, 64), 2.0),
+    ])
+    def test_identity_through_every_heat_tail_closure(self, build, s):
+        # the heat tails here run _heat_quad and OscillatorTail's
+        # heat_integral for t from 4e-3 to 1e14
+        rep = dx.mellin_check(build(), s)
+        assert rep.passed
+        assert rep.rel_error <= estimators.MELLIN_RTOL
 
-        rep = dx.mellin_check(NanPartition((1.0, 2.0)), 2.0)
+    def test_refused_quadrature_is_undetermined(self, monkeypatch):
+        monkeypatch.setattr(estimators, "heat_trace",
+                            lambda *args: math.nan)
+        rep = dx.mellin_check(np.array([1.0, 0.5]), 2.0)
         assert rep.passed is None
         assert math.isnan(rep.rel_error) and math.isnan(rep.error_bound)
         assert rep.reference == pytest.approx(1.25)
 
-    def test_theta_switch_is_continuous(self):
-        from dixlab.estimators import _theta3
 
-        below = float(_theta3(np.nextafter(1.0, 0.0)))
-        above = float(_theta3(1.0))
-        assert below == pytest.approx(above, rel=1e-13)
+class TestCallableSource:
+    """A function s -> Tr(T^s) is not a source: every trace reads a
+    sequence."""
+
+    @pytest.mark.parametrize("run", [
+        lambda f: dx.power_trace(f, 2.0),
+        lambda f: dx.zeta_residue_estimate(f),
+        lambda f: dx.zeta_norm_z1(f),
+        lambda f: dx.mellin_check(f, 2.0),
+    ])
+    def test_is_refused(self, run):
+        with pytest.raises(TypeError):
+            run(lambda s: oracles.mp_zeta(s))
 
 
 class TestTraceEstimateInvariants:

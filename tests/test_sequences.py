@@ -390,6 +390,21 @@ class TestTailQuadrature:
         assert got == pytest.approx(want, rel=1e-12)
         assert 0.0 < abs(got - want) <= bound or got == want
 
+    @pytest.mark.parametrize("k", [2**17, 2**18, 2**19])
+    @pytest.mark.parametrize("b", [0.0, -1.0, 0.5])
+    def test_integral_at_power_one_is_within_roundoff(self, b, k):
+        # the tail past the 2^16-value harmonic head: as differences of
+        # rounded logs near 12, log(k) - log(65537) is 3.3e-16 to 5.0e-16
+        # off at these k, and log log k - log log 65537 2.9e-15 relative
+        got, bound = dx.PowerLogTail(1.0, 1.0, b).integral(65537, k)
+        with mpmath.workdps(40):
+            u0, u1 = mpmath.log(65537), mpmath.log(k)
+            want = mpmath.log(u1 / u0) if b == -1.0 else \
+                (u1 ** (b + 1) - u0 ** (b + 1)) / (b + 1)
+            err = abs(got - want)
+        assert bound == 0.0
+        assert err <= (1.5e-16 if b == 0.0 else 4e-16 * want)
+
     def test_polynomial_is_exact_within_its_bound(self):
         got, bound = sequences.tail_quad(lambda x: x**5, [0.0, 1.0, 2.0])
         assert abs(got - 32.0 / 3.0) <= bound <= 1e-12 * got
@@ -720,13 +735,13 @@ class TestZ1AndRiesz:
             oracles.FROZEN["harmonic_z1"], abs=1e-6
         )
 
-    def test_z1_accepts_exact_evaluator(self):
+    def test_z1_matches_the_euler_maclaurin_zeta(self):
         h = dx.harmonic_sequence(10**4)
         ks = 2 ** np.arange(3, 15, dtype=np.int64)
         via_tail = dx.zeta_norm_z1(h, k_schedule=ks)
-        via_fn = dx.zeta_norm_z1(
-            lambda s: oracles.harm_zeta_em(s, 10**4), k_schedule=ks)
-        assert via_fn == pytest.approx(via_tail, rel=1e-7)
+        want = max(oracles.harm_zeta_em(1.0 + 1.0 / k, 10**4)
+                   ** (k / (k + 1.0)) / k for k in map(float, ks))
+        assert want == pytest.approx(via_tail, rel=1e-7)
 
     def test_riesz_proxy_on_harmonic(self):
         h = dx.harmonic_sequence(2**16)
