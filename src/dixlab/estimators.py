@@ -33,6 +33,7 @@ from .sequences import (
     log_average,
     power_trace,
     tail_heat_sum,
+    tail_power_sum,
     tail_quad,
     tauberian_classify,
 )
@@ -350,10 +351,11 @@ def product_zeta_sequence(a, x, k_schedule=ZETA_SCHEDULE):
     linear-in-1/k extrapolated residue.
 
     Exact routes: Fourier multipliers (Tr(f T^s) = fhat(0) zeta_T(s))
-    and stride sublattice projections (rescaled lattice sum with a
-    density-scaled tail).  Anything else has no exact product-trace
-    formula here; build the multiplication matrix and estimate from its
-    singular values instead."""
+    and stride sublattice projections (rescaled lattice sum plus
+    1/stride^n of the Weyl tail's sum, tail_power_sum past the torus
+    head).  Anything else has no exact product-trace formula here; build
+    the multiplication matrix and estimate from its singular values
+    instead."""
     tail = getattr(x, "tail", None)
     if not isinstance(tail, models.TorusTail):
         raise TypeError("x must be a torus spectrum (models.torus_spectrum)")
@@ -380,7 +382,8 @@ def product_zeta_sequence(a, x, k_schedule=ZETA_SCHEDULE):
         keys, counts = models._shells(n, R // stride)
         head = (stride * stride * keys + 1.0) ** -p
         vals = np.array([(kernels.power_sum(head, 1 + 1 / k, counts=counts)
-                          + tail.power_sum(1 + 1 / k) / stride**n) / k
+                          + tail_power_sum(tail, 1 + 1 / k, x.length + 1)
+                          / stride**n) / k
                          for k in ks])
         note = "sublattice counting with density-scaled tail"
     else:
@@ -518,11 +521,17 @@ def mellin_check(source, s):
     eigenvalue mu, and tau below 1e-14, where Tr(e^{-tau Q}) is at most
     the number N of eigenvalues (1e-14^s N / s for a finite one) and
     grows like 1/tau on a (1,inf) sequence: the harmonic at s = 1.5
-    omits 2e-7, 8.6e-8 of its reference.  Where the rule raises
-    ValueError (a heat value not finite, a bound that will not settle)
-    passed is None, never a forced verdict."""
+    omits 2e-7, 8.6e-8 of its reference.  A reference past the float64
+    range raises ValueError naming s.  Where the rule raises ValueError
+    (a heat value not finite, a bound that will not settle) passed is
+    None, never a forced verdict."""
     s, x = float(s), as_sequence(source)
-    reference = math.gamma(s) * power_trace(x, s)
+    try:
+        gamma = math.gamma(s)
+    except OverflowError:
+        gamma = math.inf
+    reference = _finite(gamma * power_trace(x, s), "Mellin reference",
+                        "s=%g" % s)
 
     def integrand(u):  # tau^s Tr(e^{-tau Q}) at tau = e^u
         return np.exp((s - 1.0) * u) * np.array(

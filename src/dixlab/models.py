@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, special
+from scipy import linalg
 
 from . import kernels
 from .sequences import (  # BudgetError: models.BudgetError stays public
@@ -80,31 +80,16 @@ def lattice_count(n, radius):
     return int(_shells(n, radius)[1].sum())
 
 
-def _zeta_tail(n, q, radius):
-    """Integral of (1+|x|^2)^{-q} over |x| > radius in R^n.
-
-    u = 1/(1+|x|^2) turns it into Vol(S^{n-1})/2 * B(a, n/2) * I(u_R; a,
-    n/2), a = q - n/2, an incomplete beta function that stays exact as
-    q -> n/2+, where quadrature over [radius^2, inf) loses the slowly
-    decaying integrand (the 3-torus at radius 200 read 35 for 774).
-    For n = 2 it is elementary."""
-    r = float(radius)
-    if n == 2:
-        return math.pi * (1.0 + r * r) ** (1.0 - q) / (q - 1.0)
-    a = q - 0.5 * n
-    u = 1.0 / (1.0 + r * r)
-    return (0.5 * SPHERE_VOL[n] * special.beta(a, 0.5 * n)
-            * special.betainc(a, 0.5 * n, u))
-
-
 @dataclass(frozen=True, kw_only=True)
 class TorusTail(PowerLogTail):
     """The Weyl tail coeff * k^-power, power = 2p/n and coeff omega_n^power
     (times the factor of SingularSequence.scaled), past the spectrum
     (1+|m|^2)^-p of the n-torus over |m| <= cutoff_radius, p the
-    operator_power.  value, powered, slopes and heat_integral are the
-    PowerLogTail's; power_sum closes the power sums past that head
-    exactly, so the tail continues that head only: head_length, its
+    operator_power.  Every sum past the head (log-average, power and
+    heat) is the PowerLogTail's Euler-Maclaurin sum; the sum of s-th
+    powers diverges for s <= 1/power, that is p s <= n/2.  Inside its
+    ball the torus's values are the lattice shells, not the Weyl
+    formula, so the tail continues that head only: head_length, its
     number of lattice points, is the only length SingularSequence
     accepts in front of it."""
 
@@ -112,22 +97,6 @@ class TorusTail(PowerLogTail):
     operator_power: float
     cutoff_radius: int
     head_length: int
-
-    def power_sum(self, s):
-        """sum over |m| > cutoff_radius of the s-th powers: the continuum
-        integral _zeta_tail of (1+|m|^2)^{-ps} times (coeff /
-        omega_n^power)^s, which is 1 unless the spectrum was scaled.  It
-        diverges for s <= n/(2p), which raises, naming s; +inf past the
-        float range."""
-        n, p, s = self.dimension, self.operator_power, float(s)
-        if p * s <= n / 2.0:
-            raise ValueError("zeta sum diverges at s=%g (needs s > %g)"
-                             % (s, n / (2.0 * p)))
-        try:
-            factor = (self.coeff / UNIT_BALL_VOL[n] ** self.power) ** s
-        except OverflowError:
-            return math.inf
-        return factor * float(_zeta_tail(n, p * s, self.cutoff_radius))
 
 
 def torus_spectrum(dimension, cutoff_radius, operator_power=None):
@@ -239,28 +208,6 @@ class FourierMultiplier:
     @property
     def fhat0(self):
         return self.coefficients.get((0,) * self.dim, 0j)
-
-    def value_on_grid(self, grid_points):
-        """Symbol values on the uniform grid (2pi k / G)^n."""
-        G = int(grid_points)
-        if G < 1:
-            raise ValueError("need at least one grid point")
-        theta = 2.0 * math.pi * np.arange(G) / G
-        vals = np.zeros((G,) * self.dim, dtype=np.complex128)
-        for key, c in self.coefficients.items():
-            term = np.complex128(c)
-            for axis, k in enumerate(key):
-                shape = [1] * self.dim
-                shape[axis] = G
-                term = term * np.exp(1j * k * theta).reshape(shape)
-            vals = vals + term
-        return vals
-
-    def mean_value(self):
-        """Quadrature mean over the torus; equals fhat(0) exactly for a
-        trig polynomial once the grid resolves the degree."""
-        G = 2 * self.degree + 1
-        return complex(np.mean(self.value_on_grid(G)))
 
 
 @dataclass(frozen=True, eq=False)  # array fields: identity equality
@@ -680,15 +627,15 @@ def expectation_sequence(a, basis=None):
     """Diagonal expectations <h_m, a h_m> in a given basis.
 
     FourierMultiplier a: the model eigenbasis is the torus exponentials
-    and every expectation equals the quadrature mean of the symbol
-    (= fhat(0) for trig polynomials); basis gives the length, either an
-    integer or an array of lattice points.  Dense a: basis is a unitary
-    whose columns are the h_m (identity if omitted)."""
+    and every expectation equals the mean of the symbol, fhat(0); basis
+    gives the length, either an integer or an array of lattice points.
+    Dense a: basis is a unitary whose columns are the h_m (identity if
+    omitted)."""
     if isinstance(a, FourierMultiplier):
         if basis is None:
             raise ValueError("multiplier expectations need a basis length")
         count = int(basis) if np.isscalar(basis) else int(np.shape(basis)[0])
-        return np.full(count, a.mean_value(), dtype=np.complex128)
+        return np.full(count, a.fhat0, dtype=np.complex128)
     # with a basis: A, U and the two products U* A and U* A U
     A = _as_matrix(a, "expectations", 1 if basis is None else 4)
     if basis is None:

@@ -1,9 +1,9 @@
 """Singular value sequences and their logarithmic averaging calculus.
 
 A sequence is a finite nonincreasing nonnegative head, optionally
-continued by a tail model from one of three families: the power-log
-tail C * (log n)^b * n^(-a), the torus's Weyl tail (models.TorusTail, a
-power-log tail that also closes its own power sums) and the oscillator.
+continued by a tail model from one of two families: the power-log tail
+C * (log n)^b * n^(-a), of which the torus's Weyl tail (models.TorusTail)
+is one, and the oscillator.
 All the trace-style functionals here (log averages, the 1-infinity
 norm, the Riesz window proxy, the zeta-power norm, Tauberian
 classification) consume that representation.
@@ -88,10 +88,8 @@ def _check_budget(what, need_bytes):
 # A tail model has value(n), powered(s), integral, slopes and
 # heat_integral, all that the tail sums read; its mu is C (log
 # n)^log_power n^-power times a bounded factor whose limsup and
-# log-average limsup are peaks.  A tail that has an exact sum of its
-# powers past its head (models.TorusTail) also has power_sum(s), which
-# tail_power_sum returns in place of the Euler-Maclaurin sum, and
-# head_length, the length of that head, the only one it continues.
+# log-average limsup are peaks.  A tail that continues one head only
+# (models.TorusTail) also has head_length, the length of that head.
 
 
 def _check_tail(coeff, power):
@@ -386,14 +384,10 @@ _MIN_NORMAL = 2.0**-1022  # the smallest normal float
 
 def tail_power_sum(tail, s, lo):
     """The sum of the tail's s-th powers over sequence indices >= lo,
-    +inf past the float range.  A tail with its own closure (power_sum,
-    the sum past the head it was built with: lo is the index after that
-    head) returns it.  Any other sum is tail_sum of the powered tail;
-    where coeff**s is not a normal float or the sum overflows, the sum,
-    linear in coeff**s, is taken with 2^-m coeff**s and scaled by 2^m."""
-    closure = getattr(tail, "power_sum", None)
-    if closure is not None:
-        return closure(s)
+    +inf where it diverges or passes the float range: tail_sum of the
+    powered tail.  Where coeff**s is not a normal float or the sum
+    overflows, the sum, linear in coeff**s, is taken with 2^-m coeff**s
+    and scaled by 2^m."""
     try:
         if tail.coeff**s >= _MIN_NORMAL:
             return tail_sum(tail.powered(s), lo)
@@ -485,7 +479,7 @@ def _expand_runs(head, counts):
 class SingularSequence:
     """Nonincreasing nonnegative head values plus optional tail model:
     a PowerLogTail, a models.TorusTail (the torus spectrum's, which
-    closes its own power sums) or an OscillatorTail.
+    continues that spectrum's head only) or an OscillatorTail.
 
     With counts the head is run-length: strictly decreasing values, the
     i-th repeated counts[i] >= 1 times (equal neighbours given to the

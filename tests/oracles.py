@@ -259,24 +259,16 @@ def masked_heat_sum(values, t, alpha, counts=None):
     return float(total)
 
 
-def torus_zeta_tail(n, q, r):
-    """Integral of (1+|x|^2)^-q over |x| > r in R^n, n in {1, 3}: the
-    sphere area times that of x^(n-1) (1+x^2)^-q over x > r, by
-    mpmath.quad after the substitution x = r y^(-1/a), a = 2q - n, which
-    leaves the bounded integrand (r^-a / a) (1 + (y^(1/a) / r)^2)^-q on
-    [0, 1]."""
-    area = {1: 2, 3: 4 * mpmath.pi}[n]
+def weyl_zeta_tail(n, p, s, count):
+    """sum over k > count of (omega_n / k)^(a s), a = 2p/n and omega_n the
+    volume of the unit n-ball: the Weyl tail of the n-torus spectrum
+    (1+|m|^2)^-p past its first count eigenvalues, raised to the s-th
+    power, as omega_n^(a s) times the Hurwitz zeta(a s, count + 1)."""
     with mpmath.workdps(30):
-        q, r = mpmath.mpf(q), mpmath.mpf(r)
-        a = 2 * q - n
-        val = mpmath.quad(lambda y: (1 + (y ** (1 / a) / r) ** 2) ** -q,
-                          [0, 1])
-        return float(area * r ** -a / a * val)
-
-
-def torus1_zeta_tail(q, r):
-    """2 * integral of (1+x^2)^-q over x > r (torus_zeta_tail, n = 1)."""
-    return torus_zeta_tail(1, q, r)
+        a = 2 * mpmath.mpf(p) / n
+        omega = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(
+            mpmath.mpf(n) / 2 + 1)
+        return float(omega ** (a * s) * mpmath.zeta(a * s, count + 1))
 
 
 def exact_dominates(x, y):

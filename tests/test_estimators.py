@@ -645,8 +645,14 @@ class TestMellin:
             math.gamma(1.5) * oracles.mp_zeta(3.0), rel=1e-12
         )
 
-    def test_torus_eigenvalues(self):
-        rep = dx.mellin_check(dx.torus_spectrum(2, 200, 1.0), 2.0)
+    @pytest.mark.parametrize("n,radius,s", [
+        (2, 200, 2.0), (2, 60, 2.0),
+        # one Weyl tail closes the zeta and the heat sums in every
+        # dimension
+        (1, 200, 1.0), (3, 40, 2.0),
+    ])
+    def test_torus_eigenvalues(self, n, radius, s):
+        rep = dx.mellin_check(dx.torus_spectrum(n, radius, 1.0), s)
         assert rep.passed
         assert rep.rel_error <= 1e-6
         assert 0.0 < rep.error_bound <= 1e-12 * abs(rep.integral)
@@ -664,6 +670,11 @@ class TestMellin:
         rep = dx.mellin_check(build(), s)
         assert rep.passed
         assert rep.rel_error <= estimators.MELLIN_RTOL
+
+    def test_reference_past_the_float_range_raises(self):
+        # Gamma(172) passes the float64 range
+        with pytest.raises(ValueError, match="float64 range at s=172"):
+            dx.mellin_check(np.array([1.0, 0.5]), 172.0)
 
     def test_refused_quadrature_is_undetermined(self, monkeypatch):
         monkeypatch.setattr(estimators, "heat_trace",

@@ -74,15 +74,6 @@ class TestLatticeZeta:
         got = dx.power_trace(dx.torus_spectrum(1, 4000, 1.0), q)
         assert got == pytest.approx(direct, rel=1e-6)
 
-    @pytest.mark.parametrize("radius", [1, 10, 1e3, 1e4, 1e5])
-    def test_one_dimensional_tail_against_mpmath(self, radius):
-        # q = (1 + 1/k)/2 -> 1/2+ is the zeta schedule at p = 1/2, where
-        # the tail grows like 1/(q - 1/2)
-        for q in [0.5 * (1.0 + 1.0 / k) for k in (1, 4, 16, 64, 256, 1024)]\
-                + [0.75, 1.5, 3.0]:
-            assert models._zeta_tail(1, q, radius) == pytest.approx(
-                oracles.torus1_zeta_tail(q, radius), rel=1e-13)
-
     def test_one_dimensional_residue_converges_at_large_radius(self):
         # quad lost the tail here and gave 0.603 Oscillating
         with warnings.catch_warnings():
@@ -91,19 +82,31 @@ class TestLatticeZeta:
         assert est.status == "Converged"
         assert est.value == pytest.approx(2.0, rel=1e-3)
 
-    @pytest.mark.parametrize("radius", [1, 80, 200, 1000, 1e5])
-    def test_three_dimensional_tail_against_mpmath(self, radius):
-        # q = 3(1 + 1/k)/2 is the zeta schedule at the default p = 3/2;
-        # quadrature over [radius^2, inf) read 35 for 774 at radius 200
-        for q in [1.5 * (1.0 + 1.0 / k) for k in (1, 25, 200, 1024)] + [2.0]:
-            assert models._zeta_tail(3, q, radius) == pytest.approx(
-                oracles.torus_zeta_tail(3, q, radius), rel=1e-13)
+    @pytest.mark.parametrize("n,radius,big_radius,q,rel", [
+        (2, 60, 600, 1.5, 1e-4),
+        # near the pole at the default power n/2
+        (2, 200, 2000, 1.04, 1e-6),
+        (1, 200, 20000, 1.04, 5e-5),
+    ])
+    def test_two_dimensional_tail_improves_truncation(self, n, radius,
+                                                      big_radius, q, rel):
+        small = dx.power_trace(dx.torus_spectrum(n, radius), q)
+        big = dx.power_trace(dx.torus_spectrum(n, big_radius), q)
+        assert small == pytest.approx(big, rel=rel)
 
-    def test_two_dimensional_tail_improves_truncation(self):
-        q = 1.5
-        small = dx.power_trace(dx.torus_spectrum(2, 60, 1.0), q)
-        big = dx.power_trace(dx.torus_spectrum(2, 600, 1.0), q)
-        assert small == pytest.approx(big, rel=1e-4)
+    @pytest.mark.parametrize("n,radius,p", [
+        (1, 200, 0.5), (1, 1000, 0.5), (2, 60, 1.0), (2, 200, 1.0),
+        (2, 100, 1.5), (3, 40, 1.5), (3, 80, 1.5),
+    ])
+    def test_zeta_tail_is_the_weyl_hurwitz_sum(self, n, radius, p):
+        # past the ball the s-th powers sum as the Weyl tail's, on the
+        # zeta schedule s = n(1 + 1/k)/(2p) down to the pole at n/(2p)
+        x = dx.torus_spectrum(n, radius, p)
+        for k in (1, 25, 200, 1024):
+            s = n * (1.0 + 1.0 / k) / (2.0 * p)
+            assert sequences.tail_power_sum(
+                x.tail, s, x.length + 1) == pytest.approx(
+                oracles.weyl_zeta_tail(n, p, s, x.length), rel=1e-13)
 
     def test_one_lattice_enumeration_per_model(self, monkeypatch):
         calls = []
@@ -124,21 +127,20 @@ class TestLatticeZeta:
         with pytest.raises(ValueError, match="s=0.9"):
             dx.power_trace(dx.torus_spectrum(2, 50, 1.0), 0.9)
 
-    def test_spectrum_reads_the_exact_closure(self):
-        # the continuum closure, bitwise as the lattice model source gave
-        # it; the Weyl tail's Euler-Maclaurin sum read 3.1415780988398674
+    def test_spectrum_reads_the_weyl_tail_sum(self):
+        # the head plus the Weyl tail's Euler-Maclaurin sum, bitwise
         est = dx.zeta_residue_estimate(dx.torus_spectrum(2, 200))
-        assert est.value == 3.1415755424051945
+        assert est.value == 3.1415780988398674
 
     @pytest.mark.parametrize("n,radius", [(2, 200), (3, 60)])
     @pytest.mark.parametrize("k", [1, -1, 100, -100])
     @pytest.mark.parametrize("s", [1.005, 1.04])
     def test_scaled_spectrum_scales_the_power_trace(self, n, radius, k, s):
-        # 2^(ks) times the exact trace; the Weyl tail's Euler-Maclaurin
-        # sum missed it by 1.4e-6 to 7.8e-6 here
+        # 2^(ks) times the trace of the unscaled spectrum: the head
+        # kernel sum plus the Weyl tail's Euler-Maclaurin sum
         x = dx.torus_spectrum(n, radius)
         exact = (kernels.power_sum(x.head, s, counts=x.counts)
-                 + models._zeta_tail(n, n / 2.0 * s, radius))
+                 + sequences.tail_sum(x.tail.powered(s), x.length + 1))
         assert dx.power_trace(x.scaled(2.0**k), s) == pytest.approx(
             2.0 ** (k * s) * exact, rel=1e-14)
         assert dx.power_trace(x, s) == exact
@@ -194,18 +196,6 @@ class TestFourierMultiplier:
     def test_real_flag_requires_hermitian_coefficients(self):
         with pytest.raises(ValueError):
             dx.FourierMultiplier({(1,): 1.0 + 0j, (-1,): 2.0 + 0j})
-
-    def test_mean_value_matches_grid_quadrature(self):
-        f = dx.FourierMultiplier({(0,): 2.0, (1,): 0.5, (-1,): 0.5})
-        assert f.mean_value() == pytest.approx(2.0, abs=1e-12)
-
-    def test_value_on_grid_reconstructs_cosine(self):
-        f = dx.FourierMultiplier({(0,): 2.0, (1,): 0.5, (-1,): 0.5})
-        got = f.value_on_grid(9)
-        xs = 2.0 * math.pi * np.arange(9) / 9.0
-        np.testing.assert_allclose(
-            np.ravel(got), 2.0 + np.cos(xs), rtol=0, atol=1e-12
-        )
 
 
 class TestMultiplicationMatrix:
@@ -749,12 +739,12 @@ class TestRunLengthLatticeGate:
         b = dx.zeta_residue_estimate(plain)
         assert a.status == b.status
         assert a.value == pytest.approx(b.value, rel=self.RTOL)
-        # the lattice model's exact continuum tail, on the shells
+        # the head on one value per point plus the Weyl tail's sum
         n = int(round(-2.0 * math.log(x.head[1]) / math.log(2.0)))
         radius = 2000 if n == 2 else 200
         s = 1.0 + 1.0 / 50.0
         want = (kernels.power_sum(plain.head, s)
-                + models._zeta_tail(n, n / 2.0 * s, radius))
+                + sequences.tail_sum(x.tail.powered(s), x.length + 1))
         got = dx.power_trace(dx.torus_spectrum(n, radius), s)
         assert got == pytest.approx(want, rel=self.RTOL)
 
@@ -813,11 +803,11 @@ class TestRunLengthLatticePaths:
         w = 4.0 * (kernels.lattice_w(2, 200) - 1.0) + 1.0
         for k, v in zip(*got.raw_series):
             q = 1.0 + 1.0 / k
-            want = (kernels.power_sum(w, -q)
-                    + models._zeta_tail(2, q, 400) / 4.0) / k
+            want = (kernels.power_sum(w, -q) + sequences.tail_sum(
+                model.tail.powered(q), model.length + 1) / 4.0) / k
             assert v == pytest.approx(want, rel=1e-12)
-        # bitwise the residue the lattice model source gave
-        assert got.value == 0.7853063616814545
+        # bitwise; 1.167e-4 relative off pi/4
+        assert got.value == 0.7853065134711181
 
     def test_three_torus_at_radius_1000(self, monkeypatch):
         # 4.19e9 lattice points on 833,337 shells, under the default

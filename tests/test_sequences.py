@@ -104,8 +104,10 @@ class TestSingularSequence:
                 dx.SingularSequence(head, dx.PowerLogTail(coeff, 1.0, 0.0))
 
     def test_torus_tail_continues_its_whole_lattice_ball_only(self):
-        # its power_sum closes the sum past |m| <= cutoff_radius, so a cut
-        # head read power_trace 78.4776 at s = 1.04 against 78.5655
+        # inside |m| <= cutoff_radius the values are the lattice shells,
+        # not the Weyl formula: a head cut 400 shells short, with the
+        # same Weyl tail, read power_trace 78.566126 at s = 1.04 against
+        # 78.566123
         x = dx.torus_spectrum(2, 200)
         for counts in (x.counts[:-400], x.counts[:-1],
                        np.append(x.counts[:-1], x.counts[-1] - 1)):
