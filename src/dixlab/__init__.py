@@ -9,7 +9,6 @@ CLI harness.
 
 from .sequences import (
     IdealMembershipReport,
-    LogAverageSeries,
     PowerLogTail,
     SingularSequence,
     TauberianVerdict,

@@ -468,9 +468,9 @@ def _check_lines(seed):
            "rearrangement idempotent and permutation invariant", "")
 
     sx = sequences.as_sequence(x)
-    series = sequences.log_average(sx, estimators.dyadic_schedule(512))
+    alphas = sequences.log_average(sx, estimators.dyadic_schedule(512))
     norm = sequences.norm_1_inf(sx)
-    yield (bool(np.all(series.alphas <= norm + 1e-12)),
+    yield (bool(np.all(alphas <= norm + 1e-12)),
            "log averages bounded by the (1,inf) norm", "")
 
     y = rand_seq(512)
@@ -602,14 +602,16 @@ def main(argv=None):
     if args.list_models:
         _list_models()
         return 0
-    if args.check:
-        failures = run_check(args.seed if args.seed is not None else 0)
-        return 3 if failures else 0
-    if not args.config:
+    if not (args.check or args.config):
         print("error: --config is required (or use --check/--list-models)",
               file=sys.stderr)
         return 4
     try:
+        # read first, so that a bad value is not blamed on a config field
+        sequences.memory_budget_mb()
+        if args.check:
+            failures = run_check(args.seed if args.seed is not None else 0)
+            return 3 if failures else 0
         config = parse_config(args.config)
         if args.seed is not None:
             config = ExperimentConfig(seed=args.seed,

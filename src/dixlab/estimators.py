@@ -85,7 +85,7 @@ def _series_estimate(method, ks, vals, zs, extrapolate, notes=""):
     variable) as spread, swing and held band.  Converged without
     extrapolate, the value is the last one."""
     vals = np.asarray(vals, dtype=np.float64)
-    _, _, resid = _fit_line(zs, vals)
+    _, resid = _fit_line(zs, vals)
     band = float(np.ptp(resid))
     j = judge(zs, vals, band, band, vals, resid)
     converged = j.status == CONVERGED
@@ -191,11 +191,11 @@ def heat_trace(source, t, alpha_exp=1.0):
 
 
 def _log_heat_tail(x, alpha, lo, hi):
-    """(value, bound): int_lo^hi R(s) ds/s^2 for the raw heat tail R(s) =
-    tail_heat_sum(x.tail, s, alpha, x.length + 1) past the head of x,
-    whose last value is v.  R falls off like e^-z as s falls, z = (s
-    v)^-alpha: where z(hi) * alpha >= 4 the rule runs in y = z - z(hi),
-    else on unit panels of log s."""
+    """int_lo^hi R(s) ds/s^2 for the raw heat tail R(s) = tail_heat_sum(
+    x.tail, s, alpha, x.length + 1) past the head of x, whose last value
+    is v: tail_quad's value.  R falls off like e^-z as s falls, z = (s
+    v)^-alpha: where z(hi) * alpha >= 4 the rule runs in y = z - z(hi)
+    (_exp_tail), else on unit panels of log s."""
     def r(s):
         return np.array([tail_heat_sum(x.tail, float(si), alpha, x.length + 1)
                          for si in s])
@@ -215,7 +215,7 @@ def _log_heat_tail(x, alpha, lo, hi):
         return _exp_tail(f, y_hi)
     u_lo, u_hi = math.log(lo), math.log(hi)
     edges = np.linspace(u_lo, u_hi, 1 + max(1, math.ceil(u_hi - u_lo)))
-    return tail_quad(lambda u: r(np.exp(u)) * np.exp(-u), edges)
+    return tail_quad(lambda u: r(np.exp(u)) * np.exp(-u), edges)[0]
 
 
 def _heat_schedule(t_schedule, cesaro):
@@ -255,7 +255,7 @@ def heat_estimate(source, t_schedule=HEAT_SCHEDULE, alpha_exp=1.0,
         if x.tail is not None and _finite(
                 tail_heat_sum(x.tail, T, alpha, x.length + 1), "heat",
                 "t=%g" % T):
-            tail_int += _log_heat_tail(x, alpha, lo, T)[0]
+            tail_int += _log_heat_tail(x, alpha, lo, T)
         lo = T
         head = kernels.heat_gamma_sum(x.head, T, alpha, x.counts) - s1
         total = _finite(head + tail_int / norm, "heat", "t=%g" % T)
@@ -334,10 +334,10 @@ def measurability_report(model, methods=("dixmier", "zeta", "heat_raw"),
 
 @dataclass(frozen=True)
 class SublatticeProjection:
-    """Diagonal projection onto the sublattice (stride Z)^n."""
+    """Diagonal projection onto the sublattice (stride Z)^n, n the
+    dimension of the torus it is paired with in product_zeta_sequence."""
 
     stride: int
-    dimension: int = 2
 
     def __post_init__(self):
         if int(self.stride) < 1:
@@ -368,8 +368,6 @@ def product_zeta_sequence(a, x, k_schedule=ZETA_SCHEDULE):
         vals = np.array([c * power_trace(x, 1 + 1 / k) / k for k in ks])
         note = "diagonal formula: fhat(0) * lattice zeta"
     elif isinstance(a, SublatticeProjection):
-        if a.dimension != n:
-            raise ValueError("projection dimension mismatch")
         stride = a.stride
         if R % stride != 0:
             raise ValueError(
@@ -471,9 +469,9 @@ def holder_check(t_model, v_model, p):
     xp = _seq_power(xh, p)
     yq = _seq_power(yh, q)
     ks = dyadic_schedule(L)
-    a_prod = log_average(prod, ks).alphas
-    a_x = log_average(xp, ks).alphas
-    a_y = log_average(yq, ks).alphas
+    a_prod = log_average(prod, ks)
+    a_x = log_average(xp, ks)
+    a_y = log_average(yq, ks)
     rhs_k = a_x ** (1.0 / p) * a_y ** (1.0 / q)
     pointwise_ok = bool(np.all(a_prod <= rhs_k * (1.0 + 1e-12) + 1e-300))
     e_prod = dixmier_estimate(prod)

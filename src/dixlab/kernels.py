@@ -251,24 +251,22 @@ def prefix_log_average(values, ks, counts=None):
 
 
 def max_log_average(values, counts=None):
-    """(sup_k alpha_k, argmax k) over every prefix of values, or of the
-    expanded runs when counts is given; the first k wins a tie.
+    """sup_k alpha_k over every prefix of values, or of the expanded runs
+    when counts is given.
 
     A run-length input is tested at the two ends of each run only, which
     is exact: within a run of value v >= 0 the sum is S(k) = a + v k with
     a >= 0, and alpha_k = S(k) / log(1+k) is quasi-convex in k, since
     the sign of its derivative is that of v log(1+k) - S(k)/(1+k), whose
     own derivative S(k)/(1+k)^2 is >= 0.  So alpha first falls, then
-    rises, and its largest value over the run sits at an end; an
-    interior k that ties the maximum needs S = 0 there, where alpha is 0
-    across the run and the run's first k is tested."""
+    rises, and its largest value over the run sits at an end."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("empty sequence has no log average")
     if counts is not None:
         counts = _as_counts(counts, values)
         ends = np.cumsum(counts)
-    best, best_k = None, 0
+    best = -math.inf
     for start, run in _running_sums(values, values.size, counts):
         if counts is None:
             ks = np.arange(start + 1, start + run.size, dtype=np.float64)
@@ -281,10 +279,8 @@ def max_log_average(values, counts=None):
             s = np.column_stack([run[:-1] + values[start:start + last.size],
                                  run[1:]]).ravel()
         alpha = s / np.log1p(ks.astype(np.float64, copy=False))
-        i = int(np.argmax(alpha))
-        if best is None or alpha[i] > best:
-            best, best_k = alpha[i], int(ks[i])
-    return float(best), best_k
+        best = np.maximum(best, alpha.max())  # a NaN input stays NaN
+    return float(best)
 
 
 # ------------------------------------------------------ submajorization

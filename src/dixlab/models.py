@@ -200,12 +200,6 @@ class FourierMultiplier:
         return len(next(iter(self.coefficients)))
 
     @property
-    def degree(self):
-        return max(
-            (max(abs(k) for k in key) for key in self.coefficients), default=0
-        )
-
-    @property
     def fhat0(self):
         return self.coefficients.get((0,) * self.dim, 0j)
 

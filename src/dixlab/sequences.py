@@ -85,8 +85,8 @@ def _check_budget(what, need_bytes):
 
 # ------------------------------------------------------------ tail model
 
-# A tail model has value(n), powered(s), integral, slopes and
-# heat_integral, all that the tail sums read; its mu is C (log
+# A tail model has value(n), powered(s), integral (one float), slopes
+# and heat_integral, all that the tail sums read; its mu is C (log
 # n)^log_power n^-power times a bounded factor whose limsup and
 # log-average limsup are peaks.  A tail that continues one head only
 # (models.TorusTail) also has head_length, the length of that head.
@@ -133,33 +133,32 @@ class PowerLogTail:
         )
 
     def integral(self, x0, x1):
-        """(value, bound): the integral over [x0, x1], x0 >= 2 (x1 None:
-        infinity), and the bound of its quadrature (0.0 for a closed
-        form)."""
+        """The integral over [x0, x1], x0 >= 2 (x1 None: infinity): a
+        closed form, or _envelope_integral where there is none."""
         coeff, a, b = self.coeff, self.power, self.log_power
         u0 = math.log(x0)
         u1 = math.inf if x1 is None or math.isinf(x1) else math.log(x1)
         if a == 1.0:
             if math.isinf(u1) and b >= -1.0:
-                return math.inf, 0.0
+                return math.inf
             # d = u1 - u0 and r = log(u1 / u0) by log1p, not as
             # differences of rounded logs
             d = math.log1p((x1 - x0) / x0) if math.isfinite(u1) else u1
             if b == 0.0:
-                return coeff * d, 0.0
+                return coeff * d
             r = math.log1p(d / u0)
             if b == -1.0:
-                return coeff * r, 0.0
+                return coeff * r
             return coeff * u0 ** (b + 1.0) * math.expm1((b + 1.0) * r) \
-                / (b + 1.0), 0.0
+                / (b + 1.0)
         if a < 1.0 and math.isinf(u1):
-            return math.inf, 0.0
+            return math.inf
         kappa = a - 1.0
         if math.isinf(u1) and b > -1.0:
             # int u^b e^(-kappa u) du = kappa^-(b+1) * Gamma(b+1, kappa*u0)
             z = kappa * u0
             g = gammaincc(b + 1.0, z) * math.exp(math.lgamma(b + 1.0))
-            return coeff * kappa ** (-(b + 1.0)) * g, 0.0
+            return coeff * kappa ** (-(b + 1.0)) * g
         return _envelope_integral(coeff, kappa, lambda u: u**b, u0, u1)
 
     def slopes(self, u, s=1.0):
@@ -213,16 +212,17 @@ class OscillatorTail:
         return OscillatorTail(self.coeff**s, self.power * s)
 
     def integral(self, x0, x1):
-        """(value, bound) over [x0, x1] (x1 None: infinity), in u = log x:
-        at power 1 the closed form c [2u + u (sin log u - cos log u) / 2]."""
+        """The integral over [x0, x1] (x1 None: infinity), in u = log x:
+        at power 1 the closed form c [2u + u (sin log u - cos log u) / 2],
+        else _envelope_integral."""
         u0, u1 = math.log(x0), math.inf if x1 is None else math.log(x1)
         if self.power <= 1.0 and math.isinf(u1):
-            return math.inf, 0.0
+            return math.inf
         if self.power == 1.0:
             (s0, c0), (s1, c1) = ((math.sin(math.log(u)),
                                    math.cos(math.log(u))) for u in (u0, u1))
             return self.coeff * (2.0 * (u1 - u0) + 0.5 * (
-                u1 * (s1 - c1) - u0 * (s0 - c0))), 0.0
+                u1 * (s1 - c1) - u0 * (s0 - c0)))
         return _envelope_integral(
             self.coeff, self.power - 1.0,
             lambda u: (2.0 + np.sin(np.log(u))) ** self.power, u0, u1)
@@ -319,25 +319,25 @@ def tail_quad(f, edges):
 
 
 def _exp_tail(f, y_hi=math.inf):
-    """tail_quad of f over [0, y_hi] for an f that falls off like e^-y
-    (a tail mapped by its exponential envelope), run in w = 1 - e^(-y/8)
-    on [0, 1 - e^(-y_hi/8)]: one panel holds the whole decay."""
+    """The integral of f over [0, y_hi] for an f that falls off like e^-y
+    (a tail mapped by its exponential envelope): tail_quad's value, run
+    in w = 1 - e^(-y/8) on [0, 1 - e^(-y_hi/8)], where one panel holds
+    the whole decay."""
     def g(w):
         return f(-_EXP_MAP * np.log1p(-w)) * (_EXP_MAP / (1.0 - w))
 
-    return tail_quad(g, (0.0, -math.expm1(-y_hi / _EXP_MAP)))
+    return tail_quad(g, (0.0, -math.expm1(-y_hi / _EXP_MAP)))[0]
 
 
 def _envelope_integral(coeff, kappa, amp, u0, u1):
-    """(value, bound): the integral of coeff * amp(u) e^(-kappa u) over
-    [u0, u1] (finite where kappa < 0) by _exp_tail in y = |kappa| times
-    the distance from the end u_e where e^(-kappa u) is largest."""
+    """The integral of coeff * amp(u) e^(-kappa u) over [u0, u1] (finite
+    where kappa < 0) by _exp_tail in y = |kappa| times the distance from
+    the end u_e where e^(-kappa u) is largest."""
     k = abs(kappa)
     u_e, sign = (u0, 1.0) if kappa > 0.0 else (u1, -1.0)
-    val, bound = _exp_tail(lambda y: amp(u_e + sign * y / k) * np.exp(-y),
-                           k * (u1 - u0))
-    scale = coeff * math.exp(-kappa * u_e) / k
-    return scale * val, scale * bound
+    val = _exp_tail(lambda y: amp(u_e + sign * y / k) * np.exp(-y),
+                    k * (u1 - u0))
+    return coeff * math.exp(-kappa * u_e) / k * val
 
 
 def _log_slopes(r, d2, d3):
@@ -352,8 +352,10 @@ def _log_slopes(r, d2, d3):
 def _euler_maclaurin(body, f, n, p1, p3):
     """body + f/2 - f'/12 + f'''/720, the Euler-Maclaurin terms of a sum's
     lower end n, from f there, p1 = n f'/f and p3 = n^3 f'''/f.  At an
-    upper end the odd terms change sign: pass -p1 and -p3."""
-    return body + 0.5 * f - p1 * f / n / 12.0 + p3 * f / n**3 / 720.0
+    upper end the odd terms change sign: pass -p1 and -p3.  n is divided
+    out one factor at a time, so that an integer n below 2^1024 never
+    leaves the float range as n^3."""
+    return body + 0.5 * f - p1 * f / n / 12.0 + p3 * f / n / n / n / 720.0
 
 
 def tail_sum(tail, lo, hi=None):
@@ -368,7 +370,7 @@ def tail_sum(tail, lo, hi=None):
         raise ValueError("tail sums start at n >= 2")
     if hi is not None and hi < lo:
         return 0.0
-    body, _ = tail.integral(lo, hi)
+    body = tail.integral(lo, hi)
     if math.isinf(body):
         return math.inf
     p1, _, p3 = tail.slopes(math.log(lo))
@@ -424,7 +426,7 @@ def _heat_quad(log_e0, rise, u0):
             d = np.log1p(y / e0) / slope
             return np.exp(d - e0 * np.expm1(rise(d))) / (slope * (e0 + y))
 
-        return math.exp(u0 - e0) * _exp_tail(f)[0]
+        return math.exp(u0 - e0) * _exp_tail(f)
     d_hi, peak = 0.0, -math.inf
     while log_e0 + rise(d_hi) < _LOG_745:
         if d_hi >= 2000.0:
@@ -604,14 +606,6 @@ def decreasing_rearrangement(x):
     return SingularSequence(v)
 
 
-@dataclass(frozen=True)
-class LogAverageSeries:
-    """alpha_k at the requested checkpoints."""
-
-    checkpoints: np.ndarray
-    alphas: np.ndarray
-
-
 def dyadic_schedule(limit):
     """Checkpoints 2 .. 2^J with 2^J <= limit."""
     limit = int(limit)
@@ -631,7 +625,8 @@ def _validate_checkpoints(ks):
 
 
 def log_average(x, ks):
-    """alpha_k = (sum of the k largest values) / log(1+k).
+    """alpha_k = (sum of the k largest values) / log(1+k) at each
+    checkpoint k of ks, as a float64 array in the order of ks.
 
     Checkpoints beyond the stored head use the tail model; without one
     they raise.
@@ -655,7 +650,7 @@ def log_average(x, ks):
         for i, k in enumerate(beyond):
             s = s_head + tail_sum(x.tail, L + 1, int(k))
             alphas[within.size + i] = s / math.log(1.0 + float(k))
-    return LogAverageSeries(ks, alphas)
+    return alphas
 
 
 def norm_1_inf(x):
@@ -669,9 +664,9 @@ def norm_1_inf(x):
     x = as_sequence(x)
     if x.length == 0:
         raise ValueError("empty sequence has no norm")
-    best, _ = kernels.max_log_average(x.head, counts=x.counts)
+    best = kernels.max_log_average(x.head, counts=x.counts)
     if x.tail is None:
-        return float(best)
+        return best
     lim = _tail_limsups(x.tail)[0]
     if math.isinf(lim):
         return math.inf
@@ -726,7 +721,7 @@ def riesz_seminorm_proxy(x):
     if x.horizon < 16:
         raise ValueError("horizon below policy minimum (16)")
     ks = dyadic_schedule(x.horizon)
-    return float(np.max(log_average(x, ks[(ks.size - 1) // 2:]).alphas))
+    return float(np.max(log_average(x, ks[(ks.size - 1) // 2:])))
 
 
 def _zeta_schedule(k_schedule):
@@ -921,11 +916,10 @@ class TauberianVerdict:
 
 
 def _fit_line(zs, vals):
-    """Least squares vals ~ a + b*z; returns a, b, residuals."""
+    """Least squares vals ~ a + b*z; returns a and the residuals."""
     design = np.column_stack([np.ones_like(zs), zs])
     coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    resid = vals - design @ coef
-    return float(coef[0]), float(coef[1]), resid
+    return float(coef[0]), vals - design @ coef
 
 
 def _nonneg(value):
@@ -949,9 +943,9 @@ def judge(zs, vals, spread, swing, shown, held):
         return Judgement(UNDETERMINED, math.nan, float(np.ptp(held)),
                          math.nan, "fewer than 3 points: a line fits any two")
     if spread <= EPS_CONV:
-        a, _, resid = _fit_line(zs, vals)
+        a, resid = _fit_line(zs, vals)
         half = len(vals) // 2
-        a_half, _, _ = _fit_line(zs[half:], vals[half:])
+        a_half, _ = _fit_line(zs[half:], vals[half:])
         err = 2.0 * float(np.max(np.abs(resid))) + abs(a - a_half)
         return Judgement(CONVERGED, _nonneg(a), spread, err)
     if swing > EPS_OSC:
@@ -992,11 +986,11 @@ def tauberian_classify(x):
              % (H, min_horizon)},
         )
     ks = dyadic_schedule(H)
-    alphas = log_average(x, ks).alphas
+    alphas = log_average(x, ks)
     zs = 1.0 / np.log1p(ks.astype(np.float64))
     # a line through 2 points leaves no residual to vary
     i0 = min((2 * ks.size) // 3, ks.size - 3)
-    _, _, resid = _fit_line(zs[i0:], alphas[i0:])
+    _, resid = _fit_line(zs[i0:], alphas[i0:])
     past = alphas[ks >= BURN_IN]
     m = FIT_CHECKPOINTS
     j = judge(zs[-m:], alphas[-m:], float(np.sum(np.abs(np.diff(resid)))),

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -466,6 +467,31 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("ok  ") == len(out.strip().splitlines())
+
+    @pytest.mark.parametrize("budget,error", [
+        ("abc", "error: DIXLAB_BUDGET_MB must be a number"),
+        ("0", "error: DIXLAB_BUDGET_MB must be positive"),
+        ("0.001", "error: harmonic sequence (4096 stored values) needs "),
+    ], ids=["not-a-number", "zero", "exhausted"])
+    def test_check_with_a_bad_budget_exits_four(self, budget, error):
+        r = subprocess.run(
+            [sys.executable, "-m", "dixlab", "--check"],
+            capture_output=True, text=True,
+            env=dict(os.environ, DIXLAB_BUDGET_MB=budget),
+        )
+        assert r.returncode == 4
+        assert "Traceback" not in r.stderr
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(error)
+
+    def test_bad_budget_is_not_blamed_on_the_config(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setenv("DIXLAB_BUDGET_MB", "abc")
+        code = cli.main(["--config", self._write(tmp_path, _cfg())])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "error: DIXLAB_BUDGET_MB must be a number\n"
 
     def test_check_failure_exits_three(self, capsys, monkeypatch):
         def broken(seed):

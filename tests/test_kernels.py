@@ -230,11 +230,12 @@ class TestLogAverages:
 
     def test_max_matches_brute(self):
         v = _sorted_desc(_rng(6).random(2_048))
-        sup, arg = kernels.max_log_average(v)
+        sup = kernels.max_log_average(v)
         assert sup == pytest.approx(oracles.brute_norm_1_inf(v), rel=1e-13)
-        assert sup == pytest.approx(
-            oracles.brute_alpha(v, int(arg)), rel=1e-13
-        )
+
+    def test_max_of_nothing_raises(self):
+        with pytest.raises(ValueError, match="no log average"):
+            kernels.max_log_average(np.empty(0))
 
     def test_prefix_at_chunk_edges_equals_one_cumsum(self):
         c = kernels._CHUNK
@@ -258,13 +259,9 @@ class TestLogAverages:
                  / np.log1p(np.arange(1, v.size + 1, dtype=np.float64)))
         i = int(np.argmax(alpha))
         assert i + 1 > c
-        assert kernels.max_log_average(v) == (float(alpha[i]), i + 1)
-
-    def test_max_tie_goes_to_first_index(self):
-        # every alpha_k is 0: the first k wins, not one in a later chunk
-        assert kernels.max_log_average(np.zeros(2 * kernels._CHUNK + 3)) == (
-            0.0, 1
-        )
+        assert kernels.max_log_average(v) == float(alpha[i])
+        # every alpha_k is 0, in every chunk
+        assert kernels.max_log_average(np.zeros(2 * c + 3)) == 0.0
 
     @given(st.integers(min_value=1, max_value=400))
     @settings(max_examples=30, deadline=None)
@@ -507,6 +504,10 @@ class TestRunLength:
             assert kernels.heat_sum(v, t, alpha, c) == pytest.approx(
                 kernels.heat_sum(w, t, alpha), rel=1e-15)
 
+    def test_counts_must_match_values(self):
+        with pytest.raises(ValueError, match="counts must match values"):
+            kernels.comp_sum([2.0, 1.0], [1])
+
     def test_counts_of_one_are_the_plain_sums(self):
         v, _ = _runs(3, 1000)
         ones = np.ones(v.size, dtype=np.int64)
@@ -547,11 +548,10 @@ class TestRunLength:
 
     @staticmethod
     def _brute_max(w):
-        # every prefix of the expansion, the first k taking a tie
+        # every prefix of the expansion
         alpha = (np.cumsum(w, dtype=np.longdouble)
                  / np.log1p(np.arange(1, w.size + 1, dtype=np.float64)))
-        i = int(np.argmax(alpha))
-        return float(alpha[i]), i + 1
+        return float(np.max(alpha))
 
     @pytest.mark.parametrize("seed", [6, 7, 8])
     def test_max_log_average_matches_a_brute_force_scan(self, seed):
@@ -560,16 +560,14 @@ class TestRunLength:
         c[0] = 30
         got = kernels.max_log_average(v, c)
         want = self._brute_max(np.repeat(v, c))
-        assert got[1] == want[1]
-        assert got[0] == pytest.approx(want[0], rel=1e-15)
+        assert got == pytest.approx(want, rel=1e-15)
 
-    def test_max_log_average_ties_go_to_the_first_index(self):
+    def test_max_log_average_where_alphas_tie(self):
         # alpha_1 = 1/log 2 = 2/log 4 = alpha_3 exactly, above alpha_2
-        v, c = np.array([1.0, 0.5]), np.array([1, 2])
-        assert self._brute_max(np.repeat(v, c)) == (1.0 / math.log(2.0), 1)
-        assert kernels.max_log_average(v, c) == (1.0 / math.log(2.0), 1)
+        assert kernels.max_log_average([1.0, 0.5], [1, 2]) == (
+            1.0 / math.log(2.0))
         # all alphas 0, in one run and after a run of zeros
-        assert kernels.max_log_average([0.0], [10**6]) == (0.0, 1)
+        assert kernels.max_log_average([0.0], [10**6]) == 0.0
         v, c = np.array([1e-300, 0.0]), np.array([3, 10**5])
         assert kernels.max_log_average(v, c) == self._brute_max(
             np.repeat(v, c))
