@@ -20,7 +20,6 @@ from .sequences import (
     log_average,
     norm_1_inf,
     oscillator_model,
-    oscillator_sequence,
     power_log_sequence,
     power_trace,
     riesz_seminorm_proxy,

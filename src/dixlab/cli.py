@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -551,12 +552,25 @@ def run_check(seed):
         line = "%s %s" % (tag, name)
         if detail and not ok:
             line += " (%s)" % detail
-        print(line)
+        _stdout(line + "\n")
         failures += 0 if ok else 1
     return failures
 
 
 # ----------------------------------------------------------------- main
+
+
+def _stdout(text):
+    """Write text to stdout now.  Once the reader has closed the pipe,
+    stdout points at os.devnull and nothing is said: the run goes on and
+    exits with the code it decides (--check must finish its battery)."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -589,8 +603,8 @@ def build_parser():
 def _list_models():
     for kind, (fields, _) in sorted(_KINDS.items()):
         required = ", ".join(k for k, (_, req) in fields.items() if req)
-        print("%s\n  fields: %s\n  required: %s"
-              % (kind, ", ".join(sorted(fields)), required or "none"))
+        _stdout("%s\n  fields: %s\n  required: %s\n"
+                % (kind, ", ".join(sorted(fields)), required or "none"))
 
 
 def main(argv=None):
@@ -636,7 +650,7 @@ def main(argv=None):
             print("error: --out: %s" % exc, file=sys.stderr)
             return 4
     else:
-        sys.stdout.write(text)
+        _stdout(text)
     if all(row["status"] == estimators.CONVERGED for row in rows):
         return 0
     return 2

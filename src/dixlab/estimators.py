@@ -24,6 +24,7 @@ from .sequences import (
     PowerLogTail,
     SingularSequence,
     _exp_tail,
+    _finite,
     _fit_line,
     _nonneg,
     _zeta_schedule,
@@ -97,15 +98,6 @@ def _series_estimate(method, ks, vals, zs, extrapolate, notes=""):
         error_estimate=j.error_estimate,
         notes="; ".join(filter(None, (notes, j.note))),
     )
-
-
-def _finite(value, kind, at):
-    """value, unless the kind sum at `at` (such as "s=1.04") diverges or
-    passes the float64 range: then ValueError."""
-    if not math.isfinite(value):
-        raise ValueError("%s evaluation divergent or past the float64 "
-                         "range at %s" % (kind, at))
-    return value
 
 
 # ------------------------------------------------------ dixmier estimate
@@ -402,20 +394,17 @@ def product_zeta_sequence(a, x, k_schedule=ZETA_SCHEDULE):
 class HolderReport:
     pointwise_ok: bool
     holds: bool | None
-    slack: float
     lhs: float
     rhs: float
-    p: float
-    q: float
     status: str
 
 
 def _seq_power(x, p):
-    """x**p: the head powered and, scanned to the horizon of x, the
-    tail."""
-    if x.tail is None:
-        return SingularSequence(x.head**p, None, x.counts)
-    return SingularSequence(x.head**p, x.tail.powered(p), x.counts, x.horizon)
+    """x**p: the head and the tail powered, scanned to the horizon of x;
+    without a tail, to its length."""
+    tail = None if x.tail is None else x.tail.powered(p)
+    return SingularSequence(x.head**p, tail, x.counts,
+                            None if tail is None else x.horizon)
 
 
 def _truncate(x, L):
@@ -457,15 +446,12 @@ def holder_check(t_model, v_model, p):
             xh.tail.offset,
         )
         horizon = min(xh.horizon, yh.horizon)
-    if xh.counts is None and yh.counts is None:
-        prod = SingularSequence(xh.head * yh.head, prod_tail, None, horizon)
-    else:
-        # both factors are constant between the run ends of either, and
-        # a plain one ends a run at every index
-        e = np.union1d(kernels._run_ends(xh.counts, L),
-                       kernels._run_ends(yh.counts, L))
-        prod = SingularSequence(xh.at(e) * yh.at(e), prod_tail,
-                                np.diff(e, prepend=0), horizon)
+    # both factors are constant between the run ends of either, and a
+    # plain one ends a run at every index
+    e = np.union1d(kernels._run_ends(xh.counts, L),
+                   kernels._run_ends(yh.counts, L))
+    prod = SingularSequence(xh.at(e) * yh.at(e), prod_tail,
+                            np.diff(e, prepend=0), horizon)
     xp = _seq_power(xh, p)
     yq = _seq_power(yh, q)
     ks = dyadic_schedule(L)
@@ -480,14 +466,9 @@ def holder_check(t_model, v_model, p):
     if all(e.status == CONVERGED for e in (e_prod, e_x, e_y)):
         lhs = e_prod.value
         rhs = e_x.value ** (1.0 / p) * e_y.value ** (1.0 / q)
-        slack = rhs - lhs
         holds = lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
-        return HolderReport(
-            pointwise_ok, bool(holds), slack, lhs, rhs, p, q, CONVERGED
-        )
-    return HolderReport(
-        pointwise_ok, None, math.nan, math.nan, math.nan, p, q, UNDETERMINED
-    )
+        return HolderReport(pointwise_ok, bool(holds), lhs, rhs, CONVERGED)
+    return HolderReport(pointwise_ok, None, math.nan, math.nan, UNDETERMINED)
 
 
 # ---------------------------------------------------------- Mellin check

@@ -36,9 +36,15 @@ class BudgetError(RuntimeError):
         self.need_mb = float(need_mb)
         self.budget_mb = float(budget_mb)
         super().__init__(
-            "%s needs about %.0f MB but the budget is %.0f MB "
-            "(raise DIXLAB_BUDGET_MB)" % (what, need_mb, budget_mb)
+            "%s needs about %s MB but the budget is %s MB "
+            "(raise DIXLAB_BUDGET_MB)" % (what, _mb(need_mb), _mb(budget_mb))
         )
+
+
+def _mb(size):
+    """size in MB as text: whole MB from 1 MB on, three significant
+    digits below it."""
+    return "%.0f" % size if size >= 1.0 else "%.3g" % size
 
 
 class FieldError(ValueError):
@@ -584,6 +590,15 @@ def as_sequence(x):
     return SingularSequence(np.asarray(x, dtype=np.float64))
 
 
+def _finite(value, kind, at):
+    """value, unless the kind sum at `at` (such as "s=1.04") diverges or
+    passes the float64 range: then ValueError."""
+    if not math.isfinite(value):
+        raise ValueError("%s evaluation divergent or past the float64 "
+                         "range at %s" % (kind, at))
+    return value
+
+
 def power_trace(source, s):
     """Tr(T^s) = sum over n of mu_n**s for a sequence (or an array,
     through as_sequence): the head kernel sum plus tail_power_sum from
@@ -591,9 +606,7 @@ def power_trace(source, s):
     tail) is refused before the head is summed."""
     x = as_sequence(source)
     tail = 0.0 if x.tail is None else tail_power_sum(x.tail, s, x.length + 1)
-    if math.isinf(tail):
-        raise ValueError("zeta evaluation divergent or past the float64 "
-                         "range at s=%g" % s)
+    _finite(tail, "zeta", "s=%g" % s)
     return kernels.power_sum(x.head, s, counts=x.counts) + tail
 
 
@@ -1009,16 +1022,8 @@ def tauberian_classify(x):
 # The most values a model sequence stores.  Its tail model gives every
 # value and sum past them, exactly as past any head, up to its horizon.
 _HEAD_MAX = 2**16
-# bytes charged per stored value by the sequence builders below: the
-# largest of their peak allocations (_model_sequence 32,
-# oscillator_sequence 10)
+# bytes charged per stored value by _model_sequence: its peak allocation
 _BUILD_BYTES = 32.0
-
-
-def _charge_build(kind, stored):
-    """Charge the build of a kind sequence that stores `stored` values."""
-    _check_budget("%s sequence (%d stored values)" % (kind, stored),
-                  _BUILD_BYTES * stored)
 
 
 def _model_sequence(kind, tail, length, tied=0, sort=False):
@@ -1036,7 +1041,8 @@ def _model_sequence(kind, tail, length, tied=0, sort=False):
     second path, as a head that fits under _HEAD_MAX is stored the
     same way."""
     for L in (min(length, _HEAD_MAX), length):
-        _charge_build(kind, L)
+        _check_budget("%s sequence (%d stored values)" % (kind, L),
+                      _BUILD_BYTES * L)
         n = np.arange(tied + 1 + tail.offset, L + 1 + tail.offset,
                       dtype=np.float64)
         v = np.empty(L, dtype=np.float64)
@@ -1061,26 +1067,12 @@ def harmonic_sequence(horizon=10**6, coeff=1.0):
     return _model_sequence("harmonic", PowerLogTail(coeff, 1.0), H)
 
 
-def oscillator_sequence(horizon):
-    """mu_n = (2 + sin log log n) / n for n >= 3, first three entries
-    tied at the n=3 value, every value stored and no tail.  Log-log
-    oscillation makes alpha_k wander forever; oscillator_model continues
-    a short head with OscillatorTail instead."""
-    H = _horizon(horizon, 3, "oscillator horizon")
-    _charge_build("oscillator", H)
-    v = np.empty(H, dtype=np.float64)
-    for start in range(2, H, kernels._CHUNK):  # no H-sized temporaries
-        n = np.arange(start + 1, min(start + kernels._CHUNK, H) + 1,
-                      dtype=np.float64)
-        v[start:start + n.size] = OscillatorTail().value(n)
-    v[0] = v[1] = v[2]
-    return SingularSequence(v)
-
-
 def oscillator_model(horizon=10**7):
-    """mu_n = (2 + sin log log n)/n, the standard non-Tauberian input, as
-    oscillator_sequence gives it: its first min(horizon, 2^16) values and
-    OscillatorTail past them, scanned to horizon."""
+    """mu_n = (2 + sin log log n)/n for n >= 3, the standard
+    non-Tauberian input (log-log oscillation makes alpha_k wander
+    forever), with the first three entries tied at the n=3 value: its
+    first min(horizon, 2^16) values and OscillatorTail past them,
+    scanned to horizon."""
     H = _horizon(horizon, 3, "oscillator horizon")
     return _model_sequence("oscillator", OscillatorTail(), H, tied=2)
 

@@ -10,7 +10,8 @@ simple statements in its blocks, and a statement counts as run when a
 line event fell on any of its lines.
 
 Subprocess runs (``python -m dixlab`` from tests/test_cli.py) are not
-traced, so code that only they reach is listed too.
+traced, so code that only they reach is listed too.  Exits 1 when it
+lists a statement, and otherwise with pytest's status.
 
 Usage, from the repository root (extra arguments go to pytest):
 
@@ -98,7 +99,7 @@ def main(argv):
               % (name, len(missed), len(want)))
         total += len(missed)
     print("# %d statements never ran (pytest exit %d)" % (total, code))
-    return int(code)
+    return 1 if total else int(code)
 
 
 if __name__ == "__main__":

@@ -57,6 +57,13 @@ class TestParseConfig:
             "experiments": [
                 {"model": {"kind": "nonsense"}},
                 {"model": {"kind": "torus", "dimension": 2}},
+                3,
+                {"model": 3},
+                {"model": {"kind": "harmonic"}, "methods": []},
+                {"model": {"kind": "harmonic"}, "label": ""},
+                {"model": {"kind": "harmonic"}, "zeta_schedule": 50},
+                {"model": {"kind": "matrix", "dimension": 1, "halfwidth": 8,
+                           "coefficients": {"a": 1.0}}},
             ],
         }
         with pytest.raises(cli.ConfigError) as err:
@@ -66,6 +73,15 @@ class TestParseConfig:
         assert "seed" in text
         assert "experiments[0].model.kind" in text
         assert "experiments[1].model.cutoff_radius" in text
+        for problem in (
+                "experiments[2]: expected an object",
+                "experiments[3].model: expected an object",
+                "experiments[4].methods: expected a nonempty array",
+                "experiments[5].label: expected a nonempty string",
+                "experiments[6].zeta_schedule: expected a nonempty array",
+                "experiments[7].model.coefficients['a']: key must be "
+                "comma-separated integers"):
+            assert problem in text
 
     def test_schedule_validation(self):
         bad = _cfg()
@@ -162,9 +178,21 @@ class TestParseConfig:
             "s = 1 + 1/k at 1 in float arithmetic (needs k < 2^53)",
         )
 
-    def test_missing_file_is_config_error(self):
-        with pytest.raises(cli.ConfigError, match="config"):
-            cli.parse_config("/nonexistent/path.json")
+    @pytest.mark.parametrize("text,problem", [
+        (None, "config: [Errno 2] No such file"),
+        ("{", "config: invalid JSON"),
+        ("[1]", "config: expected a JSON object"),
+        ('{"schema_version": 1, "experiments": []}',
+         "experiments: expected a nonempty array"),
+    ], ids=["missing", "invalid-json", "array", "no-experiments"])
+    def test_unreadable_config_is_config_error(self, tmp_path, text,
+                                               problem):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config(str(path))
+        assert err.value.problems[0].startswith(problem)
 
 
 class TestRunAndEmit:
@@ -227,6 +255,8 @@ class TestRunAndEmit:
         assert parsed["schema_version"] == 1
         for row in parsed["rows"]:
             assert "%.12g" % row["value"] in csv_text
+        with pytest.raises(ValueError, match="format must be csv or json"):
+            cli.emit_report(rows, "xml")
 
     def test_torus_runs_never_expand_the_lattice(self, monkeypatch):
         # the spectra stay shells and counts on every estimator path
@@ -273,11 +303,29 @@ class TestMainExitCodes:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         return str(path)
 
-    def test_all_converged_exits_zero(self, tmp_path, capsys):
-        code = cli.main(["--config", self._write(tmp_path, _cfg())])
-        out = capsys.readouterr().out
+    @pytest.mark.parametrize("seed", [None, "5"])
+    def test_all_converged_exits_zero(self, tmp_path, capsys, monkeypatch,
+                                      seed):
+        args = ["--config", self._write(tmp_path, _cfg())]
+        out = tmp_path / "r.csv"
+        if seed is not None:
+            args += ["--seed", seed, "--out", str(out)]
+        seeds = []
+        run = cli.run_experiment
+
+        def spy(config):
+            seeds.append(config.seed)
+            return run(config)
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        code = cli.main(args)
+        text = capsys.readouterr().out
+        if seed is not None:
+            assert text == ""
+            text = out.read_text(encoding="utf-8")
         assert code == 0
-        assert out.startswith(",".join(cli.ROW_FIELDS)[: len("method")])
+        assert seeds == [3 if seed is None else 5]
+        assert text.startswith(",".join(cli.ROW_FIELDS)[: len("method")])
 
     def test_non_converged_exits_two(self, tmp_path, capsys):
         cfg = _cfg(experiments=[{
@@ -471,7 +519,9 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("budget,error", [
         ("abc", "error: DIXLAB_BUDGET_MB must be a number"),
         ("0", "error: DIXLAB_BUDGET_MB must be positive"),
-        ("0.001", "error: harmonic sequence (4096 stored values) needs "),
+        ("0.001", "error: harmonic sequence (4096 stored values) needs "
+                  "about 0.125 MB but the budget is 0.001 MB "
+                  "(raise DIXLAB_BUDGET_MB)"),
     ], ids=["not-a-number", "zero", "exhausted"])
     def test_check_with_a_bad_budget_exits_four(self, budget, error):
         r = subprocess.run(
@@ -483,6 +533,53 @@ class TestMainExitCodes:
         assert "Traceback" not in r.stderr
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(error)
+
+    @pytest.mark.parametrize("args,code,buffered", [
+        (["--list-models"], 0, False),
+        (["--list-models"], 0, True),
+        (["--check"], 0, True),
+        ({"kind": "torus", "dimension": 2, "cutoff_radius": 30}, 0, True),
+        ({"kind": "oscillator"}, 2, True),
+    ], ids=["list-models-unbuffered", "list-models", "check",
+            "report-converged", "report-not-converged"])
+    def test_closed_pipe_ends_quietly(self, tmp_path, args, code, buffered):
+        # each wrote a BrokenPipeError traceback and exited 1
+        if isinstance(args, dict):  # a model: its dixmier report
+            args = ["--config", self._write(tmp_path, _cfg(experiments=[{
+                "model": args, "methods": ["dixmier"]}]))]
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # closed before the child writes
+        try:
+            r = subprocess.run([sys.executable, "-m", "dixlab"] + args,
+                               stdout=write, stderr=subprocess.PIPE,
+                               text=True, env=env)
+        finally:
+            os.close(write)
+        # nothing on stderr but the timing lines
+        errors = [line for line in r.stderr.splitlines()
+                  if not line.startswith("# ")]
+        assert (r.returncode, errors) == (code, [])
+
+    def test_closed_stdout_points_at_devnull(self, tmp_path, monkeypatch):
+        with open(tmp_path / "out", "w", encoding="utf-8") as fh:
+            class Closed:
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def flush(self):
+                    pass
+
+                def fileno(self):
+                    return fh.fileno()
+
+            monkeypatch.setattr(sys, "stdout", Closed())
+            assert cli.main(["--list-models"]) == 0
+            assert os.path.samestat(os.fstat(fh.fileno()),
+                                    os.stat(os.devnull))
 
     def test_bad_budget_is_not_blamed_on_the_config(self, tmp_path, capsys,
                                                     monkeypatch):

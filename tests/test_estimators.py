@@ -246,13 +246,19 @@ class TestHeatEstimates:
         want = dx.heat_estimate(long, ts, alpha, "cesaro").raw_series[1]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("T", [10.0, 100.0])
-    def test_cesaro_tail_term_against_mpmath(self, T):
+    @pytest.mark.parametrize("args,alpha,T", [
+        ((2.0, 1.5, 0.5, 64), 1.0, 10.0),
+        ((2.0, 1.5, 0.5, 64), 1.0, 100.0),
+        ((1.0, 1.0, 0.0, 10**4), 100.0, 1e4),
+    ], ids=["10.0", "100.0", "z-overflows"])
+    def test_cesaro_tail_term_against_mpmath(self, args, alpha, T):
         # int_1^T R(s) ds/s^2: in y = z(s) - z(T) at T = 10, where z(T) =
-        # 1/(T mu_64) = 12.5, on unit panels of log s at T = 100
-        m = dx.power_log_sequence(2.0, 1.5, 0.5, 64)
-        got = estimators._log_heat_tail(m, 1.0, 1.0, T)
-        want = oracles.mp_log_heat_tail(2.0, 1.5, 0.5, 1.0, 65, 1.0, T)
+        # 1/(T mu_64) = 12.5, on unit panels of log s at T = 100; with the
+        # last value 1e-4 and alpha = 100, z(1) = 1e400 passes the float
+        # range and y runs to infinity
+        m = dx.power_log_sequence(*args)
+        got = estimators._log_heat_tail(m, alpha, 1.0, T)
+        want = oracles.mp_log_heat_tail(*args[:3], alpha, args[3] + 1, 1.0, T)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_cesaro_smooths_the_oscillator(self):
@@ -349,7 +355,8 @@ class TestOscillatorModel:
         # the 7 checkpoints past 2^16 read the tail; all 23 agree
         ks = dx.dyadic_schedule(10**7)
         got = dx.log_average(oscillator_1e7, ks)
-        want = dx.log_average(dx.oscillator_sequence(10**7), ks)
+        want = dx.log_average(dx.SingularSequence(oracles.osc_values(10**7)),
+                              ks)
         assert ks.size == 23
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 

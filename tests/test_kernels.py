@@ -190,7 +190,8 @@ class TestHeatSumOnSequenceHeads:
         "power_log": lambda: sequences.SingularSequence(np.sort(
             sequences.PowerLogTail(1.0, 1.0, 2.0).value(
                 np.arange(2.0, 10**5 + 1)))[::-1].copy()),
-        "oscillator": lambda: sequences.oscillator_sequence(10**5),
+        "oscillator": lambda: sequences.SingularSequence(
+            oracles.osc_values(10**5)),
         "torus1": lambda: models.torus_spectrum(1, 1000),
         "torus2": lambda: models.torus_spectrum(2, 300),
         "torus3": lambda: models.torus_spectrum(3, 60),

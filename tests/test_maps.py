@@ -146,6 +146,7 @@ class TestIntegration:
         want, _ = sci_integrate.quad(inner, t0, t1, limit=200)
         got = maps.log_cesaro_window(f, t0, t1)
         assert got == pytest.approx(want, rel=1e-9)
+        assert maps.log_cesaro_window(f, t0, t0) == 0.0
 
 
 class TestEmbeddingsAndRestriction:
@@ -241,6 +242,11 @@ class TestContinuousMaps:
         for n in (1, 7, 31, 64):
             got = maps.cesaro_cont_at(f, float(n))
             assert got == pytest.approx(float(ca[n - 1]), rel=1e-13)
+        assert maps.cesaro_cont_at(f, 0.0) == a[0]  # the limit at 0
+        # one unit: no knot past 0 and no geometric fill
+        g = maps.cesaro_cont(maps.floor_embed([5.0]))
+        assert (g.breakpoints.tolist(), g.values.tolist(), g.tail_value) == (
+            [0.0], [5.0], 5.0)
 
     def test_cesaro_cont_function_knot_exact(self):
         f = maps.linear_embed(_rng(12).random(40))
@@ -425,3 +431,68 @@ class TestOscillationAndAlmostConvergence:
         passed, profile = maps.almost_convergence_test(f, (256, 2048, 16384))
         assert not passed
         assert profile[-1] > 1e-2
+
+
+def _from_zero():
+    return maps.floor_embed(np.arange(1.0, 21.0))
+
+
+def _from_one():
+    return maps.PiecewiseFunction("step", np.array([1.0, 2.0]),
+                                  np.array([1.0, 2.0]), 1.0, 3.0, 0.0)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: maps.PiecewiseFunction("cubic", np.array([0.0]),
+                                    np.array([1.0]), 0.0, 1.0, 0.0),
+     "kind must be 'step' or 'linear'"),
+    (lambda: maps.PiecewiseFunction("step", np.array([0.0, 1.0]),
+                                    np.array([1.0]), 0.0, 2.0, 0.0),
+     "matching 1-d arrays"),
+    (lambda: maps.PiecewiseFunction("step", np.array([0.5]),
+                                    np.array([1.0]), 0.5, 2.0, 0.0),
+     "domain_start must be 0 or 1"),
+    (lambda: maps.PiecewiseFunction("step", np.array([0.0]),
+                                    np.array([math.nan]), 0.0, 1.0, 0.0),
+     "breakpoints and values must be finite"),
+    (lambda: maps.evaluate(_from_one(), 0.5), "below domain_start"),
+    (lambda: maps.integral(_from_zero(), 2.0, 1.0),
+     "reversed integration range"),
+    (lambda: maps.integral(_from_one(), 0.5, 2.0),
+     "integration below domain_start"),
+    (lambda: maps.cesaro_cont_at(_from_one(), 2.0), "needs domain_start 0"),
+    (lambda: maps.cesaro_cont_at(_from_zero(), 21.0), "past the horizon"),
+    (lambda: maps.log_cesaro_window(_from_one(), 1.0, 2.0),
+     "needs domain_start 0"),
+    (lambda: maps.floor_embed([]), "nonempty 1-d sequence"),
+    (lambda: maps.floor_embed([math.nan]), "sequence must be finite"),
+    (lambda: maps.shift_discrete([1.0, 2.0], 0), "positive integer"),
+    (lambda: maps.shift_discrete([1.0, 2.0], 2), "exhausts the sequence"),
+    (lambda: maps.linear_embed([1.0]), "at least two entries"),
+    (lambda: maps.restrict(maps.PiecewiseFunction(
+        "linear", np.array([1.0]), np.array([1.0]), 1.0, 1.0, 0.0)),
+     "no integer sample"),
+    (lambda: maps.window_avg(maps.floor_embed([1.0])),
+     "too short for a unit window"),
+    (lambda: maps.shift_cont(_from_zero(), 20.0), "exhausts the domain"),
+    (lambda: maps.dilate_cont(_from_one(), 2.0), "domain_start 0"),
+    (lambda: maps.cesaro_cont(_from_one()), "needs domain_start 0"),
+    (lambda: maps.exp_conjugate(_from_zero()), "needs domain_start 1"),
+    (lambda: maps.log_conjugate(_from_one()), "needs domain_start 0"),
+    (lambda: maps.log_conjugate(maps.floor_embed(np.ones(701))),
+     "too large to exponentiate"),
+    (lambda: maps.commutator_defect(("shift", "floor_embed"), np.ones(4),
+                                    t=1.0, j=0), "positive integer"),
+    (lambda: maps.commutator_defect(("cesaro", "window_restrict"),
+                                    np.ones(4), t=1),
+     "take a piecewise function"),
+    (lambda: maps.almost_convergence_test(_from_zero(), [0.0]),
+     "windows must be positive"),
+    (lambda: maps.almost_convergence_test(_from_zero(), [4.0, 2.0]),
+     "windows must increase"),
+    (lambda: maps.almost_convergence_test(_from_zero(), [4.0, 30.0]),
+     "window 30 exceeds the data horizon"),
+])
+def test_refusal_names_its_rule(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

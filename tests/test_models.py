@@ -310,12 +310,15 @@ class TestBandSingularValues:
         np.testing.assert_allclose(got, linalg.svdvals(op.entries),
                                    rtol=1e-12)
 
-    @pytest.mark.parametrize("corruption", ["shifted", "nan", "repeated"])
+    @pytest.mark.parametrize("corruption", ["shifted", "nan", "repeated",
+                                            "solver"])
     def test_corrupted_value_fails_certificate(self, monkeypatch,
                                                corruption):
         eig_banded = linalg.eig_banded
 
         def corrupted(*args, **kwargs):
+            if corruption == "solver":
+                raise linalg.LinAlgError("no convergence")
             lam = eig_banded(*args, **kwargs)
             if corruption == "repeated":  # sigma_3 twice, sigma_2 lost
                 lam[-2] = lam[-3]
@@ -327,7 +330,8 @@ class TestBandSingularValues:
         monkeypatch.setattr(models.linalg, "eig_banded", corrupted)
         op = models.multiplication_matrix(_symbol("symmetric", 1), 1, 200)
         reason = {"shifted": "residual", "nan": "at nan",
-                  "repeated": "repeated or lost"}[corruption]
+                  "repeated": "repeated or lost",
+                  "solver": "solver failed: no convergence"}[corruption]
         with pytest.raises(models.CertificateError, match=reason):
             models.singular_values(op)
 
@@ -477,7 +481,7 @@ class TestSingularValuesAndDecomposition:
         with pytest.raises(models.CertificateError, match="residual"):
             models.singular_values(op)
 
-    @pytest.mark.parametrize("corruption", ["nan", "repeated"])
+    @pytest.mark.parametrize("corruption", ["nan", "repeated", "solver"])
     def test_dense_corrupted_value_fails_certificate(self, monkeypatch,
                                                      corruption):
         # a NaN residual compared false against the bound and passed, and
@@ -486,6 +490,8 @@ class TestSingularValuesAndDecomposition:
         svd = linalg.svd
 
         def corrupted(*args, **kwargs):
+            if corruption == "solver":
+                raise linalg.LinAlgError("no convergence")
             u, s, vh = svd(*args, **kwargs)
             if corruption == "repeated":
                 u[:, 2], s[2], vh[2] = u[:, 1], s[1], vh[1]
@@ -499,8 +505,8 @@ class TestSingularValuesAndDecomposition:
              (0, -1): -0.25j}
         )
         op = models.multiplication_matrix(f, 2, 6)
-        reason = {"nan": "residual nan",
-                  "repeated": "repeated or lost"}[corruption]
+        reason = {"nan": "residual nan", "repeated": "repeated or lost",
+                  "solver": "solver failed: no convergence"}[corruption]
         with pytest.raises(models.CertificateError, match=reason):
             models.singular_values(op)
 
@@ -559,8 +565,16 @@ class TestSingularValuesAndDecomposition:
             shift = np.max(np.abs(H)) * np.eye(H.shape[0])
             return pos + shift, neg + shift
 
+        def unbalanced(H):
+            pos, neg = positive_parts(H)
+            return pos + np.max(np.abs(H)) * np.eye(H.shape[0]), neg
+
         monkeypatch.setattr(models, "_positive_parts", overlapping)
         with pytest.raises(models.CertificateError, match="not orthogonal"):
+            models.hermitian_decompose(m)
+        monkeypatch.setattr(models, "_positive_parts", unbalanced)
+        with pytest.raises(models.CertificateError,
+                           match="reconstruction failed"):
             models.hermitian_decompose(m)
 
 
@@ -661,6 +675,9 @@ class TestNCTorus:
         assert dx.connes_rhs(f, 2) == math.pi
         g = dx.FourierMultiplier({(0,): 3.0})
         assert dx.connes_rhs(g, 1) == 6.0
+        h = dx.FourierMultiplier({(0,): 3.0}, real_flag=False)
+        assert dx.connes_rhs(h, 1) == 6.0 + 0j
+        assert isinstance(dx.connes_rhs(h, 1), complex)
 
 
 class TestDominationCheck:
@@ -668,15 +685,20 @@ class TestDominationCheck:
         with pytest.raises(ValueError):
             models.domination_check(np.ones((2, 8)), np.ones(9))
 
-    def test_negative_candidate_rejected(self):
-        with pytest.raises(ValueError):
-            models.domination_check(np.ones((1, 4)), -np.ones(4))
+    @pytest.mark.parametrize("profiles,candidate,match", [
+        (np.ones((1, 4)), -np.ones(4), "candidate profile"),
+        (-np.ones((1, 4)), np.ones(4), "profiles"),
+    ], ids=["candidate", "profiles"])
+    def test_negative_profile_rejected(self, profiles, candidate, match):
+        with pytest.raises(ValueError, match=match + " must be nonnegative"):
+            models.domination_check(profiles, candidate)
 
     def test_accepts_dominating_candidate(self):
         grid = np.linspace(0, 1, 17)
         basis = np.stack([grid, grid**2])
         assert models.domination_check(basis, grid + 1e-9)
         assert not models.domination_check(basis, 0.5 * grid)
+        assert models.domination_check(grid, grid)  # one profile
 
 
 # ------------------------------------------------- run-length lattice spectra
@@ -691,12 +713,10 @@ def _expanded(x):
                 ids=["2-torus-R2000", "3-torus-R200"])
 def shells_and_points(request):
     """A torus spectrum as shells and counts, and the same spectrum as
-    one value per lattice point from kernels.lattice_w."""
+    one value per lattice point."""
     n, radius = request.param
     x = models.torus_spectrum(n, radius)
-    w = kernels.lattice_w(n, radius)
-    np.power(w, -n / 2.0, out=w)
-    return x, dx.SingularSequence(w, x.tail)
+    return x, _expanded(x)
 
 
 class TestRunLengthLatticeGate:
@@ -800,7 +820,8 @@ class TestRunLengthLatticePaths:
         # lattice, against one value per point
         model = dx.torus_spectrum(2, 400)
         got = dx.product_zeta_sequence(dx.SublatticeProjection(2), model)
-        w = 4.0 * (kernels.lattice_w(2, 200) - 1.0) + 1.0
+        keys, counts = models._shells(2, 200)
+        w = np.repeat(4.0 * keys + 1.0, counts)
         for k, v in zip(*got.raw_series):
             q = 1.0 + 1.0 / k
             want = (kernels.power_sum(w, -q) + sequences.tail_sum(
@@ -851,3 +872,26 @@ class TestRunLengthLatticePaths:
         # tilde_mu returns one value per index by contract
         with pytest.raises(dx.BudgetError):
             dx.tilde_mu(x, x, x, x)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: dx.connes_rhs({(0,): 1.0}, 1), TypeError,
+     "first argument must be a FourierMultiplier"),
+    (lambda: dx.connes_rhs(dx.FourierMultiplier({(0,): 1.0}), 2),
+     ValueError, "multiplier dimension 1 != n=2"),
+    (lambda: models.cube_basis(2, -1), ValueError,
+     "cube halfwidth must be >= 0"),
+    (lambda: dx.FourierMultiplier({(0,): 1.0, (0, 0): 1.0}), ValueError,
+     "mixed key dimensions"),
+    (lambda: dx.FourierMultiplier({}), ValueError,
+     "at least one coefficient"),
+    (lambda: models.singular_values(np.ones((2, 3))), ValueError,
+     "need a square dense matrix"),
+    (lambda: models.expectation_sequence(dx.FourierMultiplier({(0,): 1.0})),
+     ValueError, "need a basis length"),
+    (lambda: dx.NCTorusElement({(0, 0): math.nan}, 0.0), ValueError,
+     "coefficients must be finite"),
+])
+def test_refusal_names_its_rule(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -67,10 +67,19 @@ class TestSingularSequence:
         with pytest.raises(dx.BudgetError, match="harmonic sequence"):
             dx.harmonic_sequence(10**5)
         with pytest.raises(dx.BudgetError, match="oscillator sequence"):
-            dx.oscillator_sequence(10**5)
+            dx.oscillator_model(10**5)
         with pytest.raises(dx.BudgetError, match="power-log sequence"):
             dx.power_log_sequence(1.0, 1.0, 0.0, 10**5)
         assert dx.harmonic_sequence(10**4).length == 10**4
+
+    @pytest.mark.parametrize("need,budget,text", [
+        # both read "0 MB"
+        (0.125, 0.001, "needs about 0.125 MB but the budget is 0.001 MB"),
+        (2288818.4, 2048.0, "needs about 2288818 MB but the budget is "
+                            "2048 MB"),
+    ])
+    def test_budget_message_gives_both_sizes(self, need, budget, text):
+        assert text in str(dx.BudgetError("x", need, budget))
 
     def test_scan_horizon(self):
         head = 1.0 / np.arange(1.0, 101.0)
@@ -105,7 +114,6 @@ class TestSingularSequence:
 
     @pytest.mark.parametrize("build", [
         lambda: dx.harmonic_sequence(2.5),
-        lambda: dx.oscillator_sequence(10**4 + 0.5),
         lambda: dx.oscillator_model(10**4 + 0.5),
         lambda: dx.power_log_sequence(1.0, 1.0, 0.0, 100.5),
         lambda: dx.oscillator_model(math.nan),
@@ -728,7 +736,7 @@ class TestSubmajorization:
         n = 70_000  # past one chunk of the prefix-sum stream
         x = {
             "harmonic": lambda: dx.SingularSequence(1 / np.arange(1, n + 1)),
-            "oscillator": lambda: dx.oscillator_sequence(n),
+            "oscillator": lambda: dx.SingularSequence(oracles.osc_values(n)),
             "lattice": lambda: dx.torus_spectrum(3, 60),
             # about 1000 binary orders: wide exact integer sums
             "wide": lambda: dx.SingularSequence(
@@ -1065,6 +1073,6 @@ class TestTauberianClassification:
             assert v.limit_estimate == pytest.approx(want, rel=1e-6)
 
     def test_oscillator_head_values(self):
-        x = dx.oscillator_sequence(1024)
+        x = dx.oscillator_model(1024)
         want = oracles.osc_values(1024)
         np.testing.assert_allclose(x.values, np.sort(want)[::-1], rtol=1e-15)
