@@ -146,7 +146,7 @@ def zeta_residue_estimate(source, k_schedule=ZETA_SCHEDULE):
     guarded = True
     for i, k in enumerate(ks):
         s = 1.0 + 1.0 / float(k)
-        z = _finite(power_trace(x, s), "zeta", "s=%g" % s)
+        z = power_trace(x, s)
         vals[i] = z / float(k)
         guarded &= edge**s * L / (s - 1.0) <= 0.01 * z
     if not guarded:

@@ -46,7 +46,6 @@ from bisect import bisect_left
 from operator import neg
 
 import numpy as np
-from scipy.special import gammaincc
 
 # exp(-x) is a normal double for x <= 708 and 0.0 for x >= 750
 _X_NORMAL, _X_ZERO = 708.0, 750.0
@@ -129,7 +128,17 @@ def heat_gamma_sum(values, t, alpha, counts=None):
     at every alpha: heat_sum's cut and bounds hold for the terms times t.
     """
     return _kept_sum(values, t, alpha, counts,
-                     lambda v, x: v * gammaincc(1.0 / alpha, x), t)
+                     lambda v, x: v * gamma_q(1.0 / alpha, x), t)
+
+
+def gamma_q(a, x):
+    """Q(a, x), the regularized upper incomplete gamma function: exactly
+    e^-x at a = 1, else scipy.special.gammaincc, imported only then so
+    that importing the package does not load scipy.special."""
+    if a == 1.0:
+        return np.exp(-x)
+    from scipy.special import gammaincc
+    return gammaincc(a, x)
 
 
 def _kept_sum(values, t, alpha, counts, term, scale):

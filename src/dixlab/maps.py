@@ -346,7 +346,12 @@ def _substitute(f, t_of, moved, start, horizon, fill=None, note=""):
     each knot's value: it comes from f's own knots, never from
     re-evaluating f at t_of(moved), which can land one ulp off a knot.
     Other linear data is read at t_of, clamped into f's domain, on the
-    moved knots plus the geometric fill, and flagged with note."""
+    moved knots plus the geometric fill, and flagged with note.  An
+    empty domain (a linear f whose one knot is its horizon) is refused:
+    it has nothing to move."""
+    if not f.domain_start < f.horizon:
+        raise ValueError("the domain [%g, %g) is empty: nothing to "
+                         "substitute" % (f.domain_start, f.horizon))
     keep = moved > start
     if f.kind == "step" or fill is None:
         b = np.concatenate([[start], moved[keep]])

@@ -280,12 +280,18 @@ def multiplication_matrix(f, n, halfwidth, power=None):
 # singular vectors certified per batch of banded matvecs
 _BLOCK = 16
 # a 1-D band path costs about N^2 * kd against N^3 for the dense SVD.
-# Timed for deg f = 1..10 on 2 CPUs with one BLAS thread: certified on
-# the 2N band, the dense SVD was faster at N = 90 kd (a tie at deg f =
-# 10) and the band at 110 kd.  Certified on the Gram band, the band is
-# faster from 70 kd at deg f = 3, 5 and 10 and ties the dense SVD at 70
-# and 90 kd at deg f = 1, where it is faster at 110 kd
-_BAND_MIN_SIZE_PER_KD = 100
+# Timed for deg f = 1, 3, 5 and 10 on 2 CPUs with one BLAS thread (best
+# of 3, BENCH_33.json), band/dense time at N = 10, 40 and 70 kd: deg f =
+# 1 1.99, 1.06, 0.72; 3 2.04, 0.87, 0.60; 5 2.42, 1.21, 0.43; 10 2.45,
+# 0.80, 0.81.  The band is faster at every degree from 70 kd on
+_BAND_MIN_SIZE_PER_KD = 70
+# eig_banded returns the Gram band's eigenvalues to c * eps * sigma_1^2,
+# so sigma = sqrt(lambda) is off by c * eps * sigma_1^2 / (2 sigma).  c
+# measured at most 0.16 (degrees 1 to 10, real and complex symbols, N up
+# to 1201): 1.8e-13 sigma_1 at sigma = 1e-4 sigma_1, inside the 1e-12
+# sigma_1 to which it matches the dense SVD (1.1e-12 even at c = 1).
+# Smaller values come from the 2N Golub-Kahan band (no squaring of A)
+_GRAM_MIN_SIGMA = 1e-4
 
 
 def _as_matrix(a, what, arrays):
@@ -513,30 +519,52 @@ def _certify_band(a, sigma):
     _certify(sigma, resid, float(np.vdot(a, a).real))
 
 
-def _band_singular_values(op):
-    """Singular values of a 1-D truncation from the eigenvalues of its
-    Golub-Kahan band (no squaring of A), each certified by
-    _certify_band."""
-    kd, N = _band_kd(op), op.size
-    # 16 bytes per entry: the A band, its scaled copy, its conjugate and
-    # the Gram band (4 kd x N), the Golub-Kahan band and eig_banded's copy
-    # (2 (kd + 1) x 2N), its general band and LU copy (2 (3 kd + 1) x 2N),
-    # the Gram general band and LU copy (2 (3 kd - 2) x N) and 8 block
-    # arrays (8 x 16 x N)
-    _check_budget(
-        "banded singular values (%d x %d, bandwidth %d)" % (N, N, kd),
-        16.0 * N * (26 * kd + 4 + 8 * _BLOCK),
-    )
-    a = _symbol_band(op)
-    ab = _golub_kahan_band(a)
+def _band_eigenvalues(ab):
+    """All eigenvalues, ascending, of the Hermitian band in lower band
+    storage ab, or CertificateError when the solver fails."""
     try:
-        lam = linalg.eig_banded(ab, lower=True, eigvals_only=True)
+        return linalg.eig_banded(ab, lower=True, eigvals_only=True)
     except linalg.LinAlgError as exc:
         raise CertificateError(
             "singular value solver failed: %s" % exc
         ) from exc
-    # eigenvalues ascend and pair up as +-sigma: the top half, reversed
-    sigma = np.maximum(lam[N:][::-1], 0.0)
+
+
+def _band_singular_values(op):
+    """Singular values of a 1-D truncation, each certified by
+    _certify_band: sigma = sqrt(lambda) from the eigenvalues lambda of
+    the N x N Gram band A*A, formed in _unit(||A||_F) so that it
+    neither overflows nor underflows where it matters; the values below
+    _GRAM_MIN_SIGMA * sigma_1 come from the 2N Golub-Kahan band
+    instead, which is built only when there are any."""
+    kd, N = _band_kd(op), op.size
+    # 16 bytes per entry, at the certificate's peak: the A band, its
+    # scaled copy and its conjugate, and the Gram band (4 kd x N), the
+    # Gram general band and LU copy (2 (3 kd - 2) x N), the Golub-Kahan
+    # general band and LU copy of a retry (2 (3 kd + 1) x 2N) and 8 block
+    # arrays (8 x 16 x N).  The eigenvalue step holds less: the A band,
+    # its scaled copy, the Gram band and eig_banded's copy (4 kd x N) and,
+    # for small values, the Golub-Kahan band and its copy (2 (kd + 1) x
+    # 2N)
+    _check_budget(
+        "banded singular values (%d x %d, bandwidth %d)" % (N, N, kd),
+        16.0 * N * (22 * kd + 8 * _BLOCK),
+    )
+    a = _symbol_band(op)
+    # ||A||_F >= sigma_1, taken in _unit(max |a|) so it cannot overflow;
+    # the product is capped at 2^1023 as _unit is, for a subnormal A
+    unit = _unit(float(np.max(np.abs(a))))
+    unit = min(unit * _unit(float(np.linalg.norm(a * unit))), 2.0**1023)
+    lam = _band_eigenvalues(_gram_band(a * unit))
+    sigma = np.sqrt(np.maximum(lam[::-1], 0.0)) / unit
+    small = sigma < _GRAM_MIN_SIGMA * sigma[0]
+    if small.any():
+        # the top half of H's eigenvalues +-sigma, reversed; spliced in
+        # by rank, then sorted: a value at the threshold may meet its
+        # near-twin from the other band out of order
+        lam = _band_eigenvalues(_golub_kahan_band(a))
+        sigma[small] = np.maximum(lam[N:][::-1], 0.0)[small]
+        sigma = np.sort(sigma)[::-1]
     _certify_band(a, sigma)
     return sigma
 

@@ -18,7 +18,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaincc
 
 from . import kernels
 
@@ -163,7 +162,7 @@ class PowerLogTail:
         if math.isinf(u1) and b > -1.0:
             # int u^b e^(-kappa u) du = kappa^-(b+1) * Gamma(b+1, kappa*u0)
             z = kappa * u0
-            g = gammaincc(b + 1.0, z) * math.exp(math.lgamma(b + 1.0))
+            g = kernels.gamma_q(b + 1.0, z) * math.exp(math.lgamma(b + 1.0))
             return coeff * kappa ** (-(b + 1.0)) * g
         return _envelope_integral(coeff, kappa, lambda u: u**b, u0, u1)
 
@@ -185,7 +184,7 @@ class PowerLogTail:
         try:
             q = (t * c) ** (-alpha)
             z0 = q * u0 ** (-b_alpha) * math.exp(beta * u0)
-            body = None if b else (float(gammaincc(1.0 / beta, z0))
+            body = None if b else (float(kernels.gamma_q(1.0 / beta, z0))
                                    * math.exp(math.lgamma(1.0 / beta))
                                    * q ** (-1.0 / beta) / beta)
         except (OverflowError, ZeroDivisionError):  # then the quadrature
@@ -603,11 +602,14 @@ def power_trace(source, s):
     """Tr(T^s) = sum over n of mu_n**s for a sequence (or an array,
     through as_sequence): the head kernel sum plus tail_power_sum from
     index length + 1, taken first so that a divergent s (an infinite
-    tail) is refused before the head is summed."""
+    tail) is refused before the head is summed.  A total past the float64
+    range is refused too."""
     x = as_sequence(source)
+    at = "s=%g" % s
     tail = 0.0 if x.tail is None else tail_power_sum(x.tail, s, x.length + 1)
-    _finite(tail, "zeta", "s=%g" % s)
-    return kernels.power_sum(x.head, s, counts=x.counts) + tail
+    _finite(tail, "zeta", at)
+    return _finite(kernels.power_sum(x.head, s, counts=x.counts) + tail,
+                   "zeta", at)
 
 
 def decreasing_rearrangement(x):
@@ -767,7 +769,7 @@ def zeta_norm_z1(source, k_schedule=None):
     for k in map(float, _zeta_schedule(k_schedule)):
         try:
             total = power_trace(x, 1.0 + 1.0 / k)
-        except ValueError:  # a divergent zeta tail, refused
+        except ValueError:  # a divergent or overflowing sum, refused
             return math.inf
         best = max(best, total ** (k / (k + 1.0)) / k)
     return float(best)

@@ -926,3 +926,40 @@ def test_no_run_loads_scipy_integrate(tmp_path):
     assert seen["code"] in (0, 2)
     assert seen["rows"] == len(models) * len(methods)
     assert seen["import"] == [] and seen["run"] == []
+
+
+_NO_SPECIAL = """
+import contextlib, io, json, sys
+import dixlab
+from dixlab import cli
+
+def special_modules():
+    return [m for m in sys.modules
+            if m.split(".")[:2] == ["scipy", "special"]]
+
+seen = {"import": special_modules()}
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    seen["code"] = cli.main(["--config", sys.argv[1]])
+seen["run"] = special_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_import_and_order_one_runs_load_no_scipy_special(tmp_path):
+    # Q(1, x) = e^-x is every incomplete gamma function a default
+    # harmonic or torus run evaluates; other orders import scipy.special
+    # where they are taken
+    models = [{"kind": "harmonic", "horizon": 1024},
+              {"kind": "torus", "dimension": 2, "cutoff_radius": 20}]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_cfg(experiments=[
+        {"label": m["kind"], "model": m,
+         "methods": ["dixmier", "zeta", "heat_raw", "heat_cesaro"]}
+        for m in models])), encoding="utf-8")
+    r = subprocess.run([sys.executable, "-c", _NO_SPECIAL, str(cfg)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    seen = json.loads(r.stdout)
+    assert seen["code"] in (0, 2)
+    assert seen["import"] == [] and seen["run"] == []

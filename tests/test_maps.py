@@ -305,6 +305,18 @@ class TestConjugation:
                                    0.5 * np.log(h.breakpoints[inside]),
                                    rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("conjugate,start", [
+        (maps.exp_conjugate, 1.0), (maps.log_conjugate, 0.0)])
+    def test_empty_domain_is_refused_by_name(self, conjugate, start):
+        # a linear function whose one knot is its horizon lives on
+        # [start, start): the refusal names that domain, not arguments
+        # the caller never passed
+        f = maps.PiecewiseFunction("linear", [start], [2.0], start, start,
+                                   0.0)
+        with pytest.raises(ValueError, match=r"domain \[%g, %g\) is empty"
+                           % (start, start)):
+            conjugate(f)
+
     def test_conjugated_shift_is_dilation(self):
         # log-domain translation by c acts as t -> t * e^c
         a = _rng(15).random(200) + 0.5

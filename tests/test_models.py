@@ -284,10 +284,10 @@ class TestBandSingularValues:
             return band(op)
 
         monkeypatch.setattr(models, "_band_singular_values", spy)
-        narrow = _symbol("phases", 1)  # 401 >= 100 * 3
+        narrow = _symbol("phases", 1)  # 401 >= 70 * 3
         wide = dx.FourierMultiplier(
             {(k,): 1.0 / (1 + abs(k)) for k in range(-10, 11)}
-        )  # 401 < 100 * 21
+        )  # 401 < 70 * 21
         for op in (models.multiplication_matrix(narrow, 1, 200),
                    models.multiplication_matrix(wide, 1, 200)):
             np.testing.assert_allclose(
@@ -352,6 +352,22 @@ class TestBandSingularValues:
             models.multiplication_matrix(f, 1, 150)).values
         np.testing.assert_allclose(got / scale, want, rtol=1e-12)
 
+    def test_subnormal_symbol_is_formed_in_a_finite_unit(self):
+        # the units of max |a| (2^1023, capped) and of ||A||_F (2^3) would
+        # multiply to 2^1026 = inf; capped at 2^1023, the Gram band is
+        # formed and the values are those of the unit symbol, to
+        # subnormal precision
+        f = _symbol("symmetric", 1)
+        scale = 2e-310
+        scaled = dx.FourierMultiplier(
+            {k: c * scale for k, c in f.coefficients.items()})
+        got = models.singular_values(
+            models.multiplication_matrix(scaled, 1, 150)).values
+        want = models.singular_values(
+            models.multiplication_matrix(f, 1, 150)).values
+        np.testing.assert_allclose(got, want * scale, rtol=0.0,
+                                   atol=2.0 * 5e-324)
+
     def test_exactly_singular_shift_is_retried(self):
         # H = 0: every shift sigma = 0 is exactly singular until nudged
         op = models.multiplication_matrix(dx.FourierMultiplier({(0,): 0.0}),
@@ -399,6 +415,53 @@ class TestBandSingularValues:
         got, gram, golub_kahan = self._count_solves(monkeypatch, op)
         assert (gram, golub_kahan) == (601, 0)
         want = linalg.svdvals(op.entries)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * want[0])
+
+    def _spy_eig_banded(self, monkeypatch):
+        """The shapes of the bands eig_banded is called on, as a list
+        that fills as it runs."""
+        shapes = []
+        eig_banded = linalg.eig_banded
+
+        def spy(ab, *args, **kwargs):
+            shapes.append(ab.shape)
+            return eig_banded(ab, *args, **kwargs)
+
+        monkeypatch.setattr(models.linalg, "eig_banded", spy)
+        return shapes
+
+    @pytest.mark.parametrize("M", [300, 600])
+    def test_workload_symbol_takes_one_gram_band_eigensolve(
+            self, monkeypatch, M):
+        # sigma_N is 1.4e-3 sigma_1 at M = 300 and 7.1e-4 at M = 600: every
+        # value comes from the N-column Gram band, none from the 2N band
+        c = 0.5 * np.exp(1.234j)  # 2 + cos(x + phi)
+        op = models.multiplication_matrix(
+            dx.FourierMultiplier({(0,): 2.0, (1,): c, (-1,): np.conj(c)}),
+            1, M)
+        shapes = self._spy_eig_banded(monkeypatch)
+        got = models._band_singular_values(op)
+        assert shapes == [(3, op.size)]
+        monkeypatch.undo()
+        lam = linalg.eig_banded(
+            models._golub_kahan_band(models._symbol_band(op)), lower=True,
+            eigvals_only=True)
+        want = lam[op.size:][::-1]
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * want[0])
+
+    def test_small_values_come_from_the_golub_kahan_band(self, monkeypatch):
+        # 1 + cos x vanishes at x = pi: sigma_N is 2.8e-7 sigma_1, where
+        # the square root of a Gram eigenvalue alone is 1.2e-12 sigma_1 off
+        op = models.multiplication_matrix(
+            dx.FourierMultiplier({(0,): 1.0, (1,): 0.5, (-1,): 0.5}), 1, 200)
+        shapes = self._spy_eig_banded(monkeypatch)
+        got = models._band_singular_values(op)
+        assert shapes == [(3, op.size), (4, 2 * op.size)]
+        assert np.all(np.diff(got) <= 0.0)
+        want = linalg.svdvals(op.entries)
+        assert want[-1] < models._GRAM_MIN_SIGMA * want[0]
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * want[0])
 

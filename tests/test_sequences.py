@@ -351,6 +351,15 @@ class TestTailCalculus:
                                "or past the float64 range at t=100"):
                 dx.heat_estimate(m, smoothing=smoothing)
 
+    @pytest.mark.parametrize("tail", [None, dx.PowerLogTail(2.0, 1.0)])
+    def test_power_trace_refuses_an_infinite_head_sum(self, tail):
+        # 1e300**2 overflows in the head, whose sum was returned as inf
+        # while an infinite tail sum raised
+        x = dx.SingularSequence([1e300, 1.0], tail)
+        with pytest.raises(ValueError, match="zeta evaluation divergent "
+                           "or past the float64 range at s=2"):
+            dx.power_trace(x, 2.0)
+
     def test_heat_sum_continuation_matches_brute_force(self):
         # sum over n >= 1 of exp(-n/10) is 1/(e^0.1 - 1); a tail closure
         # without the -f'/12 Euler-Maclaurin term is off by 1.5e-3
