@@ -422,13 +422,6 @@ def _unit(sigma_1):
     return 2.0 ** -max(math.frexp(sigma_1)[1], -1023)
 
 
-def _misses(sigma, resid):
-    """Where a residual is NaN or exceeds _certify's bound 1e-8 *
-    sigma_1 (the band path retries those values)."""
-    scale = float(sigma[0]) if sigma.size and sigma[0] > 0 else 1.0
-    return ~(resid <= 1e-8 * scale)
-
-
 def _certify(sigma, resid, frobenius):
     """Raise CertificateError unless every sigma_i has a vector x with
     resid_i = ||Hx - sigma_i x|| / ||x|| <= 1e-8 * sigma_1, H = [[0, A],
@@ -437,11 +430,12 @@ def _certify(sigma, resid, frobenius):
 
     A residual places each value, whatever produced x, but not the
     multiset (a value repeated in place of its neighbour passes it):
-    the Frobenius check catches that.  Every argument is in
-    _unit(sigma_1), so the rule decides alike at any scale of A."""
+    the Frobenius check catches that.  Every argument is in one power-of-
+    two unit that keeps sigma_1 and ||A||_F inside the float range, so
+    the rule decides alike at any scale of A."""
     scale = float(sigma[0]) if sigma.size and sigma[0] > 0 else 1.0
     bound = 1e-8 * scale
-    if _misses(sigma, resid).any():
+    if not np.all(resid <= bound):
         worst = float(np.max(resid))  # a NaN residual propagates here
         raise CertificateError(
             "singular value residual %.3e * sigma_1 exceeds 1e-8 * sigma_1"
@@ -456,66 +450,58 @@ def _certify(sigma, resid, frobenius):
         )
 
 
-def _certify_band(a, sigma):
-    """_certify the singular values sigma of the band a (_symbol_band).
+def _on_golub_kahan(sigma):
+    """Where a value is served by the 2N Golub-Kahan band rather than the
+    N x N Gram band: below _GRAM_MIN_SIGMA * sigma_1, or not > 0 (no
+    u = A v / sigma)."""
+    return (sigma < _GRAM_MIN_SIGMA * sigma[0]) | ~(sigma > 0)
 
-    Each x = (u, v) comes from one step of inverse iteration on the
-    N x N Gram band A*A: (A*A - sigma^2) v = start for a fixed
-    pseudo-random start, and u = A v / sigma.  Where that fails (sigma is
-    not > 0, the shifted band is singular, or the residual misses the
-    bound) x is one step on the 2N band H - sigma instead."""
-    unit = _unit(float(sigma[0]))
-    a = a * unit
+
+def _certify_band(a, sigma, gram, golub_kahan):
+    """_certify the singular values sigma of the band a (_symbol_band),
+    both in the unit of _band_singular_values, which hands over the
+    bands it formed: gram = _gram_band(a) and golub_kahan =
+    _golub_kahan_band(a), or None when no value is _on_golub_kahan.
+
+    Each x = (u, v) comes from one step of inverse iteration from a
+    fixed pseudo-random start: on the Gram band, (A*A - sigma^2) v =
+    start and u = A v / sigma; for a value _on_golub_kahan, on the 2N
+    band, (H - sigma) x = start."""
     ac = a.conj()
-    sigma = sigma * unit
     scale = float(sigma[0]) if sigma[0] > 0 else 1.0
     N = a.shape[1]
-    gram = _general_band(_gram_band(a))
-    start = _start(N)
+    gram, start = _general_band(gram), _start(N)
     nudge = 4.0 * np.spacing(scale * scale)  # on the scale of A*A
-    gk = None  # the 2N band H and its start, built on a first retry
-
-    def golub_kahan_step(s):
-        nonlocal gk
-        if gk is None:
-            gk = _general_band(_golub_kahan_band(a)), _start(2 * N)
-        x = _inverse_step(gk[0], s, gk[1], 4.0 * np.spacing(scale))
-        if x is None:
-            raise CertificateError(
-                "inverse iteration at %.17g: shifted band is singular"
-                % (s / unit)
-            )
-        x = x / np.max(np.abs(x))
-        return x[0::2], x[1::2]
-
-    def residuals(U, V, AV, s):
-        return _residuals(U, V, AV, _band_apply(ac, U, adjoint=True), s)
-
+    if golub_kahan is not None:
+        golub_kahan, start_2n = _general_band(golub_kahan), _start(2 * N)
+        nudge_2n = 4.0 * np.spacing(scale)
+    wide = _on_golub_kahan(sigma)  # the values stepped on H
     resid = np.empty(sigma.size)
-    # a vector that overflows has a NaN residual: retried, then refused
+    # a vector that overflows has a NaN residual, which _certify refuses
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, sigma.size, _BLOCK):
-            block = sigma[lo:lo + _BLOCK]
+            block, on_h = sigma[lo:lo + _BLOCK], wide[lo:lo + _BLOCK]
             U = np.empty((block.size, N), dtype=np.complex128)
             V = np.empty_like(U)
-            on_gram = np.zeros(block.size, dtype=bool)
             for i, s in enumerate(block):
-                v = None  # sigma <= 0 or NaN: no u = A v / sigma
-                if s > 0:
-                    v = _inverse_step(gram, s * s, start, nudge)
-                if v is None:
-                    U[i], V[i] = golub_kahan_step(s)
+                if on_h[i]:
+                    x = _inverse_step(golub_kahan, s, start_2n, nudge_2n)
                 else:
-                    V[i], on_gram[i] = v / np.max(np.abs(v)), True
+                    x = _inverse_step(gram, s * s, start, nudge)
+                if x is None:
+                    raise CertificateError(
+                        "inverse iteration at %.17g * sigma_1: shifted "
+                        "band is singular" % (s / scale)
+                    )
+                x = x / np.max(np.abs(x))
+                if on_h[i]:
+                    U[i], V[i] = x[0::2], x[1::2]
+                else:
+                    V[i] = x
             AV = _band_apply(a, V)
-            U[on_gram] = AV[on_gram] / block[on_gram, None]
-            r = resid[lo:lo + _BLOCK]
-            r[:] = residuals(U, V, AV, block)
-            for i in np.flatnonzero(on_gram & _misses(sigma, r)):
-                row = slice(i, i + 1)
-                U[i], V[i] = golub_kahan_step(block[i])
-                AV[row] = _band_apply(a, V[row])
-                r[row] = residuals(U[row], V[row], AV[row], block[row])
+            U[~on_h] = AV[~on_h] / block[~on_h, None]
+            resid[lo:lo + _BLOCK] = _residuals(
+                U, V, AV, _band_apply(ac, U, adjoint=True), block)
     _certify(sigma, resid, float(np.vdot(a, a).real))
 
 
@@ -530,43 +516,55 @@ def _band_eigenvalues(ab):
         ) from exc
 
 
+def _check_float_range(largest, what):
+    """ValueError naming the float64 range when largest, the largest
+    magnitude of the result what, is infinite."""
+    if largest == math.inf:
+        raise ValueError("%s lies past the float64 range" % what)
+
+
 def _band_singular_values(op):
     """Singular values of a 1-D truncation, each certified by
-    _certify_band: sigma = sqrt(lambda) from the eigenvalues lambda of
-    the N x N Gram band A*A, formed in _unit(||A||_F) so that it
-    neither overflows nor underflows where it matters; the values below
-    _GRAM_MIN_SIGMA * sigma_1 come from the 2N Golub-Kahan band
-    instead, which is built only when there are any."""
+    _certify_band.  The band A is taken in _unit(||A||_F), so that no
+    band formed from it overflows or underflows where it matters, and
+    each band is formed once: sigma = sqrt(lambda) from the eigenvalues
+    lambda of the N x N Gram band A*A, and the values _on_golub_kahan
+    from the 2N Golub-Kahan band, formed only when there are any.  The
+    certificate reads the same bands in the same unit."""
     kd, N = _band_kd(op), op.size
-    # 16 bytes per entry, at the certificate's peak: the A band, its
-    # scaled copy and its conjugate, and the Gram band (4 kd x N), the
-    # Gram general band and LU copy (2 (3 kd - 2) x N), the Golub-Kahan
-    # general band and LU copy of a retry (2 (3 kd + 1) x 2N) and 8 block
-    # arrays (8 x 16 x N).  The eigenvalue step holds less: the A band,
-    # its scaled copy, the Gram band and eig_banded's copy (4 kd x N) and,
-    # for small values, the Golub-Kahan band and its copy (2 (kd + 1) x
-    # 2N)
+    # 16 bytes per entry, at the certificate's peak: the A band and its
+    # conjugate and the Gram band (3 kd x N), its general band and LU copy
+    # (2 (3 kd - 2) x N), the Golub-Kahan band (2 (kd + 1) x N), its
+    # general band and LU copy (4 (3 kd + 1) x N), the two starts (3 x N)
+    # and 8 block arrays (8 x 16 x N).  The eigenvalue step holds less:
+    # the A band and its scaled copy, then the scaled band, the Gram band
+    # and eig_banded's copy (3 kd x N) and, for small values, the
+    # Golub-Kahan band and its copy (4 (kd + 1) x N)
     _check_budget(
         "banded singular values (%d x %d, bandwidth %d)" % (N, N, kd),
-        16.0 * N * (22 * kd + 8 * _BLOCK),
+        16.0 * N * (23 * kd + 5 + 8 * _BLOCK),
     )
     a = _symbol_band(op)
     # ||A||_F >= sigma_1, taken in _unit(max |a|) so it cannot overflow;
     # the product is capped at 2^1023 as _unit is, for a subnormal A
     unit = _unit(float(np.max(np.abs(a))))
     unit = min(unit * _unit(float(np.linalg.norm(a * unit))), 2.0**1023)
-    lam = _band_eigenvalues(_gram_band(a * unit))
-    sigma = np.sqrt(np.maximum(lam[::-1], 0.0)) / unit
-    small = sigma < _GRAM_MIN_SIGMA * sigma[0]
+    a = a * unit
+    gram = _gram_band(a)
+    sigma = np.sqrt(np.maximum(_band_eigenvalues(gram)[::-1], 0.0))
+    small = _on_golub_kahan(sigma)
+    golub_kahan = None
     if small.any():
         # the top half of H's eigenvalues +-sigma, reversed; spliced in
         # by rank, then sorted: a value at the threshold may meet its
         # near-twin from the other band out of order
-        lam = _band_eigenvalues(_golub_kahan_band(a))
+        golub_kahan = _golub_kahan_band(a)
+        lam = _band_eigenvalues(golub_kahan)
         sigma[small] = np.maximum(lam[N:][::-1], 0.0)[small]
         sigma = np.sort(sigma)[::-1]
-    _certify_band(a, sigma)
-    return sigma
+    _certify_band(a, sigma, gram, golub_kahan)
+    _check_float_range(float(sigma[0]) / unit, "singular value sigma_1")
+    return sigma / unit
 
 
 def _band_kd(op):
@@ -600,6 +598,8 @@ def singular_values(a):
         raise CertificateError(
             "singular value solver failed: %s" % exc
         ) from exc
+    if s.size:
+        _check_float_range(float(s[0]), "singular value sigma_1")
     # in _unit(s_1), scaling each product of A
     unit = _unit(float(s[0])) if s.size else 1.0
     resid, frobenius = np.empty(s.size), 0.0
@@ -627,22 +627,31 @@ def _positive_parts(H):
 
 def hermitian_decompose(a):
     """T = T1 - T2 + i T3 - i T4 with all four parts positive
-    semidefinite, T1 T2 = 0 and T3 T4 = 0, certified in _unit(max |T|)
-    (so at any scale of T) or CertificateError is raised."""
-    # the input and, at the peak, eight more (H, K, the parts, eigh's)
+    semidefinite, T1 T2 = 0 and T3 T4 = 0, formed and certified in
+    _unit(max |T|) (so at any scale of T) or CertificateError is raised;
+    ValueError when a part lies past the float64 range."""
+    # the input and, at the peak, eight more (its scaled copy, K, eigh's
+    # vectors, the four parts and a product)
     A = _as_matrix(a, "hermitian decomposition", 9)
-    t1, t2 = _positive_parts(0.5 * (A + A.conj().T))
-    t3, t4 = _positive_parts((A - A.conj().T) / 2j)
     unit = _unit(float(np.max(np.abs(A)))) if A.size else 1.0
-    scale = float(np.linalg.norm(A * unit))
-    gap = (t1 - t2 + 1j * (t3 - t4) - A) * unit
-    if not float(np.linalg.norm(gap)) <= 1e-10 * scale:
+    A = A * unit
+    parts = (*_positive_parts(0.5 * (A + A.conj().T)),
+             *_positive_parts((A - A.conj().T) / 2j))
+    t1, t2, t3, t4 = parts
+    scale = float(np.linalg.norm(A))
+    if not float(np.linalg.norm(t1 - t2 + 1j * (t3 - t4) - A)) <= (
+            1e-10 * scale):
         raise CertificateError("positive-part reconstruction failed")
     for x, y in ((t1, t2), (t3, t4)):
-        if not float(np.linalg.norm((x * unit) @ (y * unit))) <= (
-                1e-8 * scale * scale):
+        if not float(np.linalg.norm(x @ y)) <= 1e-8 * scale * scale:
             raise CertificateError("positive/negative parts not orthogonal")
-    return t1, t2, t3, t4
+    if A.size:
+        _check_float_range(max(float(np.max(np.abs(t))) for t in parts)
+                           / unit, "a positive part")
+    for t in parts:  # real and imaginary apart: numpy's complex division
+        t.real /= unit  # by a subnormal unit (max |T| >= 2^1023) overflows
+        t.imag /= unit
+    return parts
 
 
 def expectation_sequence(a, basis=None):

@@ -853,6 +853,16 @@ class TestDeterminism:
         ({"kind": "power_log", "coeff": 1.0, "power": math.inf,
           "log_power": 0.0},
          "experiments[0].model.power: tail power must be positive and finite"),
+        # sigma_1 of about 2.5e308, on the band path and the dense SVD
+        ({"kind": "matrix", "dimension": 1, "halfwidth": 150,
+          "coefficients": {"0": 1.7e308, "1": 4.25e307, "-1": 4.25e307}},
+         "experiments[0].model: singular value sigma_1 lies past the "
+         "float64 range"),
+        ({"kind": "matrix", "dimension": 2, "halfwidth": 4,
+          "coefficients": {"0,0": 1.7e308, "1,0": 4.25e307,
+                           "-1,0": 4.25e307}},
+         "experiments[0].model: singular value sigma_1 lies past the "
+         "float64 range"),
     ])
     def test_rejected_numbers_exit_four_without_warnings(self, tmp_path,
                                                          model, problem):

@@ -33,7 +33,7 @@ BASE = {
               "operator_power": 1.0},
 }
 # 2 + cos x at halfwidth 150 takes the banded singular values (size 301
-# >= 100 * bandwidth 3), a 2-D symbol at halfwidth 4 the dense SVD
+# >= 70 * bandwidth 3), a 2-D symbol at halfwidth 4 the dense SVD
 COSINE = {"0": 2.0, "1": 0.5, "-1": 0.5}
 MATRIX = {
     "band": {"kind": "matrix", "dimension": 1, "halfwidth": 150,

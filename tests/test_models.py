@@ -465,20 +465,46 @@ class TestBandSingularValues:
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * want[0])
 
-    @pytest.mark.parametrize("coefficients,real", [
-        ({(1,): 0.5, (-1,): 0.5}, True),  # cos x: an exactly zero sigma
-        ({(0,): 1.0, (1,): 2.0}, False),  # 1 + 2 e^{ix}: sigma_N ~ 1e-19
+    @pytest.mark.parametrize("coefficients,real,M,split", [
+        # cos x: sigma_N 4.8e-18 sigma_1
+        ({(1,): 0.5, (-1,): 0.5}, True, 150, (300, 1)),
+        # 1 + 2 e^{ix}: sigma_N 1.2e-17 sigma_1
+        ({(0,): 1.0, (1,): 2.0}, False, 150, (300, 1)),
+        # 1 + cos x: 20 values in [2.8e-7, 1e-4) sigma_1
+        ({(0,): 1.0, (1,): 0.5, (-1,): 0.5}, True, 200, (381, 20)),
     ])
-    def test_tiny_values_are_retried_on_the_golub_kahan_band(
-            self, monkeypatch, coefficients, real):
+    def test_small_values_are_certified_on_the_golub_kahan_band(
+            self, monkeypatch, coefficients, real, M, split):
+        # the values below _GRAM_MIN_SIGMA * sigma_1 take their inverse
+        # step on the 2N band, the rest on the Gram band, each once
         op = models.multiplication_matrix(
-            dx.FourierMultiplier(coefficients, real_flag=real), 1, 150)
+            dx.FourierMultiplier(coefficients, real_flag=real), 1, M)
         assert models._takes_band_path(op)
         got, gram, golub_kahan = self._count_solves(monkeypatch, op)
-        assert golub_kahan >= 1 and gram >= op.size - golub_kahan
+        assert (gram, golub_kahan) == split
         want = linalg.svdvals(op.entries)
+        assert golub_kahan == np.sum(want < models._GRAM_MIN_SIGMA * want[0])
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * want[0])
+
+    @pytest.mark.parametrize("coefficients,M,golub_kahan", [
+        ({(0,): 2.0, (1,): 0.5, (-1,): 0.5}, 300, 0),
+        ({(1,): 0.5, (-1,): 0.5}, 150, 1),
+        ({(0,): 1.0, (1,): 0.5, (-1,): 0.5}, 200, 1),
+    ])
+    def test_each_band_is_formed_once(self, monkeypatch, coefficients, M,
+                                      golub_kahan):
+        # the certificate reads the bands the eigenvalue step formed
+        calls = []
+        for name in ("_gram_band", "_golub_kahan_band"):
+            def spy(a, name=name, band=getattr(models, name)):
+                calls.append(name)
+                return band(a)
+            monkeypatch.setattr(models, name, spy)
+        models.singular_values(models.multiplication_matrix(
+            dx.FourierMultiplier(coefficients), 1, M))
+        assert calls.count("_gram_band") == 1
+        assert calls.count("_golub_kahan_band") == golub_kahan
 
     def test_band_path_charges_the_band_not_a_dense_svd(self, monkeypatch):
         op = models.multiplication_matrix(_symbol("phases", 1), 1, 300)
@@ -573,6 +599,23 @@ class TestSingularValuesAndDecomposition:
         with pytest.raises(models.CertificateError, match=reason):
             models.singular_values(op)
 
+    @pytest.mark.parametrize("dimension,halfwidth", [(1, 150), (2, 4)])
+    def test_sigma_1_past_the_float_range_is_refused(self, dimension,
+                                                     halfwidth):
+        # 1.7e308 + 8.5e307 cos x_1 has sigma_1 of about 2.5e308.  After
+        # RuntimeWarnings the band path failed its certificate at an
+        # overflowed shift and the dense path on a NaN residual
+        pad = (0,) * (dimension - 1)
+        f = dx.FourierMultiplier({(0,) + pad: 1.7e308, (1,) + pad: 4.25e307,
+                                  (-1,) + pad: 4.25e307})
+        op = models.multiplication_matrix(f, dimension, halfwidth)
+        assert models._takes_band_path(op) == (dimension == 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sigma_1 lies past the "
+                               "float64 range"):
+                models.singular_values(op)
+
     def test_unitary_invariance(self):
         r = _rng(2)
         m = r.standard_normal((16, 16)) + 1j * r.standard_normal((16, 16))
@@ -639,6 +682,26 @@ class TestSingularValuesAndDecomposition:
         with pytest.raises(models.CertificateError,
                            match="reconstruction failed"):
             models.hermitian_decompose(m)
+
+    def test_decomposition_is_formed_in_the_unit(self):
+        # A + A^H overflowed before the unit was applied, and scipy refused
+        # the infinite H.  In the unit, 1e308 [[1, 1], [1, -1]] splits:
+        # its positive part peaks at 1.21e308.  At 1.6e308 that part lies
+        # past the float range
+        m = np.array([[1.0, 1.0], [1.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t1, t2, t3, t4 = models.hermitian_decompose(1e308 * m)
+            r = math.sqrt(2.0)
+            np.testing.assert_allclose(
+                t1 / 1e308, [[(r + 1.0) / 2.0, 0.5], [0.5, (r - 1.0) / 2.0]],
+                rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose((t1 - t2) / 1e308, m, rtol=0.0,
+                                       atol=1e-14)
+            assert not (t3.any() or t4.any())
+            with pytest.raises(ValueError, match="positive part lies past "
+                               "the float64 range"):
+                models.hermitian_decompose(1.6e308 * m)
 
 
 class TestNCTorus:
