@@ -251,12 +251,20 @@ def prefix_log_average(values, ks, counts=None):
 
     ks must be strictly increasing 1-based indices, each <= len(values),
     or <= counts.sum() for a run-length input; the sums are those of
-    _prefix_sums, which make the additions np.cumsum makes.
+    _prefix_sums, which make the additions np.cumsum makes.  An alpha_k
+    past the float64 range raises ValueError.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     ks = np.ascontiguousarray(ks, dtype=np.int64)
     sums = _prefix_sums(values, ks, _as_counts(counts, values))
-    return (sums / np.log(1.0 + ks.astype(np.longdouble))).astype(np.float64)
+    with np.errstate(over="ignore"):
+        alphas = (sums / np.log(1.0 + ks.astype(np.longdouble))).astype(
+            np.float64)
+    past = np.isinf(alphas)
+    if past.any():
+        raise ValueError("log average lies past the float64 range at k = %d"
+                         % ks[past.argmax()])
+    return alphas
 
 
 def max_log_average(values, counts=None):

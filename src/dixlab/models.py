@@ -292,6 +292,14 @@ _BAND_MIN_SIZE_PER_KD = 70
 # sigma_1 to which it matches the dense SVD (1.1e-12 even at c = 1).
 # Smaller values come from the 2N Golub-Kahan band (no squaring of A)
 _GRAM_MIN_SIGMA = 1e-4
+# a value within _SHARE * sigma_1 of the value whose inverse step made
+# the certificate vector x (the lead) reuses x.  On H, with x fixed,
+# ||Hx - s x|| <= ||Hx - lead x|| + |lead - s| ||x||; on the Gram band,
+# u = A v / s moves with s and the added term is at most |lead - s| (2 +
+# |lead - s| / s), about 2e-12 sigma_1 for s >= _GRAM_MIN_SIGMA sigma_1:
+# 2e-4 of the certificate's 1e-8 sigma_1.  The even weights
+# (1+m^2)^(-1/2) make the m > 0 and m < 0 halves twins at small sigma
+_SHARE = 1e-12
 
 
 def _as_matrix(a, what, arrays):
@@ -466,7 +474,10 @@ def _certify_band(a, sigma, gram, golub_kahan):
     Each x = (u, v) comes from one step of inverse iteration from a
     fixed pseudo-random start: on the Gram band, (A*A - sigma^2) v =
     start and u = A v / sigma; for a value _on_golub_kahan, on the 2N
-    band, (H - sigma) x = start."""
+    band, (H - sigma) x = start.  One step serves a cluster: the value
+    that took it (the lead) and the values that follow it on the same
+    band within _SHARE * sigma_1 of the lead.  Each value keeps its own
+    residual, with its own sigma."""
     ac = a.conj()
     scale = float(sigma[0]) if sigma[0] > 0 else 1.0
     N = a.shape[1]
@@ -476,6 +487,8 @@ def _certify_band(a, sigma, gram, golub_kahan):
         golub_kahan, start_2n = _general_band(golub_kahan), _start(2 * N)
         nudge_2n = 4.0 * np.spacing(scale)
     wide = _on_golub_kahan(sigma)  # the values stepped on H
+    share = _SHARE * scale
+    lead, lead_on_h = math.nan, None  # the cluster's lead and its band
     resid = np.empty(sigma.size)
     # a vector that overflows has a NaN residual, which _certify refuses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -484,16 +497,19 @@ def _certify_band(a, sigma, gram, golub_kahan):
             U = np.empty((block.size, N), dtype=np.complex128)
             V = np.empty_like(U)
             for i, s in enumerate(block):
-                if on_h[i]:
-                    x = _inverse_step(golub_kahan, s, start_2n, nudge_2n)
-                else:
-                    x = _inverse_step(gram, s * s, start, nudge)
-                if x is None:
-                    raise CertificateError(
-                        "inverse iteration at %.17g * sigma_1: shifted "
-                        "band is singular" % (s / scale)
-                    )
-                x = x / np.max(np.abs(x))
+                # a NaN value starts a cluster of its own
+                if on_h[i] != lead_on_h or not abs(s - lead) <= share:
+                    if on_h[i]:
+                        x = _inverse_step(golub_kahan, s, start_2n, nudge_2n)
+                    else:
+                        x = _inverse_step(gram, s * s, start, nudge)
+                    if x is None:
+                        raise CertificateError(
+                            "inverse iteration at %.17g * sigma_1: shifted "
+                            "band is singular" % (s / scale)
+                        )
+                    x = x / np.max(np.abs(x))
+                    lead, lead_on_h = s, on_h[i]
                 if on_h[i]:
                     U[i], V[i] = x[0::2], x[1::2]
                 else:

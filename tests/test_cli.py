@@ -863,9 +863,20 @@ class TestDeterminism:
                            "-1,0": 4.25e307}},
          "experiments[0].model: singular value sigma_1 lies past the "
          "float64 range"),
+        # sigma_1 of about 1e308, whose log averages pass the float range
+        # at k = 8; and 1e308 / sqrt(k), k = 1..1024, from a file
+        ({"kind": "matrix", "dimension": 1, "halfwidth": 150,
+          "coefficients": {"0": 1e308, "1": 1e300, "-1": 1e300}},
+         "log average lies past the float64 range"),
+        ({"kind": "sequence_file", "path": "huge.txt"},
+         "log average lies past the float64 range"),
     ])
     def test_rejected_numbers_exit_four_without_warnings(self, tmp_path,
                                                          model, problem):
+        if model["kind"] == "sequence_file":
+            path = tmp_path / model["path"]
+            np.savetxt(path, 1e308 / np.sqrt(np.arange(1.0, 1025.0)))
+            model = dict(model, path=str(path))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(_cfg(experiments=[{"model": model}])),
                        encoding="utf-8")
@@ -877,6 +888,9 @@ class TestDeterminism:
         assert r.stdout == ""
         assert "Warning" not in r.stderr and "Traceback" not in r.stderr
         lines = r.stderr.splitlines()
+        # a refusal while a method runs follows the build's timing line
+        while lines and re.fullmatch(r"# \w+/build: \d+\.\d\ds", lines[0]):
+            del lines[0]
         assert [line for line in lines if line.startswith("error:")] == (
             lines[:1])
         assert problem in r.stderr

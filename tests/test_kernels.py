@@ -229,6 +229,17 @@ class TestLogAverages:
         want = [oracles.brute_alpha(v, int(k)) for k in ks]
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
+    @pytest.mark.parametrize("v,counts", [([1e308, 1e308], None),
+                                          ([1e308], [2])])
+    def test_prefix_past_the_float_range_raises(self, v, counts):
+        # alpha_1 = 1e308 / log 2 = 1.44e308, alpha_2 = 2e308 / log 3 is
+        # past the float64 range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernels.prefix_log_average(v, [1], counts)[0] < math.inf
+            with pytest.raises(ValueError, match="float64 range at k = 2"):
+                kernels.prefix_log_average(v, [1, 2], counts)
+
     def test_max_matches_brute(self):
         v = _sorted_desc(_rng(6).random(2_048))
         sup = kernels.max_log_average(v)

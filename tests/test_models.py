@@ -413,10 +413,65 @@ class TestBandSingularValues:
             dx.FourierMultiplier({(0,): 2.0, (1,): c, (-1,): np.conj(c)}),
             1, 300)
         got, gram, golub_kahan = self._count_solves(monkeypatch, op)
-        assert (gram, golub_kahan) == (601, 0)
+        # 601 values, 278 of them within _SHARE * sigma_1 of a twin
+        assert (gram, golub_kahan) == (323, 0)
         want = linalg.svdvals(op.entries)
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * want[0])
+
+    @pytest.mark.parametrize("M", [300, 600])
+    def test_every_workload_value_keeps_its_own_residual(self, monkeypatch,
+                                                         M):
+        # twins share a vector, not a residual: each is checked with its
+        # own sigma, and sharing leaves the worst 1000x inside the bound
+        c = 0.5 * np.exp(1.234j)  # 2 + cos(x + phi)
+        op = models.multiplication_matrix(
+            dx.FourierMultiplier({(0,): 2.0, (1,): c, (-1,): np.conj(c)}),
+            1, M)
+        seen = []
+        certify = models._certify
+
+        def spy(sigma, resid, frobenius):
+            seen.append((sigma, resid))
+            return certify(sigma, resid, frobenius)
+
+        monkeypatch.setattr(models, "_certify", spy)
+        models._band_singular_values(op)
+        (sigma, resid), = seen
+        assert resid.shape == sigma.shape == (op.size,)
+        assert np.max(resid) <= 1e-11 * sigma[0]
+
+    @pytest.mark.parametrize("sigma,stepped", [
+        ([1.0, 1.0, 1.0], [0]),  # equal values share one step
+        ([1.0, 1.0 - 2.0 * models._SHARE], [0, 1]),
+        # each 0.6 _SHARE below the one before: the third is 1.2 _SHARE
+        # below the lead and starts a cluster, which the fourth joins
+        (1.0 - 0.6 * models._SHARE * np.arange(4), [0, 2]),
+        # 1e-14 sigma_1 apart, on either side of _GRAM_MIN_SIGMA
+        ([1.0, models._GRAM_MIN_SIGMA, models._GRAM_MIN_SIGMA - 1e-14],
+         [0, 1, 2]),
+    ])
+    def test_one_inverse_step_per_cluster(self, monkeypatch, sigma,
+                                          stepped):
+        # made-up values of 2 + cos x at M = 20, which the certificate
+        # refuses once every step is taken; a step's shift is sigma^2 on
+        # the Gram band and sigma on the 2N band
+        a = models._symbol_band(models.multiplication_matrix(
+            dx.FourierMultiplier({(0,): 2.0, (1,): 0.5, (-1,): 0.5}), 1, 20))
+        sigma = np.asarray(sigma)
+        shifts = []
+        step = models._inverse_step
+
+        def spy(gb, shift, *args):
+            gram = gb.shape[1] == a.shape[1]
+            shifts.append(math.sqrt(shift) if gram else shift)
+            return step(gb, shift, *args)
+
+        monkeypatch.setattr(models, "_inverse_step", spy)
+        with pytest.raises(models.CertificateError):
+            models._certify_band(a, sigma, models._gram_band(a),
+                                 models._golub_kahan_band(a))
+        assert shifts == list(sigma[stepped])
 
     def _spy_eig_banded(self, monkeypatch):
         """The shapes of the bands eig_banded is called on, as a list
@@ -468,15 +523,16 @@ class TestBandSingularValues:
     @pytest.mark.parametrize("coefficients,real,M,split", [
         # cos x: sigma_N 4.8e-18 sigma_1
         ({(1,): 0.5, (-1,): 0.5}, True, 150, (300, 1)),
-        # 1 + 2 e^{ix}: sigma_N 1.2e-17 sigma_1
-        ({(0,): 1.0, (1,): 2.0}, False, 150, (300, 1)),
+        # 1 + 2 e^{ix}: sigma_N 1.2e-17 sigma_1, 60 values sharing a step
+        ({(0,): 1.0, (1,): 2.0}, False, 150, (240, 1)),
         # 1 + cos x: 20 values in [2.8e-7, 1e-4) sigma_1
         ({(0,): 1.0, (1,): 0.5, (-1,): 0.5}, True, 200, (381, 20)),
     ])
     def test_small_values_are_certified_on_the_golub_kahan_band(
             self, monkeypatch, coefficients, real, M, split):
         # the values below _GRAM_MIN_SIGMA * sigma_1 take their inverse
-        # step on the 2N band, the rest on the Gram band, each once
+        # step on the 2N band, the rest on the Gram band, one step per
+        # cluster of values within _SHARE * sigma_1
         op = models.multiplication_matrix(
             dx.FourierMultiplier(coefficients, real_flag=real), 1, M)
         assert models._takes_band_path(op)
