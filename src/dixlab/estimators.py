@@ -501,7 +501,7 @@ def mellin_check(source, s):
     the number N of eigenvalues (1e-14^s N / s for a finite one) and
     grows like 1/tau on a (1,inf) sequence: the harmonic at s = 1.5
     omits 2e-7, 8.6e-8 of its reference.  A reference past the float64
-    range raises ValueError naming s.  Where the rule raises ValueError
+    range, or one that underflows to 0, raises ValueError naming s.  Where the rule raises ValueError
     (a heat value not finite, a bound that will not settle) passed is
     None, never a forced verdict."""
     s, x = float(s), as_sequence(source)
@@ -511,6 +511,9 @@ def mellin_check(source, s):
         gamma = math.inf
     reference = _finite(gamma * power_trace(x, s), "Mellin reference",
                         "s=%g" % s)
+    if reference == 0.0:  # no relative error to 0
+        raise ValueError("Mellin reference underflows the float64 range at "
+                         "s=%g" % s)
 
     def integrand(u):  # tau^s Tr(e^{-tau Q}) at tau = e^u
         return np.exp((s - 1.0) * u) * np.array(

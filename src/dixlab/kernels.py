@@ -276,7 +276,8 @@ def max_log_average(values, counts=None):
     a >= 0, and alpha_k = S(k) / log(1+k) is quasi-convex in k, since
     the sign of its derivative is that of v log(1+k) - S(k)/(1+k), whose
     own derivative S(k)/(1+k)^2 is >= 0.  So alpha first falls, then
-    rises, and its largest value over the run sits at an end."""
+    rises, and its largest value over the run sits at an end.  An alpha_k
+    past the float64 range raises ValueError, as in prefix_log_average."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("empty sequence has no log average")
@@ -297,6 +298,11 @@ def max_log_average(values, counts=None):
                                  run[1:]]).ravel()
         alpha = s / np.log1p(ks.astype(np.float64, copy=False))
         best = np.maximum(best, alpha.max())  # a NaN input stays NaN
+        if math.isinf(float(best)):
+            with np.errstate(over="ignore"):
+                k = ks[np.isinf(alpha.astype(np.float64)).argmax()]
+            raise ValueError("log average lies past the float64 range at "
+                             "k = %d" % k)
     return float(best)
 
 

@@ -277,7 +277,7 @@ def multiplication_matrix(f, n, halfwidth, power=None):
 
 # ------------------------------------------------------ singular values
 
-# singular vectors certified per batch of banded matvecs
+# cluster leads whose vectors are multiplied by A and A* in one batch
 _BLOCK = 16
 # a 1-D band path costs about N^2 * kd against N^3 for the dense SVD.
 # Timed for deg f = 1, 3, 5 and 10 on 2 CPUs with one BLAS thread (best
@@ -293,12 +293,13 @@ _BAND_MIN_SIZE_PER_KD = 70
 # Smaller values come from the 2N Golub-Kahan band (no squaring of A)
 _GRAM_MIN_SIGMA = 1e-4
 # a value within _SHARE * sigma_1 of the value whose inverse step made
-# the certificate vector x (the lead) reuses x.  On H, with x fixed,
-# ||Hx - s x|| <= ||Hx - lead x|| + |lead - s| ||x||; on the Gram band,
-# u = A v / s moves with s and the added term is at most |lead - s| (2 +
-# |lead - s| / s), about 2e-12 sigma_1 for s >= _GRAM_MIN_SIGMA sigma_1:
-# 2e-4 of the certificate's 1e-8 sigma_1.  The even weights
-# (1+m^2)^(-1/2) make the m > 0 and m < 0 halves twins at small sigma
+# the certificate vector (its lead) reuses the lead's vector and its
+# products by A and A*.  Its residual ||R - delta y|| / nu (_certify_band)
+# exceeds the lead's by about |delta| ||y|| / nu: |lead - s| on the 2N
+# band, at most |lead - s| (2 + |lead - s| / s) on the Gram band, about
+# 2e-12 sigma_1 for s >= _GRAM_MIN_SIGMA sigma_1: 2e-4 of the
+# certificate's 1e-8 sigma_1.  The even weights (1+m^2)^(-1/2) make the
+# m > 0 and m < 0 halves twins at small sigma
 _SHARE = 1e-12
 
 
@@ -406,6 +407,29 @@ def _band_apply(a, X, adjoint=False):
     return Y
 
 
+def _dots(X, Y):
+    """Re <x, y> for each pair of rows x of X and y of Y."""
+    return np.einsum("ij,ij->i", X.view(np.float64), Y.view(np.float64))
+
+
+def _lead_sums(a, ac, l, on_h, V, W):
+    """||R||^2, Re <R, y>, ||y||^2 and ||A v||^2 (0 on the 2N band) of the
+    leads l (_certify_band), v and, on the 2N band, u the rows of V and W
+    (overwritten): one product by A (a) and one by A* (ac), freed on
+    return, before the next block's products are formed."""
+    AV = _band_apply(a, V)
+    W[~on_h] = AV[~on_h]
+    R = _band_apply(ac, W, adjoint=True)
+    R -= np.where(on_h, l, l * l)[:, None] * V
+    sums = np.stack([_dots(R, R), _dots(R, V), _dots(V, V),
+                     np.where(on_h, 0.0, _dots(W, W))])
+    if on_h.any():  # R's first half on the 2N band: A v - l u
+        AV -= l[:, None] * W
+        sums[:3] += np.where(on_h, [_dots(AV, AV), _dots(AV, W),
+                                    _dots(W, W)], 0.0)
+    return sums
+
+
 def _norms(U, V):
     """||(u, v)|| for u and v the rows of U and V."""
     return np.hypot(np.linalg.norm(U, axis=1), np.linalg.norm(V, axis=1))
@@ -471,13 +495,18 @@ def _certify_band(a, sigma, gram, golub_kahan):
     bands it formed: gram = _gram_band(a) and golub_kahan =
     _golub_kahan_band(a), or None when no value is _on_golub_kahan.
 
-    Each x = (u, v) comes from one step of inverse iteration from a
-    fixed pseudo-random start: on the Gram band, (A*A - sigma^2) v =
-    start and u = A v / sigma; for a value _on_golub_kahan, on the 2N
-    band, (H - sigma) x = start.  One step serves a cluster: the value
-    that took it (the lead) and the values that follow it on the same
-    band within _SHARE * sigma_1 of the lead.  Each value keeps its own
-    residual, with its own sigma."""
+    A value joins the cluster of the last value that took a step (its
+    lead) when it is on the same band within _SHARE * sigma_1 of it.  A
+    lead l takes one step of inverse iteration from a fixed pseudo-random
+    start: on the Gram band, (A*A - l^2) v = start; for a value
+    _on_golub_kahan, on the 2N band, (H - l) x = start, x = (u, v), H =
+    [[0, A], [A*, 0]].  Its vector is multiplied once by A and once by
+    A*, into R = A*A v - l^2 v, or R = Hx - l x on the 2N band.
+
+    Each value s keeps its own residual ||Hx - s x|| / ||x||: ||R - (s -
+    l) x|| / ||x|| on the 2N band.  On the Gram band x = (A v / s, v), so
+    Hx - s x = (0, (A*A v - s^2 v) / s) and ||x|| = nu / s, nu^2 = ||A
+    v||^2 + s^2 ||v||^2: the residual is ||R - (s^2 - l^2) v|| / nu."""
     ac = a.conj()
     scale = float(sigma[0]) if sigma[0] > 0 else 1.0
     N = a.shape[1]
@@ -487,37 +516,49 @@ def _certify_band(a, sigma, gram, golub_kahan):
         golub_kahan, start_2n = _general_band(golub_kahan), _start(2 * N)
         nudge_2n = 4.0 * np.spacing(scale)
     wide = _on_golub_kahan(sigma)  # the values stepped on H
-    share = _SHARE * scale
+    share, leads = _SHARE * scale, []
     lead, lead_on_h = math.nan, None  # the cluster's lead and its band
-    resid = np.empty(sigma.size)
+    for i, (s, on_h) in enumerate(zip(sigma.tolist(), wide.tolist())):
+        # a NaN value starts a cluster of its own
+        if on_h != lead_on_h or not abs(s - lead) <= share:
+            leads.append(i)
+            lead, lead_on_h = s, on_h
+    owner = np.repeat(np.arange(len(leads)), np.diff(leads, append=sigma.size))
+    leads = np.asarray(leads)
+    sums = np.empty((4, leads.size))  # _lead_sums of each lead
+    V = np.empty((min(_BLOCK, leads.size), N), dtype=np.complex128)
+    W = np.empty_like(V)  # u on the 2N band
     # a vector that overflows has a NaN residual, which _certify refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, sigma.size, _BLOCK):
-            block, on_h = sigma[lo:lo + _BLOCK], wide[lo:lo + _BLOCK]
-            U = np.empty((block.size, N), dtype=np.complex128)
-            V = np.empty_like(U)
-            for i, s in enumerate(block):
-                # a NaN value starts a cluster of its own
-                if on_h[i] != lead_on_h or not abs(s - lead) <= share:
-                    if on_h[i]:
-                        x = _inverse_step(golub_kahan, s, start_2n, nudge_2n)
-                    else:
-                        x = _inverse_step(gram, s * s, start, nudge)
-                    if x is None:
-                        raise CertificateError(
-                            "inverse iteration at %.17g * sigma_1: shifted "
-                            "band is singular" % (s / scale)
-                        )
-                    x = x / np.max(np.abs(x))
-                    lead, lead_on_h = s, on_h[i]
+        for lo in range(0, leads.size, _BLOCK):
+            block = leads[lo:lo + _BLOCK]
+            l, on_h = sigma[block], wide[block]
+            for i, s in enumerate(l):
                 if on_h[i]:
-                    U[i], V[i] = x[0::2], x[1::2]
+                    x = _inverse_step(golub_kahan, s, start_2n, nudge_2n)
+                else:
+                    x = _inverse_step(gram, s * s, start, nudge)
+                if x is None:
+                    raise CertificateError(
+                        "inverse iteration at %.17g * sigma_1: shifted "
+                        "band is singular" % (s / scale)
+                    )
+                x = x / np.max(np.abs(x))
+                if on_h[i]:
+                    W[i], V[i] = x[0::2], x[1::2]
                 else:
                     V[i] = x
-            AV = _band_apply(a, V)
-            U[~on_h] = AV[~on_h] / block[~on_h, None]
-            resid[lo:lo + _BLOCK] = _residuals(
-                U, V, AV, _band_apply(ac, U, adjoint=True), block)
+            sums[:, lo:lo + l.size] = _lead_sums(a, ac, l, on_h, V[:l.size],
+                                                 W[:l.size])
+        # ||R - delta y||^2 expanded: rounding moves a residual by about
+        # sqrt(N eps) (||R|| + |delta| ||y||) / nu, 5e-15 sigma_1 at N =
+        # 1201 for a lead at the bound (|delta| ||y|| / nu: see _SHARE)
+        r2, ry, y2, a2 = sums[:, owner]
+        l = sigma[leads[owner]]
+        delta = np.where(wide, sigma - l, sigma * sigma - l * l)
+        num = r2 - 2.0 * delta * ry + delta * delta * y2
+        resid = np.sqrt(np.maximum(num, 0.0)
+                        / (a2 + np.where(wide, 1.0, sigma * sigma) * y2))
     _certify(sigma, resid, float(np.vdot(a, a).real))
 
 
@@ -551,14 +592,16 @@ def _band_singular_values(op):
     # 16 bytes per entry, at the certificate's peak: the A band and its
     # conjugate and the Gram band (3 kd x N), its general band and LU copy
     # (2 (3 kd - 2) x N), the Golub-Kahan band (2 (kd + 1) x N), its
-    # general band and LU copy (4 (3 kd + 1) x N), the two starts (3 x N)
-    # and 8 block arrays (8 x 16 x N).  The eigenvalue step holds less:
-    # the A band and its scaled copy, then the scaled band, the Gram band
-    # and eig_banded's copy (3 kd x N) and, for small values, the
-    # Golub-Kahan band and its copy (4 (kd + 1) x N)
+    # general band and LU copy (4 (3 kd + 1) x N), the two starts (3 x N),
+    # a step's solution and its scaled copy (4 x N) and 7 block arrays (7 x
+    # 16 x N): the leads' v and u, A v, R, a band product and numpy's two
+    # iteration buffers.  The eigenvalue step holds less: the A band and
+    # its scaled copy, then the scaled band, the Gram band and eig_banded's
+    # copy (3 kd x N) and, for small values, the Golub-Kahan band and its
+    # copy (4 (kd + 1) x N)
     _check_budget(
         "banded singular values (%d x %d, bandwidth %d)" % (N, N, kd),
-        16.0 * N * (23 * kd + 5 + 8 * _BLOCK),
+        16.0 * N * (23 * kd + 9 + 7 * _BLOCK),
     )
     a = _symbol_band(op)
     # ||A||_F >= sigma_1, taken in _unit(max |a|) so it cannot overflow;

@@ -1051,6 +1051,10 @@ def _model_sequence(kind, tail, length, tied=0, sort=False):
         with np.errstate(over="ignore"):  # SingularSequence rejects an inf
             v[tied:] = tail.value(n)
         v[:tied] = v[tied]
+        zero = np.flatnonzero(v == 0.0)
+        if zero.size:
+            raise ValueError("%s value mu_%d with coeff %g underflows the "
+                             "float64 range" % (kind, zero[0] + 1, tail.coeff))
         if not sort:
             break
         v = np.sort(v)[::-1].copy()

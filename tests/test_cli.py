@@ -870,6 +870,9 @@ class TestDeterminism:
          "log average lies past the float64 range"),
         ({"kind": "sequence_file", "path": "huge.txt"},
          "log average lies past the float64 range"),
+        ({"kind": "harmonic", "horizon": 4096, "coeff": 2.0**-1070},
+         "experiments[0].model: harmonic value mu_32 with coeff 7.90505e-323 "
+         "underflows the float64 range"),
     ])
     def test_rejected_numbers_exit_four_without_warnings(self, tmp_path,
                                                          model, problem):

@@ -707,6 +707,12 @@ class TestMellin:
         with pytest.raises(ValueError, match="float64 range at s=172"):
             dx.mellin_check(np.array([1.0, 0.5]), 172.0)
 
+    def test_reference_that_underflows_raises(self):
+        # (2^-1000)^1.5 zeta(1.5) underflows to 0, leaving no relative
+        # error to take
+        with pytest.raises(ValueError, match="float64 range at s=1.5"):
+            dx.mellin_check(dx.harmonic_sequence(4096, coeff=2.0**-1000), 1.5)
+
     def test_refused_quadrature_is_undetermined(self, monkeypatch):
         monkeypatch.setattr(estimators, "heat_trace",
                             lambda *args: math.nan)

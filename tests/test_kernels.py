@@ -239,6 +239,9 @@ class TestLogAverages:
             assert kernels.prefix_log_average(v, [1], counts)[0] < math.inf
             with pytest.raises(ValueError, match="float64 range at k = 2"):
                 kernels.prefix_log_average(v, [1, 2], counts)
+            assert kernels.max_log_average(v[:1]) < math.inf
+            with pytest.raises(ValueError, match="float64 range at k = 2"):
+                kernels.max_log_average(v, counts)
 
     def test_max_matches_brute(self):
         v = _sorted_desc(_rng(6).random(2_048))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -239,6 +240,11 @@ class TestMultiplicationMatrix:
             dx.torus_spectrum(2, 10, power)
 
 
+# the workload symbol 2 + cos(x + phi)
+_WORKLOAD = {(0,): 2.0, (1,): 0.5 * np.exp(1.234j),
+             (-1,): 0.5 * np.exp(-1.234j)}
+
+
 def _symbol(case, degree):
     """Degree-d symbols: random phases, the reflection-symmetric phi=0
     cosine, and complex coefficients with no reality condition."""
@@ -472,6 +478,113 @@ class TestBandSingularValues:
             models._certify_band(a, sigma, models._gram_band(a),
                                  models._golub_kahan_band(a))
         assert shifts == list(sigma[stepped])
+
+    def _spy_certificate(self, monkeypatch, N):
+        """Lists that fill as the band certificate of an N x N truncation
+        runs: each step's (on the 2N band, shift, vector), each _certify
+        call's (sigma, resid), and the rows multiplied by A and by A*."""
+        steps, seen, rows = [], [], {False: 0, True: 0}
+        step, certify = models._inverse_step, models._certify
+        band_apply = models._band_apply
+
+        def step_spy(gb, shift, *args):
+            x = step(gb, shift, *args)
+            steps.append((gb.shape[1] == 2 * N, shift, x))
+            return x
+
+        def certify_spy(sigma, resid, frobenius):
+            seen.append((sigma, resid))
+            return certify(sigma, resid, frobenius)
+
+        def apply_spy(a, X, adjoint=False):
+            rows[adjoint] += X.shape[0]
+            return band_apply(a, X, adjoint)
+
+        monkeypatch.setattr(models, "_inverse_step", step_spy)
+        monkeypatch.setattr(models, "_certify", certify_spy)
+        monkeypatch.setattr(models, "_band_apply", apply_spy)
+        return steps, seen, rows
+
+    @staticmethod
+    def _assert_dense_residuals(A, sigma, resid, steps):
+        """Each resid_i is ||Hx - sigma_i x|| / ||x|| on the dense H =
+        [[0, A], [A*, 0]] to 1e-14 sigma_1, x built from the step of its
+        cluster's lead: x = (A v / sigma_i, v) on the Gram band."""
+        wide = models._on_golub_kahan(sigma)
+        k, lead = -1, math.nan
+        for s, on_h, got in zip(sigma, wide, resid):
+            if (k < 0 or on_h != steps[k][0]
+                    or not abs(s - lead) <= models._SHARE * sigma[0]):
+                k, lead = k + 1, s
+                assert steps[k][:2] == (on_h, s if on_h else s * s)
+            x = steps[k][2]
+            u, v = (x[0::2], x[1::2]) if on_h else (A @ x / s, x)
+            want = np.linalg.norm(np.concatenate(
+                [A @ v - s * u, A.conj().T @ u - s * v])) / math.hypot(
+                    np.linalg.norm(u), np.linalg.norm(v))
+            assert abs(got - want) <= 1e-14 * sigma[0]
+        assert k + 1 == len(steps)
+
+    @pytest.mark.parametrize("coefficients,real,M", [
+        (_WORKLOAD, True, 60),
+        # 20 values on the 2N band
+        ({(0,): 1.0, (1,): 0.5, (-1,): 0.5}, True, 200),
+        # 60 values sharing a step
+        ({(0,): 1.0, (1,): 2.0}, False, 150),
+    ])
+    def test_each_residual_is_its_dense_residual(self, monkeypatch,
+                                                 coefficients, real, M):
+        # the certificate reads every residual from its lead's products,
+        # multiplying each lead's vector once by A and once by A*
+        op = models.multiplication_matrix(
+            dx.FourierMultiplier(coefficients, real_flag=real), 1, M)
+        steps, seen, rows = self._spy_certificate(monkeypatch, op.size)
+        models._band_singular_values(op)
+        (sigma, resid), = seen
+        assert rows == {False: len(steps), True: len(steps)}
+        # the certificate's power-of-two unit, and A in the band's order
+        unit = 2.0 ** round(math.log2(sigma[0]
+                                      / linalg.svdvals(op.entries)[0]))
+        natural = np.argsort(op.basis_points[:, 0])
+        self._assert_dense_residuals(
+            op.entries[np.ix_(natural, natural)] * unit, sigma, resid, steps)
+
+    def test_made_up_values_read_their_dense_residual(self, monkeypatch):
+        # values that are not singular values of 2 + cos x at M = 20 have
+        # residuals far above rounding, twins and the 2N band included;
+        # the certificate refuses them once every residual is read
+        op = models.multiplication_matrix(
+            dx.FourierMultiplier({(0,): 2.0, (1,): 0.5, (-1,): 0.5}), 1, 20)
+        a = models._symbol_band(op)
+        sigma = np.array([1.0, 0.5, 0.5 - 1e-13, 1e-5, 1e-5 - 1e-13])
+        steps, seen, rows = self._spy_certificate(monkeypatch, op.size)
+        with pytest.raises(models.CertificateError, match="residual"):
+            models._certify_band(a, sigma, models._gram_band(a),
+                                 models._golub_kahan_band(a))
+        (_, resid), = seen
+        assert len(steps) == 3 and np.all(resid > 1e-6)
+        natural = np.argsort(op.basis_points[:, 0])
+        self._assert_dense_residuals(op.entries[np.ix_(natural, natural)],
+                                     sigma, resid, steps)
+
+    @pytest.mark.parametrize("coefficients,M", [
+        (_WORKLOAD, 300), (_WORKLOAD, 600),
+        ({(0,): 1.0, (1,): 0.5, (-1,): 0.5}, 200),
+    ])
+    def test_charge_covers_what_the_band_path_holds(self, monkeypatch,
+                                                    coefficients, M):
+        op = models.multiplication_matrix(dx.FourierMultiplier(coefficients),
+                                          1, M)
+        charged = []
+        monkeypatch.setattr(models, "_check_budget",
+                            lambda what, need: charged.append(need))
+        tracemalloc.start()
+        try:
+            models._band_singular_values(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(charged) == 1 and charged[0] >= peak
 
     def _spy_eig_banded(self, monkeypatch):
         """The shapes of the bands eig_banded is called on, as a list

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -52,6 +53,22 @@ class TestSingularSequence:
     def test_rejects_bad_input(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()
+
+    @pytest.mark.parametrize("build,match", [
+        # 2^-1070 / 32 rounds to 0: the refusal names the input, not the
+        # junction between the head and its tail
+        (lambda: dx.harmonic_sequence(4096, coeff=2.0**-1070),
+         "harmonic value mu_32 with coeff 7.90505e-323 underflows the "
+         "float64 range"),
+        (lambda: dx.power_log_sequence(1.0, 300.0, 0.0, 10**4),
+         "power-log value mu_11 with coeff 1 underflows the float64 range"),
+    ])
+    def test_model_values_below_the_float_range_name_the_coeff(self, build,
+                                                                match):
+        with pytest.raises(ValueError, match=match):
+            build()
+        # 2^-1060 / 4096 is subnormal, not 0
+        assert dx.harmonic_sequence(4096, coeff=2.0**-1060).length == 4096
 
     @pytest.mark.parametrize("budget,match", [
         ("abc", "DIXLAB_BUDGET_MB must be a number"),
@@ -660,6 +677,22 @@ class TestLogAverage:
             x.values, dx.PowerLogTail(1.0, 1.0, 0.0)
         )
         assert dx.norm_1_inf(grown) >= 1.0 - 1e-12
+
+    def test_norm_refuses_a_log_average_past_the_float_range(self):
+        # 1e308 / sqrt(k): alpha_5 passes the float64 range, and the norm
+        # says so as log_average does, plain and on runs; a tail whose
+        # log average diverges still has norm inf
+        past = "log average lies past the float64 range"
+        for x in (dx.SingularSequence(1e308 / np.sqrt(np.arange(1.0, 1025.0))),
+                  dx.SingularSequence([1e308], counts=[2])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=past):
+                    dx.log_average(x, [x.length])
+                with pytest.raises(ValueError, match=past):
+                    dx.norm_1_inf(x)
+        assert dx.norm_1_inf(dx.power_log_sequence(1.0, 1.0, 0.5, 4096)) == (
+            math.inf)
 
 
 class TestSubmajorization:
