@@ -18,7 +18,10 @@ temporary the size of the input is made.  2^16 is a multiple of numpy's
 each block's cumsum seeded with the previous total, so they make the
 same additions as one cumsum without holding it; one routine reads
 them at given indices, in extended precision or exactly on Python
-ints, for log averages and both passes of submajorization.
+ints, for log averages and both passes of submajorization.  Each
+block is accumulated in place in one buffer reused from block to
+block, so a call on a head shorter than a block pays for one buffer,
+one copy in and one accumulation.
 
 Every sum and prefix sum also takes a run-length input: values v_i
 with int64 ``counts`` c_i stand for each v_i repeated c_i times.  The
@@ -184,11 +187,12 @@ def _running_sums(values, stop, counts=None, e0=None):
     buf = np.zeros(min(_CHUNK, stop) + 1,
                    dtype=np.longdouble if e0 is None else object)
     for start in range(0, stop, _CHUNK):
-        run = buf[: min(_CHUNK, stop - start) + 1]
-        block = values[start:start + run.size - 1]
-        run[1:] = block if e0 is None else _as_ints(block, e0)
+        end = min(start + _CHUNK, stop)
+        run = buf[:end - start + 1]
+        run[1:] = values[start:end] if e0 is None else _as_ints(
+            values[start:end], e0)
         if counts is not None:
-            run[1:] *= counts[start:start + run.size - 1]
+            run[1:] *= counts[start:end]
         np.add.accumulate(run, out=run)
         yield start, run
         buf[0] = run[-1]
@@ -235,7 +239,7 @@ def _prefix_sums(values, ks, counts=None, e0=None):
     lo = 0
     for start, run in _running_sums(values, stop, counts, e0):
         end = start + run.size - 1
-        hi = at.size if at[-1] <= end else np.searchsorted(at, end, "right")
+        hi = at.size if stop <= end else np.searchsorted(at, end, "right")
         run.take(at[lo:hi] - start if start else at[lo:hi], out=sums[lo:hi])
         lo = hi
     if counts is not None:
@@ -341,7 +345,7 @@ def prefix_dominates(x, y, x_counts=None, y_counts=None):
     bound = _EPS_LONG * ((x.size + 2) * px[-1] + (y.size + 2) * py[-1])
     gap = np.subtract(px, py, out=px)
     del px, py  # the exact pass holds only the sums at the ends it decides
-    if (gap < -bound).any():
+    if np.count_nonzero(gap < -bound):
         return False
     ks = ks[gap <= bound]
     del gap
@@ -355,7 +359,8 @@ def prefix_dominates(x, y, x_counts=None, y_counts=None):
 def _exact_unit(*heads):
     """e0 for _as_ints over nonempty nonincreasing heads, at most -53:
     the last mantissa bit of the last positive value of any head."""
-    last = [v[bisect_left(v, 0.0, key=neg) - 1] for v in heads]  # or 0.0
+    last = [v[-1] if v[-1] > 0.0 else v[bisect_left(v, 0.0, key=neg) - 1]
+            for v in heads]  # or 0.0
     return min(0, *(math.frexp(v)[1] for v in last)) - 53
 
 

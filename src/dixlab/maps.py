@@ -37,7 +37,13 @@ class PiecewiseFunction:
     Step data holds values[i] on [b_i, b_{i+1}); linear data
     interpolates between (b_i, values[i]) knots and stays constant on
     [b_last, horizon).  Beyond the horizon the function equals
-    tail_value (a flagged constant continuation, not real data)."""
+    tail_value (a flagged constant continuation, not real data).
+
+    It is accepted in one pass: breakpoints that strictly increase from
+    domain_start up to a finite horizon are finite too, since a NaN
+    fails every comparison, and the values take one finiteness pass.
+    The named checks (_reject) run only on a rejected function, in
+    their fixed order, to say which rule it breaks."""
 
     kind: str
     breakpoints: np.ndarray
@@ -52,6 +58,28 @@ class PiecewiseFunction:
             raise ValueError("kind must be 'step' or 'linear'")
         b = np.ascontiguousarray(self.breakpoints, dtype=np.float64)
         v = np.ascontiguousarray(self.values, dtype=np.float64)
+        # the rules in the order _reject checks them
+        if not (b.ndim == 1 and b.size and b.shape == v.shape
+                and np.count_nonzero(b[1:] > b[:-1]) == b.size - 1
+                and self.domain_start in (0.0, 1.0)
+                and b[0] == self.domain_start
+                and (self.horizon > b[-1] or (
+                    self.kind == "linear" and self.horizon == b[-1]))
+                and np.isfinite(v).all()
+                and math.isfinite(self.horizon)
+                and math.isfinite(self.tail_value)):
+            self._reject(b, v)
+        b.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "breakpoints", b)
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "domain_start", float(self.domain_start))
+        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "tail_value", float(self.tail_value))
+
+    def _reject(self, b, v):
+        """Raise the error of the first rule breakpoints b and values v
+        break."""
         if b.ndim != 1 or b.size == 0 or b.shape != v.shape:
             raise ValueError("breakpoints/values must be matching 1-d arrays")
         if np.any(np.diff(b) <= 0):
@@ -70,26 +98,21 @@ class PiecewiseFunction:
         if not (math.isfinite(self.horizon)
                 and math.isfinite(self.tail_value)):
             raise ValueError("horizon and tail_value must be finite")
-        b.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "breakpoints", b)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "domain_start", float(self.domain_start))
-        object.__setattr__(self, "horizon", float(self.horizon))
-        object.__setattr__(self, "tail_value", float(self.tail_value))
 
     def sup_norm(self):
         return float(max(np.max(np.abs(self.values)), abs(self.tail_value)))
 
 
-def _raw_values(f, t):
+def _raw_values(f, t, idx=None):
     """Piece values ignoring the horizon cutoff (t >= domain_start).
 
     Step: value of the piece containing t.  Linear: knot interpolation,
     constant past the last knot.  This is also the left limit at the
-    horizon, which evaluate() would mask with tail_value."""
+    horizon, which evaluate() would mask with tail_value.  idx, when
+    given, is _piece_of(f, t)."""
     b, v = f.breakpoints, f.values
-    idx = np.searchsorted(b, t, side="right") - 1
+    if idx is None:
+        idx = _piece_of(f, t)
     if f.kind == "step" or b.size == 1:
         return v[idx]
     i = np.minimum(idx, b.size - 2)
@@ -99,14 +122,20 @@ def _raw_values(f, t):
     return np.where(idx >= b.size - 1, v[-1], out)
 
 
+def _piece_of(f, t):
+    """The index of the piece [b_i, b_(i+1)) holding each t >= b_0 (the
+    last piece past the last breakpoint)."""
+    return np.searchsorted(f.breakpoints, t, side="right") - 1
+
+
 def evaluate(f, t):
     """f(t) for scalar or array t; t below domain_start raises."""
     t = np.asarray(t, dtype=np.float64)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("evaluation point must be finite")
-    if np.any(t < f.domain_start):
+    if (t < f.domain_start).any():
         raise ValueError("evaluation below domain_start")
     out = np.asarray(_raw_values(f, t), dtype=np.float64).copy()
     out[t >= f.horizon] = f.tail_value
@@ -121,7 +150,8 @@ def integral(f, t0, t1):
         raise ValueError("reversed integration range")
     if t0 < f.domain_start:
         raise ValueError("integration below domain_start")
-    cuts = f.breakpoints[(f.breakpoints > t0) & (f.breakpoints < t1)]
+    bp = f.breakpoints  # increasing: the cuts strictly inside (t0, t1)
+    cuts = bp[np.searchsorted(bp, t0, "right"):np.searchsorted(bp, t1)]
     extra = [f.horizon] if t0 < f.horizon < t1 else []
     grid = np.unique(np.concatenate([[t0, t1], cuts, extra]))
     a, b = grid[:-1], grid[1:]
@@ -138,14 +168,19 @@ def unit_window_integral(f, t):
     return integral(f, t, t + 1.0)
 
 
-def _piece_prefix(f):
-    """(A at breakpoints, endpoint values): A[i] = int from b_0 to b_i."""
-    b, v = f.breakpoints, f.values
+def _piece_prefix(f, stop=None):
+    """A[i] = int from b_0 to b_i at the first stop breakpoints (at all
+    of them when stop is None): a cumsum, so A[i] does not depend on
+    stop."""
+    b, v = f.breakpoints[:stop], f.values[:stop]
+    A = np.empty(b.size)
+    A[0] = 0.0
     if f.kind == "step":
         areas = v[:-1] * np.diff(b)
     else:
         areas = 0.5 * (v[:-1] + v[1:]) * np.diff(b)
-    return np.concatenate([[0.0], np.cumsum(areas)])
+    np.cumsum(areas, out=A[1:])
+    return A
 
 
 def cumulative_integral(f, ts):
@@ -154,13 +189,12 @@ def cumulative_integral(f, ts):
     if not np.all((ts >= f.domain_start) & (ts <= f.horizon)):
         raise ValueError("cumulative integral outside the domain")
     b, v = f.breakpoints, f.values
-    A = _piece_prefix(f)
-    idx = np.searchsorted(b, ts, side="right") - 1
-    vt = _raw_values(f, ts)
+    idx = _piece_of(f, ts)
+    A = _piece_prefix(f, int(idx.max(initial=0)) + 1)  # the pieces read
     if f.kind == "step":
         local = v[idx] * (ts - b[idx])
     else:
-        local = 0.5 * (v[idx] + vt) * (ts - b[idx])
+        local = 0.5 * (v[idx] + _raw_values(f, ts, idx)) * (ts - b[idx])
     return A[idx] + local
 
 
@@ -180,16 +214,23 @@ def log_cesaro_window(f, t0, t1):
 
     On each affine piece of f the inner integral A(s) is a polynomial
     of degree <= 2, so A(s)/s integrates in closed form; pieces that
-    start at s=0 have A(0)=0 and no log term survives."""
+    start at s=0 have A(0)=0 and no log term survives.  Only the pieces
+    i0 <= i < i1 that can overlap [t0, t1] are read, and A up to them."""
     if f.domain_start != 0.0:
         raise ValueError("needs domain_start 0")
     if not 0.0 <= t0 <= t1 <= f.horizon:
         raise ValueError("bad range")
     b, v = f.breakpoints, f.values
-    A = _piece_prefix(f)
-    starts = b
-    ends = np.concatenate([b[1:], [f.horizon]])
-    v_end = v if f.kind == "step" else np.concatenate([v[1:], [v[-1]]])
+    # piece i overlaps when it ends past t0 and starts before t1
+    i0, i1 = int(_piece_of(f, t0)), int(np.searchsorted(b, t1))
+    if i1 <= i0:
+        return 0.0
+    A = _piece_prefix(f, i1)[i0:]
+    last = i1 == b.size  # the last piece ends at the horizon
+    ends = np.append(b[i0 + 1:i1], f.horizon if last else b[i1])
+    starts, v = b[i0:i1], v[i0:i1]
+    v_end = v if f.kind == "step" else np.append(
+        f.values[i0 + 1:i1], f.values[-1 if last else i1])
     width = ends - starts
     slope = np.where(width > 0, (v_end - v) / np.where(width > 0, width, 1.0), 0.0)
     lo = np.maximum(starts, t0)
@@ -216,7 +257,7 @@ def _as_bounded(a):
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("need a nonempty 1-d sequence")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("sequence must be finite")
     return a
 
@@ -243,9 +284,10 @@ def dilate_discrete(a, j):
 
 def cesaro_discrete(a):
     """Running means (C a)_n = (a_0 + ... + a_n) / (n+1)."""
-    a = _as_bounded(a)
-    sums = np.cumsum(a.astype(np.longdouble))
-    return (sums / np.arange(1, a.size + 1)).astype(np.float64)
+    sums = _as_bounded(a).astype(np.longdouble)
+    np.cumsum(sums, out=sums)
+    sums /= np.arange(1, sums.size + 1)
+    return sums.astype(np.float64)
 
 
 # ------------------------------------------------------ embedding maps
@@ -482,7 +524,16 @@ def commutator_defect(pair, data, t, j=1):
     sequence of unit window integrals (r o E), and t is an integer
     index.  The shift defects against floor_embed and window_restrict
     vanish identically: after the exact change of variables both sides
-    are the same lookup/integral, and they are evaluated that way."""
+    are the same lookup/integral, and they are evaluated that way.
+
+    A sequence is validated once, whole, and the public maps are
+    composed on the prefix that the point reads: a[:floor(t) + j + 3]
+    for the shift, a[:floor(t) + 3] for the Cesaro means; a t that is
+    not a number in [0, len(a)) reads it all.  On a piecewise function
+    the maps themselves read no piece past the windows they integrate.
+    Every prefix sum there is a sequential cumsum, the same at each
+    index whatever follows it, and each np.sum sees the same terms, so
+    a defect is bitwise the one of the whole data."""
     pair = tuple(pair)
     if pair not in _PAIRS:
         raise ValueError("unknown pair %r" % (pair,))
@@ -492,6 +543,11 @@ def commutator_defect(pair, data, t, j=1):
         raise ValueError("shift step must be a positive integer")
     if h in ("floor_embed", "linear_embed"):
         a = _as_bounded(data)
+        if isinstance(t, (int, float)) and 0 <= t < a.size:
+            # the point reads a_(k + j) and a_(k + j + 1), k = floor(t),
+            # and stays before the prefix's last unit interval, where its
+            # tail rule would read the prefix's last value
+            a = a[:math.floor(t) + (jj if g == "shift" else 0) + 3]
         embed = floor_embed if h == "floor_embed" else linear_embed
         if g == "shift":
             lhs = evaluate(embed(shift_discrete(a, jj)), t)

@@ -279,6 +279,10 @@ def multiplication_matrix(f, n, halfwidth, power=None):
 
 # cluster leads whose vectors are multiplied by A and A* in one batch
 _BLOCK = 16
+# numpy's ufunc buffer size in _band_apply: at 1024 elements and above a
+# strided 16 x 401 complex product is copied through iteration buffers
+# (numpy 2.4), at 256 and below it runs in place and is no slower
+_UFUNC_BUFSIZE = 256
 # a 1-D band path costs about N^2 * kd against N^3 for the dense SVD.
 # Timed for deg f = 1, 3, 5 and 10 on 2 CPUs with one BLAS thread (best
 # of 3, BENCH_33.json), band/dense time at N = 10, 40 and 70 kd: deg f =
@@ -395,15 +399,27 @@ def _inverse_step(gb, shift, start, nudge):
 
 def _band_apply(a, X, adjoint=False):
     """A x for each row x of X, A held in column band storage a; with
-    adjoint, A^T x, so A* x when a holds conj(A)."""
+    adjoint, A^T x, so A* x when a holds conj(A).
+
+    Holds two block arrays, Y and one product buffer P reused for every
+    diagonal.  numpy would copy each strided block operand through an
+    iteration buffer of up to its default 8192 elements; with the buffer
+    size at _UFUNC_BUFSIZE, below a row, it walks the rows in place."""
     d, N = (a.shape[0] - 1) // 2, a.shape[1]
-    Y = np.zeros_like(X)
-    for k in range(-d, d + 1):
-        lo, hi = max(0, -k), min(N, N - k)  # columns j with a row j + k
-        if adjoint:
-            Y[:, lo:hi] += a[d + k, lo:hi] * X[:, lo + k:hi + k]
-        else:
-            Y[:, lo + k:hi + k] += a[d + k, lo:hi] * X[:, lo:hi]
+    Y, P = np.zeros_like(X), np.empty_like(X)
+    old = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        for k in range(-d, d + 1):
+            lo, hi = max(0, -k), min(N, N - k)  # columns j with a row j + k
+            p = P[:, :hi - lo]
+            if adjoint:
+                Y[:, lo:hi] += np.multiply(a[d + k, lo:hi],
+                                           X[:, lo + k:hi + k], out=p)
+            else:
+                Y[:, lo + k:hi + k] += np.multiply(a[d + k, lo:hi],
+                                                   X[:, lo:hi], out=p)
+    finally:
+        np.setbufsize(old)
     return Y
 
 
@@ -594,8 +610,9 @@ def _band_singular_values(op):
     # (2 (3 kd - 2) x N), the Golub-Kahan band (2 (kd + 1) x N), its
     # general band and LU copy (4 (3 kd + 1) x N), the two starts (3 x N),
     # a step's solution and its scaled copy (4 x N) and 7 block arrays (7 x
-    # 16 x N): the leads' v and u, A v, R, a band product and numpy's two
-    # iteration buffers.  The eigenvalue step holds less: the A band and
+    # 16 x N): the leads' v and u, A v, R and three more for _band_apply's
+    # product buffer or a scaled block and its iteration buffer (at most 6
+    # in all by tracemalloc).  The eigenvalue step holds less: the A band and
     # its scaled copy, then the scaled band, the Gram band and eig_banded's
     # copy (3 kd x N) and, for small values, the Golub-Kahan band and its
     # copy (4 (kd + 1) x N)

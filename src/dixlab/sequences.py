@@ -482,6 +482,18 @@ def _expand_runs(head, counts):
     return v
 
 
+def _reject_head(v):
+    """Raise the error of the first rule the head v breaks."""
+    if v.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite")
+    if not np.all(v[1:] <= v[:-1]):
+        raise ValueError("values must be nonincreasing")
+    if v[-1] < 0.0:
+        raise ValueError("values must be nonnegative")
+
+
 @dataclass(frozen=True)
 class SingularSequence:
     """Nonincreasing nonnegative head values plus optional tail model:
@@ -496,7 +508,13 @@ class SingularSequence:
     and counts instead.  horizon, length by default, ends the dyadic
     scans (tauberian_classify, riesz_seminorm_proxy): an integer >= 1,
     below the length to cap them at the values the caller trusts, past
-    it only with a tail."""
+    it only with a tail.
+
+    A head is accepted in one pass: nonincreasing from a first value
+    below inf to a last value >= 0 is finite and nonnegative too, since
+    a NaN fails every comparison.  The named checks (_reject_head) run
+    only on a rejected head, in their fixed order, to say which rule it
+    breaks."""
 
     head: np.ndarray
     tail: PowerLogTail | OscillatorTail | None = None
@@ -505,15 +523,10 @@ class SingularSequence:
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.head, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("values must be one-dimensional")
-        if v.size:
-            if not np.all(np.isfinite(v)):
-                raise ValueError("values must be finite")
-            if not np.all(v[1:] <= v[:-1]):
-                raise ValueError("values must be nonincreasing")
-            if v[-1] < 0.0:
-                raise ValueError("values must be nonnegative")
+        if not (v.ndim == 1 and (v.size == 0 or (
+                v[0] < math.inf and v[-1] >= 0.0
+                and np.count_nonzero(v[1:] <= v[:-1]) == v.size - 1))):
+            _reject_head(v)
         length = v.size
         if self.counts is not None:
             c = np.ascontiguousarray(self.counts, dtype=np.int64)

@@ -401,6 +401,171 @@ class TestCommutatorDefects:
             maps.commutator_defect(("shift", "nonsense"), np.ones(4), t=1.0)
 
 
+def _outcome(call):
+    """The bytes of call()'s float64 value, or its ValueError's text."""
+    try:
+        got = call()
+    except ValueError as e:
+        return "ValueError: %s" % e
+    return np.asarray(got, dtype=np.float64).tobytes()
+
+
+def _whole_cesaro(a):
+    """Running means of all of a, summed in extended precision."""
+    sums = np.cumsum(np.asarray(a).astype(np.longdouble))
+    return (sums / np.arange(1, len(a) + 1)).astype(np.float64)
+
+
+def _whole_prefix(f):
+    """int from b_0 to b_i at every breakpoint of f."""
+    b, v = f.breakpoints, f.values
+    w = v[:-1] if f.kind == "step" else 0.5 * (v[:-1] + v[1:])
+    return np.concatenate([[0.0], np.cumsum(w * np.diff(b))])
+
+
+def _whole_cumulative(f, ts):
+    """int from 0 to each t, over every piece of f."""
+    b, v = f.breakpoints, f.values
+    A = _whole_prefix(f)
+    idx = np.searchsorted(b, ts, side="right") - 1
+    if f.kind == "step":
+        local = v[idx] * (ts - b[idx])
+    else:
+        local = 0.5 * (v[idx] + maps._raw_values(f, ts)) * (ts - b[idx])
+    return A[idx] + local
+
+
+def _whole_log_window(f, t0, t1):
+    """int_t0^t1 (1/s) int_0^s f, every piece of f read and masked."""
+    b, v = f.breakpoints, f.values
+    A = _whole_prefix(f)
+    ends = np.concatenate([b[1:], [f.horizon]])
+    v_end = v if f.kind == "step" else np.concatenate([v[1:], [v[-1]]])
+    width = ends - b
+    slope = np.where(width > 0,
+                     (v_end - v) / np.where(width > 0, width, 1.0), 0.0)
+    lo, hi = np.maximum(b, t0), np.minimum(ends, t1)
+    m = hi > lo
+    if not np.any(m):
+        return 0.0
+    sa, va, sl, Ai, lo, hi = b[m], v[m], slope[m], A[m], lo[m], hi[m]
+    c0 = Ai - va * sa + 0.5 * sl * sa * sa
+    parts = (va - sl * sa) * (hi - lo) + 0.5 * (0.5 * sl) * (hi * hi - lo * lo)
+    logs = np.zeros_like(parts)
+    nz = c0 != 0.0
+    logs[nz] = c0[nz] * (np.log(hi[nz]) - np.log(lo[nz]))
+    return float(np.sum(parts + logs))
+
+
+def _whole_defect(pair, data, t, j=1):
+    """commutator_defect as the maps compose on the whole data."""
+    g, h = pair
+    if h == "window_restrict":
+        if g == "shift":
+            return abs(maps.unit_window_integral(data, float(t + j))
+                       - maps.unit_window_integral(data, float(t) + float(j)))
+        windows = np.diff(_whole_cumulative(data, np.arange(t + 2.0)))
+        return abs(_whole_log_window(data, float(t), float(t + 1))
+                   - float(_whole_cesaro(windows)[t]))
+    a = maps._as_bounded(data)
+    embed = maps.floor_embed if h == "floor_embed" else maps.linear_embed
+    if g == "shift":
+        lhs = maps.evaluate(embed(maps.shift_discrete(a, j)), t)
+        rhs = maps.evaluate(maps.shift_cont(embed(a), float(j)), t)
+    else:
+        lhs = maps.cesaro_cont_at(embed(a), t)
+        rhs = maps.evaluate(embed(_whole_cesaro(a)), t)
+    return abs(lhs - rhs)
+
+
+class TestDefectReadsItsPrefix:
+    # commutator_defect composes the maps on the prefix its point reads;
+    # every defect must be bitwise the one of the whole data
+
+    SEQUENCE_PAIRS = [p for p in sorted(maps._PAIRS)
+                      if p[1] != "window_restrict"]
+    # first interval, mid-array, the last unit intervals of 30 values,
+    # the horizon and past it, a numpy float and an array of points
+    TIMES = [0.0, 0.5, 1.0, 13.7, 26.0, 27.2, 28.5, 29.0, 29.5, 30.0,
+             30.5, 1e9, np.float64(3.5), np.array([0.5, 12.25])]
+
+    @pytest.mark.parametrize("pair", SEQUENCE_PAIRS)
+    def test_sequence_pairs_match_the_whole_composition(self, pair):
+        a = _rng(5).random(30) * 3.0
+        steps = (1, 2, 5, 27, 28, 29, 30) if pair[0] == "shift" else (1, -3)
+        for t in self.TIMES:
+            for j in steps:
+                got = _outcome(lambda: maps.commutator_defect(pair, a, t, j))
+                want = _outcome(lambda: _whole_defect(pair, a, t, j))
+                assert got == want, (t, j)
+
+    @pytest.mark.parametrize("pair", SEQUENCE_PAIRS)
+    def test_non_finite_data_past_the_prefix_is_refused(self, pair):
+        a = _rng(6).random(30)
+        a[-1] = math.nan
+        with pytest.raises(ValueError, match="sequence must be finite"):
+            maps.commutator_defect(pair, a, t=1.0)
+
+    @pytest.mark.parametrize("pair", SEQUENCE_PAIRS)
+    def test_bad_points_keep_their_messages(self, pair):
+        a = _rng(7).random(30)
+        if pair[0] == "shift":
+            want = {math.nan: "evaluation point must be finite",
+                    math.inf: "evaluation point must be finite",
+                    -math.inf: "evaluation point must be finite",
+                    -0.5: "evaluation below domain_start"}
+        else:
+            want = {math.nan: "cumulative integral outside the domain",
+                    math.inf: "Cesaro mean past the horizon",
+                    -math.inf: "cumulative integral outside the domain",
+                    -0.5: "cumulative integral outside the domain"}
+        for t, message in want.items():
+            got = _outcome(lambda: maps.commutator_defect(pair, a, t))
+            assert got == "ValueError: " + message
+            assert got == _outcome(lambda: _whole_defect(pair, a, t))
+
+    @pytest.mark.parametrize("kind", ["step", "linear"])
+    @pytest.mark.parametrize("g", ["shift", "cesaro"])
+    def test_window_pairs_match_the_whole_composition(self, kind, g):
+        fs = [_random_step(seed, kind=kind) for seed in (1, 2)]
+        fs.append(maps.floor_embed(_rng(3).random(24)) if kind == "step"
+                  else maps.linear_embed(_rng(3).random(24)))
+        for f in fs:
+            for j in (1, 3):
+                reach = j if g == "shift" else 0
+                last = int(f.horizon) - 1 - reach  # the last index read
+                for n in range(last + 1):
+                    got = maps.commutator_defect((g, "window_restrict"), f,
+                                                 n, j)
+                    want = _whole_defect((g, "window_restrict"), f, n, j)
+                    assert np.float64(got).tobytes() == \
+                        np.float64(want).tobytes(), (n, j)
+                with pytest.raises(ValueError, match="past the horizon"):
+                    maps.commutator_defect((g, "window_restrict"), f,
+                                           last + 1, j)
+
+    @pytest.mark.parametrize("kind", ["step", "linear"])
+    def test_window_maps_read_their_pieces_only(self, kind):
+        # the cuts of integral, the cumulative integral and the log
+        # window against their every-piece forms
+        f = _random_step(4, kind=kind)
+        b = f.breakpoints
+        for t0, t1 in ((0.0, 0.0), (0.0, 1.0), (b[3], b[4]), (b[3], b[9]),
+                       (7.3, 7.3), (b[-1] - 0.5, f.horizon)):
+            cuts = b[(b > t0) & (b < t1)]
+            grid = np.unique(np.concatenate([[t0, t1], cuts]))
+            va = maps._raw_values(f, grid[:-1])
+            vb = va if kind == "step" else maps._raw_values(f, grid[1:])
+            assert maps.integral(f, t0, t1) == math.fsum(
+                (vb + va) * 0.5 * (grid[1:] - grid[:-1]))
+            assert np.float64(maps.log_cesaro_window(f, t0, t1)).tobytes() \
+                == np.float64(_whole_log_window(f, t0, t1)).tobytes()
+        ts = np.array([0.0, b[2], 0.5 * (b[2] + b[3]), b[-1], f.horizon])
+        np.testing.assert_array_equal(
+            maps.cumulative_integral(f, ts).view(np.int64),
+            _whole_cumulative(f, ts).view(np.int64))
+
+
 class TestOscillationAndAlmostConvergence:
     def test_oscillation_at_a_jump(self):
         f = maps.floor_embed(np.array([1.0, 4.0, 2.0]))

@@ -586,6 +586,39 @@ class TestBandSingularValues:
             tracemalloc.stop()
         assert len(charged) == 1 and charged[0] >= peak
 
+    @pytest.mark.parametrize("coefficients,M", [
+        ({(0,): 1.0, (1,): 0.5, (-1,): 0.5}, 200), (_WORKLOAD, 300),
+        ({(0,): 2.0, (2,): 0.5j, (-2,): -0.5j, (3,): 0.25, (-3,): 0.25}, 100),
+    ])
+    def test_band_apply_holds_two_block_arrays(self, coefficients, M):
+        # A X and A* X for a block of _BLOCK rows: the result and one
+        # product buffer (numpy's iteration buffers held four blocks),
+        # and the sums of a product per diagonal, bitwise
+        op = models.multiplication_matrix(dx.FourierMultiplier(coefficients),
+                                          1, M)
+        a = models._symbol_band(op)
+        d, N = (a.shape[0] - 1) // 2, op.size
+        r = _rng(M)
+        X = r.standard_normal((models._BLOCK, N)) \
+            + 1j * r.standard_normal((models._BLOCK, N))
+        for adjoint in (False, True):
+            want = np.zeros_like(X)
+            for k in range(-d, d + 1):
+                lo, hi = max(0, -k), min(N, N - k)
+                if adjoint:
+                    want[:, lo:hi] += a[d + k, lo:hi] * X[:, lo + k:hi + k]
+                else:
+                    want[:, lo + k:hi + k] += a[d + k, lo:hi] * X[:, lo:hi]
+            tracemalloc.start()
+            try:
+                got = models._band_apply(a, X, adjoint)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+            # and a few KiB of views and loop state
+            assert peak <= 2 * X.nbytes + 8192
+
     def _spy_eig_banded(self, monkeypatch):
         """The shapes of the bands eig_banded is called on, as a list
         that fills as it runs."""
