@@ -17,8 +17,8 @@ temporary the size of the input is made.  2^16 is a multiple of numpy's
 ``np.sum`` over the same terms.  Prefix sums run in the same blocks,
 each block's cumsum seeded with the previous total, so they make the
 same additions as one cumsum without holding it; one routine reads
-them at given indices, in extended precision or exactly on Python
-ints, for log averages and both passes of submajorization.  Each
+them at given indices, in extended precision for log averages or
+exactly on Python ints for submajorization's exact pass.  Each
 block is accumulated in place in one buffer reused from block to
 block, so a call on a head shorter than a block pays for one buffer,
 one copy in and one accumulation.
@@ -32,8 +32,11 @@ accumulator, while it evaluates one term per run.  ``counts=None`` is
 the plain input, summed exactly as before: no count array is made.
 
 Submajorization reads a plain input as a run of one at every index, so
-every pair takes its one exact path; ``sequences.submajorizes`` charges
-the sums it holds at the compared indices to the memory budget first.
+every pair takes one path: float64 prefix sums decide each compared
+index outside their derived error bound, and the rest, or all when a
+sum passes the float range, are decided on exact integer sums.
+``sequences.submajorizes`` charges what the two passes hold at the
+compared indices to the memory budget first.
 
 Heat sums, and the incomplete-gamma sums S(t) on which their log-scale
 means close, read a finite, nonnegative, nonincreasing head, as a
@@ -55,7 +58,7 @@ _X_NORMAL, _X_ZERO = 708.0, 750.0
 _TINY_HEAT = 2.0 ** -900
 _LN_2_64 = 64.0 * math.log(2.0)
 _CHUNK = 1 << 16
-_EPS_LONG = np.finfo(np.longdouble).eps
+_EPS, _TINY = 2.0 ** -52, 2.0 ** -1074
 
 # ---------------------------------------------------------------- sums
 
@@ -313,7 +316,7 @@ def max_log_average(values, counts=None):
 # ------------------------------------------------------ submajorization
 
 
-def prefix_dominates(x, y, x_counts=None, y_counts=None):
+def prefix_dominates(x, y, x_counts=None, y_counts=None, e0=None):
     """True iff every partial sum of y is <= the matching partial sum
     of x (nonnegative nonincreasing values, shorter input zero-padded),
     decided exactly.
@@ -321,39 +324,83 @@ def prefix_dominates(x, y, x_counts=None, y_counts=None):
     Either input may be run-length (counts given) or plain, a run of
     one at every index.  Both prefix sums are linear between the run
     ends of x and of y, so they are compared at the union of those ends
-    only, both passes streamed by _prefix_sums: the extended-precision
-    sums decide every end whose gap exceeds their error bound, and the
-    ends within it are decided again on exact integer sums.  One path
-    serves every pair; sequences.submajorizes charges the sums it holds
-    to the memory budget before it calls this kernel."""
+    only, which is every index when both are plain.  A float64 pass
+    decides each end whose gap passes the bound below, in one reduction
+    when every end does; the ends within the bound, or every end when a
+    sum or the bound is not finite, are decided again on exact integer
+    sums in units of 2^e0 (_exact_unit of x and y unless given),
+    streamed by _prefix_sums.  One path serves every pair;
+    sequences.submajorizes charges what it holds to the memory budget
+    before it calls this kernel.
+
+    The bound.  With u = 2^-53 and g(m) = m u / (1 - m u), a float64
+    prefix sum at an end in run r (from 0, below n the runs of its
+    input) adds r + 1 nonnegative terms in r rounded additions, the
+    first to 0 being exact.  A term is a plain value, exact, or a
+    product v c, rounded once, or twice for a c past 2^53, which
+    float64 rounds first.  No term passes more than m = n + 1
+    roundings, so the sum is within g(m) S of its value S, plus 2^-1075
+    per product that lands subnormal (an addition that lands subnormal
+    is exact).  S is at most the total T <= T' / (1 - g(m)), T' its
+    float64 value, so for m < 2^48 the error is below 0.54 m eps T',
+    eps = 2u.  The bound m eps T' + m 2^-1074, summed over x and y, is
+    thus about twice the error of the gap, which covers its own
+    rounding and the gap's: a rounded difference keeps its sign and is
+    within u of the difference.  (No input that fits in memory has
+    2^48 runs.)"""
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     x_counts, y_counts = _as_counts(x_counts, x), _as_counts(y_counts, y)
     if not (x.size and y.size):  # an empty input sums to 0 everywhere
         return not y.any()
-    if x_counts is None and y_counts is None:
-        ks = np.arange(1, max(x.size, y.size) + 1)
+    ks = None if x_counts is None and y_counts is None else np.union1d(
+        _run_ends(x_counts, x.size), _run_ends(y_counts, y.size))
+    n = max(x.size, y.size)
+    with np.errstate(over="ignore"):
+        px, bx = _float_sums(x, x_counts, ks, n)
+        py, by = _float_sums(y, y_counts, ks, n)
+    bound = bx + by
+    if math.isfinite(bound):
+        gap = np.subtract(px, py, out=px)
+        del px, py  # the exact pass holds only the sums at its own ends
+        least = np.minimum.reduce(gap)
+        if least > bound:
+            return True
+        if least < -bound:
+            return False
+        undecided = gap <= bound
+        del gap
+        ks = np.flatnonzero(undecided) + 1 if ks is None else ks[undecided]
+        del undecided
     else:
-        ks = np.union1d(_run_ends(x_counts, x.size),
-                        _run_ends(y_counts, y.size))
-    px = _prefix_sums(x, ks, x_counts)
-    py = _prefix_sums(y, ks, y_counts)
-    # each sum adds at most n + 1 rounded nonnegative products (n the
-    # runs of its input) in n + 1 rounded additions: it is within about
-    # (2n + 2) u of its value, u = eps / 2 the unit roundoff; prefix
-    # sums never decrease, so the bound at the totals holds at every end
-    bound = _EPS_LONG * ((x.size + 2) * px[-1] + (y.size + 2) * py[-1])
-    gap = np.subtract(px, py, out=px)
-    del px, py  # the exact pass holds only the sums at the ends it decides
-    if np.count_nonzero(gap < -bound):
-        return False
-    ks = ks[gap <= bound]
-    del gap
-    if not ks.size:
-        return True
-    e0 = _exact_unit(x, y)
+        del px, py
+        if ks is None:
+            ks = np.arange(1, n + 1)
+    if e0 is None:
+        e0 = _exact_unit(x, y)
     return bool((_prefix_sums(y, ks, y_counts, e0)
                  <= _prefix_sums(x, ks, x_counts, e0)).all())
+
+
+def _float_sums(values, counts, ks, n):
+    """(sums, bound): float64 sums of the first k expanded values (past
+    the end the total) at the increasing 1-based ks, or at every k up
+    to n of a plain input when ks is None, and prefix_dominates' bound
+    for them.  A plain input at ks is read as runs of one."""
+    if ks is None:
+        sums = np.empty(n)
+        np.add.accumulate(values, out=sums[:values.size])
+        if n > values.size:
+            sums[values.size:] = sums[values.size - 1]
+    else:
+        ks = np.minimum(ks, values.size if counts is None else counts.sum())
+        r, before = _run_of(counts, ks)
+        run = np.zeros(values.size + 1)
+        run[1:] = values if counts is None else values * counts
+        np.add.accumulate(run, out=run)
+        sums = run[r] + (ks - before) * values[r]
+    m = values.size + 1
+    return sums, m * _EPS * float(sums[-1]) + m * _TINY
 
 
 def _exact_unit(*heads):

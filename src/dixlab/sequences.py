@@ -482,6 +482,20 @@ def _expand_runs(head, counts):
     return v
 
 
+def _accepted_head(head):
+    """head as a contiguous float64 array, accepted in one pass:
+    one-dimensional and nonincreasing from a first value below inf to
+    a last value >= 0, so finite and nonnegative too, since a NaN fails
+    every comparison.  The named checks (_reject_head) run only on a
+    rejected head, in their fixed order, to say which rule it breaks."""
+    v = np.ascontiguousarray(head, dtype=np.float64)
+    if not (v.ndim == 1 and (v.size == 0 or (
+            v[0] < math.inf and v[-1] >= 0.0
+            and np.count_nonzero(v[1:] <= v[:-1]) == v.size - 1))):
+        _reject_head(v)
+    return v
+
+
 def _reject_head(v):
     """Raise the error of the first rule the head v breaks."""
     if v.ndim != 1:
@@ -508,13 +522,8 @@ class SingularSequence:
     and counts instead.  horizon, length by default, ends the dyadic
     scans (tauberian_classify, riesz_seminorm_proxy): an integer >= 1,
     below the length to cap them at the values the caller trusts, past
-    it only with a tail.
-
-    A head is accepted in one pass: nonincreasing from a first value
-    below inf to a last value >= 0 is finite and nonnegative too, since
-    a NaN fails every comparison.  The named checks (_reject_head) run
-    only on a rejected head, in their fixed order, to say which rule it
-    breaks."""
+    it only with a tail.  A head is accepted in one pass
+    (_accepted_head)."""
 
     head: np.ndarray
     tail: PowerLogTail | OscillatorTail | None = None
@@ -522,11 +531,7 @@ class SingularSequence:
     horizon: int | None = None
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.head, dtype=np.float64)
-        if not (v.ndim == 1 and (v.size == 0 or (
-                v[0] < math.inf and v[-1] >= 0.0
-                and np.count_nonzero(v[1:] <= v[:-1]) == v.size - 1))):
-            _reject_head(v)
+        v = _accepted_head(self.head)
         length = v.size
         if self.counts is not None:
             c = np.ascontiguousarray(self.counts, dtype=np.int64)
@@ -719,24 +724,34 @@ def norm_1_inf(x):
 def submajorizes(x, y):
     """True iff partial sums of y never exceed those of x (heads only,
     shorter head zero-padded), decided exactly on one path for plain and
-    run-length heads.  Charged to the budget first: 64 KiB and, per
-    compared end, 72 B for the extended-precision pass plus two Python
-    ints (three with runs) for the exact one, each 8 B of pointer and
-    24 B + 4 B per 30-bit digit in 16 B blocks, wide enough to count
-    units of 2^e0 up to length * 2^(leading exponent)."""
-    x = as_sequence(x)
-    y = as_sequence(y)
-    if x.head.size and y.head.size:
-        n = max(x.length, y.length)
-        ends = min(n, x.head.size + y.head.size)
-        bits = (math.frexp(max(x.head[0], y.head[0]))[1] + n.bit_length()
-                - kernels._exact_unit(x.head, y.head))
+    run-length heads.  An array is accepted as a plain head by
+    SingularSequence's rule (_accepted_head), with no sequence built.
+    Charged to the budget first: 64 KiB and, per compared end, 72 B for
+    the float64 pass plus two Python ints (three with runs) for the
+    exact one, each 8 B of pointer and 24 B + 4 B per 30-bit digit in
+    16 B blocks, wide enough to count units of 2^e0 up to length *
+    2^(leading exponent)."""
+    (x, x_counts, x_len), (y, y_counts, y_len) = map(_plain_or_runs, (x, y))
+    e0 = None
+    if x.size and y.size:
+        n = max(x_len, y_len)
+        ends = min(n, x.size + y.size)
+        e0 = kernels._exact_unit(x, y)
+        bits = math.frexp(max(x[0], y[0]))[1] + n.bit_length() - e0
         per_int = 8 + 16 * -(-(24 + 4 * -(-bits // 30)) // 16)
-        ints = 2 if x.counts is None and y.counts is None else 3
+        ints = 2 if x_counts is None and y_counts is None else 3
         _check_budget("submajorization (%d ends)" % ends,
                       2.0**16 + ends * (72 + ints * per_int))
-    return kernels.prefix_dominates(x.head, y.head, x_counts=x.counts,
-                                    y_counts=y.counts)
+    return kernels.prefix_dominates(x, y, x_counts, y_counts, e0)
+
+
+def _plain_or_runs(x):
+    """(head, counts, length) of a sequence, or of an array accepted as
+    a plain head."""
+    if isinstance(x, SingularSequence):
+        return x.head, x.counts, x.length
+    v = _accepted_head(x)
+    return v, None, v.size
 
 
 def riesz_seminorm_proxy(x):
@@ -773,19 +788,31 @@ def zeta_norm_z1(source, k_schedule=None):
     """limsup over the schedule of (1/k) * Tr(T^(1+1/k))^(k/(k+1)), by
     power_trace of the sequence.  Without a tail only the head is
     summed, which undershoots once 1/k is small against 1/log(length),
-    and the default schedule stops at 2^14, not 2^20."""
+    and the default schedule stops at 2^14, not 2^20.
+
+    The traces are read in units of 2^m, the leading value in [1, 2)
+    units (m >= -1023), and the limsup, linear in the scale, is scaled
+    back by 2^m: m = 0 for a head led by 1, such as the harmonic's and
+    the flat tori's, and a scaled input's power sums stay in range
+    wherever its answer is."""
     x = as_sequence(source)
     if k_schedule is None:
         k_schedule = 2 ** np.arange(3, 15 if x.tail is None else 21,
                                     dtype=np.int64)
+    lead = float(x.head[0]) if x.head.size else 0.0
+    m = max(math.frexp(lead)[1] - 1, -1023) if lead > 0.0 else 0
+    unit = x if m == 0 else x.scaled(2.0 ** -m)
     best = 0.0
     for k in map(float, _zeta_schedule(k_schedule)):
         try:
-            total = power_trace(x, 1.0 + 1.0 / k)
-        except ValueError:  # a divergent or overflowing sum, refused
+            total = power_trace(unit, 1.0 + 1.0 / k)
+        except ValueError:  # a divergent sum, refused
             return math.inf
         best = max(best, total ** (k / (k + 1.0)) / k)
-    return float(best)
+    try:
+        return math.ldexp(best, m)
+    except OverflowError:  # the limsup itself passes the float64 range
+        return math.inf
 
 
 def tilde_mu(t1, t2, t3, t4):

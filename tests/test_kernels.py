@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -341,6 +342,128 @@ class TestPrefixDominates:
                   _sorted_desc([3.0, 1.0, 1.25])):
             self._assert_exact(x, y)
         self._assert_exact(np.empty(0), np.empty(0))
+
+
+class TestFloatFirstPass:
+    # the float64 pass decides an end only outside its error bound, and
+    # hands every end to the exact pass where a sum passes the float
+    # range; each pair is checked in both directions, plain and on runs,
+    # with warnings raised as errors
+
+    @staticmethod
+    def _assert_exact(x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            TestPrefixDominates._assert_exact(x, y)
+
+    @staticmethod
+    def _exact_pass_ends(monkeypatch, x, y, x_counts=None, y_counts=None):
+        """The ends prefix_dominates hands to the exact pass (None if
+        it never runs), and its verdict."""
+        seen = []
+        sums = kernels._prefix_sums
+
+        def spy(values, ks, counts=None, e0=None):
+            if e0 is not None:
+                seen.append(ks.tolist())
+            return sums(values, ks, counts, e0)
+
+        monkeypatch.setattr(kernels, "_prefix_sums", spy)
+        got = kernels.prefix_dominates(x, y, x_counts, y_counts)
+        monkeypatch.undo()
+        return (seen[0] if seen else None), got
+
+    def test_values_near_the_top_of_the_float_range(self):
+        # every sum of two such values overflows float64
+        big = 1.7e308
+        down = np.nextafter(big, 0.0)
+        for x, y in (([big, big], [big, big]), ([big, big], [big, down]),
+                     ([big, big, big], [big, big]), ([big], [big, 1.0]),
+                     ([1.79e308] * 3, [1.79e308, 1.79e308, 1e308]),
+                     ([big, 2.0**-1074], [big, 2.0**-1073])):
+            self._assert_exact(np.array(x), np.array(y))
+
+    def test_subnormal_heads(self):
+        t = 2.0**-1074
+        r = _rng(21)
+        for _ in range(100):
+            x = _sorted_desc(r.integers(0, 40, r.integers(1, 9)) * t)
+            y = _sorted_desc(r.integers(0, 40, r.integers(1, 9)) * t)
+            self._assert_exact(x, y)
+            self._assert_exact(x, x.copy())
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_gaps_either_side_of_the_bound(self, monkeypatch, sign):
+        # dyadic x with sums below 4, and y = x but for its first value
+        # moved by d = j 2^-51: every float64 sum is exact, so every
+        # end's gap is sign * d, and the exact pass runs iff d is within
+        # the bound
+        x = np.array([1.0, 0.5, 0.5, 0.25, 0.125])
+        runs = (np.array([1.0, 0.5, 0.25, 0.125]), np.array([1, 2, 1, 1]))
+        decided = set()
+        for j in range(5, 25):
+            d = j * 2.0**-51
+            y = x.copy()
+            y[0] -= sign * d
+            ends, got = self._exact_pass_ends(monkeypatch, x, y)
+            assert got == (sign > 0)
+            bound = (kernels._float_sums(x, None, None, 5)[1]
+                     + kernels._float_sums(y, None, None, 5)[1])
+            assert (ends is not None) == (d <= bound)
+            decided.add(ends is None)
+            self._assert_exact(x, y)
+            assert kernels.prefix_dominates(runs[0], y, runs[1]) == (sign > 0)
+        assert decided == {True, False}
+
+    def test_random_pairs_never_reach_the_exact_pass(self, monkeypatch):
+        # pairs drawn as the benchmark battery draws them
+        converted = []
+        as_ints = kernels._as_ints
+        monkeypatch.setattr(kernels, "_as_ints", lambda v, e0: (
+            converted.append(v.size), as_ints(v, e0))[1])
+        r = _rng(23)
+        for i in range(200):
+            m = int(r.integers(32, 257))
+            x = _sorted_desc(r.random(m) + 1e-9)
+            y = _sorted_desc(x * r.uniform(0.0, 1.05, m) if i % 2 == 0
+                             else r.random(m) + 1e-9)
+            assert kernels.prefix_dominates(x, y) == (
+                oracles.exact_dominates(x, y))
+        assert converted == []
+
+    def test_every_tied_end_reaches_the_exact_pass(self, monkeypatch):
+        # self pairs tie at every compared end, dyadic splits at some
+        r = _rng(24)
+
+        def expand(values, counts):
+            if counts is None:
+                return values, set(range(1, values.size + 1))
+            return np.repeat(values, counts), set(np.cumsum(counts).tolist())
+
+        def exact_sums(values, n):
+            s = list(itertools.accumulate(map(Fraction, values.tolist())))
+            return s + s[-1:] * (n - len(s))
+
+        for _ in range(40):
+            v, c = _runs(int(r.integers(2**32)), int(r.integers(1, 30)))
+            w = np.repeat(v, c)
+            i = int(r.integers(w.size))
+            split = _sorted_desc(np.append(np.delete(w, i), [w[i] / 2] * 2))
+            for (a, ca), (b, cb), same in (((v, c), (w, None), True),
+                                           ((w, None), (w, None), True),
+                                           ((v, c), (v, c), True),
+                                           ((w, None), (split, None), False),
+                                           ((v, c), (split, None), False)):
+                (ea, ends_a), (eb, ends_b) = expand(a, ca), expand(b, cb)
+                n = max(ea.size, eb.size)
+                ends = ends_a | ends_b
+                sa, sb = exact_sums(ea, n), exact_sums(eb, n)
+                tied = {k for k in ends if sa[k - 1] == sb[k - 1]}
+                seen, got = self._exact_pass_ends(monkeypatch, a, b, ca, cb)
+                assert got == all(p >= q for p, q in zip(sa, sb))
+                assert tied <= set(seen or ())
+                if same:
+                    assert set(seen) == ends
 
 
 class TestStreamedPrefixSums:

@@ -798,6 +798,47 @@ class TestSubmajorization:
                 tracemalloc.stop()
             assert charged.pop() >= peak
 
+    def test_values_near_the_top_of_the_float_range(self):
+        # every float64 sum of two such values overflows; the pairs are
+        # decided on exact sums, with no warning
+        big = 1.7e308
+        down = float(np.nextafter(big, 0.0))
+        for x, y in (([big, big], [big, big]), ([big, big], [big, down]),
+                     ([big, big, 1.0], [big, big, 2.0]), ([big], [big, 1.0])):
+            runs = [dx.SingularSequence(v, None, np.ones(len(v), np.int64))
+                    for v in (x, y)]
+            for a, b in ((x, y), (y, x), runs, runs[::-1]):
+                want = oracles.exact_dominates(dx.as_sequence(a).values,
+                                               dx.as_sequence(b).values)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert dx.submajorizes(a, b) == want
+
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_scaled_pairs_decide_alike(self, k):
+        # 30-bit values in [2^-21, 1) scale exactly by 2^k: random, tied
+        # and dyadic-split pairs, plain and run-length, decide as at k = 0
+        r = _rng(abs(k) + 1)
+        for _ in range(30):
+            m = int(r.integers(1, 30))
+            head = np.unique(r.integers(2**29, 2**30, m) * 2.0**-30
+                             * 2.0 ** -r.integers(0, 20, m))[::-1].copy()
+            x = dx.SingularSequence(head, None, r.integers(1, 4, head.size))
+            w = x.values
+            i = int(r.integers(w.size))
+            for y in (dx.SingularSequence(np.sort(w * r.uniform(
+                          0.5, 1.02, w.size))[::-1].copy()),
+                      dx.SingularSequence(np.sort(np.append(
+                          np.delete(w, i), [w[i] / 2] * 2))[::-1].copy()),
+                      dx.SingularSequence(w), x):
+                for a, b in ((x, y), (y, x)):
+                    want = oracles.exact_dominates(a.values, b.values)
+                    assert dx.submajorizes(a, b) == want
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        assert dx.submajorizes(a.scaled(2.0**k),
+                                               b.scaled(2.0**k)) == want
+
     def test_subadditivity_of_rearranged_sums(self):
         r = _rng(7)
         x = r.random(512)
@@ -847,6 +888,20 @@ class TestZ1AndRiesz:
         want = max(oracles.harm_zeta_em(1.0 + 1.0 / k, 10**4)
                    ** (k / (k + 1.0)) / k for k in map(float, ks))
         assert want == pytest.approx(via_tail, rel=1e-7)
+
+    def test_z1_scales_with_the_input(self):
+        # at coeff 2^1000 the power sums passed the float64 range and z1
+        # read inf; each scale now reads 2^k times the coeff-1 value
+        want = dx.zeta_norm_z1(dx.harmonic_sequence(4096))
+        for k in (-1000, -500, 500, 1000, 1023):
+            h = dx.harmonic_sequence(4096, coeff=2.0**k)
+            assert dx.zeta_norm_z1(h) == math.ldexp(want, k)
+        osc = dx.oscillator_model(10**4)
+        ks = 2 ** np.arange(3, 12, dtype=np.int64)
+        want = dx.zeta_norm_z1(osc, k_schedule=ks)
+        for k in (-1000, 1000):
+            assert dx.zeta_norm_z1(osc.scaled(2.0**k), k_schedule=ks) == (
+                math.ldexp(want, k))
 
     def test_riesz_proxy_on_harmonic(self):
         h = dx.harmonic_sequence(2**16)

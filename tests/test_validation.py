@@ -188,6 +188,22 @@ def _pieces(draw):
     return kind, b, v, start, horizon, tail
 
 
+class TestSubmajorizesAccepts:
+    @given(_heads())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_an_array_by_the_sequence_rule(self, head):
+        # an array is accepted as SingularSequence accepts it, with the
+        # same message, on either side
+        want = _head_rule(head)
+        assert _verdict(lambda: dx.submajorizes(head, [0.0])) == want
+        assert _verdict(lambda: dx.submajorizes([2.0], head)) == want
+        if want is None and head.size:
+            x = dx.SingularSequence(head.copy())
+            for y in ([1.0, 0.5], x.head[:-1], x):
+                assert dx.submajorizes(head, y) == dx.submajorizes(x, y)
+                assert dx.submajorizes(y, head) == dx.submajorizes(y, x)
+
+
 class TestPiecewiseFunctionAccepts:
     @given(_pieces())
     @settings(max_examples=600, deadline=None, derandomize=True)
