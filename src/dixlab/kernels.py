@@ -316,7 +316,7 @@ def max_log_average(values, counts=None):
 # ------------------------------------------------------ submajorization
 
 
-def prefix_dominates(x, y, x_counts=None, y_counts=None, e0=None):
+def prefix_dominates(x, y, x_counts=None, y_counts=None):
     """True iff every partial sum of y is <= the matching partial sum
     of x (nonnegative nonincreasing values, shorter input zero-padded),
     decided exactly.
@@ -328,10 +328,10 @@ def prefix_dominates(x, y, x_counts=None, y_counts=None, e0=None):
     decides each end whose gap passes the bound below, in one reduction
     when every end does; the ends within the bound, or every end when a
     sum or the bound is not finite, are decided again on exact integer
-    sums in units of 2^e0 (_exact_unit of x and y unless given),
-    streamed by _prefix_sums.  One path serves every pair;
-    sequences.submajorizes charges what it holds to the memory budget
-    before it calls this kernel.
+    sums in units of 2^e0 (_exact_unit of x and y), streamed by
+    _prefix_sums.  One path serves every pair; sequences.submajorizes
+    charges what it holds to the memory budget before it calls this
+    kernel.
 
     The bound.  With u = 2^-53 and g(m) = m u / (1 - m u), a float64
     prefix sum at an end in run r (from 0, below n the runs of its
@@ -376,8 +376,7 @@ def prefix_dominates(x, y, x_counts=None, y_counts=None, e0=None):
         del px, py
         if ks is None:
             ks = np.arange(1, n + 1)
-    if e0 is None:
-        e0 = _exact_unit(x, y)
+    e0 = _exact_unit(x, y)
     return bool((_prefix_sums(y, ks, y_counts, e0)
                  <= _prefix_sums(x, ks, x_counts, e0)).all())
 

@@ -732,17 +732,16 @@ def submajorizes(x, y):
     16 B blocks, wide enough to count units of 2^e0 up to length *
     2^(leading exponent)."""
     (x, x_counts, x_len), (y, y_counts, y_len) = map(_plain_or_runs, (x, y))
-    e0 = None
     if x.size and y.size:
         n = max(x_len, y_len)
         ends = min(n, x.size + y.size)
-        e0 = kernels._exact_unit(x, y)
-        bits = math.frexp(max(x[0], y[0]))[1] + n.bit_length() - e0
+        bits = (math.frexp(max(x[0], y[0]))[1] + n.bit_length()
+                - kernels._exact_unit(x, y))
         per_int = 8 + 16 * -(-(24 + 4 * -(-bits // 30)) // 16)
         ints = 2 if x_counts is None and y_counts is None else 3
         _check_budget("submajorization (%d ends)" % ends,
                       2.0**16 + ends * (72 + ints * per_int))
-    return kernels.prefix_dominates(x, y, x_counts, y_counts, e0)
+    return kernels.prefix_dominates(x, y, x_counts, y_counts)
 
 
 def _plain_or_runs(x):
@@ -790,29 +789,36 @@ def zeta_norm_z1(source, k_schedule=None):
     summed, which undershoots once 1/k is small against 1/log(length),
     and the default schedule stops at 2^14, not 2^20.
 
-    The traces are read in units of 2^m, the leading value in [1, 2)
-    units (m >= -1023), and the limsup, linear in the scale, is scaled
-    back by 2^m: m = 0 for a head led by 1, such as the harmonic's and
-    the flat tori's, and a scaled input's power sums stay in range
-    wherever its answer is."""
+    A trace past the float64 range is read again in units of 2^m, the
+    leading value in [1, 2) units, on a rescaled copy of the head
+    (charged to the budget, made once), and its term, linear in the
+    scale, is scaled back by 2^m: a head scaled by 2^1000 reads its
+    value, not inf.  Traces in range are read as they are."""
     x = as_sequence(source)
     if k_schedule is None:
         k_schedule = 2 ** np.arange(3, 15 if x.tail is None else 21,
                                     dtype=np.int64)
-    lead = float(x.head[0]) if x.head.size else 0.0
-    m = max(math.frexp(lead)[1] - 1, -1023) if lead > 0.0 else 0
-    unit = x if m == 0 else x.scaled(2.0 ** -m)
+    m = math.frexp(float(x.head[0]))[1] - 1 if x.head.size else 0
+    unit = None
     best = 0.0
     for k in map(float, _zeta_schedule(k_schedule)):
         try:
-            total = power_trace(unit, 1.0 + 1.0 / k)
-        except ValueError:  # a divergent sum, refused
-            return math.inf
-        best = max(best, total ** (k / (k + 1.0)) / k)
-    try:
-        return math.ldexp(best, m)
-    except OverflowError:  # the limsup itself passes the float64 range
-        return math.inf
+            total = power_trace(x, 1.0 + 1.0 / k)
+            term = total ** (k / (k + 1.0)) / k
+        except ValueError:  # a divergent or overflowing sum, refused
+            if m <= 0:  # a unit of 2^m <= 1 brings no sum into range
+                return math.inf
+            if unit is None:
+                _check_budget("rescaled head (%d values)" % x.head.size,
+                              8.0 * x.head.size)
+                unit = x.scaled(2.0 ** -m)
+            try:
+                total = power_trace(unit, 1.0 + 1.0 / k)
+                term = math.ldexp(total ** (k / (k + 1.0)) / k, m)
+            except (ValueError, OverflowError):  # divergent, or past range
+                return math.inf
+        best = max(best, term)
+    return float(best)
 
 
 def tilde_mu(t1, t2, t3, t4):

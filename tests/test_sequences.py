@@ -895,13 +895,37 @@ class TestZ1AndRiesz:
         want = dx.zeta_norm_z1(dx.harmonic_sequence(4096))
         for k in (-1000, -500, 500, 1000, 1023):
             h = dx.harmonic_sequence(4096, coeff=2.0**k)
-            assert dx.zeta_norm_z1(h) == math.ldexp(want, k)
+            assert dx.zeta_norm_z1(h) == pytest.approx(math.ldexp(want, k),
+                                                       rel=1e-12)
         osc = dx.oscillator_model(10**4)
         ks = 2 ** np.arange(3, 12, dtype=np.int64)
         want = dx.zeta_norm_z1(osc, k_schedule=ks)
         for k in (-1000, 1000):
             assert dx.zeta_norm_z1(osc.scaled(2.0**k), k_schedule=ks) == (
-                math.ldexp(want, k))
+                pytest.approx(math.ldexp(want, k), rel=1e-12))
+
+    def test_z1_rescales_only_traces_past_the_range(self, monkeypatch):
+        # leads outside [1, 2) whose traces stay in range read the limsup
+        # of their own traces, bit for bit, with no rescaled copy
+        copies = []
+        scaled = dx.SingularSequence.scaled
+        monkeypatch.setattr(dx.SingularSequence, "scaled",
+                            lambda x, c: copies.append(c) or scaled(x, c))
+        ks = 2 ** np.arange(3, 12, dtype=np.int64)
+        osc = dx.oscillator_model(10**4)
+        for x in (dx.harmonic_sequence(4096, coeff=0.5),
+                  dx.harmonic_sequence(4096, coeff=3.0),
+                  dx.harmonic_sequence(4096, coeff=2.0**500),
+                  dx.harmonic_sequence(4096, coeff=2.0**-1000),
+                  osc.scaled(2.0**-500)):
+            copies.clear()
+            own = max(dx.power_trace(x, 1.0 + 1.0 / k) ** (k / (k + 1.0)) / k
+                      for k in map(float, ks))
+            assert dx.zeta_norm_z1(x, k_schedule=ks) == own
+            assert copies == []
+        dx.zeta_norm_z1(dx.harmonic_sequence(4096, coeff=2.0**1000),
+                        k_schedule=ks)
+        assert copies == [2.0**-1000]
 
     def test_riesz_proxy_on_harmonic(self):
         h = dx.harmonic_sequence(2**16)
