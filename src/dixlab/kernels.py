@@ -38,6 +38,14 @@ sum passes the float range, are decided on exact integer sums.
 ``sequences.submajorizes`` charges what the two passes hold at the
 compared indices to the memory budget first.
 
+The lattice shell table counts the points of Z^n on each shell
+|m|^2 = k <= R^2 exactly, in a dense integer table over k.  Its first
+step adds each unordered pair a <= b of 1-D shells a^2 + b^2 once (half
+the updates of the ordered pairs); the 3-torus then adds the 2-D shells
+shifted by each m^2.  The table is int32 when the cube [-R, R]^n has
+fewer than 2^31 points, int64 otherwise: every entry and every partial
+sum counts distinct points of that cube, so neither can overflow.
+
 Heat sums, and the incomplete-gamma sums S(t) on which their log-scale
 means close, read a finite, nonnegative, nonincreasing head, as a
 ``SingularSequence`` stores it.  Both sum the prefix of terms that the
@@ -418,26 +426,76 @@ def shell_counts(n, radius):
     k = |m|^2 <= radius^2 and r_n(k) = #{m in Z^n : |m|^2 = k} > 0, as
     two int64 arrays.
 
-    Starts from the 1-D shells m^2 <= radius^2 (weight 1 for m = 0, 2
-    for m > 0) and, once per further dimension, adds a copy of the
-    shells shifted by each m^2 into a dense 0..radius^2 table, so no
-    pass holds more than a few words per table entry or, on the
-    1-torus, per shell.  n in {1, 2, 3} and the integer radius >= 1 are
-    models._shells' to check.
+    Starts from the 1-D shells m^2 <= radius^2, of weight w_0 = 1 and
+    w_m = 2 for m > 0, into a dense 0..radius^2 table.  The first step
+    adds each unordered pair a <= b with a^2 + b^2 <= radius^2 once: the
+    diagonal a = b with weight w_a^2 and each a < b with 2 w_a w_b = 4 w_a,
+    for a up to 2 a^2 <= radius^2.  On the 3-torus a second table takes
+    the 2-D shells shifted by each m^2, weighted w_m.
+
+    The table and its counts are int32 when (2 radius + 1)^n < 2^31,
+    else int64.  Every entry and every partial sum counts distinct
+    points of Z^n inside the cube [-radius, radius]^n, so none passes
+    (2 radius + 1)^n.  Each table is freed as soon as its shells are
+    read, and the counts are returned as int64.
+
+    Besides four words per 1-D shell (the squares, weights, their ends
+    js and one temporary), a pass holds at most 16 + 2b bytes per table
+    entry, b the table's item size: on the 3-torus the table, the 2-D
+    shells' int64 keys and counts and one shifted copy of the keys; at
+    the end the table with its int64 keys and counts, then the keys
+    with both the counts and their int64 copy.  _shell_bytes is this
+    bound, and models._shells charges it.
+    n in {1, 2, 3} and the integer radius >= 1 are models._shells' to
+    check.
     """
     r2 = radius * radius
     squares = np.arange(radius + 1, dtype=np.int64) ** 2
     weights = np.where(squares > 0, 2, 1)
-    keys, counts = squares, weights
-    for _ in range(n - 1):
-        # the copy shifted by m^2 takes the js[m] shells with k + m^2 <= r2
-        js = np.searchsorted(keys, r2 - squares, side="right")
-        table = np.zeros(r2 + 1, dtype=np.int64)
-        for j, sq, w in zip(js, squares, weights):
-            table[keys[:j] + sq] += w * counts[:j]
+    if n == 1:
+        return squares, weights
+    dtype = _table_dtype(n, radius)
+    # b with a^2 + b^2 <= r2 are the first js[a] shells
+    js = np.searchsorted(squares, r2 - squares, side="right")
+    half = int(np.searchsorted(2 * squares, r2, side="right"))
+    table = np.zeros(r2 + 1, dtype=dtype)
+    table[2 * squares[:half]] = weights[:half] ** 2  # distinct keys
+    for a, j in enumerate(js[:half]):
+        table[squares[a + 1:j] + squares[a]] += 4 * int(weights[a])
+    for _ in range(n - 2):
         keys = np.flatnonzero(table)
         counts = table[keys]
-    return keys, counts
+        del table
+        js = np.searchsorted(keys, r2 - squares, side="right")
+        table = np.zeros(r2 + 1, dtype=dtype)
+        table[keys] = counts  # m = 0
+        counts *= 2  # w_m for m > 0
+        for j, sq in zip(js[1:], squares[1:]):
+            # in place, with no gathered copy: half the time of += at
+            # radius 1000 (numpy 2.4)
+            np.add.at(table, keys[:j] + sq, counts[:j])
+        del keys, counts
+    keys = np.flatnonzero(table)
+    counts = table[keys]
+    del table
+    return keys, counts.astype(np.int64, copy=False)
+
+
+def _table_dtype(n, radius):
+    """The dtype of shell_counts' table: int32 when (2 radius + 1)^n,
+    the points of the cube [-radius, radius]^n, is below 2^31."""
+    return np.int32 if (2 * radius + 1) ** n < 2 ** 31 else np.int64
+
+
+def _shell_bytes(n, radius):
+    """The most bytes shell_counts(n, radius) holds: four words per 1-D
+    shell and, for n >= 2, 16 + 2b per entry of its radius^2 + 1 table,
+    b the table's item size."""
+    need = 32.0 * (radius + 1)
+    if n > 1:
+        item = np.dtype(_table_dtype(n, radius)).itemsize
+        need += (16.0 + 2.0 * item) * (radius * radius + 1)
+    return need
 
 
 def lattice_w(n, radius):

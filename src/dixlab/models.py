@@ -10,6 +10,7 @@ Cantor enumeration of Z^n, which fixes every basis-dependent result.
 """
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -61,16 +62,14 @@ def _operator_power(n, power):
 
 def _shells(n, radius):
     """kernels.shell_counts(n, radius), once n and radius pass the one
-    check of every lattice path and the budget admits the table: at most
-    min(point count, radius^2 + 1) entries, six int64 words each with
-    the temporaries of a dense pass."""
+    check of every lattice path and the budget admits what its pass
+    holds, kernels._shell_bytes."""
     _check_dim(n)
     radius = int(radius)
     if radius < 1:
         raise FieldError("cutoff_radius", "cutoff radius must be >= 1")
-    points = UNIT_BALL_VOL[n] * (radius + 1.0) ** n
-    words = 6.0 * min(points, radius * radius + 1.0)
-    _check_budget("lattice shell table (radius %d)" % radius, 8.0 * words)
+    _check_budget("lattice shell table (radius %d)" % radius,
+                  kernels._shell_bytes(n, radius))
     return kernels.shell_counts(n, radius)
 
 
@@ -116,7 +115,12 @@ def torus_spectrum(dimension, cutoff_radius, operator_power=None):
     tail = TorusTail(UNIT_BALL_VOL[n] ** a, a, dimension=n, operator_power=p,
                      cutoff_radius=int(cutoff_radius),
                      head_length=int(counts.sum()))
-    return SingularSequence((1.0 + keys) ** (-p), tail, counts)
+    # raised in place, the keys freed first: SingularSequence's acceptance
+    # holds two more head-sized arrays beside the head and counts
+    head = keys + 1.0
+    del keys
+    head **= -p
+    return SingularSequence(head, tail, counts)
 
 
 # ------------------------------------------------ basis order / multipliers
@@ -407,8 +411,7 @@ def _band_apply(a, X, adjoint=False):
     size at _UFUNC_BUFSIZE, below a row, it walks the rows in place."""
     d, N = (a.shape[0] - 1) // 2, a.shape[1]
     Y, P = np.zeros_like(X), np.empty_like(X)
-    old = np.setbufsize(_UFUNC_BUFSIZE)
-    try:
+    with _small_ufunc_buffers():
         for k in range(-d, d + 1):
             lo, hi = max(0, -k), min(N, N - k)  # columns j with a row j + k
             p = P[:, :hi - lo]
@@ -418,9 +421,17 @@ def _band_apply(a, X, adjoint=False):
             else:
                 Y[:, lo + k:hi + k] += np.multiply(a[d + k, lo:hi],
                                                    X[:, lo:hi], out=p)
+    return Y
+
+
+@contextlib.contextmanager
+def _small_ufunc_buffers():
+    """numpy's ufunc buffer size at _UFUNC_BUFSIZE, restored on exit."""
+    old = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        yield
     finally:
         np.setbufsize(old)
-    return Y
 
 
 def _dots(X, Y):
@@ -432,15 +443,23 @@ def _lead_sums(a, ac, l, on_h, V, W):
     """||R||^2, Re <R, y>, ||y||^2 and ||A v||^2 (0 on the 2N band) of the
     leads l (_certify_band), v and, on the 2N band, u the rows of V and W
     (overwritten): one product by A (a) and one by A* (ac), freed on
-    return, before the next block's products are formed."""
+    return, before the next block's products are formed.
+
+    Holds three block arrays: A v, R and _band_apply's product buffer,
+    then A v, R and one buffer P for both row scalings, each formed
+    under small ufunc buffers (at numpy's default a row-broadcast
+    product is copied through an iteration buffer of most of a block)."""
     AV = _band_apply(a, V)
     W[~on_h] = AV[~on_h]
     R = _band_apply(ac, W, adjoint=True)
-    R -= np.where(on_h, l, l * l)[:, None] * V
+    P = np.empty_like(V)
+    with _small_ufunc_buffers():
+        R -= np.multiply(np.where(on_h, l, l * l)[:, None], V, out=P)
     sums = np.stack([_dots(R, R), _dots(R, V), _dots(V, V),
                      np.where(on_h, 0.0, _dots(W, W))])
     if on_h.any():  # R's first half on the 2N band: A v - l u
-        AV -= l[:, None] * W
+        with _small_ufunc_buffers():
+            AV -= np.multiply(l[:, None], W, out=P)
         sums[:3] += np.where(on_h, [_dots(AV, AV), _dots(AV, W),
                                     _dots(W, W)], 0.0)
     return sums
@@ -609,16 +628,15 @@ def _band_singular_values(op):
     # conjugate and the Gram band (3 kd x N), its general band and LU copy
     # (2 (3 kd - 2) x N), the Golub-Kahan band (2 (kd + 1) x N), its
     # general band and LU copy (4 (3 kd + 1) x N), the two starts (3 x N),
-    # a step's solution and its scaled copy (4 x N) and 7 block arrays (7 x
-    # 16 x N): the leads' v and u, A v, R and three more for _band_apply's
-    # product buffer or a scaled block and its iteration buffer (at most 6
-    # in all by tracemalloc).  The eigenvalue step holds less: the A band and
+    # a step's solution and its scaled copy (4 x N) and 5 block arrays (5 x
+    # 16 x N): the leads' v and u, A v, R and one product buffer
+    # (_lead_sums).  The eigenvalue step holds less: the A band and
     # its scaled copy, then the scaled band, the Gram band and eig_banded's
     # copy (3 kd x N) and, for small values, the Golub-Kahan band and its
     # copy (4 (kd + 1) x N)
     _check_budget(
         "banded singular values (%d x %d, bandwidth %d)" % (N, N, kd),
-        16.0 * N * (23 * kd + 9 + 7 * _BLOCK),
+        16.0 * N * (23 * kd + 9 + 5 * _BLOCK),
     )
     a = _symbol_band(op)
     # ||A||_F >= sigma_1, taken in _unit(max |a|) so it cannot overflow;

@@ -76,6 +76,37 @@ def brute_lattice_points(n, radius):
     return pts
 
 
+def int64_shell_counts(n, radius):
+    """The shells of Z^n within radius as an int64 dense pass over every
+    ordered pair: increasing k = |m|^2 <= radius^2 and r_n(k) > 0.  Each
+    further dimension adds a copy of the shells shifted by each m^2,
+    weighted 1 for m = 0 and 2 for m > 0."""
+    r2 = radius * radius
+    squares = np.arange(radius + 1, dtype=np.int64) ** 2
+    weights = np.where(squares > 0, 2, 1)
+    keys, counts = squares, weights
+    for _ in range(n - 1):
+        js = np.searchsorted(keys, r2 - squares, side="right")
+        table = np.zeros(r2 + 1, dtype=np.int64)
+        for j, sq, w in zip(js, squares, weights):
+            table[keys[:j] + sq] += w * counts[:j]
+        keys = np.flatnonzero(table)
+        counts = table[keys]
+    return keys, counts
+
+
+def ball_point_count(n, radius):
+    """#{m in Z^n : |m| <= radius}: for every m' in Z^(n-1) of the ball,
+    the 2 isqrt(radius^2 - |m'|^2) + 1 choices of the last coordinate."""
+    r2 = radius * radius
+    if n == 1:
+        return 2 * radius + 1
+    ms = range(-radius, radius + 1)
+    rest = (r2 - a * a - b * b for a in ms for b in ms) if n == 3 else (
+        r2 - a * a for a in ms)
+    return sum(2 * math.isqrt(r) + 1 for r in rest if r >= 0)
+
+
 def brute_heat(values, t, alpha):
     return math.fsum(
         math.exp(-((t * float(v)) ** (-alpha))) for v in values if v > 0

@@ -500,7 +500,7 @@ class TestProductZeta:
         assert e.value == pytest.approx(2.0 * math.pi, rel=1e-4)
 
     def test_sublattice_enumeration_respects_budget(self, monkeypatch):
-        m = dx.torus_spectrum(2, 2000)  # its constructor charges 183 MB
+        m = dx.torus_spectrum(2, 2000)  # its constructor charges 92 MB
         monkeypatch.setenv("DIXLAB_BUDGET_MB", "1")
         with pytest.raises(dx.BudgetError):
             dx.product_zeta_sequence(dx.SublatticeProjection(2), m)

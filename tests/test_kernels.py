@@ -560,6 +560,29 @@ class TestShellCounts:
         np.testing.assert_array_equal(keys, want_keys)
         np.testing.assert_array_equal(counts, want_counts)
 
+    @pytest.mark.parametrize("n,radius,dtype", [
+        # (2 R + 1)^3 = 2,141,700,569 < 2^31 at R = 644, past it at 645
+        (3, 644, np.int32), (3, 645, np.int64), (2, 1000, np.int32),
+    ])
+    def test_exact_on_both_sides_of_the_table_dtype(self, n, radius, dtype):
+        assert kernels._table_dtype(n, radius) == dtype
+        keys, counts = kernels.shell_counts(n, radius)
+        want_keys, want_counts = oracles.int64_shell_counts(n, radius)
+        assert keys.dtype == counts.dtype == np.int64
+        np.testing.assert_array_equal(keys, want_keys)
+        np.testing.assert_array_equal(counts, want_counts)
+        assert int(counts.sum()) == oracles.ball_point_count(n, radius)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_the_ordered_pass(self, n):
+        # the unordered first step, its diagonal and its last a with
+        # 2 a^2 <= R^2 at every radius from 1 to 60
+        for radius in range(1, 61):
+            keys, counts = kernels.shell_counts(n, radius)
+            want_keys, want_counts = oracles.int64_shell_counts(n, radius)
+            np.testing.assert_array_equal(keys, want_keys)
+            np.testing.assert_array_equal(counts, want_counts)
+
 
 class TestLatticeW:
     @pytest.mark.parametrize("n,radius", [(1, 7), (2, 11), (3, 6)])

@@ -36,6 +36,23 @@ class TestLatticeCounting:
         with pytest.raises(models.BudgetError):
             models.lattice_count(2, 1000)
 
+    @pytest.mark.parametrize("n,radius", [(2, 1000), (3, 80), (3, 644),
+                                          (3, 645)])
+    def test_charge_covers_what_the_shell_pass_holds(self, monkeypatch, n,
+                                                     radius):
+        # (3, 644) is the last 3-torus with an int32 table, (3, 645) the
+        # first with an int64 one
+        charged = []
+        monkeypatch.setattr(models, "_check_budget",
+                            lambda what, need: charged.append(need))
+        tracemalloc.start()
+        try:
+            models._shells(n, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(charged) == 1 and charged[0] >= peak
+
     def test_one_dimensional_large_radius_within_default_budget(
         self, monkeypatch
     ):
@@ -618,6 +635,51 @@ class TestBandSingularValues:
             assert np.array_equal(got.view(np.float64), want.view(np.float64))
             # and a few KiB of views and loop state
             assert peak <= 2 * X.nbytes + 8192
+
+    @pytest.mark.parametrize("coefficients,M,golub_kahan", [
+        (_WORKLOAD, 300, False), ({(0,): 1.0, (1,): 0.5, (-1,): 0.5}, 200,
+                                  True),
+    ])
+    def test_lead_sums_hold_three_block_arrays(self, monkeypatch,
+                                               coefficients, M, golub_kahan):
+        # A v, R and one product buffer (the row scalings' temporaries and
+        # numpy's iteration buffers held 4.1-4.3 blocks), and the four
+        # sums of the full-block expressions, bitwise
+        def want_sums(a, ac, l, on_h, V, W):
+            AV = models._band_apply(a, V)
+            W[~on_h] = AV[~on_h]
+            R = models._band_apply(ac, W, adjoint=True)
+            R -= np.where(on_h, l, l * l)[:, None] * V
+            d = models._dots
+            sums = np.stack([d(R, R), d(R, V), d(V, V),
+                             np.where(on_h, 0.0, d(W, W))])
+            if on_h.any():
+                AV -= l[:, None] * W
+                sums[:3] += np.where(on_h, [d(AV, AV), d(AV, W), d(W, W)],
+                                     0.0)
+            return sums
+
+        lead_sums, seen = models._lead_sums, []
+
+        def spy(a, ac, l, on_h, V, W):
+            want = want_sums(a, ac, l, on_h, V.copy(), W.copy())
+            tracemalloc.start()
+            try:
+                got = lead_sums(a, ac, l, on_h, V, W)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(got, want)
+            # and a few KiB of views, iteration buffers and the sums
+            assert peak <= 3 * V.nbytes + 8192
+            seen.append(on_h.any())
+            return got
+
+        monkeypatch.setattr(models, "_lead_sums", spy)
+        op = models.multiplication_matrix(dx.FourierMultiplier(coefficients),
+                                          1, M)
+        models._band_singular_values(op)
+        assert seen and any(seen) == golub_kahan
 
     def _spy_eig_banded(self, monkeypatch):
         """The shapes of the bands eig_banded is called on, as a list
